@@ -12,7 +12,8 @@ Every verification prints IdentityReports in the chosen format (text, json,
 or csv).  Exit status 0 means every report passed; a failing run exits with
 10 plus the index of the first failing suite in the stream, so scripts can
 tell which stage broke.  Usage problems exit 2, and an internal precondition
-violation (a PrecisionError, a failed cross-check assertion) exits 3.
+violation (such as a PrecisionError) exits 3.  A wrong coefficient is never
+an internal error: it shows up as a failing report.
 
 The default truncation order is 60 and can be overridden either with
 --order or the GWSERIES_ORDER environment variable.
@@ -27,39 +28,15 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
-from .d4 import (
-    d4_analytic,
-    d4_build_potential,
-    d4_construction_reports,
-    d4_elliptic_weyl_reports,
-    d4_eta_form_reports,
-    d4_genus_one,
-    d4_ode_reports,
-    d4_recursion_solve,
-    d4_theta_bridge_reports,
-)
-from .e6 import (
-    e6_build_potential,
-    e6_coefficient_reports,
-    e6_genus_one,
-    e6_gw_table,
-    e6_identity_suite,
-    e6_schwarzian_solve,
-)
-from .frobenius import euler_residual, wdvv_residual
-from .modular import EtaQuotient, halphen_reports, modular_reports
-from .qseries import PuiseuxSeries, QSeries, QSeriesError, format_series
+from .d4 import d4_analytic, d4_genus_one, d4_recursion_solve, d4_suites, halphen_suites
+from .e6 import e6_build_fi, e6_genus_one, e6_gw_table, e6_schwarzian_solve, e6_suites
+from .modular import EtaQuotient, modular_reports
+from .qseries import QSeries, QSeriesError, format_series
 from .reporting import IdentityReport
 
 DEFAULT_ORDER = 60
 ORDER_ENV_VAR = "GWSERIES_ORDER"
-
-# WDVV checks walk every coordinate quadruple, so their order is capped
-# independently of --order; the caps match the documented acceptance runs.
-WDVV_ORDER_CAP = {"d4": 20, "e6": 15}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,112 +48,21 @@ class RunConfig:
     format: str = "text"
     model: str | None = None
     strict_typo_mode: bool = False
-    parallel: bool = False
     expression: str | None = None
     kmax: int = 10
 
 
 # -- verification suites -------------------------------------------------------------
-#
-# Each suite is a module-level function of the config so the parallel path can
-# hand it to a worker process unchanged.
 
 
-def _suite_d4_construction(config: RunConfig) -> list[IdentityReport]:
-    return d4_construction_reports(config.order)
-
-
-def _suite_d4_odes(config: RunConfig) -> list[IdentityReport]:
-    coeffs = d4_analytic(config.order)
-    return d4_ode_reports(config.order, coeffs) + d4_theta_bridge_reports(
-        config.order, coeffs
-    )
-
-
-def _suite_d4_weyl(config: RunConfig) -> list[IdentityReport]:
-    return d4_elliptic_weyl_reports(config.order)
-
-
-def _suite_d4_genus_one(config: RunConfig) -> list[IdentityReport]:
-    return [d4_genus_one(config.order).report]
-
-
-def _suite_d4_potential(config: RunConfig) -> list[IdentityReport]:
-    cap = min(config.order, WDVV_ORDER_CAP["d4"])
-    potential = d4_build_potential(cap + 2)
-    return [wdvv_residual(potential, cap), euler_residual(potential)]
-
-
-def _suite_e6_coefficients(config: RunConfig) -> list[IdentityReport]:
-    return e6_coefficient_reports(config.order)
-
-
-def _suite_e6_identities(config: RunConfig) -> list[IdentityReport]:
-    return e6_identity_suite(config.order)
-
-
-def _suite_e6_gw(config: RunConfig) -> list[IdentityReport]:
-    kmax = max((config.order - 2) // 3, 0)
-    return [e6_gw_table(kmax)[1]]
-
-
-def _suite_e6_genus_one(config: RunConfig) -> list[IdentityReport]:
-    return [e6_genus_one(config.order).report]
-
-
-def _suite_e6_potential(config: RunConfig) -> list[IdentityReport]:
-    cap = min(config.order, WDVV_ORDER_CAP["e6"])
-    potential = e6_build_potential(cap + 2, raw_f11_block=config.strict_typo_mode)
-    return [wdvv_residual(potential, cap), euler_residual(potential)]
-
-
-def _suite_halphen(config: RunConfig) -> list[IdentityReport]:
-    return halphen_reports(config.order)
-
-
-def _suite_halphen_eta_forms(config: RunConfig) -> list[IdentityReport]:
-    return d4_eta_form_reports(config.order)
-
-
-def _suite_halphen_bridges(config: RunConfig) -> list[IdentityReport]:
-    return d4_theta_bridge_reports(config.order)
-
-
-def _suite_modular(config: RunConfig) -> list[IdentityReport]:
-    return modular_reports(config.order, zeta_order=min(config.order, 40))
-
-
-_VERIFY_SUITES = {
-    "d4": (
-        ("d4-construction", _suite_d4_construction),
-        ("d4-odes-and-bridges", _suite_d4_odes),
-        ("d4-elliptic-weyl", _suite_d4_weyl),
-        ("d4-genus-one", _suite_d4_genus_one),
-        ("d4-potential", _suite_d4_potential),
-    ),
-    "e6": (
-        ("e6-coefficients", _suite_e6_coefficients),
-        ("e6-identities", _suite_e6_identities),
-        ("e6-gw-table", _suite_e6_gw),
-        ("e6-genus-one", _suite_e6_genus_one),
-        ("e6-potential", _suite_e6_potential),
-    ),
-    "halphen": (
-        ("halphen-system", _suite_halphen),
-        ("eta-forms", _suite_halphen_eta_forms),
-        ("theta-bridges", _suite_halphen_bridges),
-    ),
-    "identities": (("modular-suite", _suite_modular),),
-}
-
-
-def _collect_suites(config: RunConfig) -> list[tuple[str, list[IdentityReport]]]:
-    suites = _VERIFY_SUITES[config.model]
-    if config.parallel and len(suites) > 1:
-        with ProcessPoolExecutor(max_workers=min(len(suites), os.cpu_count() or 1)) as pool:
-            futures = [(name, pool.submit(fn, config)) for name, fn in suites]
-            return [(name, future.result()) for name, future in futures]
-    return [(name, fn(config)) for name, fn in suites]
+def _verify_suites(config: RunConfig) -> list[tuple[str, list[IdentityReport]]]:
+    if config.model == "d4":
+        return d4_suites(config.order)
+    if config.model == "e6":
+        return e6_suites(config.order, raw_f11_block=config.strict_typo_mode)
+    if config.model == "halphen":
+        return halphen_suites(config.order)
+    return [("modular-suite", modular_reports(config.order))]
 
 
 # -- output helpers ------------------------------------------------------------------
@@ -292,7 +178,7 @@ def _run_solve(config: RunConfig) -> int:
 
 
 def _run_verify(config: RunConfig) -> int:
-    groups = _collect_suites(config)
+    groups = _verify_suites(config)
     if config.format == "json":
         _print_json({
             "command": "verify",
@@ -333,7 +219,10 @@ def _run_gw_table(config: RunConfig) -> int:
 
 
 def _run_genus_one(config: RunConfig) -> int:
-    result = d4_genus_one(config.order) if config.model == "d4" else e6_genus_one(config.order)
+    if config.model == "d4":
+        result = d4_genus_one(config.order, d4_analytic(config.order))
+    else:
+        result = e6_genus_one(config.order, e6_build_fi(config.order))
     if config.format == "json":
         _print_json({
             "command": "genus-one",
@@ -407,11 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "monomial duplicated and its orbit partner missing, instead of the "
             "symmetric completion that associativity demands",
         )
-        p.add_argument(
-            "--parallel",
-            action="store_true",
-            help="fan independent verification suites out to worker processes",
-        )
 
     p_expand = sub.add_parser("expand", help="expand an eta quotient")
     p_expand.add_argument("expression", help='eta quotient, e.g. "eta(9)^3 * eta(3)^-1"')
@@ -469,7 +353,6 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         format=args.format,
         model=model,
         strict_typo_mode=args.strict_typo_mode,
-        parallel=args.parallel,
         expression=getattr(args, "expression", None),
         kmax=kmax,
     )

@@ -15,7 +15,9 @@ series f(q) = -1/24 + sum sigma(n) q^n as
 
 The agreement of the two constructions, the first-order system they satisfy,
 their eta-quotient forms, the theta-function bridges, and the lattice
-theta-series comparison are all exposed as IdentityReports.
+theta-series comparison are all exposed as IdentityReports.  The builders
+only build; `d4_suites` and `halphen_suites` build each series once and hand
+it to the report functions.
 """
 
 from __future__ import annotations
@@ -23,20 +25,25 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from .frobenius import FrobeniusPotential
+from .frobenius import FrobeniusPotential, euler_residual, wdvv_residual
 from .modular import (
     LatticeSpec,
     dedekind_eta,
     eta_expand,
     f_series,
+    halphen_reports,
+    halphen_variables,
     lattice_theta,
-    theta_logderiv,
 )
 from .qseries import QSeries
 from .reporting import GenusOneResult, IdentityReport, combine, series_match
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
+
+# WDVV checks walk every coordinate quadruple, so their order is capped
+# independently of the requested order.
+WDVV_ORDER_CAP = 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,6 +63,11 @@ class D4Coefficients:
     @property
     def truncation(self) -> int:
         return min(self.a.truncation, self.b.truncation, self.c.truncation)
+
+    def truncate(self, order: int) -> "D4Coefficients":
+        return D4Coefficients(
+            self.a.truncate(order), self.b.truncate(order), self.c.truncate(order)
+        )
 
 
 def d4_recursion_solve(order: int) -> D4Coefficients:
@@ -107,21 +119,14 @@ def d4_recursion_solve(order: int) -> D4Coefficients:
 def d4_analytic(order: int) -> D4Coefficients:
     """Closed forms from the divisor-sum series f = -1/24 + sum sigma(n) q^n.
 
-    The eta-quotient forms of the same three series are computed alongside
-    and must agree coefficientwise; a mismatch means the arithmetic layer is
-    broken, so it raises rather than reporting.
+    Builds only; the comparison with the recursion and the eta forms is
+    `d4_construction_reports`.
     """
     f = f_series(order)
     a = (f - f.twist(Fraction(-1))).scale(_HALF)
     quarter_order = -(-order // 4)
     b = f_series(quarter_order).substitute_power(4).truncate(order)
-    c = f - a - b
-    built = D4Coefficients(a, b, c)
-    quotients = d4_eta_forms(order)
-    for field in ("a", "b", "c"):
-        if getattr(built, field) != getattr(quotients, field):
-            raise ArithmeticError(f"divisor-sum and eta forms of {field} disagree")
-    return built
+    return D4Coefficients(a, b, f - a - b)
 
 
 def d4_eta_forms(order: int) -> D4Coefficients:
@@ -132,10 +137,9 @@ def d4_eta_forms(order: int) -> D4Coefficients:
     return D4Coefficients(a, b, c)
 
 
-def d4_ode_reports(order: int, coeffs: D4Coefficients | None = None) -> list[IdentityReport]:
+def d4_ode_reports(order: int, coeffs: D4Coefficients) -> list[IdentityReport]:
     """The first-order quadratic system the three series satisfy."""
-    s = coeffs or d4_analytic(order)
-    a, b, c = s.a, s.b, s.c
+    a, b, c = coeffs.a, coeffs.b, coeffs.c
     return [
         series_match(
             "d4-ode-a", a.qdq(), (a * c).scale(Fraction(8, 3)) - (a * b).scale(24), order
@@ -155,40 +159,26 @@ def d4_ode_reports(order: int, coeffs: D4Coefficients | None = None) -> list[Ide
 
 
 def d4_theta_bridge_reports(
-    order: int, coeffs: D4Coefficients | None = None
+    order: int, coeffs: D4Coefficients, x: dict[int, QSeries]
 ) -> list[IdentityReport]:
     """Null-value log-derivatives X_i = q d/dq log theta_i against a, b, c."""
-    s = coeffs or d4_analytic(order)
-    x2 = theta_logderiv(2, order)
-    x3 = theta_logderiv(3, order)
-    x4 = theta_logderiv(4, order)
     return [
         series_match(
-            "d4-bridge-x2", x2, s.b.scale(-6) + s.c.scale(Fraction(2, 3)), order
+            "d4-bridge-x2", x[2], coeffs.b.scale(-6) + coeffs.c.scale(Fraction(2, 3)), order
         ),
         series_match(
-            "d4-bridge-x3", x3, s.a.scale(2) - s.c.scale(Fraction(4, 3)), order
+            "d4-bridge-x3", x[3], coeffs.a.scale(2) - coeffs.c.scale(Fraction(4, 3)), order
         ),
         series_match(
-            "d4-bridge-x4", x4, s.a.scale(-2) - s.c.scale(Fraction(4, 3)), order
+            "d4-bridge-x4", x[4], coeffs.a.scale(-2) - coeffs.c.scale(Fraction(4, 3)), order
         ),
     ]
 
 
-def d4_verify_odes(order: int, coeffs: D4Coefficients | None = None) -> IdentityReport:
-    """One verdict covering the quadratic system and the theta bridges."""
-    s = coeffs or d4_analytic(order)
-    return combine(
-        "d4-odes", d4_ode_reports(order, s) + d4_theta_bridge_reports(order, s)
-    )
-
-
 def d4_eta_form_reports(
-    order: int, coeffs: D4Coefficients | None = None
+    order: int, analytic: D4Coefficients, quotients: D4Coefficients
 ) -> list[IdentityReport]:
     """Eta-quotient log-derivative forms against the divisor-sum forms."""
-    analytic = coeffs or d4_analytic(order)
-    quotients = d4_eta_forms(order)
     return [
         series_match(
             f"d4-eta-form-{field}",
@@ -200,10 +190,13 @@ def d4_eta_form_reports(
     ]
 
 
-def d4_construction_reports(order: int) -> list[IdentityReport]:
+def d4_construction_reports(
+    order: int,
+    analytic: D4Coefficients,
+    recursive: D4Coefficients,
+    quotients: D4Coefficients,
+) -> list[IdentityReport]:
     """Recursion, divisor-sum forms, and eta forms all agree."""
-    analytic = d4_analytic(order)
-    recursive = d4_recursion_solve(order)
     out = []
     for field in ("a", "b", "c"):
         out.append(
@@ -214,17 +207,16 @@ def d4_construction_reports(order: int) -> list[IdentityReport]:
                 order,
             )
         )
-    out.extend(d4_eta_form_reports(order, analytic))
+    out.extend(d4_eta_form_reports(order, analytic, quotients))
     return out
 
 
-def d4_build_potential(order: int, coeffs: D4Coefficients | None = None) -> FrobeniusPotential:
+def d4_build_potential(coeffs: D4Coefficients) -> FrobeniusPotential:
     """Genus-zero potential on coordinates (t0, t1..t4, t), t acting as log q."""
-    s = coeffs or d4_analytic(order)
     classical = {(2, 0, 0, 0, 0, 1): _HALF}
-    quantum = {(0, 1, 1, 1, 1, 0): s.a}
-    quarter_b = s.b.scale(_QUARTER)
-    sixth_c = s.c.scale(Fraction(1, 6))
+    quantum = {(0, 1, 1, 1, 1, 0): coeffs.a}
+    quarter_b = coeffs.b.scale(_QUARTER)
+    sixth_c = coeffs.c.scale(Fraction(1, 6))
     for i in range(1, 5):
         key = [0] * 6
         key[i] = 2
@@ -241,16 +233,13 @@ def d4_build_potential(order: int, coeffs: D4Coefficients | None = None) -> Frob
     )
 
 
-def d4_elliptic_weyl_reports(
-    order: int, coeffs: D4Coefficients | None = None
-) -> list[IdentityReport]:
+def d4_elliptic_weyl_reports(order: int, coeffs: D4Coefficients) -> list[IdentityReport]:
     """Match against the rank-four root lattice theta series.
 
     The flat-coordinate potential found on the root-system side carries
     h0 = (1/8) Theta_{shifted}, and h1, h2 built from Theta_{even} and the
     log-derivative of eta(q^2); these must reproduce a, b, c exactly.
     """
-    s = coeffs or d4_analytic(order)
     theta_even = lattice_theta(LatticeSpec.even_sum(), order)
     theta_shift = lattice_theta(LatticeSpec.unit_shift(), order)
     half_logderiv = dedekind_eta(order, scale=2).logderiv().scale(_HALF)
@@ -258,20 +247,13 @@ def d4_elliptic_weyl_reports(
     h1 = (half_logderiv + theta_even.scale(Fraction(1, 24))).scale(-_HALF)
     h2 = (half_logderiv - theta_even.scale(Fraction(1, 24))).scale(Fraction(-3, 2))
     return [
-        series_match("d4-weyl-h0", h0, s.a, order),
-        series_match("d4-weyl-h1", h1, s.b, order),
-        series_match("d4-weyl-h2", h2, s.c, order),
+        series_match("d4-weyl-h0", h0, coeffs.a, order),
+        series_match("d4-weyl-h1", h1, coeffs.b, order),
+        series_match("d4-weyl-h2", h2, coeffs.c, order),
     ]
 
 
-def d4_elliptic_weyl_compare(
-    order: int, coeffs: D4Coefficients | None = None
-) -> IdentityReport:
-    """One verdict for the h0, h1, h2 comparisons."""
-    return combine("d4-elliptic-weyl", d4_elliptic_weyl_reports(order, coeffs))
-
-
-def d4_genus_one(order: int, coeffs: D4Coefficients | None = None) -> GenusOneResult:
+def d4_genus_one(order: int, coeffs: D4Coefficients) -> GenusOneResult:
     """Genus-one potential -(1/2) log eta(q^2) with its two certificates.
 
     Splitting off the log q piece of log eta leaves a power series:
@@ -280,7 +262,6 @@ def d4_genus_one(order: int, coeffs: D4Coefficients | None = None) -> GenusOneRe
     once through the coefficient combination b + c/3 coming from the
     genus-one Virasoro constraint.
     """
-    s = coeffs or d4_analytic(order)
     eta_sq = dedekind_eta(order, scale=2)
     linear = eta_sq.offset * -_HALF
     series = eta_sq.unit.log_unit().scale(-_HALF)
@@ -292,8 +273,50 @@ def d4_genus_one(order: int, coeffs: D4Coefficients | None = None) -> GenusOneRe
         [
             series_match("d4-genus-one-derivative", derivative, f_qsq, order),
             series_match(
-                "d4-genus-one-virasoro", s.b + s.c.scale(Fraction(1, 3)), f_qsq, order
+                "d4-genus-one-virasoro", coeffs.b + coeffs.c.scale(Fraction(1, 3)), f_qsq, order
             ),
         ],
     )
     return GenusOneResult(linear, series, report)
+
+
+# -- verify suites ---------------------------------------------------------------------
+
+
+def d4_suites(order: int) -> list[tuple[str, list[IdentityReport]]]:
+    """The `verify d4` suites, every series built once.
+
+    The potential for the WDVV scan needs two orders past its capped check,
+    so the closed forms are built at the larger of the two orders and
+    truncated down.
+    """
+    cap = min(order, WDVV_ORDER_CAP)
+    built = d4_analytic(max(order, cap + 2))
+    s = built.truncate(order)
+    potential = d4_build_potential(built.truncate(cap + 2))
+    return [
+        (
+            "d4-construction",
+            d4_construction_reports(order, s, d4_recursion_solve(order), d4_eta_forms(order)),
+        ),
+        (
+            "d4-odes-and-bridges",
+            d4_ode_reports(order, s)
+            + d4_theta_bridge_reports(order, s, halphen_variables(order)),
+        ),
+        ("d4-elliptic-weyl", d4_elliptic_weyl_reports(order, s)),
+        ("d4-genus-one", [d4_genus_one(order, s).report]),
+        ("d4-potential", [wdvv_residual(potential, cap), euler_residual(potential)]),
+    ]
+
+
+def halphen_suites(order: int) -> list[tuple[str, list[IdentityReport]]]:
+    """The `verify halphen` suites: the Halphen system, then the eta forms and
+    theta bridges of the (2,2,2,2) series, every series built once."""
+    x = halphen_variables(order)
+    s = d4_analytic(order)
+    return [
+        ("halphen-system", halphen_reports(order, x)),
+        ("eta-forms", d4_eta_form_reports(order, s, d4_eta_forms(order))),
+        ("theta-bridges", d4_theta_bridge_reports(order, s, x)),
+    ]

@@ -14,7 +14,9 @@ square root f_0 = (1/3) (a'/(1 - a^3))^(1/2) populate the genus-zero
 potential on eight coordinates.  Everything is certified twice: the solver
 against the eta closed form, each derived series against an independent
 formula, and a suite of modular identities tying a to the j-invariant,
-cusp forms, and twisted eta products over the 72nd cyclotomic field.
+cusp forms, and twisted eta products over the 72nd cyclotomic field.  The
+builders only build; `e6_suites` builds each series once and hands it to the
+report functions.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import dataclasses
 from fractions import Fraction
 
 from .exact_arith import CyclotomicNumber
-from .frobenius import FrobeniusPotential
+from .frobenius import FrobeniusPotential, euler_residual, wdvv_residual
 from .modular import (
     J_series,
     dedekind_eta,
@@ -43,6 +45,10 @@ from .reporting import (
 
 _THIRD = Fraction(1, 3)
 _SQRT_NORMALIZATION = _THIRD  # the constant A with A^2 = 1/9 and f_0 = q + ...
+
+# WDVV checks walk every coordinate quadruple, so their order is capped
+# independently of the requested order.
+WDVV_ORDER_CAP = 15
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,6 +72,11 @@ class E6Coefficients:
     @property
     def truncation(self) -> int:
         return min(self.a.truncation, *(s.truncation for s in self.f))
+
+    def truncate(self, order: int) -> "E6Coefficients":
+        return E6Coefficients(
+            self.a.truncate(order), tuple(s.truncate(order) for s in self.f), self.A
+        )
 
 
 # -- the pole series ---------------------------------------------------------------
@@ -126,25 +137,20 @@ def e6_schwarzian_solve(order: int) -> QSeries:
 def e6_h_analytic(order: int) -> QSeries:
     """Closed form 1 + (1/3)(eta(q)/eta(q^9))^3 of the pole series.
 
-    Cross-checked against the equation solver on every call; the two
-    constructions share nothing but the answer, so a disagreement is an
-    arithmetic bug and raises rather than reporting.
+    Builds only; the comparison with the equation solver is the
+    `e6-solver-matches-eta` report.
     """
     quotient = eta_expand("eta(1)^3 * eta(9)^-3", order + 1).to_qseries()
-    closed = QSeries.constant(Fraction(1), order) + quotient.scale(_THIRD)
-    if closed != e6_schwarzian_solve(order):
-        raise ArithmeticError("eta closed form disagrees with the equation solver")
-    return closed
+    return QSeries.constant(Fraction(1), order) + quotient.scale(_THIRD)
 
 
-def e6_schwarzian_residual_report(order: int, a: QSeries | None = None) -> IdentityReport:
-    """The defining equation holds for the closed form itself."""
-    series = a if a is not None else e6_h_analytic(order + 8)
-    residual = _schwarzian_combination(series)
-    zero = QSeries.zero(residual.truncation)
-    return series_match(
-        "e6-schwarzian-equation", residual, zero, min(order, residual.truncation)
-    )
+def e6_schwarzian_residual_report(order: int, a: QSeries) -> IdentityReport:
+    """The defining equation holds for `a` through q^(order-1).
+
+    The residual loses eight orders to the pole, so `a` must reach order + 8.
+    """
+    residual = _schwarzian_combination(a)
+    return series_match("e6-schwarzian-equation", residual, QSeries.zero(order), order)
 
 
 # -- the fourteen coefficient series ------------------------------------------------
@@ -155,8 +161,12 @@ def _sqrt_route_f0(a: QSeries) -> QSeries:
     return ratio.nth_root(2).scale(_SQRT_NORMALIZATION)
 
 
-def _fi_from_eta(order: int) -> E6Coefficients:
-    """All fourteen series at the requested order, from the eta closed forms."""
+def e6_build_fi(order: int) -> E6Coefficients:
+    """All fourteen series at the requested order, from the eta closed forms.
+
+    Builds only; the independent routes to the same series are
+    `e6_coefficient_reports`.
+    """
     slack = order + 2
     a = e6_h_analytic(slack)
     f0 = eta_expand("eta(9)^3 * eta(3)^-1", slack + 1).to_qseries()
@@ -184,31 +194,17 @@ def _fi_from_eta(order: int) -> E6Coefficients:
     return E6Coefficients(a.truncate(order), tuple(s.truncate(order) for s in f))
 
 
-def e6_build_fi(order: int) -> E6Coefficients:
-    """The fourteen coefficient series, cross-checked on construction.
-
-    Each series is built from the eta closed forms, then every independent
-    route is recomputed and compared: the square-root formula for f_0, the
-    derivative-based forms for f_2..f_5, and the equation solver for the
-    pole series itself.  Any disagreement raises, since the caller is about
-    to put these series inside a potential.
-    """
-    coeffs = _fi_from_eta(order)
-    for report in e6_coefficient_reports(order, coeffs):
-        if not report.passed:
-            raise ArithmeticError(f"coefficient cross-check failed: {report.name}")
-    return coeffs
-
-
 def e6_coefficient_reports(
-    order: int, coeffs: E6Coefficients | None = None
+    order: int, coeffs: E6Coefficients, solved: QSeries
 ) -> list[IdentityReport]:
-    """Independent routes to the same series: square root, eta quotient, and
-    the derivative-based closed forms coming from the flatness calculation."""
-    slack = order + 4
-    a = e6_h_analytic(slack)
-    if coeffs is None:
-        coeffs = _fi_from_eta(order)
+    """Independent routes to the same series: square root, eta quotient, the
+    derivative-based closed forms coming from the flatness calculation, and
+    the equation solver's `solved` pole series.
+
+    `coeffs` must reach order + 8, which the defining equation's residual
+    needs; `solved` must reach order.
+    """
+    a = coeffs.a
     f = coeffs.f
     reports = [
         series_match("e6-f0-sqrt-route", _sqrt_route_f0(a), f[0], order),
@@ -242,27 +238,18 @@ def e6_coefficient_reports(
             order,
         )
     )
-    reports.append(
-        series_match("e6-solver-matches-eta", e6_schwarzian_solve(order), coeffs.a, order)
-    )
-    reports.append(e6_schwarzian_residual_report(order))
+    reports.append(series_match("e6-solver-matches-eta", solved, a, order))
+    reports.append(e6_schwarzian_residual_report(order, a))
     return reports
 
 
 # -- modular identity suite ---------------------------------------------------------
 
 
-def e6_identity_suite(order: int, twisted_order: int | None = None) -> list[IdentityReport]:
+def e6_identity_suite(order: int, a: QSeries) -> list[IdentityReport]:
     """The j-invariant relation, the cusp-form identities, and the twisted
-    eta expressions for the pole series (the last over Q(zeta_72)).
-
-    The two checks that work in the cyclotomic field run at `twisted_order`
-    (default: the main order capped at 40) because every coefficient there
-    costs a 24-dimensional exact vector."""
-    if twisted_order is None:
-        twisted_order = min(order, 40)
-    slack = order + 2
-    a = e6_h_analytic(slack)
+    eta expressions for the pole series `a` (the last over Q(zeta_72)), all
+    certified through the same order.  `a` must reach order + 2."""
     cube = a * a * a
     one_minus = QSeries.constant(Fraction(1), cube.truncation) - cube
     eight_plus = QSeries.constant(Fraction(8), cube.truncation) + cube
@@ -287,19 +274,18 @@ def e6_identity_suite(order: int, twisted_order: int | None = None) -> list[Iden
     reports.append(series_match("e6-slope-eta", slope, rhs_slope, order))
 
     reports.append(verify_cusp_form_from_j(order))
-    reports.append(verify_eta_product_rotation(twisted_order))
-    reports.extend(e6_twisted_pole_reports(twisted_order))
+    reports.append(verify_eta_product_rotation(order))
+    reports.extend(e6_twisted_pole_reports(order, a))
     return reports
 
 
-def e6_twisted_pole_reports(order: int) -> list[IdentityReport]:
+def e6_twisted_pole_reports(order: int, a: QSeries) -> list[IdentityReport]:
     """a = omega^k + (1/3) (eta(q omega^(k-3))/eta(q^9))^3 * zeta, over Q(zeta_72).
 
     Twisting eta's q^(1/24) prefactor needs a 72nd root of unity branch;
     the branch taken is the literal one, (e^(2 pi i m/3))^(1/24) read off
     the exponent, matching the product identity for eta(q^3)^4.
     """
-    a = e6_h_analytic(order)
     zeta = CyclotomicNumber.zeta(72, 1)
     omega = CyclotomicNumber.zeta(72, 24)
     eta_plain = dedekind_eta(order + 1)
@@ -332,9 +318,14 @@ def e6_gw_table(kmax: int) -> tuple[list[tuple[int, Fraction]], IdentityReport]:
     by coefficient, then applying the square-root formula.  The two tables
     must agree, and f_0 must be supported on exponents 1 mod 3.
     """
+    return _gw_table(kmax, e6_schwarzian_solve(3 * kmax + 4))
+
+
+def _gw_table(kmax: int, solved: QSeries) -> tuple[list[tuple[int, Fraction]], IdentityReport]:
+    """`e6_gw_table` from a solver run `solved` that reaches at least 3 kmax + 4."""
     order = 3 * kmax + 2
     f0_eta = eta_expand("eta(9)^3 * eta(3)^-1", order).to_qseries()
-    f0_solver = _sqrt_route_f0(e6_schwarzian_solve(order + 2)).truncate(order)
+    f0_solver = _sqrt_route_f0(solved.truncate(order + 2)).truncate(order)
     report = series_match("e6-gw-dual-route", f0_solver, f0_eta, order)
     if report.passed:
         for exponent, coeff in f0_eta.known_terms():
@@ -357,11 +348,7 @@ def _block(indices: dict[int, int]) -> tuple[int, ...]:
     return tuple(key)
 
 
-def e6_build_potential(
-    order: int,
-    coeffs: E6Coefficients | None = None,
-    raw_f11_block: bool = False,
-) -> FrobeniusPotential:
+def e6_build_potential(coeffs: E6Coefficients, raw_f11_block: bool = False) -> FrobeniusPotential:
     """Genus-zero potential on (t0, t1..t6, t) with t acting as log q.
 
     raw_f11_block keeps the f_11 monomials exactly as printed in the source
@@ -369,8 +356,7 @@ def e6_build_potential(
     t4^4 t5 t6 not at all; the default completes the orbit symmetrically,
     which is what associativity requires.
     """
-    s = coeffs or e6_build_fi(order)
-    f = s.f
+    f = coeffs.f
     classical = {
         _block({0: 2, 7: 1}): Fraction(1, 2),
         _block({0: 1, 1: 1, 6: 1}): _THIRD,
@@ -456,20 +442,19 @@ def e6_build_potential(
     )
 
 
-def e6_genus_one(order: int, coeffs: E6Coefficients | None = None) -> GenusOneResult:
+def e6_genus_one(order: int, coeffs: E6Coefficients) -> GenusOneResult:
     """Genus-one potential -(1/3) log eta(q^3) with its two certificates.
 
     q d/dq of it must be -1/24 + sum sigma(n) q^(3n), and the same series
     must come out of the genus-one Virasoro combination (3/4) f_2 + (3/8) f_5.
     """
-    s = coeffs or e6_build_fi(order)
     eta_cubed_arg = dedekind_eta(order, scale=3)
     linear = eta_cubed_arg.offset * -_THIRD
     series = eta_cubed_arg.unit.log_unit().scale(-_THIRD)
     third_order = -(-order // 3)
     f_q3 = f_series(third_order).substitute_power(3).truncate(order)
     derivative = QSeries.constant(linear, order) + series.qdq()
-    virasoro = s.f[2].scale(Fraction(3, 4)) + s.f[5].scale(Fraction(3, 8))
+    virasoro = coeffs.f[2].scale(Fraction(3, 4)) + coeffs.f[5].scale(Fraction(3, 8))
     report = combine(
         "e6-genus-one",
         [
@@ -478,3 +463,27 @@ def e6_genus_one(order: int, coeffs: E6Coefficients | None = None) -> GenusOneRe
         ],
     )
     return GenusOneResult(linear, series, report)
+
+
+# -- verify suite ---------------------------------------------------------------------
+
+
+def e6_suites(order: int, raw_f11_block: bool = False) -> list[tuple[str, list[IdentityReport]]]:
+    """The `verify e6` suites, every series built once.
+
+    The coefficient series are built eight orders deep, which the defining
+    equation's residual needs, and truncated down where a check needs less.
+    The equation is solved once, two orders deep, for both the solver check
+    and the second route of the degree table.
+    """
+    coeffs = e6_build_fi(order + 8)
+    solved = e6_schwarzian_solve(order + 2)
+    cap = min(order, WDVV_ORDER_CAP)
+    potential = e6_build_potential(coeffs.truncate(cap + 2), raw_f11_block)
+    return [
+        ("e6-coefficients", e6_coefficient_reports(order, coeffs, solved)),
+        ("e6-identities", e6_identity_suite(order, coeffs.a.truncate(order + 2))),
+        ("e6-gw-table", [_gw_table(max((order - 2) // 3, 0), solved)[1]]),
+        ("e6-genus-one", [e6_genus_one(order, coeffs.truncate(order)).report]),
+        ("e6-potential", [wdvv_residual(potential, cap), euler_residual(potential)]),
+    ]

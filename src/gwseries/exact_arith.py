@@ -40,12 +40,17 @@ def integer_nth_root(m: int, n: int) -> int | None:
         return None if r is None else -r
     if m in (0, 1) or n == 1:
         return m
-    r = round(m ** (1.0 / n))
-    # float guess, then walk to the exact root
-    while r**n > m:
-        r -= 1
-    while (r + 1) ** n <= m:
-        r += 1
+    if n == 2:
+        r = math.isqrt(m)
+    else:
+        # Newton's iteration in integers, from a start above the root,
+        # decreases to floor(m^(1/n)); floats would overflow on huge m.
+        r = 1 << -(-m.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + m // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
     return r if r**n == m else None
 
 
@@ -366,12 +371,13 @@ class CyclotomicNumber:
         if isinstance(other, CyclotomicNumber):
             if other.order == self.order:
                 return self.nums == other.nums and self.den == other.den
-            # Different orders only agree on the shared rational subfield.
-            return (
-                self.is_rational()
-                and other.is_rational()
-                and self.rational_value() == other.rational_value()
-            )
+            # Across orders only the shared rational subfield compares
+            # directly; anything else needs an embedding, as + and * do.
+            if not (self.is_rational() and other.is_rational()):
+                raise OrderMismatch(
+                    f"orders differ: {self.order} vs {other.order}; embed first"
+                )
+            return self.rational_value() == other.rational_value()
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.rational_value() == Fraction(other)
         return NotImplemented

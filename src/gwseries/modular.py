@@ -12,14 +12,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-import threading
 from fractions import Fraction
 
 from .exact_arith import CyclotomicNumber
 from .qseries import PuiseuxSeries, QSeries
 from .reporting import (
     IdentityReport,
-    combine,
     failure_report,
     pass_report,
     puiseux_match,
@@ -28,7 +26,6 @@ from .reporting import (
 
 # -- divisor sums -------------------------------------------------------------
 
-_sigma_lock = threading.Lock()
 _sigma_table: dict[tuple[int, int], int] = {}
 
 
@@ -54,12 +51,10 @@ def sigma(n: int, power: int = 1) -> int:
     if n < 1:
         raise ValueError("sigma is defined for positive integers")
     key = (n, power)
-    with _sigma_lock:
-        value = _sigma_table.get(key)
-        if value is None:
-            value = _divisor_power_sum(n, power)
-            _sigma_table[key] = value
-        return value
+    value = _sigma_table.get(key)
+    if value is None:
+        value = _sigma_table[key] = _divisor_power_sum(n, power)
+    return value
 
 
 def f_series(truncation: int) -> QSeries:
@@ -202,6 +197,11 @@ def theta_logderiv(which: int, truncation: int) -> QSeries:
     return theta_jacobi(which, truncation).logderiv()
 
 
+def halphen_variables(truncation: int) -> dict[int, QSeries]:
+    """All three Halphen variables, keyed by theta index 2, 3, 4."""
+    return {i: theta_logderiv(i, truncation) for i in (2, 3, 4)}
+
+
 # The scalar 2 in 2*eta(q^2)^-1*eta(q^4)^2 is constant, so the logarithmic
 # derivative never sees it; logderiv drops scalars by construction.
 _THETA_ETA_FORMS = {
@@ -211,32 +211,24 @@ _THETA_ETA_FORMS = {
 }
 
 
-def theta_eta_reports(truncation: int) -> list[IdentityReport]:
+def theta_eta_reports(truncation: int, x: dict[int, QSeries]) -> list[IdentityReport]:
     """X_i from the theta sum against its eta-quotient form, i = 2, 3, 4."""
     out = []
     for i in (2, 3, 4):
-        lhs = theta_logderiv(i, truncation)
         rhs = _THETA_ETA_FORMS[i].expand(truncation).logderiv()
-        out.append(series_match(f"theta-eta-x{i}", lhs, rhs, truncation))
+        out.append(series_match(f"theta-eta-x{i}", x[i], rhs, truncation))
     return out
 
 
-def halphen_reports(truncation: int) -> list[IdentityReport]:
+def halphen_reports(truncation: int, x: dict[int, QSeries]) -> list[IdentityReport]:
     """The three Halphen equations plus the theta-eta forms, as separate reports."""
-    x = {i: theta_logderiv(i, truncation) for i in (2, 3, 4)}
     out = []
     for i, j in ((2, 3), (3, 4), (4, 2)):
         lhs = (x[i] + x[j]).qdq().scale(Fraction(1, 2))
         rhs = (x[i] * x[j]).scale(2)
         out.append(series_match(f"halphen-x{i}x{j}", lhs, rhs, truncation, indices=(i, j)))
-    out.extend(theta_eta_reports(truncation))
+    out.extend(theta_eta_reports(truncation, x))
     return out
-
-
-def halphen_verify(truncation: int) -> IdentityReport:
-    if truncation < 4:
-        raise ValueError("order must be >= 4")
-    return combine("halphen", halphen_reports(truncation))
 
 
 # -- lattice theta functions ---------------------------------------------------
@@ -383,20 +375,13 @@ def verify_cusp_form_from_j(truncation: int) -> IdentityReport:
     return series_match("cusp-form-weight12", lhs, rhs, truncation)
 
 
-def modular_reports(truncation: int, zeta_order: int | None = None) -> list[IdentityReport]:
-    """The whole modular identity suite at one order.
-
-    The cyclotomic eta-product check runs at `zeta_order` (defaults to the
-    main order) since its arithmetic is the costliest per coefficient.
-    """
-    if zeta_order is None:
-        zeta_order = truncation
-    reports = [
+def modular_reports(truncation: int) -> list[IdentityReport]:
+    """The whole modular identity suite, every q-series check at one order."""
+    return [
         verify_f_eta(truncation),
         verify_even_part(truncation),
         verify_sigma_doubling(),
-        *halphen_reports(truncation),
-        verify_eta_product_rotation(zeta_order),
+        *halphen_reports(truncation, halphen_variables(truncation)),
+        verify_eta_product_rotation(truncation),
         verify_cusp_form_from_j(truncation),
     ]
-    return reports

@@ -95,11 +95,6 @@ def series_match(
     return failure_report(name, order, indices, exponent, residual)
 
 
-def series_zero(name: str, series: QSeries, order: int,
-                indices: tuple[int, ...] = ()) -> IdentityReport:
-    return series_match(name, series, QSeries.zero(order), order, indices)
-
-
 def puiseux_match(name: str, lhs: PuiseuxSeries, rhs: PuiseuxSeries, order: int) -> IdentityReport:
     """Certify equality of two Puiseux expansions: scalar, offset, and unit."""
     if lhs.offset != rhs.offset:

@@ -13,21 +13,22 @@ from fractions import Fraction
 from gwseries.d4 import (
     d4_analytic,
     d4_build_potential,
-    d4_elliptic_weyl_compare,
-    d4_eta_form_reports,
+    d4_elliptic_weyl_reports,
     d4_genus_one,
     d4_recursion_solve,
-    d4_theta_bridge_reports,
+    halphen_suites,
 )
 from gwseries.e6 import (
+    e6_build_fi,
     e6_build_potential,
     e6_genus_one,
     e6_gw_table,
+    e6_h_analytic,
     e6_identity_suite,
     e6_schwarzian_solve,
 )
 from gwseries.frobenius import euler_residual, wdvv_residual
-from gwseries.modular import LatticeSpec, eta_expand, halphen_reports, lattice_theta
+from gwseries.modular import LatticeSpec, eta_expand, lattice_theta
 from gwseries.qseries import QSeries
 
 
@@ -42,7 +43,9 @@ _POTENTIALS: dict[str, object] = {}
 def _potential(model: str):
     if model not in _POTENTIALS:
         _POTENTIALS[model] = (
-            d4_build_potential(22) if model == "d4" else e6_build_potential(17)
+            d4_build_potential(d4_analytic(22))
+            if model == "d4"
+            else e6_build_potential(e6_build_fi(17))
         )
     return _POTENTIALS[model]
 
@@ -83,8 +86,8 @@ def test_criterion_02_e6_solver_equals_eta_closed_form():
 
 def test_criterion_03_wdvv_passes_and_is_mutation_sensitive():
     start = time.perf_counter()
-    d4 = d4_build_potential(22)
-    e6 = e6_build_potential(17)
+    d4 = d4_build_potential(d4_analytic(22))
+    e6 = e6_build_potential(e6_build_fi(17))
     _POTENTIALS["d4"] = d4
     _POTENTIALS["e6"] = e6
     clean = wdvv_residual(d4, 20).passed and wdvv_residual(e6, 15).passed
@@ -133,9 +136,7 @@ def test_criterion_05_gw_table_dual_route():
 
 
 def test_criterion_06_halphen_suite_to_order_100():
-    reports = (
-        halphen_reports(100) + d4_eta_form_reports(100) + d4_theta_bridge_reports(100)
-    )
+    reports = [r for _, suite in halphen_suites(100) for r in suite]
     failing = [r.name for r in reports if not r.passed]
     ok = not failing and len(reports) == 12 and all(
         r.order_certified >= 100 for r in reports
@@ -145,25 +146,16 @@ def test_criterion_06_halphen_suite_to_order_100():
 
 
 def test_criterion_07_e6_identity_suite():
-    reports = {r.name: r for r in e6_identity_suite(60, twisted_order=40)}
-    at_sixty = (
-        "e6-j-relation",
-        "cusp-form-weight12",
-        "e6-cube-unit",
-        "e6-cusp-form-sextic",
-        "e6-slope-eta",
+    reports = e6_identity_suite(60, e6_h_analytic(62))
+    ok = len(reports) == 8 and all(
+        r.passed and r.order_certified >= 60 for r in reports
     )
-    at_forty = ("e6-pole-twist-square", "e6-pole-twist-linear", "eta-product-rotation")
-    ok = all(reports[n].passed and reports[n].order_certified >= 60 for n in at_sixty)
-    ok = ok and all(
-        reports[n].passed and reports[n].order_certified >= 40 for n in at_forty
-    )
-    _certify(7, ok, "five identities exact to order 60, three to order 40 over Q(zeta_72)")
+    _certify(7, ok, "eight identities exact to order 60, three of them over Q(zeta_72)")
 
 
 def test_criterion_08_genus_one_both_models():
-    d4 = d4_genus_one(60)
-    e6 = e6_genus_one(60)
+    d4 = d4_genus_one(60, d4_analytic(60))
+    e6 = e6_genus_one(60, e6_build_fi(60))
     ok = (
         d4.passed
         and e6.passed
@@ -176,13 +168,13 @@ def test_criterion_08_genus_one_both_models():
 
 
 def test_criterion_09_elliptic_weyl_comparison():
-    report = d4_elliptic_weyl_compare(40)
+    reports = d4_elliptic_weyl_reports(40, d4_analytic(40))
     even = lattice_theta(LatticeSpec.even_sum(), 3)
     shifted = lattice_theta(LatticeSpec.unit_shift(), 3)
     anchors = even.coefficient(0) == 1 and shifted.leading() == (1, 8)
     _certify(
         9,
-        report.passed and report.order_certified >= 40 and anchors,
+        all(r.passed and r.order_certified >= 40 for r in reports) and anchors,
         "h0, h1, h2 match the lattice theta forms to order 40 with anchored leads",
     )
 

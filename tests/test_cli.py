@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gwseries
 import gwseries.cli as cli
+import gwseries.d4 as d4
+import gwseries.e6 as e6
 from gwseries.cli import DEFAULT_ORDER, ORDER_ENV_VAR, RunConfig, main, parse_args, run
 from gwseries.modular import eta_expand
 from gwseries.qseries import PrecisionError, QSeries
@@ -158,19 +162,39 @@ def test_verify_exit_code_points_at_the_failed_suite(capsys):
     assert "pass  e6-j-relation" in out
 
 
-def test_verify_parallel_matches_serial(capsys):
-    serial, out_serial, _ = _run(capsys, command="verify", model="halphen", order=12)
-    parallel, out_parallel, _ = _run(capsys, command="verify", model="halphen",
-                                     order=12, parallel=True)
-    assert serial == parallel == 0
-    assert out_serial == out_parallel
+def test_wrong_eta_form_is_a_localized_failure(capsys, monkeypatch):
+    original = d4.d4_eta_forms
+
+    def perturbed(order):
+        forms = original(order)
+        bump = QSeries.monomial(Fraction(1), 5, forms.a.truncation)
+        return d4.D4Coefficients(forms.a + bump, forms.b, forms.c)
+
+    monkeypatch.setattr(d4, "d4_eta_forms", perturbed)
+    status, out, _ = _run(capsys, command="verify", model="d4", order=16)
+    assert status == 10
+    assert "FAIL  d4-eta-form-a (order 16; first failure at q^5, residual 1)" in out
+    assert "pass  d4-eta-form-b (order 16)" in out
+
+
+def test_wrong_closed_form_is_a_localized_failure(capsys, monkeypatch):
+    original = e6.e6_h_analytic
+
+    def perturbed(order):
+        closed = original(order)
+        return closed + QSeries.monomial(Fraction(1, 7), 2, closed.truncation)
+
+    monkeypatch.setattr(e6, "e6_h_analytic", perturbed)
+    status, out, _ = _run(capsys, command="verify", model="e6", order=12)
+    assert status == 10
+    assert "FAIL  e6-solver-matches-eta (order 12; first failure at q^2," in out
 
 
 def test_internal_failures_exit_three(capsys, monkeypatch):
-    def _boom(config):
+    def _boom(order):
         raise PrecisionError("synthetic precision collapse")
 
-    monkeypatch.setitem(cli._VERIFY_SUITES, "halphen", (("halphen-system", _boom),))
+    monkeypatch.setattr(cli, "halphen_suites", _boom)
     status, out, err = _run(capsys, command="verify", model="halphen", order=12)
     assert status == 3
     assert "internal error: synthetic precision collapse" in err
@@ -257,6 +281,7 @@ def test_parse_args_usage_errors():
         ["solve", "e6", "--order", "1"],
         ["gw-table", "--kmax", "-1"],
         ["verify", "everything"],
+        ["verify", "e6", "--parallel"],
         ["expand"],
     ):
         with pytest.raises(SystemExit) as excinfo:
@@ -265,10 +290,9 @@ def test_parse_args_usage_errors():
 
 
 def test_parse_args_flags():
-    config = parse_args(["verify", "e6", "--strict-typo-mode", "--parallel",
+    config = parse_args(["verify", "e6", "--strict-typo-mode",
                          "--order", "8", "--format", "csv"])
     assert config.strict_typo_mode is True
-    assert config.parallel is True
     assert config.format == "csv"
     assert parse_args(["verify", "e6", "--order", "8"]).strict_typo_mode is False
 
@@ -278,3 +302,10 @@ def test_main_exits_with_run_status(capsys):
         main(["gw-table", "--kmax", "1"])
     assert excinfo.value.code == 0
     assert "c_1 = 1" in capsys.readouterr().out
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        assert gwseries.__version__ == tomllib.load(handle)["project"]["version"]

@@ -9,17 +9,15 @@ from gwseries.d4 import (
     d4_analytic,
     d4_build_potential,
     d4_construction_reports,
-    d4_elliptic_weyl_compare,
     d4_elliptic_weyl_reports,
     d4_eta_forms,
     d4_genus_one,
     d4_ode_reports,
     d4_recursion_solve,
     d4_theta_bridge_reports,
-    d4_verify_odes,
 )
 from gwseries.frobenius import euler_residual, metric_from_potential, wdvv_residual
-from gwseries.modular import f_series, sigma
+from gwseries.modular import f_series, halphen_variables, sigma
 from gwseries.qseries import QSeries
 
 
@@ -71,7 +69,9 @@ def test_eta_quotient_forms_reproduce_the_recursion():
 
 
 def test_construction_reports_cover_both_routes():
-    reports = d4_construction_reports(30)
+    reports = d4_construction_reports(
+        30, d4_analytic(30), d4_recursion_solve(30), d4_eta_forms(30)
+    )
     names = [r.name for r in reports]
     assert names == [
         "d4-recursion-a",
@@ -99,15 +99,14 @@ def test_coefficient_container_validates_leading_terms():
 
 
 def test_ode_certificates_pass():
-    for report in d4_ode_reports(40):
+    reports = d4_ode_reports(40, d4_analytic(40))
+    assert [r.name for r in reports] == ["d4-ode-a", "d4-ode-b", "d4-ode-c"]
+    for report in reports:
         assert report.passed, report.name
-    combined = d4_verify_odes(40)
-    assert combined.passed
-    assert combined.name == "d4-odes"
 
 
 def test_theta_bridges_pass():
-    reports = d4_theta_bridge_reports(40)
+    reports = d4_theta_bridge_reports(40, d4_analytic(40), halphen_variables(40))
     assert [r.name for r in reports] == ["d4-bridge-x2", "d4-bridge-x3", "d4-bridge-x4"]
     for report in reports:
         assert report.passed
@@ -117,25 +116,23 @@ def test_tampered_coefficients_fail_the_odes():
     s = d4_analytic(30)
     bump = QSeries.monomial(Fraction(1, 7), 3, s.c.truncation)
     tampered = D4Coefficients(s.a, s.b, s.c + bump)
-    report = d4_verify_odes(30, tampered)
-    assert not report.passed
-    assert report.name.startswith("d4-odes[")
+    failed = {r.name: r for r in d4_ode_reports(30, tampered) if not r.passed}
+    assert failed["d4-ode-c"].first_failure.exponent == 3
 
 
 def test_elliptic_weyl_translation():
-    reports = d4_elliptic_weyl_reports(40)
+    reports = d4_elliptic_weyl_reports(40, d4_analytic(40))
     assert [r.name for r in reports] == ["d4-weyl-h0", "d4-weyl-h1", "d4-weyl-h2"]
-    combined = d4_elliptic_weyl_compare(40)
-    assert combined.passed
-    assert combined.name == "d4-elliptic-weyl"
-    assert combined.order_certified >= 40
+    for report in reports:
+        assert report.passed, report.name
+        assert report.order_certified >= 40
 
 
 # -- the genus-zero potential ---------------------------------------------------------
 
 
 def test_potential_metric_and_grading():
-    potential = d4_build_potential(12)
+    potential = d4_build_potential(d4_analytic(12))
     metric = metric_from_potential(potential)
     assert metric.entry("t0", "t") == 1
     for i in range(1, 5):
@@ -154,7 +151,7 @@ def test_potential_metric_and_grading():
 
 
 def test_potential_quantum_support():
-    potential = d4_build_potential(10)
+    potential = d4_build_potential(d4_analytic(10))
     keys = set(potential.quantum)
     quartics = {tuple(4 if j == i else 0 for j in range(6)) for i in range(1, 5)}
     pairs = {
@@ -170,11 +167,11 @@ def test_potential_quantum_support():
 
 
 def test_potential_satisfies_wdvv():
-    assert wdvv_residual(d4_build_potential(20), 20).passed
+    assert wdvv_residual(d4_build_potential(d4_analytic(20)), 20).passed
 
 
 def test_single_wrong_coefficient_breaks_wdvv():
-    broken = d4_build_potential(12).with_mutated_quantum(
+    broken = d4_build_potential(d4_analytic(12)).with_mutated_quantum(
         (0, 1, 1, 1, 1, 0), 2, Fraction(1, 720)
     )
     assert not wdvv_residual(broken, 12).passed
@@ -184,7 +181,7 @@ def test_single_wrong_coefficient_breaks_wdvv():
 
 
 def test_genus_one_certificates():
-    result = d4_genus_one(60)
+    result = d4_genus_one(60, d4_analytic(60))
     assert result.passed
     assert result.report.name == "d4-genus-one"
     assert result.linear_coefficient == Fraction(-1, 24)
@@ -195,7 +192,7 @@ def test_genus_one_certificates():
 
 
 def test_genus_one_derivative_is_doubled_divisor_series():
-    result = d4_genus_one(40)
+    result = d4_genus_one(40, d4_analytic(40))
     derivative = result.series.qdq() + QSeries.constant(result.linear_coefficient, 40)
     doubled = f_series(21).substitute_power(2).truncate(40)
     assert derivative == doubled

@@ -58,16 +58,20 @@ def test_closed_form_is_shifted_eta_cube():
 
 
 def test_defining_equation_residual_vanishes():
-    report = e6_schwarzian_residual_report(40)
+    report = e6_schwarzian_residual_report(40, e6_h_analytic(48))
     assert report.passed
     assert report.name == "e6-schwarzian-equation"
+    assert report.order_certified == 40
 
 
 # -- the fourteen coefficient series --------------------------------------------------
 
 
 def test_build_fi_passes_its_own_cross_checks():
-    coeffs = e6_build_fi(24)
+    coeffs = e6_build_fi(32)
+    for report in e6_coefficient_reports(24, coeffs, e6_schwarzian_solve(24)):
+        assert report.passed, report.name
+    coeffs = coeffs.truncate(24)
     assert len(coeffs.f) == 14
     assert coeffs.A == Fraction(1, 3)
     assert coeffs.truncation >= 24
@@ -77,11 +81,13 @@ def test_build_fi_passes_its_own_cross_checks():
 
 
 def test_coefficient_routes_reject_tampering():
-    coeffs = e6_build_fi(20)
+    coeffs = e6_build_fi(28)
     f = list(coeffs.f)
     f[2] = f[2] + QSeries.monomial(Fraction(1, 5), 3, f[2].truncation)
     tampered = E6Coefficients(coeffs.a, tuple(f), coeffs.A)
-    reports = {r.name: r for r in e6_coefficient_reports(20, tampered)}
+    reports = {
+        r.name: r for r in e6_coefficient_reports(20, tampered, e6_schwarzian_solve(20))
+    }
     assert not reports["e6-f2-derivative-route"].passed
     assert reports["e6-f3-derivative-route"].passed
 
@@ -107,7 +113,7 @@ def test_coefficient_container_validates():
 
 
 def test_identity_suite_names_and_verdicts():
-    reports = e6_identity_suite(30, twisted_order=12)
+    reports = e6_identity_suite(30, e6_h_analytic(32))
     assert [r.name for r in reports] == [
         "e6-j-relation",
         "e6-cube-unit",
@@ -120,10 +126,11 @@ def test_identity_suite_names_and_verdicts():
     ]
     for report in reports:
         assert report.passed, report.name
+        assert report.order_certified == 30
 
 
 def test_twisted_pole_expressions_run_in_the_cyclotomic_field():
-    for report in e6_twisted_pole_reports(15):
+    for report in e6_twisted_pole_reports(15, e6_h_analytic(15)):
         assert report.passed
         assert report.order_certified >= 15
 
@@ -149,7 +156,7 @@ def test_gw_table_of_zero_degree():
 
 
 def test_potential_metric_and_grading():
-    potential = e6_build_potential(9)
+    potential = e6_build_potential(e6_build_fi(9))
     metric = metric_from_potential(potential)
     assert metric.entry("t0", "t") == 1
     assert metric.entry("t1", "t6") == Fraction(1, 3)
@@ -171,18 +178,18 @@ def test_potential_metric_and_grading():
 
 
 def test_potential_satisfies_wdvv():
-    assert wdvv_residual(e6_build_potential(15), 15).passed
+    assert wdvv_residual(e6_build_potential(e6_build_fi(15)), 15).passed
 
 
 def test_single_wrong_coefficient_breaks_wdvv():
-    broken = e6_build_potential(8).with_mutated_quantum(
+    broken = e6_build_potential(e6_build_fi(8)).with_mutated_quantum(
         (0, 1, 1, 1, 0, 0, 0, 0), 1, Fraction(1, 720)
     )
     assert not wdvv_residual(broken, 8, fail_fast=True).passed
 
 
 def test_transcribed_f11_block_fails_associativity():
-    raw = e6_build_potential(8, raw_f11_block=True)
+    raw = e6_build_potential(e6_build_fi(8), raw_f11_block=True)
     report = wdvv_residual(raw, 8, fail_fast=True)
     assert not report.passed
     assert report.first_failure.indices == (1, 1, 4, 4)
@@ -192,8 +199,8 @@ def test_transcribed_f11_block_fails_associativity():
 
 
 def test_f11_orbit_completion_is_the_only_difference():
-    good = e6_build_potential(8)
-    raw = e6_build_potential(8, raw_f11_block=True)
+    good = e6_build_potential(e6_build_fi(8))
+    raw = e6_build_potential(e6_build_fi(8), raw_f11_block=True)
     missing = (0, 0, 0, 0, 4, 1, 1, 0)
     doubled = (0, 0, 0, 0, 1, 1, 4, 0)
     assert set(good.quantum) - set(raw.quantum) == {missing}
@@ -207,7 +214,7 @@ def test_f11_orbit_completion_is_the_only_difference():
 
 
 def test_genus_one_certificates():
-    result = e6_genus_one(30)
+    result = e6_genus_one(30, e6_build_fi(30))
     assert result.passed
     assert result.report.name == "e6-genus-one"
     assert result.linear_coefficient == Fraction(-1, 24)
@@ -218,7 +225,7 @@ def test_genus_one_certificates():
 
 
 def test_genus_one_derivative_is_tripled_divisor_series():
-    result = e6_genus_one(30)
+    result = e6_genus_one(30, e6_build_fi(30))
     derivative = result.series.qdq() + QSeries.constant(result.linear_coefficient, 30)
     tripled = f_series(11).substitute_power(3).truncate(30)
     assert derivative == tripled

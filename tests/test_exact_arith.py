@@ -14,6 +14,7 @@ from gwseries.exact_arith import (
     integer_nth_root,
     rational_nth_root,
 )
+from gwseries.qseries import QSeries
 
 ORDERS = (1, 3, 9, 24, 72)
 CASES = 100
@@ -30,6 +31,17 @@ def test_integer_nth_root_exact_and_missing():
     assert integer_nth_root(728, 6) is None
     assert integer_nth_root(1, 17) == 1
     assert integer_nth_root(0, 3) == 0
+
+
+def test_integer_nth_root_of_huge_integers():
+    # far beyond float range: 10**400 overflows a float conversion
+    assert integer_nth_root(10**400, 2) == 10**200
+    assert integer_nth_root(10**400 + 1, 2) is None
+    assert integer_nth_root((10**200 + 1) ** 2 - 1, 2) is None
+    assert integer_nth_root(7**480, 3) == 7**160
+    assert integer_nth_root(7**480 + 1, 3) is None
+    assert integer_nth_root(-(7**480), 3) == -(7**160)
+    assert QSeries([10**400], 0, 4).nth_root(2) == QSeries([10**200], 0, 4)
 
 
 def test_rational_nth_root():
@@ -139,6 +151,11 @@ def test_embed_into_larger_field():
 def test_order_mismatch_raises():
     with pytest.raises(OrderMismatch):
         cyclotomic_root(3) + cyclotomic_root(9)
+    # equal elements of different orders must be embedded before comparing
+    with pytest.raises(OrderMismatch):
+        cyclotomic_root(3) == cyclotomic_root(72) ** 24
+    assert cyclotomic_root(3).embed(72) == cyclotomic_root(72) ** 24
+    assert CyclotomicNumber.from_rational(3, -1) == cyclotomic_root(72, 36)
 
 
 def test_real_subfield_identity():

@@ -16,7 +16,7 @@ from gwseries.modular import (
     eta_unit,
     f_series,
     halphen_reports,
-    halphen_verify,
+    halphen_variables,
     j_series,
     lattice_theta,
     modular_reports,
@@ -243,15 +243,15 @@ def test_halphen_variable_constants():
 
 
 def test_theta_eta_forms_agree():
-    for report in theta_eta_reports(60):
+    for report in theta_eta_reports(60, halphen_variables(60)):
         assert report.passed
 
 
 def test_halphen_system_holds():
-    report = halphen_verify(50)
-    assert report.passed
-    assert report.name == "halphen"
-    names = [r.name for r in halphen_reports(20)]
+    reports = halphen_reports(50, halphen_variables(50))
+    for report in reports:
+        assert report.passed, report.name
+    names = [r.name for r in reports]
     assert names == [
         "halphen-x2x3",
         "halphen-x3x4",
@@ -260,11 +260,6 @@ def test_halphen_system_holds():
         "theta-eta-x3",
         "theta-eta-x4",
     ]
-
-
-def test_halphen_needs_a_few_terms():
-    with pytest.raises(ValueError):
-        halphen_verify(3)
 
 
 # -- lattice theta functions ------------------------------------------------------------
@@ -317,7 +312,7 @@ def test_rotated_eta_product_over_cyclotomic_field():
 
 
 def test_modular_reports_all_pass():
-    reports = modular_reports(24, zeta_order=12)
+    reports = modular_reports(24)
     names = [r.name for r in reports]
     assert len(names) == len(set(names))
     assert {"divisor-sum-vs-eta-logderiv", "even-part-halving", "sigma-doubling",
