@@ -246,10 +246,11 @@ def e6_coefficient_reports(
 # -- modular identity suite ---------------------------------------------------------
 
 
-def e6_identity_suite(order: int, a: QSeries) -> list[IdentityReport]:
+def e6_identity_suite(order: int, a: QSeries, f0: QSeries) -> list[IdentityReport]:
     """The j-invariant relation, the cusp-form identities, and the twisted
     eta expressions for the pole series `a` (the last over Q(zeta_72)), all
-    certified through the same order.  `a` must reach order + 2."""
+    certified through the same order.  `a` must reach order + 2 and the eta
+    quotient `f0` = eta(9)^3 / eta(3) must reach order."""
     cube = a * a * a
     one_minus = QSeries.constant(Fraction(1), cube.truncation) - cube
     eight_plus = QSeries.constant(Fraction(8), cube.truncation) + cube
@@ -270,7 +271,7 @@ def e6_identity_suite(order: int, a: QSeries) -> list[IdentityReport]:
     reports.append(series_match("e6-cusp-form-sextic", sextic, discriminant, order))
 
     slope = d1 * one_minus.inv()
-    rhs_slope = (eta_expand("eta(9)^3 * eta(3)^-1", order).to_qseries() ** 2).scale(9)
+    rhs_slope = (f0.truncate(order) ** 2).scale(9)
     reports.append(series_match("e6-slope-eta", slope, rhs_slope, order))
 
     reports.append(verify_cusp_form_from_j(order))
@@ -318,13 +319,17 @@ def e6_gw_table(kmax: int) -> tuple[list[tuple[int, Fraction]], IdentityReport]:
     by coefficient, then applying the square-root formula.  The two tables
     must agree, and f_0 must be supported on exponents 1 mod 3.
     """
-    return _gw_table(kmax, e6_schwarzian_solve(3 * kmax + 4))
+    f0_eta = eta_expand("eta(9)^3 * eta(3)^-1", 3 * kmax + 2).to_qseries()
+    return _gw_table(kmax, e6_schwarzian_solve(3 * kmax + 4), f0_eta)
 
 
-def _gw_table(kmax: int, solved: QSeries) -> tuple[list[tuple[int, Fraction]], IdentityReport]:
-    """`e6_gw_table` from a solver run `solved` that reaches at least 3 kmax + 4."""
+def _gw_table(
+    kmax: int, solved: QSeries, f0: QSeries
+) -> tuple[list[tuple[int, Fraction]], IdentityReport]:
+    """`e6_gw_table` from a solver run `solved` that reaches at least 3 kmax + 4
+    and the eta quotient `f0` reaching at least 3 kmax + 3."""
     order = 3 * kmax + 2
-    f0_eta = eta_expand("eta(9)^3 * eta(3)^-1", order).to_qseries()
+    f0_eta = f0.truncate(order + 1)
     f0_solver = _sqrt_route_f0(solved.truncate(order + 2)).truncate(order)
     report = series_match("e6-gw-dual-route", f0_solver, f0_eta, order)
     if report.passed:
@@ -474,16 +479,18 @@ def e6_suites(order: int, raw_f11_block: bool = False) -> list[tuple[str, list[I
     The coefficient series are built eight orders deep, which the defining
     equation's residual needs, and truncated down where a check needs less.
     The equation is solved once, two orders deep, for both the solver check
-    and the second route of the degree table.
+    and the second route of the degree table, and the eta quotient f_0 is
+    expanded once, for the coefficients, the slope identity and the table.
     """
     coeffs = e6_build_fi(order + 8)
     solved = e6_schwarzian_solve(order + 2)
+    f0 = coeffs.f[0]
     cap = min(order, WDVV_ORDER_CAP)
     potential = e6_build_potential(coeffs.truncate(cap + 2), raw_f11_block)
     return [
         ("e6-coefficients", e6_coefficient_reports(order, coeffs, solved)),
-        ("e6-identities", e6_identity_suite(order, coeffs.a.truncate(order + 2))),
-        ("e6-gw-table", [_gw_table(max((order - 2) // 3, 0), solved)[1]]),
+        ("e6-identities", e6_identity_suite(order, coeffs.a.truncate(order + 2), f0)),
+        ("e6-gw-table", [_gw_table(max((order - 2) // 3, 0), solved, f0)[1]]),
         ("e6-genus-one", [e6_genus_one(order, coeffs.truncate(order)).report]),
         ("e6-potential", [wdvv_residual(potential, cap), euler_residual(potential)]),
     ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from typing import Sequence
 
 
 class OrderMismatch(ArithmeticError):
@@ -67,6 +68,49 @@ def rational_nth_root(x: Fraction, n: int) -> Fraction | None:
     if num is None or den is None:
         return None
     return Fraction(num, den)
+
+
+def _biases(width: int, count: int) -> int:
+    """The integer with 2^(8 width - 1) in each of `count` slots of `width` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(values: Sequence[int], width: int) -> int:
+    """The integer whose base-256^width digits are the signed `values`, each
+    of magnitude below 2^(8 width - 1): pack them biased, then subtract the
+    biases."""
+    bias = 1 << (8 * width - 1)
+    packed = b"".join((v + bias).to_bytes(width, "little") for v in values)
+    return int.from_bytes(packed, "little") - _biases(width, len(values))
+
+
+def int_convolve(xs: Sequence[int], ys: Sequence[int], n: int | None = None) -> list[int]:
+    """The first n coefficients of the product of two integer polynomials.
+
+    Kronecker substitution: each list is packed into one integer, in slots
+    wide enough for any product coefficient plus a sign bit, the two integers
+    are multiplied once, and the slots are read back after a bias in every
+    slot makes each digit nonnegative.  n defaults to the full product
+    length, past which coefficients are zero.
+
+    >>> int_convolve([1, -2], [3, 4, -5])
+    [3, -2, -13, 10]
+    >>> int_convolve([10**30, 1], [-(10**30), 1], n=5) == [-(10**60), 0, 1, 0, 0]
+    True
+    """
+    if n is None:
+        n = len(xs) + len(ys) - 1 if xs and ys else 0
+    xs, ys = xs[:n], ys[:n]
+    bound = max(map(abs, xs), default=0) * max(map(abs, ys), default=0) * min(len(xs), len(ys))
+    if not bound:
+        return [0] * n
+    width = (bound.bit_length() + 8) // 8  # bytes per slot: |coefficient| < 2^(8 width - 1)
+    size = min(n, len(xs) + len(ys) - 1)
+    product = _pack(xs, width) * _pack(ys, width) + _biases(width, size)
+    raw = (product & ((1 << (8 * width * size)) - 1)).to_bytes(width * size, "little")
+    bias = 1 << (8 * width - 1)
+    out = [int.from_bytes(raw[i : i + width], "little") - bias for i in range(0, width * size, width)]
+    return out + [0] * (n - size)
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
@@ -278,14 +322,7 @@ class CyclotomicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.nums, o.nums
-        vec = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        vec[i + j] += ca * cb
-        _reduce_mod_cyclotomic(vec, self.order)
+        vec = _reduce_mod_cyclotomic(int_convolve(self.nums, o.nums), self.order)
         return CyclotomicNumber(self.order, tuple(vec), self.den * o.den)
 
     __rmul__ = __mul__

@@ -22,6 +22,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+from .exact_arith import int_convolve
 from .qseries import QSeries
 from .reporting import IdentityReport, failure_report, pass_report
 
@@ -340,15 +341,7 @@ class _WdvvEngine:
         out = self._pair_products.get(key)
         if out is None:
             a, b = self._arrays[key[0]], self._arrays[key[1]]
-            T = self.T
-            out = [0] * T
-            for x, ca in enumerate(a):
-                if ca:
-                    for y in range(T - x):
-                        cb = b[y]
-                        if cb:
-                            out[x + y] += ca * cb
-            self._pair_products[key] = out
+            out = self._pair_products[key] = int_convolve(a, b, self.T)
         return out
 
     def contraction(self, pair1: tuple[int, int], pair2: tuple[int, int]):

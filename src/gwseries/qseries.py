@@ -4,7 +4,9 @@ A QSeries stores finitely many exact coefficients together with a truncation
 order T: coefficients at exponents >= T are unknown, not zero.  Every
 operation propagates the truncation honestly, so a computed coefficient is
 always a theorem about the underlying series.  Coefficients are Fractions or
-CyclotomicNumbers; the two mix freely inside one field.
+CyclotomicNumbers; the two mix freely inside one field.  Every product clears
+denominators and goes through the integer kernel `int_convolve`; inverse,
+logarithm and exponential are Newton iterations over that product.
 
 A PuiseuxSeries is a fractional-exponent prefactor around a QSeries unit:
 scalar * q^offset * unit(q), with the offset an exact rational.  That is
@@ -14,10 +16,18 @@ non-integral behaviour sits in the prefactor.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .exact_arith import CyclotomicNumber, rational_nth_root
+from .exact_arith import (
+    CyclotomicNumber,
+    OrderMismatch,
+    _reduce_mod_cyclotomic,
+    euler_phi,
+    int_convolve,
+    rational_nth_root,
+)
 
 Coefficient = Union[Fraction, CyclotomicNumber]
 
@@ -59,55 +69,45 @@ def _coeff_str(c: Coefficient) -> str:
     return str(c)
 
 
-# Below this operand length, schoolbook convolution beats the bookkeeping of
-# a split; exact big-rational coefficients dominate runtime either way.
-KARATSUBA_THRESHOLD = 256
+def _cleared(cs, stride: int) -> tuple[int, list[int]]:
+    """One denominator for all of `cs` and their integer coordinates over it,
+    each coefficient's coordinates starting `stride` slots after the last."""
+    den = math.lcm(*(c.den if isinstance(c, CyclotomicNumber) else c.denominator for c in cs))
+    flat = [0] * (len(cs) * stride)
+    for i, c in enumerate(cs):
+        k = i * stride
+        if isinstance(c, CyclotomicNumber):
+            scale = den // c.den
+            flat[k : k + len(c.nums)] = [x * scale for x in c.nums]
+        else:
+            flat[k] = c.numerator * (den // c.denominator)
+    return den, flat
 
 
-def convolve(xs: list, ys: list, threshold: int = KARATSUBA_THRESHOLD) -> list:
-    """Full product of two dense coefficient lists.
+def _product(xs, ys, n: int) -> list:
+    """The first n coefficients of the product of two coefficient lists.
 
-    Karatsuba three-way split above the threshold, schoolbook below it.
-
-    >>> [int(c) for c in convolve([1, 2], [3, 4, 5])]
-    [3, 10, 13, 10]
-    >>> convolve([1] * 10, [1] * 10, threshold=2) == convolve([1] * 10, [1] * 10)
-    True
+    Rational lists multiply as integer lists over one denominator each.  With
+    coefficients in Q(zeta_N), each coefficient's power-basis coordinates take
+    2 phi(N) - 1 slots, so the coordinate products of one q-coefficient never
+    reach the next; each slot block is then reduced modulo Phi_N.
     """
-    if not xs or not ys:
-        return []
-    if min(len(xs), len(ys)) <= max(threshold, 1):
-        out = [_ZERO] * (len(xs) + len(ys) - 1)
-        for i, a in enumerate(xs):
-            if a:
-                for j, b in enumerate(ys):
-                    if b:
-                        out[i + j] += a * b
-        return out
-    half = min(len(xs), len(ys)) // 2
-    x0, x1 = xs[:half], xs[half:]
-    y0, y1 = ys[:half], ys[half:]
-    low = convolve(x0, y0, threshold)
-    high = convolve(x1, y1, threshold)
-    xsum = [a + b for a, b in zip(x0, x1)] + list(x1[len(x0):] or x0[len(x1):])
-    ysum = [a + b for a, b in zip(y0, y1)] + list(y1[len(y0):] or y0[len(y1):])
-    mid = convolve(xsum, ysum, threshold)
-    for i, c in enumerate(low):
-        if c:
-            mid[i] -= c
-    for i, c in enumerate(high):
-        if c:
-            mid[i] -= c
-    out = [_ZERO] * (len(xs) + len(ys) - 1)
-    for i, c in enumerate(low):
-        out[i] = c
-    for i, c in enumerate(mid):
-        if c:
-            out[i + half] += c
-    for i, c in enumerate(high):
-        if c:
-            out[i + 2 * half] += c
-    return out
+    xs, ys = xs[:n], ys[:n]
+    orders = {c.order for c in (*xs, *ys) if isinstance(c, CyclotomicNumber)}
+    if len(orders) > 1:
+        raise OrderMismatch(f"orders differ: {sorted(orders)}; embed first")
+    stride = 2 * euler_phi(*orders) - 1 if orders else 1
+    dx, ix = _cleared(xs, stride)
+    dy, iy = _cleared(ys, stride)
+    flat = int_convolve(ix, iy, n * stride)
+    if not orders:
+        return [Fraction(c, dx * dy) for c in flat]
+    (order,) = orders
+    den = dx * dy
+    return [
+        CyclotomicNumber(order, tuple(_reduce_mod_cyclotomic(flat[k : k + stride], order)), den)
+        for k in range(0, n * stride, stride)
+    ]
 
 
 class QSeries:
@@ -230,36 +230,25 @@ class QSeries:
 
     # -- ring operations ----------------------------------------------------
 
-    def _add_impl(self, other: "QSeries", sign: int) -> "QSeries":
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction, CyclotomicNumber)):
+            other = QSeries.constant(other, self.truncation)
+        if not isinstance(other, QSeries):
+            return NotImplemented
         t = min(self.truncation, other.truncation)
         if self.is_zero():
-            scaled = other if sign > 0 else -other
-            return scaled.truncate(min(t, scaled.truncation))
+            return other.truncate(t)
         if other.is_zero():
             return self.truncate(t)
         lo = min(self.valuation, other.valuation)
         hi = min(t, max(self.valuation + len(self.coeffs), other.valuation + len(other.coeffs)))
-        cs = []
-        for e in range(lo, hi):
-            a = self.coeffs[e - self.valuation] if 0 <= e - self.valuation < len(self.coeffs) else _ZERO
-            b = other.coeffs[e - other.valuation] if 0 <= e - other.valuation < len(other.coeffs) else _ZERO
-            cs.append(a + b if sign > 0 else a - b)
-        return QSeries(cs, lo, t)
-
-    def __add__(self, other):
-        if isinstance(other, QSeries):
-            return self._add_impl(other, 1)
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return self._add_impl(QSeries.constant(other, self.truncation), 1)
-        return NotImplemented
+        return QSeries([self.coefficient(e) + other.coefficient(e) for e in range(lo, hi)], lo, t)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, QSeries):
-            return self._add_impl(other, -1)
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return self._add_impl(QSeries.constant(other, self.truncation), -1)
+        if isinstance(other, (QSeries, int, Fraction, CyclotomicNumber)):
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -279,24 +268,11 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         # O(q^Ta) * q^vb and q^va * O(q^Tb) bound what the product can know.
-        if self.is_zero() or other.is_zero():
-            return QSeries.zero(min(self.truncation + other.valuation,
-                                    other.truncation + self.valuation))
         t = min(self.truncation + other.valuation, other.truncation + self.valuation)
+        if self.is_zero() or other.is_zero():
+            return QSeries.zero(t)
         v = self.valuation + other.valuation
-        if min(len(self.coeffs), len(other.coeffs)) > KARATSUBA_THRESHOLD:
-            return QSeries(convolve(list(self.coeffs), list(other.coeffs))[: t - v], v, t)
-        out = [_ZERO] * (t - v)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            ea = self.valuation + i
-            jmax = min(len(other.coeffs), t - ea - other.valuation)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if b:
-                    out[ea + other.valuation + j - v] += a * b
-        return QSeries(out, v, t)
+        return QSeries(_product(self.coeffs, other.coeffs, t - v), v, t)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
@@ -313,28 +289,22 @@ class QSeries:
         if self.is_zero():
             raise ZeroDivisor("cannot invert a series that is zero to O(q^T)")
         v, c = self.leading()
-        n = len(self.coeffs)
         rel = self.truncation - v  # number of known coefficients
         cinv = _ONE / c if isinstance(c, Fraction) else c.inverse()
-        w = [self.coeffs[i] * cinv if i < n else _ZERO for i in range(rel)]
-        x = [_ZERO] * rel
-        x[0] = _ONE
-        for k in range(1, rel):
-            acc = _ZERO
-            for i in range(1, k + 1):
-                if w[i]:
-                    acc += w[i] * x[k - i]
-            x[k] = -acc
-        return QSeries([cinv * xi for xi in x], -v, self.truncation - 2 * v)
+        w = self.shift(-v).scale(cinv)
+        # Newton: x <- x (2 - w x) doubles the number of correct terms.
+        x = QSeries.one(1)
+        while x.truncation < rel:
+            m = min(2 * x.truncation, rel)
+            xp = QSeries(x.coeffs, 0, m)
+            x = xp + xp * (1 - w.truncate(m) * xp)
+        return x.scale(cinv).shift(-v)
 
     def __truediv__(self, other):
         if isinstance(other, QSeries):
             return self * other.inv()
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            if not other:
-                raise ZeroDivisionError("division by zero scalar")
-            inv = _ONE / other if isinstance(other, (int, Fraction)) else other.inverse()
-            return self.scale(inv)
+            return self.scale(_ONE / other)  # raises ZeroDivisionError on zero
         return NotImplemented
 
     def __pow__(self, exponent: int):
@@ -383,7 +353,7 @@ class QSeries:
             raise ZeroDivisionError("twist scalar must be invertible")
         if not isinstance(c, (Fraction, CyclotomicNumber)):
             c = Fraction(c)
-        power = c ** self.valuation if isinstance(c, CyclotomicNumber) else c**self.valuation
+        power = c**self.valuation
         out = []
         for coeff in self.coeffs:
             out.append(coeff * power)
@@ -393,7 +363,7 @@ class QSeries:
     def log_unit(self) -> "QSeries":
         """Logarithm of a unit with constant term exactly 1.
 
-        Solved coefficient by coefficient from u * (q dL/dq) = q du/dq.
+        From q dL/dq = (q du/dq) / u, with the inverse taken by Newton.
 
         >>> u = QSeries([1, 1], 0, 6)          # 1 + q
         >>> (u.log_unit() - QSeries([1, Fraction(-1,2), Fraction(1,3), Fraction(-1,4), Fraction(1,5)], 1, 6)).is_zero()
@@ -401,32 +371,24 @@ class QSeries:
         """
         if self.valuation != 0 or self.coefficient(0) != 1:
             raise NotUnit("log requires constant term exactly 1")
+        d = self.qdq() * self.inv()
         t = self.truncation
-        u = [self.coefficient(e) for e in range(t)]
-        log = [_ZERO] * t
-        for n in range(1, t):
-            acc = n * u[n]
-            for k in range(1, n):
-                if log[k] and u[n - k]:
-                    acc -= k * log[k] * u[n - k]
-            log[n] = acc / n if isinstance(acc, Fraction) else acc * Fraction(1, n)
-        return QSeries(log, 0, t)
+        return QSeries([d.coefficient(e) * Fraction(1, e) for e in range(1, t)], 1, t)
 
     def exp_positive(self) -> "QSeries":
-        """Exponential of a series with valuation >= 1."""
+        """Exponential of a series with valuation >= 1.
+
+        Newton: e <- e (1 + w - log e) doubles the number of correct terms.
+        """
         if not self.is_zero() and self.valuation < 1:
             raise NotUnit("exp requires positive valuation")
         t = self.truncation
-        w = [self.coefficient(e) if e >= self.valuation else _ZERO for e in range(t)]
-        out = [_ZERO] * t
-        out[0] = _ONE
-        for n in range(1, t):
-            acc = _ZERO
-            for k in range(1, n + 1):
-                if w[k] and out[n - k]:
-                    acc += k * w[k] * out[n - k]
-            out[n] = acc / n if isinstance(acc, Fraction) else acc * Fraction(1, n)
-        return QSeries(out, 0, t)
+        e = QSeries.one(min(t, 1))
+        while e.truncation < t:
+            m = min(2 * e.truncation, t)
+            ep = QSeries(e.coeffs, 0, m)
+            e = ep * (1 + self.truncate(m) - ep.log_unit())
+        return e
 
     def pow_rational(self, r: Fraction) -> "QSeries":
         """Raise to an exact rational power via exp(r log(unit)).
@@ -473,14 +435,7 @@ class QSeries:
             other = QSeries.constant(other, self.truncation)
         if not isinstance(other, QSeries):
             return NotImplemented
-        t = min(self.truncation, other.truncation)
-        lo = min(self.valuation, other.valuation)
-        for e in range(lo, t):
-            a = self.coeffs[e - self.valuation] if 0 <= e - self.valuation < len(self.coeffs) else _ZERO
-            b = other.coeffs[e - other.valuation] if 0 <= e - other.valuation < len(other.coeffs) else _ZERO
-            if a != b:
-                return False
-        return True
+        return self.first_difference(other) is None
 
     __hash__ = None  # equality only holds up to min truncation
 
@@ -489,8 +444,7 @@ class QSeries:
         t = min(self.truncation, other.truncation)
         lo = min(self.valuation, other.valuation)
         for e in range(lo, t):
-            a = self.coeffs[e - self.valuation] if 0 <= e - self.valuation < len(self.coeffs) else _ZERO
-            b = other.coeffs[e - other.valuation] if 0 <= e - other.valuation < len(other.coeffs) else _ZERO
+            a, b = self.coefficient(e), other.coefficient(e)
             if a != b:
                 return e, a - b
         return None
@@ -600,8 +554,7 @@ class PuiseuxSeries:
     def __truediv__(self, other):
         if isinstance(other, PuiseuxSeries):
             return PuiseuxSeries(
-                self.scalar * (Fraction(1) / other.scalar if isinstance(other.scalar, Fraction)
-                               else other.scalar.inverse()),
+                self.scalar / other.scalar,
                 self.offset - other.offset,
                 self.unit * other.unit.inv(),
             )

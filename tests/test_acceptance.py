@@ -146,7 +146,8 @@ def test_criterion_06_halphen_suite_to_order_100():
 
 
 def test_criterion_07_e6_identity_suite():
-    reports = e6_identity_suite(60, e6_h_analytic(62))
+    f0 = eta_expand("eta(9)^3 * eta(3)^-1", 60).to_qseries()
+    reports = e6_identity_suite(60, e6_h_analytic(62), f0)
     ok = len(reports) == 8 and all(
         r.passed and r.order_certified >= 60 for r in reports
     )
@@ -205,11 +206,15 @@ def test_criterion_10_property_suites():
         x, y, z = (rand_series(order) for _ in range(3))
         ok = ok and (x + y) + z == x + (y + z) and x * y == y * x
         ok = ok and (x * y) * z == x * (y * z) and x * (y + z) == x * y + x * z
-    for _ in range(cases):
-        u = rand_unit(24)
-        ok = ok and u * u.inv() == QSeries.one(24)
+    # then relative precisions on either side of the Newton doublings
+    for truncation in (24,) * cases + (1, 2, 3, 63, 64, 65):
+        u = rand_unit(truncation)
+        ok = ok and u * u.inv() == QSeries.one(truncation)
+        shifted = u.shift(-3)  # negative valuation
+        ok = ok and shifted * shifted.inv() == QSeries.one(truncation)
         n = rng.choice((2, 3, 5))
         ok = ok and (u**n).nth_root(n) == u
+        ok = ok and (u**n).shift(-2 * n).nth_root(n) == u.shift(-2)
     for _ in range(cases):
         x, y = rand_series(24), rand_series(24)
         ok = ok and (x * y).qdq() == x.qdq() * y + x * y.qdq()

@@ -113,7 +113,8 @@ def test_coefficient_container_validates():
 
 
 def test_identity_suite_names_and_verdicts():
-    reports = e6_identity_suite(30, e6_h_analytic(32))
+    f0 = eta_expand("eta(9)^3 * eta(3)^-1", 30).to_qseries()
+    reports = e6_identity_suite(30, e6_h_analytic(32), f0)
     assert [r.name for r in reports] == [
         "e6-j-relation",
         "e6-cube-unit",

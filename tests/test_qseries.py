@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from gwseries.exact_arith import CyclotomicNumber, cyclotomic_root
+from gwseries.exact_arith import OrderMismatch, cyclotomic_root, int_convolve
+from gwseries.modular import eta_unit
 from gwseries.qseries import (
-    KARATSUBA_THRESHOLD,
     BranchMissing,
     LeadingCoefficientNotPower,
     NotUnit,
@@ -17,12 +17,13 @@ from gwseries.qseries import (
     QSeries,
     ValuationNotDivisible,
     ZeroDivisor,
-    convolve,
     format_series,
 )
 
 CASES = 100
 RING_ORDER = 64
+# Relative precisions on either side of the Newton iterations' doublings.
+NEWTON_PRECISIONS = (1, 2, 3, 63, 64, 65)
 
 
 def _random_series(rng: random.Random, truncation: int, valuation_low: int = -3) -> QSeries:
@@ -36,6 +37,45 @@ def _random_unit(rng: random.Random, truncation: int) -> QSeries:
         Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(truncation - 1)
     ]
     return QSeries(coeffs, 0, truncation)
+
+
+def _precisions(rng: random.Random, low: int, high: int):
+    """CASES random relative precisions, then the Newton boundaries."""
+    for _ in range(CASES):
+        yield rng.randint(low, high)
+    yield from NEWTON_PRECISIONS
+
+
+# The O(n^2) coefficient recurrences that inv, log_unit and exp_positive used
+# before they became Newton iterations, kept as independent references.
+
+
+def _recurrence_inv(s: QSeries) -> QSeries:
+    v, c = s.leading()
+    rel = s.truncation - v
+    w = [s.coefficient(v + i) / c for i in range(rel)]
+    x = [Fraction(1)] + [Fraction(0)] * (rel - 1)
+    for k in range(1, rel):
+        x[k] = -sum(w[i] * x[k - i] for i in range(1, k + 1))
+    return QSeries([xi / c for xi in x], -v, s.truncation - 2 * v)
+
+
+def _recurrence_log(u: QSeries) -> QSeries:
+    t = u.truncation
+    w = [u.coefficient(e) for e in range(t)]
+    log = [Fraction(0)] * t
+    for n in range(1, t):
+        log[n] = (n * w[n] - sum(k * log[k] * w[n - k] for k in range(1, n))) / n
+    return QSeries(log, 0, t)
+
+
+def _recurrence_exp(s: QSeries) -> QSeries:
+    t = s.truncation
+    w = [s.coefficient(e) for e in range(t)]
+    out = [Fraction(1)] + [Fraction(0)] * (t - 1)
+    for n in range(1, t):
+        out[n] = sum(k * w[k] * out[n - k] for k in range(1, n + 1)) / n
+    return QSeries(out, 0, t)
 
 
 # -- ring structure ------------------------------------------------------------------
@@ -74,12 +114,17 @@ def test_geometric_series_product():
 
 def test_inverse_round_trips_randomized():
     rng = random.Random(66)
-    for _ in range(CASES):
-        truncation = rng.randint(8, 48)
-        u = _random_unit(rng, truncation)
-        shifted = u.shift(rng.randint(-4, 4))
-        prod = shifted * shifted.inv()
-        assert prod == QSeries.one(prod.truncation)
+    for rel in _precisions(rng, 8, 48):
+        u = _random_unit(rng, rel)
+        for shifted in (u.shift(rng.randint(-4, 4)), u.shift(-3)):
+            inverse = shifted.inv()
+            assert inverse.truncation - inverse.valuation == rel  # relative precision T - v
+            prod = shifted * inverse
+            assert prod == QSeries.one(prod.truncation)
+    long_unit = _random_unit(rng, 300).shift(-2)
+    inverse = long_unit.inv()
+    assert inverse == _recurrence_inv(long_unit)
+    assert (inverse.valuation, inverse.truncation) == (2, 302)
 
 
 def test_inverse_of_zero_series_raises():
@@ -89,14 +134,14 @@ def test_inverse_of_zero_series_raises():
 
 def test_nth_root_round_trips_randomized():
     rng = random.Random(67)
-    for _ in range(CASES):
-        truncation = rng.randint(6, 32)
+    for truncation in _precisions(rng, 6, 32):
         n = rng.choice((2, 3, 5))
         u = _random_unit(rng, truncation)
         power = u**n
         root = power.nth_root(n)
         assert root**n == power
         assert root == u or (root - u).leading()[1] != 0  # root of a unit is unique
+        assert power.shift(-2 * n).nth_root(n) == root.shift(-2)
 
 
 def test_nth_root_shifts_valuation():
@@ -231,9 +276,13 @@ def test_twist_by_minus_one_flips_odd_part():
 
 def test_log_exp_round_trip():
     rng = random.Random(74)
-    for _ in range(25):
-        u = _random_unit(rng, 24)
+    for truncation in (24,) * 25 + NEWTON_PRECISIONS:
+        u = _random_unit(rng, truncation)
         assert u.log_unit().exp_positive() == u
+    long_unit = _random_unit(rng, 300)
+    log = long_unit.log_unit()
+    assert log == _recurrence_log(long_unit) and log.truncation == 300
+    assert log.exp_positive() == _recurrence_exp(log) == long_unit
     with pytest.raises(NotUnit):
         QSeries([Fraction(2)], 0, 8).log_unit()
 
@@ -290,23 +339,117 @@ def test_equality_compares_up_to_common_truncation():
     assert a != b + QSeries.monomial(1, 1, 4)
 
 
-def test_karatsuba_matches_schoolbook():
+# -- the integer convolution kernel ------------------------------------------------------
+
+
+def _schoolbook(xs: list[int], ys: list[int]) -> list[int]:
+    out = [0] * (len(xs) + len(ys) - 1) if xs and ys else []
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            out[i + j] += a * b
+    return out
+
+
+def test_int_convolve_matches_schoolbook():
     rng = random.Random(77)
-    for _ in range(30):
-        xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 40))]
-        ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 40))]
-        assert convolve(xs, ys, threshold=3) == convolve(xs, ys, threshold=10**6)
+    lengths = list(range(1, 41)) + [63, 64, 65, 255, 256, 257, 599, 600]
+    for case, length in enumerate(lengths):
+        bound = (9, 2**64, 10**400)[case % 3]
+        xs = [rng.randint(-bound, bound) for _ in range(length)]
+        ys = [rng.randint(-bound, bound) for _ in range(rng.randint(1, length))]
+        full = _schoolbook(xs, ys)
+        assert int_convolve(xs, ys) == full
+        for n in (0, 1, len(full) // 2, len(full) - 1, len(full), len(full) + 3):
+            assert int_convolve(xs, ys, n) == (full + [0] * 3)[:n]
 
 
-def test_long_multiplication_crosses_threshold():
-    n = KARATSUBA_THRESHOLD + 40
+def test_int_convolve_extremes():
+    big = 10**400
+    for length in (1, 2, 600):
+        # the middle coefficient sits exactly at the slot bound
+        assert int_convolve([big] * length, [-big] * length) == [
+            -(min(k, 2 * length - 2 - k) + 1) * big * big for k in range(2 * length - 1)
+        ]
+        assert int_convolve([-big] * length, [-big] * length, length) == [
+            (k + 1) * big * big for k in range(length)
+        ]
+    assert int_convolve([0] * 5, [3, -4]) == [0] * 6
+    assert int_convolve([0], [0], 3) == [0, 0, 0]
+    assert int_convolve([], [1, 2]) == []
+    assert int_convolve([7], [-6]) == [-42]
+    assert int_convolve([-big], [big], 2) == [-big * big, 0]
+    assert int_convolve([1, -1], [1, 1]) == [1, 0, -1]
+
+
+def test_long_rational_multiplication_matches_scalar_schoolbook():
     rng = random.Random(78)
-    a = QSeries([Fraction(rng.randint(-5, 5)) for _ in range(n)], 0, n)
-    b = QSeries([Fraction(rng.randint(-5, 5)) for _ in range(n)], 0, n)
+    n = 300
+    a = QSeries([Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for _ in range(n)], -3, n - 3)
+    b = QSeries([Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for _ in range(n - 40)], 2, n)
+    expected, truncation = _scalar_product(a, b)
     prod = a * b
-    reference = convolve(list(a.coeffs), list(b.coeffs), threshold=10**6)
-    for e in range(prod.truncation):
-        assert prod.coefficient(e) == reference[e]
+    assert prod.truncation == truncation
+    for e in range(-1, truncation):
+        assert prod.coefficient(e) == expected.get(e, 0)
+
+
+# -- series over Q(zeta_72) ---------------------------------------------------------------
+
+
+def _scalar_product(a: QSeries, b: QSeries) -> tuple[dict, int]:
+    """Coefficients of a*b below its truncation, by scalar arithmetic alone."""
+    truncation = min(a.truncation + b.valuation, b.truncation + a.valuation)
+    out: dict = {}
+    for ea, ca in a.known_terms():
+        for eb, cb in b.known_terms():
+            if ea + eb < truncation:
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return out, truncation
+
+
+def _mixed_coefficient(rng: random.Random):
+    kind = rng.randrange(4)
+    q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    if kind == 0:
+        return q
+    z = cyclotomic_root(72, rng.randrange(72)) * q
+    if kind == 1:
+        return z
+    return z + cyclotomic_root(72, rng.randrange(72)) * Fraction(1, rng.randint(1, 5))
+
+
+def test_cyclotomic_series_products_match_scalar_schoolbook():
+    rng = random.Random(80)
+    for _ in range(12):
+        series = []
+        for _ in range(2):
+            length = rng.randint(1, 30)
+            valuation = rng.randint(-4, 3)
+            truncation = valuation + length + rng.randint(0, 6)
+            series.append(
+                QSeries([_mixed_coefficient(rng) for _ in range(length)], valuation, truncation)
+            )
+        a, b = series
+        expected, truncation = _scalar_product(a, b)
+        prod = a * b
+        assert prod.truncation == truncation
+        for e in range(a.valuation + b.valuation, truncation):
+            assert prod.coefficient(e) == expected.get(e, 0)
+
+
+def test_twisted_eta_unit_inverse_log_and_exp():
+    u = eta_unit(1, 40).twist(cyclotomic_root(72, 5))
+    assert u * u.inv() == 1
+    assert u.log_unit().exp_positive() == u
+    shifted = u.shift(-2).scale(cyclotomic_root(72, 7) + Fraction(1, 3))
+    assert shifted * shifted.inv() == QSeries.one(38)
+
+
+def test_product_across_cyclotomic_orders_raises():
+    a = QSeries([1, cyclotomic_root(72, 1)], 0, 4)
+    b = QSeries([cyclotomic_root(24, 1)], 0, 4)
+    with pytest.raises(OrderMismatch):
+        a * b
 
 
 # -- serialization ---------------------------------------------------------------------
