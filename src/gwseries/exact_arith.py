@@ -75,13 +75,45 @@ def _biases(width: int, count: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-def _pack(values: Sequence[int], width: int) -> int:
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for signed values of magnitude at most `bound`."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _pack_slots(values: Sequence[int], width: int) -> int:
     """The integer whose base-256^width digits are the signed `values`, each
     of magnitude below 2^(8 width - 1): pack them biased, then subtract the
     biases."""
     bias = 1 << (8 * width - 1)
     packed = b"".join((v + bias).to_bytes(width, "little") for v in values)
     return int.from_bytes(packed, "little") - _biases(width, len(values))
+
+
+def _unpack_slots(packed: int, width: int, count: int) -> list[int]:
+    """The first `count` signed slots of a packed integer, each of magnitude
+    below 2^(8 width - 1): bias every slot so that its digit is nonnegative,
+    then read the digits back."""
+    size = width * count
+    raw = ((packed + _biases(width, count)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    bias = 1 << (8 * width - 1)
+    return [int.from_bytes(raw[i : i + width], "little") - bias for i in range(0, size, width)]
+
+
+def _first_slot(packed: int, width: int) -> tuple[int, int] | None:
+    """(index, value) of the lowest nonzero slot of a packed sum of signed
+    slots reduced mod 2^(8 width n), read from the lowest set bit; None if
+    every slot is zero.
+
+    >>> packed = _pack_slots([0, 0, -5, 7], 1)
+    >>> _unpack_slots(packed, 1, 4), _first_slot(packed % 2**32, 1)
+    ([0, 0, -5, 7], (2, -5))
+    """
+    if not packed:
+        return None
+    bits = 8 * width
+    index = ((packed & -packed).bit_length() - 1) // bits
+    digit = (packed >> (bits * index)) & ((1 << bits) - 1)
+    return index, digit - (digit >> (bits - 1) << bits)
 
 
 def int_convolve(xs: Sequence[int], ys: Sequence[int], n: int | None = None) -> list[int]:
@@ -104,13 +136,10 @@ def int_convolve(xs: Sequence[int], ys: Sequence[int], n: int | None = None) -> 
     bound = max(map(abs, xs), default=0) * max(map(abs, ys), default=0) * min(len(xs), len(ys))
     if not bound:
         return [0] * n
-    width = (bound.bit_length() + 8) // 8  # bytes per slot: |coefficient| < 2^(8 width - 1)
+    width = _slot_width(bound)
     size = min(n, len(xs) + len(ys) - 1)
-    product = _pack(xs, width) * _pack(ys, width) + _biases(width, size)
-    raw = (product & ((1 << (8 * width * size)) - 1)).to_bytes(width * size, "little")
-    bias = 1 << (8 * width - 1)
-    out = [int.from_bytes(raw[i : i + width], "little") - bias for i in range(0, width * size, width)]
-    return out + [0] * (n - size)
+    product = _pack_slots(xs, width) * _pack_slots(ys, width)
+    return _unpack_slots(product, width, size) + [0] * (n - size)
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:

@@ -10,9 +10,11 @@ The WDVV residual is checked for every coordinate quadruple (a,b,c,d):
 
     sum_{e,f} F_abe eta^{ef} F_fcd  -  F_ade eta^{ef} F_fbc  =  0.
 
-Internally the engine interns the handful of distinct coefficient series,
-clears denominators once, and memoizes pair contractions, so the full
-dim^4 scan stays exact integer arithmetic.
+Internally each distinct coefficient series is cleared to integers and
+packed once into a single int (Kronecker substitution, in the slot format of
+exact_arith), so the scan is integer arithmetic only: a product of two
+series is one multiplication, a residual is a difference of packed ints, and
+its first nonzero coefficient is read from the lowest set bit.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
-from .exact_arith import int_convolve
+from .exact_arith import _first_slot, _pack_slots, _slot_width, _unpack_slots
 from .qseries import QSeries
 from .reporting import IdentityReport, failure_report, pass_report
 
@@ -279,162 +281,130 @@ def euler_residual(potential: FrobeniusPotential, name: str = "euler-grading") -
 
 
 class _WdvvEngine:
-    """Exact associativity residuals with all denominators cleared up front."""
+    """Exact associativity residuals in packed-integer arithmetic.
+
+    The interned coefficient series, the derivative-term scalars and the
+    inverse-metric weights are each cleared to integers over one common
+    denominator.  Each series is packed once into one int of T slots in the
+    slot format of exact_arith, wide enough for any residual coefficient plus
+    a sign bit, and all arithmetic is mod 2^(8 width T), so slots past T drop
+    out.  A pair product is one memoized multiplication, a contraction is an
+    integer combination of pair products per monomial, and a residual is the
+    difference of two packed ints: zero exactly when its T coefficients all
+    vanish, with its first nonzero exponent at the lowest set bit.  Monomials
+    are packed too, one slot per coordinate, so that multiplying two
+    monomials is one addition.
+    """
 
     def __init__(self, potential: FrobeniusPotential, truncation: int):
-        metric = metric_from_potential(potential)
-        inverse = metric.inverse_rows()
-        self.dim = len(potential.coords)
-        self.T = truncation
-        self.table = _DerivativeTable(potential, truncation)
-        self.eta_pairs = [
-            (e, f, w)
-            for e in range(self.dim)
-            for f in range(self.dim)
-            if (w := inverse[e][f])
-        ]
-        # intern every distinct coefficient series as an integer array
-        self._ref_of: dict[int, int] = {}
-        self._arrays: list[list[int]] = []
-        self._series: list[QSeries] = []
-        self.scale = 1
-        self._pair_products: dict[tuple[int, int], list[int]] = {}
-        self._contractions: dict[tuple, tuple[int, dict]] = {}
-        # the full derivative table up front, so the denominator scale is global
-        self._term_lists: dict[tuple[int, int, int], list] = {}
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                for k in range(j, self.dim):
-                    self._term_lists[(i, j, k)] = [
-                        (key, scalar, self._ref(series))
-                        for key, scalar, series in self.table.terms((i, j, k))
-                    ]
-        self._finalize_arrays()
+        inverse = metric_from_potential(potential).inverse_rows()
+        self.dim = dim = len(potential.coords)
+        table = _DerivativeTable(potential, truncation)
+        ref_of: dict[int, int] = {}
+        columns: list[list[Fraction]] = []
+        triples: dict[tuple[int, int, int], list] = {}
+        for triple in combinations_with_replacement(range(dim), 3):
+            triples[triple] = []
+            for key, scalar, series in table.terms(triple):
+                ref = ref_of.get(id(series))
+                if ref is None:
+                    if not series.is_zero() and series.valuation < 0:
+                        raise ValueError("WDVV engine expects power-series coefficients")
+                    ref = ref_of[id(series)] = len(columns)
+                    top = min(truncation, series.truncation)
+                    columns.append([series.coefficient(e) for e in range(top)])
+                triples[triple].append((key, scalar, ref))
+        eta = [(e, f, w) for e in range(dim) for f in range(dim) if (w := inverse[e][f])]
+        d_coeff = math.lcm(1, *(c.denominator for col in columns for c in col))
+        d_scalar = math.lcm(1, *(s.denominator for terms in triples.values() for _, s, _ in terms))
+        d_weight = math.lcm(1, *(w.denominator for _, _, w in eta))
+        self.denominator = d_coeff**2 * d_scalar**2 * d_weight
+        arrays = [[c.numerator * (d_coeff // c.denominator) for c in col] for col in columns]
+        self.eta_pairs = [(e, f, w.numerator * (d_weight // w.denominator)) for e, f, w in eta]
+        degree = max((max(key) for terms in triples.values() for key, _, _ in terms), default=0)
+        self.monomial_width = _slot_width(2 * degree)
+        self._terms = {
+            triple: [
+                (_pack_slots(key, self.monomial_width), s.numerator * (d_scalar // s.denominator), r)
+                for key, s, r in terms
+            ]
+            for triple, terms in triples.items()
+        }
+        # a residual coefficient is a difference of two sums of
+        # weight * scalar * scalar * (pair-product coefficient of at most T terms)
+        weights = sum(abs(w) for _, _, w in self.eta_pairs)
+        scalars = max((sum(abs(s) for _, s, _ in terms) for terms in self._terms.values()), default=0)
+        largest = max((abs(v) for array in arrays for v in array), default=0)
+        self.width = _slot_width(2 * weights * scalars**2 * truncation * largest**2)
+        self.mask = (1 << (8 * self.width * truncation)) - 1
+        self._packed = [_pack_slots(array, self.width) for array in arrays]
+        self._pair_products: list[list[int | None]] = [[None] * len(arrays) for _ in arrays]
+        self._contractions: dict[tuple, dict[int, int]] = {}
 
-    def _ref(self, series: QSeries) -> int:
-        ref = self._ref_of.get(id(series))
-        if ref is None:
-            if not series.is_zero() and series.valuation < 0:
-                raise ValueError("WDVV engine expects power-series coefficients")
-            ref = len(self._series)
-            self._ref_of[id(series)] = ref
-            self._series.append(series)
-        return ref
-
-    def _terms(self, triple) -> list:
-        return self._term_lists[tuple(sorted(triple))]
-
-    def _finalize_arrays(self):
-        denoms = [1]
-        columns = []
-        for series in self._series:
-            col = [series.coefficient(e) for e in range(min(self.T, series.truncation))]
-            col += [_F0] * (self.T - len(col))
-            columns.append(col)
-            denoms.extend(c.denominator for c in col)
-        self.scale = math.lcm(*denoms)
-        for col in columns:
-            self._arrays.append([int(c * self.scale) for c in col])
-
-    def _pair_product(self, i: int, j: int) -> list[int]:
-        key = (i, j) if i <= j else (j, i)
-        out = self._pair_products.get(key)
-        if out is None:
-            a, b = self._arrays[key[0]], self._arrays[key[1]]
-            out = self._pair_products[key] = int_convolve(a, b, self.T)
-        return out
-
-    def contraction(self, pair1: tuple[int, int], pair2: tuple[int, int]):
-        """(xy|zw) = sum_{e,f} F_xye eta^{ef} F_fzw, as {monomial: int array}.
-
-        Returns (L, polynomial) where true coefficients are array/(L*scale^2).
-        """
+    def contraction(self, pair1: tuple[int, int], pair2: tuple[int, int]) -> dict[int, int]:
+        """(xy|zw) = sum_{e,f} F_xye eta^{ef} F_fzw as {packed monomial:
+        packed coefficients}, nonzero ones only, in units of 1/denominator."""
         key = tuple(sorted((tuple(sorted(pair1)), tuple(sorted(pair2)))))
         cached = self._contractions.get(key)
         if cached is not None:
             return cached
         p1, p2 = key
-        acc: dict[tuple, dict[tuple[int, int], Fraction]] = {}
+        acc: dict[int, int] = {}
+        products = self._pair_products
         for e, f, w in self.eta_pairs:
-            t1 = self._terms(tuple(sorted((*p1, e))))
+            t1 = self._terms[tuple(sorted((*p1, e)))]
             if not t1:
                 continue
-            t2 = self._terms(tuple(sorted((*p2, f))))
+            t2 = self._terms[tuple(sorted((*p2, f)))]
             for m1, s1, r1 in t1:
                 s1w = s1 * w
+                row = products[r1]
                 for m2, s2, r2 in t2:
-                    midx = tuple(x + y for x, y in zip(m1, m2))
-                    pk = (r1, r2) if r1 <= r2 else (r2, r1)
-                    bucket = acc.setdefault(midx, {})
-                    bucket[pk] = bucket.get(pk, _F0) + s1w * s2
-        denoms = [1]
-        for bucket in acc.values():
-            denoms.extend(s.denominator for s in bucket.values())
-        L = math.lcm(*denoms)
-        poly: dict[tuple, list[int]] = {}
-        for midx, bucket in acc.items():
-            vec = [0] * self.T
-            for (i, j), s in bucket.items():
-                si = s.numerator * (L // s.denominator)
-                if si:
-                    prod = self._pair_product(i, j)
-                    for e in range(self.T):
-                        if prod[e]:
-                            vec[e] += si * prod[e]
-            if any(vec):
-                poly[midx] = vec
-        result = (L, poly)
-        self._contractions[key] = result
-        return result
+                    product = row[r2]
+                    if product is None:
+                        product = (self._packed[r1] * self._packed[r2]) & self.mask
+                        row[r2] = products[r2][r1] = product
+                    acc[m1 + m2] = acc.get(m1 + m2, 0) + s1w * s2 * product
+        poly = {m: total & self.mask for m, total in acc.items() if total & self.mask}
+        self._contractions[key] = poly
+        return poly
 
     def residual_failure(self, a: int, b: int, c: int, d: int):
-        """First nonzero coefficient of the (a,b,c,d) residual, or None."""
-        l1, p1 = self.contraction((a, b), (c, d))
-        l2, p2 = self.contraction((a, d), (b, c))
-        m = math.lcm(l1, l2)
-        m1, m2 = m // l1, m // l2
+        """First nonzero coefficient of the (a,b,c,d) residual as
+        (exponent, residual), or None."""
+        p1 = self.contraction((a, b), (c, d))
+        p2 = self.contraction((a, d), (b, c))
+        if p1 == p2:
+            return None
+        # a tie in the exponent goes to the first monomial met in a set of
+        # monomial tuples, so the failure reported does not depend on packing
+        p1, p2 = (
+            {tuple(_unpack_slots(m, self.monomial_width, self.dim)): v for m, v in p.items()}
+            for p in (p1, p2)
+        )
         best = None
         for midx in set(p1) | set(p2):
-            v1 = p1.get(midx)
-            v2 = p2.get(midx)
-            for e in range(self.T):
-                x = (v1[e] * m1 if v1 else 0) - (v2[e] * m2 if v2 else 0)
-                if x:
-                    if best is None or e < best[0]:
-                        best = (e, Fraction(x, m * self.scale * self.scale))
-                    break
-        return best
-
-
-def _quadruple_order(dim: int, fail_fast: bool):
-    quads = list(product(range(dim), repeat=4))
-    if fail_fast:
-        # unit-direction residuals vanish identically; scan contentful ones first
-        quads.sort(key=lambda q: (0 in q, q))
-    return quads
+            slot = _first_slot((p1.get(midx, 0) - p2.get(midx, 0)) & self.mask, self.width)
+            if slot is not None and (best is None or slot[0] < best[0]):
+                best = slot
+        return best[0], Fraction(best[1], self.denominator)
 
 
 def wdvv_residual(
-    potential: FrobeniusPotential,
-    truncation: int,
-    *,
-    skip_symmetric: bool = False,
-    fail_fast: bool = False,
-    name: str = "wdvv",
+    potential: FrobeniusPotential, truncation: int, *, name: str = "wdvv"
 ) -> IdentityReport:
-    """Associativity residual over every coordinate quadruple.
+    """Associativity residual over the coordinate quadruples, in
+    lexicographic order.
 
-    skip_symmetric drops quadruples whose residual is forced by one already
-    checked (swapping a<->c or b<->d only flips the sign); the default checks
-    all dim^4 of them.  fail_fast stops at the first failing quadruple.
+    Swapping a<->c or b<->d negates the residual, so only the least quadruple
+    of each orbit {(a,b,c,d), (c,b,a,d), (a,d,c,b), (c,d,a,b)} is checked;
+    the first failing quadruple is the least of its orbit, so it is still
+    found.  b == d is skipped: that residual vanishes identically.
     """
     engine = _WdvvEngine(potential, truncation)
-    dim = engine.dim
-    for quad in _quadruple_order(dim, fail_fast):
+    for quad in product(range(engine.dim), repeat=4):
         a, b, c, d = quad
-        if b == d:
-            continue  # antisymmetric in (b, d), identically zero
-        if skip_symmetric and min(quad, (c, b, a, d), (a, d, c, b), (c, d, a, b)) != quad:
+        if b == d or min(quad, (c, b, a, d), (a, d, c, b), (c, d, a, b)) != quad:
             continue
         failure = engine.residual_failure(a, b, c, d)
         if failure is not None:

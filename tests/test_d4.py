@@ -170,11 +170,24 @@ def test_potential_satisfies_wdvv():
     assert wdvv_residual(d4_build_potential(d4_analytic(20)), 20).passed
 
 
-def test_single_wrong_coefficient_breaks_wdvv():
+def test_single_wrong_coefficient_breaks_wdvv(wdvv_reference):
     broken = d4_build_potential(d4_analytic(12)).with_mutated_quantum(
         (0, 1, 1, 1, 1, 0), 2, Fraction(1, 720)
     )
     assert not wdvv_residual(broken, 12).passed
+    potential = d4_build_potential(d4_analytic(22))
+    for key in potential.quantum:
+        # the top slot of the packed residual is read; the next one is masked off
+        top = potential.with_mutated_quantum(key, 19, Fraction(-1, 720))
+        assert wdvv_residual(top, 20).first_failure.exponent == 19
+        past = potential.with_mutated_quantum(key, 20, Fraction(-1, 720))
+        assert past.quantum[key] != potential.quantum[key]
+        assert wdvv_residual(past, 20).passed
+        # a residual far above the potential's own coefficients, exactly
+        huge = potential.with_mutated_quantum(key, 2, Fraction(10**40, 7))
+        failure = wdvv_residual(huge, 20).first_failure
+        reference = wdvv_reference(huge, 20)
+        reference.assert_first_failure(failure.indices, (failure.exponent, failure.residual))
 
 
 # -- genus one -------------------------------------------------------------------------

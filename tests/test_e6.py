@@ -182,16 +182,29 @@ def test_potential_satisfies_wdvv():
     assert wdvv_residual(e6_build_potential(e6_build_fi(15)), 15).passed
 
 
-def test_single_wrong_coefficient_breaks_wdvv():
+def test_single_wrong_coefficient_breaks_wdvv(wdvv_reference):
     broken = e6_build_potential(e6_build_fi(8)).with_mutated_quantum(
         (0, 1, 1, 1, 0, 0, 0, 0), 1, Fraction(1, 720)
     )
-    assert not wdvv_residual(broken, 8, fail_fast=True).passed
+    assert not wdvv_residual(broken, 8).passed
+    potential = e6_build_potential(e6_build_fi(10))
+    for key in potential.quantum:
+        # the top slot of the packed residual is read; the next one is masked off
+        top = potential.with_mutated_quantum(key, 7, Fraction(-1, 720))
+        assert wdvv_residual(top, 8).first_failure.exponent == 7
+        past = potential.with_mutated_quantum(key, 8, Fraction(-1, 720))
+        assert past.quantum[key] != potential.quantum[key]
+        assert wdvv_residual(past, 8).passed
+        # a residual far above the potential's own coefficients, exactly
+        huge = potential.with_mutated_quantum(key, 2, Fraction(10**40, 7))
+        failure = wdvv_residual(huge, 8).first_failure
+        reference = wdvv_reference(huge, 8)
+        reference.assert_first_failure(failure.indices, (failure.exponent, failure.residual))
 
 
 def test_transcribed_f11_block_fails_associativity():
     raw = e6_build_potential(e6_build_fi(8), raw_f11_block=True)
-    report = wdvv_residual(raw, 8, fail_fast=True)
+    report = wdvv_residual(raw, 8)
     assert not report.passed
     assert report.first_failure.indices == (1, 1, 4, 4)
     assert report.first_failure.exponent == 2

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
 
+from gwseries.d4 import d4_analytic, d4_build_potential
 from gwseries.frobenius import (
     FrobeniusPotential,
     MetricMatrix,
@@ -40,12 +42,12 @@ def _projective_plane(truncation: int = 6) -> FrobeniusPotential:
     )
 
 
-def _toy_potential() -> FrobeniusPotential:
+def _toy_potential(pairing: Fraction = Fraction(1)) -> FrobeniusPotential:
     series = QSeries([1, 2, 3], 1, 6)
     return FrobeniusPotential(
         coords=("t0", "x", "y", "t"),
         degrees=(Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(0)),
-        classical={(2, 0, 0, 1): Fraction(1, 2), (1, 1, 1, 0): Fraction(1)},
+        classical={(2, 0, 0, 1): Fraction(1, 2), (1, 1, 1, 0): pairing},
         quantum={(0, 1, 2, 0): series},
     )
 
@@ -198,10 +200,7 @@ def test_euler_grading_flags_degree_breaking_monomials():
 
 
 def test_plane_curve_counts_satisfy_associativity():
-    F = _projective_plane()
-    assert wdvv_residual(F, 6).passed
-    assert wdvv_residual(F, 6, skip_symmetric=True).passed
-    assert wdvv_residual(F, 6, fail_fast=True).passed
+    assert wdvv_residual(_projective_plane(), 6).passed
 
 
 def test_each_wrong_curve_count_breaks_associativity():
@@ -219,12 +218,51 @@ def test_each_wrong_curve_count_breaks_associativity():
     assert Fraction(report.first_failure.residual) == -6552
 
 
+def _wdvv_cases() -> list[tuple[FrobeniusPotential, int]]:
+    plane = _projective_plane()
+    d4 = d4_build_potential(d4_analytic(8))
+    return [
+        (plane, 6),
+        (plane.with_mutated_quantum((0, 5, 0), 2, Fraction(1, 720)), 6),
+        (plane.with_mutated_quantum((0, 14, 0), 5, Fraction(-3)), 6),
+        (d4.with_mutated_quantum((0, 2, 2, 0, 0, 0), 3, Fraction(-5, 7)), 6),
+        (_toy_potential(Fraction(3, 5)), 6),  # inverse metric entry 5/3
+    ]
+
+
 def test_reduced_quadruple_scan_finds_the_same_failure():
-    broken = _projective_plane().with_mutated_quantum((0, 5, 0), 2, Fraction(1, 720))
-    full = wdvv_residual(broken, 6)
-    reduced = wdvv_residual(broken, 6, skip_symmetric=True)
-    fast = wdvv_residual(broken, 6, fail_fast=True)
-    assert full.first_failure == reduced.first_failure == fast.first_failure
+    for potential, truncation in _wdvv_cases():
+        engine = _WdvvEngine(potential, truncation)
+        first = next(
+            (
+                (quad, failure)
+                for quad in product(range(engine.dim), repeat=4)
+                if (failure := engine.residual_failure(*quad)) is not None
+            ),
+            None,
+        )
+        failure = wdvv_residual(potential, truncation).first_failure
+        if first is None:
+            assert failure is None
+        else:
+            assert (failure.indices, (failure.exponent, Fraction(failure.residual))) == first
+
+
+def test_engine_matches_the_fraction_reference_on_every_quadruple(wdvv_reference):
+    for potential, truncation in _wdvv_cases():
+        engine = _WdvvEngine(potential, truncation)
+        reference = wdvv_reference(potential, truncation)
+        for quad in product(range(engine.dim), repeat=4):
+            reference.assert_first_failure(quad, engine.residual_failure(*quad))
+
+
+def test_wdvv_rejects_laurent_coefficients():
+    plane = _projective_plane()
+    laurent = FrobeniusPotential(
+        plane.coords, plane.degrees, plane.classical, {(0, 2, 0): QSeries([1], -1, 6)}
+    )
+    with pytest.raises(ValueError, match="power-series"):
+        wdvv_residual(laurent, 6)
 
 
 def test_residual_is_antisymmetric_in_the_outer_pair():
