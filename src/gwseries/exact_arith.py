@@ -357,55 +357,25 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm.
+        """Multiplicative inverse via the Galois norm.
 
-        Phi_n is irreducible over Q, so every nonzero element is a unit.
+        With y the product of the conjugates sigma_k(x), zeta -> zeta^k, over
+        k prime to n and k != 1, x * y is the norm of x, a nonzero rational, so
+        1/x = y / (x * y).
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # Work in Q[x]: find u with u * self = 1 (mod Phi_n).
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = [Fraction(c, self.den) for c in self.nums]
-
-        def deg(p):
-            d = len(p) - 1
-            while d >= 0 and p[d] == 0:
-                d -= 1
-            return d
-
-        def poly_sub_scaled(p, q, s, shift):
-            # p -= s * x^shift * q
-            need = deg(q) + shift + 1
-            if len(p) < need:
-                p.extend([Fraction(0)] * (need - len(p)))
-            for i in range(deg(q) + 1):
-                if q[i]:
-                    p[i + shift] -= s * q[i]
-            return p
-
-        r0, r1 = phi[:], a[:]
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            d1 = deg(r1)
-            if d1 < 0:
-                raise ZeroDivisionError("element shares a factor with Phi_n")
-            if d1 == 0:
-                break
-            d0 = deg(r0)
-            if d0 < d1:
-                r0, r1, t0, t1 = r1, r0, t1, t0
-                continue
-            s = r0[d0] / r1[d1]
-            poly_sub_scaled(r0, r1, s, d0 - d1)
-            poly_sub_scaled(t0, t1, s, d0 - d1)
-            if deg(r0) < deg(r1):
-                r0, r1, t0, t1 = r1, r0, t1, t0
-        c = r1[0]
-        inv = [t / c for t in t1]
-        den = math.lcm(*(f.denominator for f in inv)) if inv else 1
-        vec = [int(f * den) for f in inv]
-        _reduce_mod_cyclotomic(vec, self.order)
-        return CyclotomicNumber(self.order, tuple(vec), den)
+        n = self.order
+        if self.is_rational():
+            return CyclotomicNumber.from_rational(n, 1 / self.rational_value())
+        y = CyclotomicNumber.one(n)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                vec = [0] * n
+                for i, c in enumerate(self.nums):
+                    vec[i * k % n] += c
+                y = y * CyclotomicNumber(n, tuple(_reduce_mod_cyclotomic(vec, n)), self.den)
+        return y * (1 / (self * y).rational_value())
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -2,9 +2,12 @@
 
 A potential is a classical cubic polynomial plus a quantum part whose
 coefficients are QSeries in q.  Coordinates are ordered (t0, t1, ..., tk, t)
-with t0 the unit direction and t = log q the distinguished last coordinate:
-differentiating by t acts polynomially on the classical part and as q d/dq
-on quantum coefficients.
+with t0 the unit direction and t = log q the distinguished last coordinate.
+Third derivatives follow one closed-form rule: on a monomial, d_a d_b d_c
+lowers the multi-index by the triple and multiplies by the falling factorials.
+The classical part is lowered in all three slots; quantum keys never contain
+t, so there each t in the triple acts as q d/dq on the coefficient series.
+The metric eta_ab = d_0 d_a d_b F sees the classical part only.
 
 The WDVV residual is checked for every coordinate quadruple (a,b,c,d):
 
@@ -59,6 +62,8 @@ class FrobeniusPotential:
 
     def __post_init__(self):
         n = len(self.coords)
+        if n < 2:
+            raise ValueError("need distinct unit (t0) and log (t) coordinates")
         if len(self.degrees) != n:
             raise ValueError("one Euler weight per coordinate")
         for key, value in self.classical.items():
@@ -98,73 +103,50 @@ class FrobeniusPotential:
 # -- derivatives ------------------------------------------------------------------
 
 
-def _classical_derivative(poly: dict, slot: int) -> dict:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for key, value in poly.items():
-        e = key[slot]
-        if e:
-            new = key[:slot] + (e - 1,) + key[slot + 1 :]
-            out[new] = out.get(new, _F0) + value * e
-    return out
+def _lower(key: tuple[int, ...], slots) -> tuple[tuple[int, ...], int] | None:
+    """d/dt_s once for each s in `slots` on the monomial t^key: the lowered
+    multi-index and the product of the falling factorials, or None when an
+    exponent runs out."""
+    lowered = list(key)
+    scalar = 1
+    for slot in slots:
+        if not lowered[slot]:
+            return None
+        scalar *= lowered[slot]
+        lowered[slot] -= 1
+    return tuple(lowered), scalar
 
 
-def _quantum_terms_derivative(terms: list, slot: int, log_slot: int, qdq_cache: dict) -> list:
-    out = []
-    for key, scalar, series in terms:
-        if slot == log_slot:
-            cached = qdq_cache.get(id(series))
-            if cached is None:
-                cached = series.qdq()
-                qdq_cache[id(series)] = cached
-            out.append((key, scalar, cached))
-        else:
-            e = key[slot]
-            if e:
-                out.append((key[:slot] + (e - 1,) + key[slot + 1 :], scalar * e, series))
-    return out
+def _derivative_terms(potential: FrobeniusPotential, truncation: int):
+    """The rule of the module docstring as triple -> [(multi-index, scalar,
+    series)] for d_a d_b d_c F: quantum terms first, in the potential's order,
+    then classical ones.  Series stop at `truncation` at the latest; there is
+    one per (quantum key, number of t slots) plus one constant series shared
+    by the classical part, so callers may intern them by id.
+    """
+    log = len(potential.coords) - 1
+    one = QSeries.one(truncation)
+    towers = {
+        key: [series.truncate(min(truncation, series.truncation))]
+        for key, series in potential.quantum.items()
+    }
+    for tower in towers.values():
+        for _ in range(3):
+            tower.append(tower[-1].qdq())
 
-
-def _merge_terms(terms: list) -> list:
-    merged: dict[tuple, Fraction] = {}
-    series_for: dict[tuple, QSeries] = {}
-    for key, scalar, series in terms:
-        mk = (key, id(series))
-        merged[mk] = merged.get(mk, _F0) + scalar
-        series_for[mk] = series
-    return [(mk[0], s, series_for[mk]) for mk, s in merged.items() if s]
-
-
-class _DerivativeTable:
-    """Raw third-derivative terms (multi-index, scalar, series) per sorted triple."""
-
-    def __init__(self, potential: FrobeniusPotential, truncation: int):
-        self.potential = potential
-        self.truncation = truncation
-        self.log_slot = len(potential.coords) - 1
-        self.one = QSeries.one(truncation)
-        self.qdq_cache: dict[int, QSeries] = {}
-        self.base = [
-            (key, _F1, series.truncate(min(truncation, series.truncation)))
-            for key, series in potential.quantum.items()
+    def terms(triple: tuple[int, int, int]) -> list:
+        slots = [s for s in triple if s != log]
+        out = [
+            (*lowered, towers[key][3 - len(slots)])
+            for key in potential.quantum
+            if (lowered := _lower(key, slots)) is not None
         ]
-        self._cache: dict[tuple[int, int, int], list] = {}
+        for key, value in potential.classical.items():
+            if value and (lowered := _lower(key, triple)) is not None:
+                out.append((lowered[0], value * lowered[1], one))
+        return out
 
-    def terms(self, triple: tuple[int, int, int]) -> list:
-        triple = tuple(sorted(triple))
-        cached = self._cache.get(triple)
-        if cached is not None:
-            return cached
-        terms = self.base
-        poly = self.potential.classical
-        for slot in triple:
-            terms = _quantum_terms_derivative(terms, slot, self.log_slot, self.qdq_cache)
-            poly = _classical_derivative(poly, slot)
-        terms = _merge_terms(terms)
-        for key, value in poly.items():
-            if value:
-                terms.append((key, value, self.one))
-        self._cache[triple] = terms
-        return terms
+    return terms
 
 
 def third_derivative(
@@ -182,10 +164,9 @@ def third_derivative(
     >>> third_derivative(F, "t1", "t1", "t")
     {(0, 0, 0): QSeries(2q + 4q^2 + O(q^5))}
     """
-    table = _DerivativeTable(potential, potential.truncation)
     slots = tuple(potential.coordinate_index(x) for x in (a, b, c))
     out: dict[tuple[int, ...], QSeries] = {}
-    for key, scalar, series in table.terms(slots):
+    for key, scalar, series in _derivative_terms(potential, potential.truncation)(slots):
         piece = series.scale(scalar)
         out[key] = out[key] + piece if key in out else piece
     return {k: v for k, v in out.items() if not v.is_zero()}
@@ -232,28 +213,25 @@ class MetricMatrix:
 
 
 def metric_from_potential(potential: FrobeniusPotential) -> MetricMatrix:
-    """eta_ab = d_0 d_a d_b F; every entry must be a constant rational."""
+    """eta_ab = d_0 d_a d_b F; every entry must be a constant rational.
+
+    Quantum keys have no t0, so d_0 kills the whole quantum part and only the
+    classical polynomial reaches the metric.
+    """
     n = len(potential.coords)
-    table = _DerivativeTable(potential, max(potential.truncation, 1))
-    zero_key = (0,) * n
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             value = _F0
-            for key, scalar, series in table.terms((0, i, j)):
-                if key != zero_key:
-                    raise NonConstantMetric(
-                        f"entry ({potential.coords[i]},{potential.coords[j]}) "
-                        f"depends on coordinates: monomial {key}"
-                    )
-                for exponent, coeff in series.known_terms():
-                    if exponent != 0:
+            for key, coeff in potential.classical.items():
+                if coeff and (lowered := _lower(key, (0, i, j))) is not None:
+                    if any(lowered[0]):
                         raise NonConstantMetric(
                             f"entry ({potential.coords[i]},{potential.coords[j]}) "
-                            f"depends on q at order {exponent}"
+                            f"depends on coordinates: monomial {lowered[0]}"
                         )
-                    value += scalar * coeff
+                    value += coeff * lowered[1]
             row.append(value)
         rows.append(tuple(row))
     return MetricMatrix(potential.coords, tuple(rows))
@@ -262,7 +240,7 @@ def metric_from_potential(potential: FrobeniusPotential) -> MetricMatrix:
 # -- Euler grading -----------------------------------------------------------------
 
 
-def euler_residual(potential: FrobeniusPotential, name: str = "euler-grading") -> IdentityReport:
+def euler_residual(potential: FrobeniusPotential) -> IdentityReport:
     """E F = 2F with E = sum deg(t_i) t_i d_i: every monomial has weight 2.
 
     The q-direction is weightless for these elliptic orbifolds, so the check
@@ -273,8 +251,8 @@ def euler_residual(potential: FrobeniusPotential, name: str = "euler-grading") -
         for key in part:
             weight = sum((d * e for d, e in zip(potential.degrees, key)), _F0)
             if weight != 2:
-                return failure_report(name, order, key, 0, weight - 2)
-    return pass_report(name, order)
+                return failure_report("euler-grading", order, key, 0, weight - 2)
+    return pass_report("euler-grading", order)
 
 
 # -- WDVV --------------------------------------------------------------------------
@@ -299,20 +277,19 @@ class _WdvvEngine:
     def __init__(self, potential: FrobeniusPotential, truncation: int):
         inverse = metric_from_potential(potential).inverse_rows()
         self.dim = dim = len(potential.coords)
-        table = _DerivativeTable(potential, truncation)
+        derivative_terms = _derivative_terms(potential, truncation)
         ref_of: dict[int, int] = {}
         columns: list[list[Fraction]] = []
         triples: dict[tuple[int, int, int], list] = {}
         for triple in combinations_with_replacement(range(dim), 3):
             triples[triple] = []
-            for key, scalar, series in table.terms(triple):
+            for key, scalar, series in derivative_terms(triple):
                 ref = ref_of.get(id(series))
                 if ref is None:
                     if not series.is_zero() and series.valuation < 0:
                         raise ValueError("WDVV engine expects power-series coefficients")
                     ref = ref_of[id(series)] = len(columns)
-                    top = min(truncation, series.truncation)
-                    columns.append([series.coefficient(e) for e in range(top)])
+                    columns.append([series.coefficient(e) for e in range(series.truncation)])
                 triples[triple].append((key, scalar, ref))
         eta = [(e, f, w) for e in range(dim) for f in range(dim) if (w := inverse[e][f])]
         d_coeff = math.lcm(1, *(c.denominator for col in columns for c in col))
@@ -390,9 +367,7 @@ class _WdvvEngine:
         return best[0], Fraction(best[1], self.denominator)
 
 
-def wdvv_residual(
-    potential: FrobeniusPotential, truncation: int, *, name: str = "wdvv"
-) -> IdentityReport:
+def wdvv_residual(potential: FrobeniusPotential, truncation: int) -> IdentityReport:
     """Associativity residual over the coordinate quadruples, in
     lexicographic order.
 
@@ -409,5 +384,5 @@ def wdvv_residual(
         failure = engine.residual_failure(a, b, c, d)
         if failure is not None:
             exponent, residual = failure
-            return failure_report(name, truncation, quad, exponent, residual)
-    return pass_report(name, truncation)
+            return failure_report("wdvv", truncation, quad, exponent, residual)
+    return pass_report("wdvv", truncation)

@@ -26,18 +26,17 @@ from .reporting import (
 
 # -- divisor sums -------------------------------------------------------------
 
-_sigma_table: dict[tuple[int, int], int] = {}
+SIGMA_DOUBLING_N_MAX = 10_000
 
 
-def _divisor_power_sum(n: int, power: int) -> int:
-    total = 0
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            total += d**power
-            e = n // d
-            if e != d:
-                total += e**power
-    return total
+def _sigma_sieve(n_max: int, power: int = 1) -> list[int]:
+    """sigma(n, power) for 0 <= n <= n_max, with 0 in entry 0, by one sieve."""
+    sums = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        dp = d**power
+        for m in range(d, n_max + 1, d):
+            sums[m] += dp
+    return sums
 
 
 def sigma(n: int, power: int = 1) -> int:
@@ -50,11 +49,13 @@ def sigma(n: int, power: int = 1) -> int:
     """
     if n < 1:
         raise ValueError("sigma is defined for positive integers")
-    key = (n, power)
-    value = _sigma_table.get(key)
-    if value is None:
-        value = _sigma_table[key] = _divisor_power_sum(n, power)
-    return value
+    total = 0
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            total += d**power
+            if d * d != n:
+                total += (n // d) ** power
+    return total
 
 
 def f_series(truncation: int) -> QSeries:
@@ -67,7 +68,7 @@ def f_series(truncation: int) -> QSeries:
     """
     if truncation < 1:
         raise ValueError("order must be >= 1")
-    coeffs = [Fraction(-1, 24)] + [Fraction(sigma(n)) for n in range(1, truncation)]
+    coeffs = [Fraction(-1, 24)] + [Fraction(s) for s in _sigma_sieve(truncation - 1)[1:]]
     return QSeries(coeffs, 0, truncation)
 
 
@@ -291,7 +292,7 @@ def lattice_theta(spec: LatticeSpec, truncation: int) -> QSeries:
 
 
 def eisenstein_e4(truncation: int) -> QSeries:
-    coeffs = [Fraction(1)] + [Fraction(240 * sigma(n, 3)) for n in range(1, truncation)]
+    coeffs = [Fraction(1)] + [Fraction(240 * s) for s in _sigma_sieve(truncation - 1, 3)[1:]]
     return QSeries(coeffs, 0, truncation)
 
 
@@ -333,10 +334,12 @@ def verify_even_part(truncation: int) -> IdentityReport:
     return series_match("even-part-halving", lhs, rhs, truncation)
 
 
-def verify_sigma_doubling(n_max: int = 10_000) -> IdentityReport:
-    """sigma(4n) = 3 sigma(2n) - 2 sigma(n) for all n <= n_max."""
+def verify_sigma_doubling() -> IdentityReport:
+    """sigma(4n) = 3 sigma(2n) - 2 sigma(n) for all n <= SIGMA_DOUBLING_N_MAX."""
+    n_max = SIGMA_DOUBLING_N_MAX
+    sums = _sigma_sieve(4 * n_max)
     for n in range(1, n_max + 1):
-        residual = sigma(4 * n) - 3 * sigma(2 * n) + 2 * sigma(n)
+        residual = sums[4 * n] - 3 * sums[2 * n] + 2 * sums[n]
         if residual:
             return failure_report("sigma-doubling", n_max, (n,), n, Fraction(residual))
     return pass_report("sigma-doubling", n_max)

@@ -479,7 +479,7 @@ class QSeries:
         return f"QSeries({format_series(self)})"
 
 
-def format_series(s: QSeries, var: str = "q") -> str:
+def format_series(s: QSeries) -> str:
     """Human form: 'q + q^4 + 2q^7 + O(q^8)', coefficients as exact fractions."""
     parts = []
     for e, c in s.known_terms():
@@ -496,12 +496,12 @@ def format_series(s: QSeries, var: str = "q") -> str:
             term = body
         else:
             head = "" if body == "1" else body
-            term = f"{head}{var}" if e == 1 else f"{head}{var}^{e}"
+            term = f"{head}q" if e == 1 else f"{head}q^{e}"
         if not parts:
             parts.append(term if sign == "+" else f"-{term}")
         else:
             parts.append(f"{sign} {term}")
-    parts.append(("+ " if parts else "") + f"O({var}^{s.truncation})")
+    parts.append(("+ " if parts else "") + f"O(q^{s.truncation})")
     return " ".join(parts)
 
 

@@ -46,14 +46,6 @@ class IdentityReport:
             }
         return out
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "IdentityReport":
-        failure = None
-        if "failure" in data:
-            f = data["failure"]
-            failure = FirstFailure(tuple(f["indices"]), int(f["exponent"]), f["residual"])
-        return cls(data["name"], int(data["order"]), data["status"], failure)
-
     def csv_row(self) -> list[str]:
         exponent = "" if self.first_failure is None else str(self.first_failure.exponent)
         return [self.name, str(self.order_certified), self.status, exponent]

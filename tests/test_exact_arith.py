@@ -112,6 +112,15 @@ def test_inverse_round_trip_randomized():
             continue
         assert x * x.inverse() == CyclotomicNumber.one(order)
         done += 1
+    # orders 2 and 12 are outside ORDERS; a rational element inverts directly
+    for order in (2, 12):
+        for _ in range(20):
+            x = _random_element(rng, order)
+            if not x.is_zero():
+                assert x * x.inverse() == CyclotomicNumber.one(order)
+    rational = CyclotomicNumber.from_rational(72, Fraction(-2, 3))
+    assert rational.inverse() == Fraction(-3, 2)
+    assert rational * rational.inverse() == CyclotomicNumber.one(72)
 
 
 def test_inverse_of_zero_raises():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
@@ -83,6 +83,29 @@ def test_pure_log_derivatives_iterate_qdq():
     assert out == {(0, 1, 2, 0): QSeries([1, 2, 3], 1, 6).qdq().qdq().qdq()}
 
 
+def _third_derivative_slot_by_slot(F: FrobeniusPotential, *names: str) -> dict:
+    """Reference: differentiate the raw potential one slot at a time, with
+    d/dt acting as q d/dq on quantum coefficients."""
+    log = len(F.coords) - 1
+    T = F.truncation
+    terms = [(key, Fraction(1), s.truncate(T), True) for key, s in F.quantum.items()]
+    terms += [(key, value, QSeries.one(T), False) for key, value in F.classical.items()]
+    for slot in (F.coordinate_index(name) for name in names):
+        lowered = []
+        for key, scalar, series, quantum in terms:
+            if quantum and slot == log:
+                lowered.append((key, scalar, series.qdq(), quantum))
+            elif key[slot]:
+                new_key = key[:slot] + (key[slot] - 1,) + key[slot + 1 :]
+                lowered.append((new_key, scalar * key[slot], series, quantum))
+        terms = lowered
+    out: dict = {}
+    for key, scalar, series, _ in terms:
+        piece = series.scale(scalar)
+        out[key] = out[key] + piece if key in out else piece
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
 def test_third_derivative_is_symmetric_in_its_arguments():
     rng = random.Random(20260818)
     coords = ("t0", "u", "v", "w", "t")
@@ -101,6 +124,8 @@ def test_third_derivative_is_symmetric_in_its_arguments():
         for perm in ((1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0), (0, 2, 1)):
             shuffled = third_derivative(F, *(names[i] for i in perm))
             assert shuffled == reference
+        for triple in combinations_with_replacement(coords, 3):
+            assert third_derivative(F, *triple) == _third_derivative_slot_by_slot(F, *triple)
 
 
 def test_unknown_coordinate_is_reported():
@@ -189,9 +214,9 @@ def test_euler_grading_flags_degree_breaking_monomials():
         {(2, 0, 0, 1): Fraction(1, 2)},
         {(0, 1, 1, 0): QSeries([1], 1, 4)},
     )
-    report = euler_residual(F, name="toy-grading")
+    report = euler_residual(F)
     assert not report.passed
-    assert report.name == "toy-grading"
+    assert report.name == "euler-grading"
     assert report.first_failure.indices == (0, 1, 1, 0)
     assert Fraction(report.first_failure.residual) == -1
 
@@ -314,6 +339,11 @@ def test_potential_rejects_malformed_input():
         FrobeniusPotential(coords, degrees, {}, {(0, 1, 1): QSeries([1], 1, 4)})
     with pytest.raises(ValueError):
         FrobeniusPotential(coords, degrees, {}, {(0, 1, 0): Fraction(1)})
+    # with one coordinate t0 and the log coordinate t would coincide
+    with pytest.raises(ValueError):
+        FrobeniusPotential(("t0",), (Fraction(1),), {(3,): Fraction(1, 6)}, {})
+    with pytest.raises(ValueError):
+        FrobeniusPotential((), (), {}, {})
 
 
 def test_truncation_is_the_weakest_quantum_link():
