@@ -9,143 +9,4 @@ the Halphen system, a Schwarzian-type equation, and the modular identities
 tying everything to the j-invariant.
 """
 
-from .exact_arith import CyclotomicNumber, OrderMismatch, cyclotomic_root
-from .qseries import (
-    BranchMissing,
-    LeadingCoefficientNotPower,
-    NotUnit,
-    PrecisionError,
-    PuiseuxSeries,
-    QSeries,
-    QSeriesError,
-    ValuationNotDivisible,
-    ZeroDivisor,
-    format_series,
-)
-from .modular import (
-    EtaQuotient,
-    J_series,
-    LatticeSpec,
-    dedekind_eta,
-    delta_series,
-    eisenstein_e4,
-    eta_expand,
-    f_series,
-    halphen_reports,
-    halphen_variables,
-    j_series,
-    lattice_theta,
-    modular_reports,
-    sigma,
-    theta_jacobi,
-    theta_logderiv,
-)
-from .reporting import FirstFailure, GenusOneResult, IdentityReport, combine
-from .frobenius import (
-    FrobeniusPotential,
-    MetricMatrix,
-    NonConstantMetric,
-    UnknownCoordinate,
-    euler_residual,
-    metric_from_potential,
-    third_derivative,
-    wdvv_residual,
-)
-from .d4 import (
-    D4Coefficients,
-    d4_analytic,
-    d4_build_potential,
-    d4_construction_reports,
-    d4_elliptic_weyl_reports,
-    d4_eta_forms,
-    d4_eta_form_reports,
-    d4_genus_one,
-    d4_ode_reports,
-    d4_recursion_solve,
-    d4_suites,
-    d4_theta_bridge_reports,
-    halphen_suites,
-)
-from .e6 import (
-    E6Coefficients,
-    e6_build_fi,
-    e6_build_potential,
-    e6_coefficient_reports,
-    e6_genus_one,
-    e6_gw_table,
-    e6_h_analytic,
-    e6_identity_suite,
-    e6_schwarzian_solve,
-    e6_suites,
-    e6_twisted_pole_reports,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BranchMissing",
-    "CyclotomicNumber",
-    "D4Coefficients",
-    "E6Coefficients",
-    "EtaQuotient",
-    "FirstFailure",
-    "FrobeniusPotential",
-    "GenusOneResult",
-    "IdentityReport",
-    "J_series",
-    "LatticeSpec",
-    "LeadingCoefficientNotPower",
-    "MetricMatrix",
-    "NonConstantMetric",
-    "NotUnit",
-    "OrderMismatch",
-    "PrecisionError",
-    "PuiseuxSeries",
-    "QSeries",
-    "QSeriesError",
-    "UnknownCoordinate",
-    "ValuationNotDivisible",
-    "ZeroDivisor",
-    "combine",
-    "cyclotomic_root",
-    "d4_analytic",
-    "d4_build_potential",
-    "d4_construction_reports",
-    "d4_elliptic_weyl_reports",
-    "d4_eta_form_reports",
-    "d4_eta_forms",
-    "d4_genus_one",
-    "d4_ode_reports",
-    "d4_recursion_solve",
-    "d4_suites",
-    "d4_theta_bridge_reports",
-    "dedekind_eta",
-    "delta_series",
-    "e6_build_fi",
-    "e6_build_potential",
-    "e6_coefficient_reports",
-    "e6_genus_one",
-    "e6_gw_table",
-    "e6_h_analytic",
-    "e6_identity_suite",
-    "e6_schwarzian_solve",
-    "e6_suites",
-    "e6_twisted_pole_reports",
-    "eisenstein_e4",
-    "eta_expand",
-    "euler_residual",
-    "f_series",
-    "format_series",
-    "halphen_reports",
-    "halphen_suites",
-    "halphen_variables",
-    "j_series",
-    "lattice_theta",
-    "metric_from_potential",
-    "modular_reports",
-    "sigma",
-    "theta_jacobi",
-    "theta_logderiv",
-    "third_derivative",
-    "wdvv_residual",
-]

@@ -91,10 +91,6 @@ def _print_csv(header: list[str], rows: list[list[str]]) -> None:
     sys.stdout.write(buffer.getvalue())
 
 
-def _series_payload(series: QSeries) -> dict:
-    return series.to_json_dict()
-
-
 def _series_csv_rows(label: str, series: QSeries) -> list[list[str]]:
     return [[label, str(e), str(c)] for e, c in series.known_terms()]
 
@@ -132,14 +128,14 @@ def _run_expand(config: RunConfig) -> int:
     if config.format == "json":
         if integral:
             _print_json({"command": "expand", "expression": str(quotient),
-                         "series": _series_payload(expansion.to_qseries())})
+                         "series": expansion.to_qseries().to_json_dict()})
         else:
             _print_json({
                 "command": "expand",
                 "expression": str(quotient),
                 "scalar": str(expansion.scalar),
                 "offset": str(expansion.offset),
-                "unit": _series_payload(expansion.unit),
+                "unit": expansion.unit.to_json_dict(),
             })
     elif config.format == "csv":
         series = expansion.to_qseries() if integral else expansion.unit
@@ -164,7 +160,7 @@ def _run_solve(config: RunConfig) -> int:
             "command": "solve",
             "model": config.model,
             "order": config.order,
-            "series": {name: _series_payload(s) for name, s in named},
+            "series": {name: s.to_json_dict() for name, s in named},
         })
     elif config.format == "csv":
         rows = []
@@ -229,7 +225,7 @@ def _run_genus_one(config: RunConfig) -> int:
             "model": config.model,
             "order": config.order,
             "linear_log_q_coefficient": str(result.linear_coefficient),
-            "series": _series_payload(result.series),
+            "series": result.series.to_json_dict(),
             "report": result.report.to_json_dict(),
         })
     elif config.format == "csv":
@@ -289,13 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default="text",
             help="output format (default text)",
         )
-        p.add_argument(
-            "--strict-typo-mode",
-            action="store_true",
-            help="keep the f11 potential block exactly as transcribed, with one "
-            "monomial duplicated and its orbit partner missing, instead of the "
-            "symmetric completion that associativity demands",
-        )
 
     p_expand = sub.add_parser("expand", help="expand an eta quotient")
     p_expand.add_argument("expression", help='eta quotient, e.g. "eta(9)^3 * eta(3)^-1"')
@@ -308,6 +297,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an identity suite")
     p_verify.add_argument("target", choices=("d4", "e6", "halphen", "identities"))
     add_common(p_verify)
+    p_verify.add_argument(
+        "--strict-typo-mode",
+        action="store_true",
+        help="keep the f11 potential block exactly as transcribed, with one "
+        "monomial duplicated and its orbit partner missing, instead of the "
+        "symmetric completion that associativity demands",
+    )
 
     p_gw = sub.add_parser("gw-table", help="degree counts c_k with certificate")
     p_gw.add_argument("--kmax", type=int, default=10, metavar="K",
@@ -352,7 +348,7 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         order=order,
         format=args.format,
         model=model,
-        strict_typo_mode=args.strict_typo_mode,
+        strict_typo_mode=getattr(args, "strict_typo_mode", False),
         expression=getattr(args, "expression", None),
         kmax=kmax,
     )

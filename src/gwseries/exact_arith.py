@@ -190,16 +190,13 @@ def _reduce_mod_cyclotomic(vec: list[int], n: int) -> list[int]:
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     for i in range(len(vec) - 1, deg - 1, -1):
-        c = vec[i]
+        c = vec[i]  # read once, then dropped with everything above deg
         if c:
-            vec[i] = 0
-            base = i - deg
             for j in range(deg):
                 if phi[j]:
-                    vec[base + j] -= c * phi[j]
+                    vec[i - deg + j] -= c * phi[j]
     del vec[deg:]
-    while len(vec) < deg:
-        vec.append(0)
+    vec += [0] * (deg - len(vec))
     return vec
 
 
@@ -261,7 +258,15 @@ class CyclotomicNumber:
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CyclotomicNumber":
-        """The root of unity exp(2 pi i power / order) as a field element."""
+        """The root of unity exp(2 pi i power / order), canonically reduced.
+
+        >>> z = CyclotomicNumber.zeta
+        >>> z(1, 0).rational_value(), z(72, 36).rational_value()
+        (Fraction(1, 1), Fraction(-1, 1))
+        >>> w = z(3)
+        >>> (1 + w + w * w).is_zero()
+        True
+        """
         power %= order
         vec = [0] * (power + 1)
         vec[power] = 1
@@ -283,10 +288,6 @@ class CyclotomicNumber:
         if not self.is_rational():
             raise ValueError("not a rational element")
         return Fraction(self.nums[0], self.den)
-
-    def coordinates(self) -> tuple[Fraction, ...]:
-        """Coordinates in the power basis, as Fractions."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def embed(self, new_order: int) -> "CyclotomicNumber":
         """Image under Q(zeta_n) -> Q(zeta_m), zeta_n |-> zeta_m^(m/n).
@@ -430,17 +431,3 @@ class CyclotomicNumber:
                 coeff = str(Fraction(c, self.den))
                 terms.append(coeff if i == 0 else f"{coeff}*z{self.order}^{i}")
         return " + ".join(terms) if terms else "0"
-
-
-def cyclotomic_root(order: int, power: int = 1) -> CyclotomicNumber:
-    """The root of unity exp(2 pi i power / order), canonically reduced.
-
-    >>> cyclotomic_root(1, 0).rational_value()
-    Fraction(1, 1)
-    >>> cyclotomic_root(72, 36).rational_value()
-    Fraction(-1, 1)
-    >>> w = cyclotomic_root(3)
-    >>> (1 + w + w * w).is_zero()
-    True
-    """
-    return CyclotomicNumber.zeta(order, power)

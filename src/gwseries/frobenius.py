@@ -13,11 +13,11 @@ The WDVV residual is checked for every coordinate quadruple (a,b,c,d):
 
     sum_{e,f} F_abe eta^{ef} F_fcd  -  F_ade eta^{ef} F_fbc  =  0.
 
-Internally each distinct coefficient series is cleared to integers and
-packed once into a single int (Kronecker substitution, in the slot format of
-exact_arith), so the scan is integer arithmetic only: a product of two
-series is one multiplication, a residual is a difference of packed ints, and
-its first nonzero coefficient is read from the lowest set bit.
+Internally the integer numerators of each distinct coefficient series are
+packed once into a single int (Kronecker substitution, in the slot format
+of exact_arith), so the scan is integer arithmetic only: a product of two
+series is one multiplication, a residual is a difference of packed ints,
+and its first nonzero coefficient is read from the lowest set bit.
 """
 
 from __future__ import annotations
@@ -261,17 +261,17 @@ def euler_residual(potential: FrobeniusPotential) -> IdentityReport:
 class _WdvvEngine:
     """Exact associativity residuals in packed-integer arithmetic.
 
-    The interned coefficient series, the derivative-term scalars and the
-    inverse-metric weights are each cleared to integers over one common
-    denominator.  Each series is packed once into one int of T slots in the
-    slot format of exact_arith, wide enough for any residual coefficient plus
-    a sign bit, and all arithmetic is mod 2^(8 width T), so slots past T drop
-    out.  A pair product is one memoized multiplication, a contraction is an
-    integer combination of pair products per monomial, and a residual is the
-    difference of two packed ints: zero exactly when its T coefficients all
-    vanish, with its first nonzero exponent at the lowest set bit.  Monomials
-    are packed too, one slot per coordinate, so that multiplying two
-    monomials is one addition.
+    The numerators of the interned coefficient series, the derivative-term
+    scalars and the inverse-metric weights are each brought to integers over
+    one common denominator.  Each series is packed once into one int of T
+    slots in the slot format of exact_arith, wide enough for any residual
+    coefficient plus a sign bit, and all arithmetic is mod 2^(8 width T), so
+    slots past T drop out.  A pair product is one memoized multiplication, a
+    contraction is an integer combination of pair products per monomial, and
+    a residual is the difference of two packed ints: zero exactly when its T
+    coefficients all vanish, with its first nonzero exponent at the lowest
+    set bit.  Monomials are packed too, one slot per coordinate, so that
+    multiplying two monomials is one addition.
     """
 
     def __init__(self, potential: FrobeniusPotential, truncation: int):
@@ -279,24 +279,25 @@ class _WdvvEngine:
         self.dim = dim = len(potential.coords)
         derivative_terms = _derivative_terms(potential, truncation)
         ref_of: dict[int, int] = {}
-        columns: list[list[Fraction]] = []
+        columns: list[QSeries] = []
         triples: dict[tuple[int, int, int], list] = {}
         for triple in combinations_with_replacement(range(dim), 3):
             triples[triple] = []
             for key, scalar, series in derivative_terms(triple):
                 ref = ref_of.get(id(series))
                 if ref is None:
-                    if not series.is_zero() and series.valuation < 0:
+                    if series.valuation < 0:
                         raise ValueError("WDVV engine expects power-series coefficients")
                     ref = ref_of[id(series)] = len(columns)
-                    columns.append([series.coefficient(e) for e in range(series.truncation)])
+                    columns.append(series)
                 triples[triple].append((key, scalar, ref))
         eta = [(e, f, w) for e in range(dim) for f in range(dim) if (w := inverse[e][f])]
-        d_coeff = math.lcm(1, *(c.denominator for col in columns for c in col))
-        d_scalar = math.lcm(1, *(s.denominator for terms in triples.values() for _, s, _ in terms))
-        d_weight = math.lcm(1, *(w.denominator for _, _, w in eta))
+        # each series already is integer numerators over its own denominator
+        d_coeff = math.lcm(*(s.den for s in columns))
+        d_scalar = math.lcm(*(s.denominator for terms in triples.values() for _, s, _ in terms))
+        d_weight = math.lcm(*(w.denominator for _, _, w in eta))
         self.denominator = d_coeff**2 * d_scalar**2 * d_weight
-        arrays = [[c.numerator * (d_coeff // c.denominator) for c in col] for col in columns]
+        arrays = [[0] * s.valuation + [x * (d_coeff // s.den) for x in s.coeffs] for s in columns]
         self.eta_pairs = [(e, f, w.numerator * (d_weight // w.denominator)) for e, f, w in eta]
         degree = max((max(key) for terms in triples.values() for key, _, _ in terms), default=0)
         self.monomial_width = _slot_width(2 * degree)

@@ -146,9 +146,11 @@ class EtaQuotient:
             m = cls._FACTOR_RE.match(piece)
             if not m:
                 raise ValueError(f"cannot parse eta factor {piece!r}")
-            scale = int(m.group(1))
-            exponent = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-            factors.append((scale, exponent))
+            try:
+                exponent = Fraction(m.group(2) or 1)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in the exponent of {piece!r}") from None
+            factors.append((int(m.group(1)), exponent))
         if not factors:
             raise ValueError("empty eta quotient")
         return cls(tuple(factors))

@@ -3,10 +3,18 @@
 A QSeries stores finitely many exact coefficients together with a truncation
 order T: coefficients at exponents >= T are unknown, not zero.  Every
 operation propagates the truncation honestly, so a computed coefficient is
-always a theorem about the underlying series.  Coefficients are Fractions or
-CyclotomicNumbers; the two mix freely inside one field.  Every product clears
-denominators and goes through the integer kernel `int_convolve`; inverse,
-logarithm and exponential are Newton iterations over that product.
+always a theorem about the underlying series.
+
+Coefficients lie in Q (field order 1) or Q(zeta_N) (order N) and are stored
+as in FLINT's fmpq_poly: integer numerators `coeffs` over one positive `den`,
+phi(N) power-basis coordinates per exponent in one flat tuple, in canonical
+form (gcd(den, *coeffs) == 1, no zero block at either end).  Arithmetic is
+integer arithmetic with one denominator update and one gcd; products go
+through `int_convolve`, and inverse, log and exp are Newton iterations over
+them.  A rational operand meeting an order-N one is embedded; two orders
+above 1 raise OrderMismatch.  Fractions and CyclotomicNumbers only enter and
+leave at the boundary: the constructor, `from_coefficient_map`,
+`coefficient`, `known_terms`, `leading`, `format_series` and `to_json_dict`.
 
 A PuiseuxSeries is a fractional-exponent prefactor around a QSeries unit:
 scalar * q^offset * unit(q), with the offset an exact rational.  That is
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .exact_arith import (
     CyclotomicNumber,
@@ -30,8 +38,7 @@ from .exact_arith import (
 )
 
 Coefficient = Union[Fraction, CyclotomicNumber]
-
-_ZERO = Fraction(0)
+_SCALARS = (int, Fraction, CyclotomicNumber)
 _ONE = Fraction(1)
 
 
@@ -63,55 +70,45 @@ class PrecisionError(QSeriesError):
     """A coefficient beyond the truncation order was requested."""
 
 
-def _coeff_str(c: Coefficient) -> str:
-    if isinstance(c, CyclotomicNumber) and c.is_rational():
-        c = c.rational_value()
-    return str(c)
+def _parts(c) -> tuple[int, Sequence[int], int]:
+    """(order, power-basis numerators, denominator) of an exact scalar."""
+    if isinstance(c, CyclotomicNumber):
+        return c.order, c.nums, c.den
+    c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+    return 1, (c.numerator,), c.denominator
 
 
-def _cleared(cs, stride: int) -> tuple[int, list[int]]:
-    """One denominator for all of `cs` and their integer coordinates over it,
-    each coefficient's coordinates starting `stride` slots after the last."""
-    den = math.lcm(*(c.den if isinstance(c, CyclotomicNumber) else c.denominator for c in cs))
-    flat = [0] * (len(cs) * stride)
-    for i, c in enumerate(cs):
-        k = i * stride
-        if isinstance(c, CyclotomicNumber):
-            scale = den // c.den
-            flat[k : k + len(c.nums)] = [x * scale for x in c.nums]
-        else:
-            flat[k] = c.numerator * (den // c.denominator)
-    return den, flat
-
-
-def _product(xs, ys, n: int) -> list:
-    """The first n coefficients of the product of two coefficient lists.
-
-    Rational lists multiply as integer lists over one denominator each.  With
-    coefficients in Q(zeta_N), each coefficient's power-basis coordinates take
+def _convolve(xs: Sequence[int], ys: Sequence[int], order: int, n: int) -> list[int]:
+    """The first n coordinate blocks of the product of two numerator lists
+    over Q(zeta_order).  Each block of phi(N) coordinates is padded to
     2 phi(N) - 1 slots, so the coordinate products of one q-coefficient never
-    reach the next; each slot block is then reduced modulo Phi_N.
-    """
-    xs, ys = xs[:n], ys[:n]
-    orders = {c.order for c in (*xs, *ys) if isinstance(c, CyclotomicNumber)}
-    if len(orders) > 1:
-        raise OrderMismatch(f"orders differ: {sorted(orders)}; embed first")
-    stride = 2 * euler_phi(*orders) - 1 if orders else 1
-    dx, ix = _cleared(xs, stride)
-    dy, iy = _cleared(ys, stride)
-    flat = int_convolve(ix, iy, n * stride)
-    if not orders:
-        return [Fraction(c, dx * dy) for c in flat]
-    (order,) = orders
-    den = dx * dy
-    return [
-        CyclotomicNumber(order, tuple(_reduce_mod_cyclotomic(flat[k : k + stride], order)), den)
-        for k in range(0, n * stride, stride)
-    ]
+    reach the next, and each slot block is then reduced modulo Phi_N."""
+    width = euler_phi(order)
+    if width == 1:  # one coordinate per exponent: nothing to pad or reduce
+        return int_convolve(xs, ys, n)
+    stride, pad = 2 * width - 1, (0,) * (width - 1)
+
+    def padded(cs: Sequence[int]) -> list[int]:
+        return [x for i in range(0, min(len(cs), n * width), width) for x in (*cs[i : i + width], *pad)]
+
+    flat = int_convolve(padded(xs), padded(ys), n * stride)
+    blocks = (flat[k : k + stride] for k in range(0, n * stride, stride))
+    return [x for block in blocks for x in _reduce_mod_cyclotomic(block, order)]
+
+
+def _common(a: "QSeries", b: "QSeries") -> tuple["QSeries", "QSeries"]:
+    """a and b over one field: a rational series is embedded into the other's."""
+    order = max(a.order, b.order)
+    if min(a.order, b.order) not in (1, order):
+        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}; embed first")
+    return a._embed(order), b._embed(order)
 
 
 class QSeries:
     """Exact Laurent series known through q^(truncation-1).
+
+    Stored as (order, den, valuation, truncation, coeffs) in the canonical
+    form of the module docstring; the constructor takes exact values.
 
     >>> s = QSeries([1, -1, 0, 2], valuation=-1, truncation=5)
     >>> s
@@ -122,38 +119,75 @@ class QSeries:
     4
     >>> s + QSeries.one(3) == s.truncate(3) + 1
     True
+    >>> h = QSeries([Fraction(1, 2), Fraction(-1, 3)], 0, 3)
+    >>> (h.order, h.den, h.coeffs)
+    (1, 6, (3, -2))
     """
 
-    __slots__ = ("valuation", "coeffs", "truncation")
+    __slots__ = ("order", "den", "valuation", "coeffs", "truncation")
 
-    def __init__(
-        self,
-        coeffs: Iterable[Coefficient],
-        valuation: int = 0,
-        truncation: int | None = None,
-    ):
-        cs = [c if isinstance(c, (Fraction, CyclotomicNumber)) else Fraction(c) for c in coeffs]
+    def __new__(cls, coeffs: Iterable[Coefficient], valuation: int = 0, truncation: int | None = None):
+        parts = [_parts(c) for c in coeffs]
+        order = max((o for o, _, _ in parts), default=1)
+        if any(o not in (1, order) for o, _, _ in parts):
+            raise OrderMismatch(f"orders differ: {sorted({o for o, _, _ in parts} - {1})}; embed first")
+        width = euler_phi(order)
+        den = math.lcm(*(d for _, _, d in parts))
+        flat: list[int] = []
+        for _, nums, d in parts:
+            flat += [x * (den // d) for x in nums] + [0] * (width - len(nums))
         if truncation is None:
-            truncation = valuation + len(cs)
-        # canonical form: no leading or trailing zero entries
-        lead = 0
-        while lead < len(cs) and not cs[lead]:
-            lead += 1
-        tail = len(cs)
-        while tail > lead and not cs[tail - 1]:
-            tail -= 1
-        cs = cs[lead:tail]
-        valuation += lead
-        if not cs:
-            valuation = truncation
-        elif valuation + len(cs) > truncation:
+            truncation = valuation + len(parts)
+        return cls._make(order, den, valuation, flat, truncation)
+
+    @classmethod
+    def _make(cls, order: int, den: int, valuation: int, coeffs: Sequence[int], truncation: int):
+        """The series with these fields in canonical form: zero end blocks
+        dropped, the common factor of den and the numerators divided out."""
+        width = euler_phi(order)
+        lo, hi = 0, len(coeffs)
+        while lo < hi and not any(coeffs[lo : lo + width]):
+            lo += width
+        while hi > lo and not any(coeffs[hi - width : hi]):
+            hi -= width
+        valuation += lo // width
+        if lo == hi:
+            valuation, den = truncation, 1
+        elif valuation + (hi - lo) // width > truncation:
             raise ValueError("coefficients extend past the truncation order")
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "truncation", truncation)
+        coeffs = coeffs[lo:hi]
+        g = math.gcd(den, *coeffs)
+        if g > 1:
+            den //= g
+            coeffs = [x // g for x in coeffs]
+        series = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (order, den, valuation, tuple(coeffs), truncation)):
+            object.__setattr__(series, name, value)
+        return series
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
+
+    @property
+    def _width(self) -> int:  # coordinates per exponent
+        return euler_phi(self.order)
+
+    def _replace(self, **fields) -> "QSeries":
+        """A copy with some fields replaced, brought to canonical form."""
+        return QSeries._make(**{name: getattr(self, name) for name in self.__slots__} | fields)
+
+    def _embed(self, order: int) -> "QSeries":
+        """The same series over Q(zeta_order); self must be rational or of that order."""
+        if order == self.order:
+            return self
+        pad = (0,) * (euler_phi(order) - 1)
+        return self._replace(order=order, coeffs=[x for c in self.coeffs for x in (c, *pad)])
+
+    def _value(self, block: Sequence[int]) -> Coefficient:
+        """One coordinate block over den, as an exact field element."""
+        if self.order == 1:
+            return Fraction(block[0], self.den)
+        return CyclotomicNumber(self.order, tuple(block), self.den)
 
     # -- constructors ------------------------------------------------------
 
@@ -163,7 +197,7 @@ class QSeries:
 
     @classmethod
     def one(cls, truncation: int) -> "QSeries":
-        return cls.constant(_ONE, truncation)
+        return cls.constant(1, truncation)
 
     @classmethod
     def constant(cls, value: Coefficient | int, truncation: int) -> "QSeries":
@@ -199,21 +233,23 @@ class QSeries:
             raise PrecisionError(
                 f"coefficient of q^{exponent} unknown at truncation {self.truncation}"
             )
-        i = exponent - self.valuation
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return _ZERO
+        width = self._width
+        i = (exponent - self.valuation) * width
+        inside = 0 <= i < len(self.coeffs)
+        return self._value(self.coeffs[i : i + width] if inside else (0,) * width)
 
     def known_terms(self) -> Iterator[tuple[int, Coefficient]]:
         """Nonzero (exponent, coefficient) pairs in increasing exponent order."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield self.valuation + i, c
+        width = self._width
+        for i in range(0, len(self.coeffs), width):
+            block = self.coeffs[i : i + width]
+            if any(block):
+                yield self.valuation + i // width, self._value(block)
 
     def leading(self) -> tuple[int, Coefficient]:
         if not self.coeffs:
             raise ZeroDivisor("series is zero to its truncation order")
-        return self.valuation, self.coeffs[0]
+        return self.valuation, self._value(self.coeffs[: self._width])
 
     def truncate(self, truncation: int) -> "QSeries":
         """Forget coefficients at exponents >= truncation."""
@@ -221,33 +257,42 @@ class QSeries:
             raise PrecisionError(
                 f"cannot extend truncation {self.truncation} to {truncation}"
             )
-        keep = max(0, min(len(self.coeffs), truncation - self.valuation))
-        return QSeries(self.coeffs[:keep], self.valuation, truncation)
+        keep = max(0, truncation - self.valuation) * self._width
+        return self._replace(coeffs=self.coeffs[:keep], truncation=truncation)
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q^k."""
-        return QSeries(self.coeffs, self.valuation + k, self.truncation + k)
+        return self._replace(valuation=self.valuation + k, truncation=self.truncation + k)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
+        if isinstance(other, _SCALARS):
             other = QSeries.constant(other, self.truncation)
         if not isinstance(other, QSeries):
             return NotImplemented
-        t = min(self.truncation, other.truncation)
-        if self.is_zero():
-            return other.truncate(t)
-        if other.is_zero():
-            return self.truncate(t)
-        lo = min(self.valuation, other.valuation)
-        hi = min(t, max(self.valuation + len(self.coeffs), other.valuation + len(other.coeffs)))
-        return QSeries([self.coefficient(e) + other.coefficient(e) for e in range(lo, hi)], lo, t)
+        a, b = _common(self, other)
+        t = min(a.truncation, b.truncation)
+        if a.is_zero():
+            return b.truncate(t)
+        if b.is_zero():
+            return a.truncate(t)
+        width = a._width
+        lo = min(a.valuation, b.valuation)
+        hi = min(t, max(s.valuation + len(s.coeffs) // width for s in (a, b)))
+        den = math.lcm(a.den, b.den)
+        out = [0] * (max(0, hi - lo) * width)
+        for s in (a, b):
+            k = den // s.den
+            part = s.coeffs[: max(0, hi - s.valuation) * width]
+            for i, x in enumerate(part, (s.valuation - lo) * width):
+                out[i] += x * k
+        return QSeries._make(a.order, den, lo, out, t)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (QSeries, int, Fraction, CyclotomicNumber)):
+        if isinstance(other, (QSeries, *_SCALARS)):
             return self + (-other)
         return NotImplemented
 
@@ -255,29 +300,31 @@ class QSeries:
         return (-self) + other
 
     def __neg__(self):
-        return QSeries(tuple(-c for c in self.coeffs), self.valuation, self.truncation)
+        return self._replace(coeffs=[-x for x in self.coeffs])
 
     def scale(self, scalar: Coefficient | int) -> "QSeries":
-        if not scalar:
-            return QSeries.zero(self.truncation)
-        return QSeries(tuple(c * scalar for c in self.coeffs), self.valuation, self.truncation)
+        c = QSeries.constant(scalar, self.truncation - self.valuation)
+        if c.order > 1:
+            return self * c
+        # a rational scalar multiplies every numerator alike
+        p = c.coeffs[0] if c.coeffs else 0
+        return self._replace(den=self.den * c.den, coeffs=[x * p for x in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
+        a, b = _common(self, other)
         # O(q^Ta) * q^vb and q^va * O(q^Tb) bound what the product can know.
-        t = min(self.truncation + other.valuation, other.truncation + self.valuation)
-        if self.is_zero() or other.is_zero():
-            return QSeries.zero(t)
-        v = self.valuation + other.valuation
-        return QSeries(_product(self.coeffs, other.coeffs, t - v), v, t)
+        t = min(a.truncation + b.valuation, b.truncation + a.valuation)
+        if a.is_zero() or b.is_zero():
+            return QSeries._make(a.order, 1, t, (), t)
+        v = a.valuation + b.valuation
+        flat = _convolve(a.coeffs, b.coeffs, a.order, t - v)
+        return QSeries._make(a.order, a.den * b.den, v, flat, t)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def inv(self) -> "QSeries":
         """Multiplicative inverse, with the relative precision preserved.
@@ -286,24 +333,22 @@ class QSeries:
         >>> list(c for _, c in g.known_terms()) == [Fraction(1)] * 8
         True
         """
-        if self.is_zero():
-            raise ZeroDivisor("cannot invert a series that is zero to O(q^T)")
-        v, c = self.leading()
+        v, c = self.leading()  # raises ZeroDivisor on a series zero to O(q^T)
         rel = self.truncation - v  # number of known coefficients
-        cinv = _ONE / c if isinstance(c, Fraction) else c.inverse()
+        cinv = 1 / c
         w = self.shift(-v).scale(cinv)
         # Newton: x <- x (2 - w x) doubles the number of correct terms.
         x = QSeries.one(1)
         while x.truncation < rel:
             m = min(2 * x.truncation, rel)
-            xp = QSeries(x.coeffs, 0, m)
+            xp = x._replace(truncation=m)
             x = xp + xp * (1 - w.truncate(m) * xp)
         return x.scale(cinv).shift(-v)
 
     def __truediv__(self, other):
         if isinstance(other, QSeries):
             return self * other.inv()
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
+        if isinstance(other, _SCALARS):
             return self.scale(_ONE / other)  # raises ZeroDivisionError on zero
         return NotImplemented
 
@@ -314,66 +359,67 @@ class QSeries:
             return self.inv() ** (-exponent)
         if exponent == 0:
             return QSeries.one(self.truncation - self.valuation + max(self.valuation, 0))
-        result = None
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if exponent == 1:
+            return self
+        square = self ** (exponent // 2)
+        square = square * square
+        return square * self if exponent & 1 else square
 
     # -- calculus and structure ----------------------------------------------
 
     def qdq(self) -> "QSeries":
         """The operator q d/dq, acting termwise as c_n -> n c_n."""
-        cs = tuple(c * (self.valuation + i) for i, c in enumerate(self.coeffs))
-        return QSeries(cs, self.valuation, self.truncation)
+        width, v = self._width, self.valuation
+        return self._replace(coeffs=[x * (v + i // width) for i, x in enumerate(self.coeffs)])
 
     def substitute_power(self, m: int) -> "QSeries":
         """Replace q by q^m (m >= 1); exponents and truncation scale by m."""
         if m < 1:
             raise ValueError("substitution power must be >= 1")
-        if m == 1:
-            return self
-        if self.is_zero():
-            return QSeries.zero(m * self.truncation)
-        cs: list = [0] * ((len(self.coeffs) - 1) * m + 1)
-        for i, c in enumerate(self.coeffs):
-            cs[i * m] = c
-        return QSeries(cs, self.valuation * m, self.truncation * m)
+        width = self._width
+        flat = [0] * (len(self.coeffs) * m)
+        for i in range(0, len(self.coeffs), width):
+            flat[i * m : i * m + width] = self.coeffs[i : i + width]
+        return self._replace(valuation=self.valuation * m, coeffs=flat, truncation=self.truncation * m)
 
     def twist(self, c: Coefficient | int) -> "QSeries":
-        """Substitute q -> c*q: the q^n coefficient picks up a factor c^n."""
+        """Substitute q -> c*q: the q^n coefficient picks up a factor c^n.
+
+        With c = nums/d, c^v = nums_v/d_v and n exponents known, the block at
+        exponent v + i is multiplied by nums_v nums^i d^(n-1-i), and the one
+        denominator by d_v d^(n-1).
+        """
         if c == 1:
             return self
         if not c:
             raise ZeroDivisionError("twist scalar must be invertible")
-        if not isinstance(c, (Fraction, CyclotomicNumber)):
-            c = Fraction(c)
-        power = c**self.valuation
-        out = []
-        for coeff in self.coeffs:
-            out.append(coeff * power)
-            power = power * c
-        return QSeries(out, self.valuation, self.truncation)
+        s, base = _common(self, QSeries.constant(c, 1))
+        start = QSeries.constant(base.leading()[1] ** s.valuation, 1)._embed(s.order)
+        d, lift = base.den, base.den ** max(len(s.coeffs) // s._width - 1, 0)
+        power = [x * lift for x in start.coeffs]  # nums_v nums^i d^(n-1-i)
+        out: list[int] = []
+        for i in range(0, len(s.coeffs), s._width):
+            out += _convolve(s.coeffs[i : i + s._width], power, s.order, 1)
+            power = [x // d for x in _convolve(power, base.coeffs, s.order, 1)]  # exact until unused
+        return s._replace(den=s.den * start.den * lift, coeffs=out)
 
     def log_unit(self) -> "QSeries":
         """Logarithm of a unit with constant term exactly 1.
 
-        From q dL/dq = (q du/dq) / u, with the inverse taken by Newton.
+        From q dL/dq = (q du/dq) / u, with the inverse taken by Newton; the
+        division by n is one denominator update by lcm(1, ..., T-1).
 
         >>> u = QSeries([1, 1], 0, 6)          # 1 + q
         >>> (u.log_unit() - QSeries([1, Fraction(-1,2), Fraction(1,3), Fraction(-1,4), Fraction(1,5)], 1, 6)).is_zero()
         True
         """
-        if self.valuation != 0 or self.coefficient(0) != 1:
+        width = self._width
+        if self.valuation != 0 or self.coeffs[:width] != (self.den,) + (0,) * (width - 1):
             raise NotUnit("log requires constant term exactly 1")
         d = self.qdq() * self.inv()
-        t = self.truncation
-        return QSeries([d.coefficient(e) * Fraction(1, e) for e in range(1, t)], 1, t)
+        lcm = math.lcm(*range(1, self.truncation))
+        cs = [x * (lcm // (d.valuation + i // width)) for i, x in enumerate(d.coeffs)]
+        return QSeries._make(d.order, d.den * lcm, d.valuation, cs, self.truncation)
 
     def exp_positive(self) -> "QSeries":
         """Exponential of a series with valuation >= 1.
@@ -386,7 +432,7 @@ class QSeries:
         e = QSeries.one(min(t, 1))
         while e.truncation < t:
             m = min(2 * e.truncation, t)
-            ep = QSeries(e.coeffs, 0, m)
+            ep = e._replace(truncation=m)
             e = ep * (1 + self.truncate(m) - ep.log_unit())
         return e
 
@@ -394,23 +440,22 @@ class QSeries:
         """Raise to an exact rational power via exp(r log(unit)).
 
         The valuation times r must be an integer and the leading coefficient
-        must admit an exact root; otherwise the result would leave the
-        Laurent model and belongs in PuiseuxSeries.
+        must admit an exact rational root; otherwise the result would leave
+        the Laurent model and belongs in PuiseuxSeries.
         """
         r = Fraction(r)
         if r.denominator == 1:
             return self ** int(r)
-        v, c = self.leading()
+        v, _ = self.leading()
         if (v * r).denominator != 1:
             raise ValuationNotDivisible(f"valuation {v} times exponent {r} is fractional")
-        if isinstance(c, CyclotomicNumber):
-            if not c.is_rational():
-                raise LeadingCoefficientNotPower("no canonical root in a cyclotomic field")
-            c = c.rational_value()
+        if any(self.coeffs[1 : self._width]):
+            raise LeadingCoefficientNotPower("no canonical root in a cyclotomic field")
+        c = Fraction(self.coeffs[0], self.den)
         root = rational_nth_root(c, r.denominator)
         if root is None:
             raise LeadingCoefficientNotPower(f"{c} has no exact {r.denominator}-th root")
-        unit = self.shift(-v).scale(_ONE / c)
+        unit = self.shift(-v).scale(1 / c)
         powered = (unit.log_unit().scale(r)).exp_positive()
         return powered.scale(root ** r.numerator).shift(int(v * r))
 
@@ -423,31 +468,21 @@ class QSeries:
         """
         if n < 1:
             raise ValueError("root index must be >= 1")
-        v, _ = self.leading()
-        if v % n != 0:
-            raise ValuationNotDivisible(f"valuation {v} not divisible by {n}")
         return self.pow_rational(Fraction(1, n))
 
     # -- comparisons ----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            other = QSeries.constant(other, self.truncation)
-        if not isinstance(other, QSeries):
+        if not isinstance(other, (QSeries, *_SCALARS)):
             return NotImplemented
-        return self.first_difference(other) is None
+        return (self - other).is_zero()
 
     __hash__ = None  # equality only holds up to min truncation
 
     def first_difference(self, other: "QSeries") -> tuple[int, Coefficient] | None:
         """Smallest exponent where the two series disagree, with the residual."""
-        t = min(self.truncation, other.truncation)
-        lo = min(self.valuation, other.valuation)
-        for e in range(lo, t):
-            a, b = self.coefficient(e), other.coefficient(e)
-            if a != b:
-                return e, a - b
-        return None
+        diff = self - other
+        return None if diff.is_zero() else diff.leading()
 
     # -- serialization ----------------------------------------------------------
 
@@ -457,14 +492,11 @@ class QSeries:
         The coefficient list is dense from the valuation through truncation-1.
         Only rational-coefficient series serialize.
         """
-        cs = []
-        for e in range(self.valuation, self.truncation):
-            c = self.coefficient(e)
-            if isinstance(c, CyclotomicNumber):
-                if not c.is_rational():
-                    raise ValueError("only rational-coefficient series serialize to JSON")
-                c = c.rational_value()
-            cs.append(str(c))
+        width = self._width
+        if any(x for i, x in enumerate(self.coeffs) if i % width):
+            raise ValueError("only rational-coefficient series serialize to JSON")
+        cs = [str(Fraction(x, self.den)) for x in self.coeffs[::width]]
+        cs += ["0"] * (self.truncation - self.valuation - len(cs))
         return {"valuation": self.valuation, "truncation": self.truncation, "coeffs": cs}
 
     @classmethod
@@ -486,21 +518,15 @@ def format_series(s: QSeries) -> str:
         if isinstance(c, CyclotomicNumber) and c.is_rational():
             c = c.rational_value()
         if isinstance(c, CyclotomicNumber):
-            body = f"({c})"
-            sign = "+"
+            sign, body = "+", f"({c})"
         else:
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            body = _coeff_str(mag)
-        if e == 0:
-            term = body
-        else:
-            head = "" if body == "1" else body
-            term = f"{head}q" if e == 1 else f"{head}q^{e}"
+            sign, body = "-" if c < 0 else "+", str(abs(c))
+        if e:
+            body = ("" if body == "1" else body) + ("q" if e == 1 else f"q^{e}")
         if not parts:
-            parts.append(term if sign == "+" else f"-{term}")
+            parts.append(body if sign == "+" else f"-{body}")
         else:
-            parts.append(f"{sign} {term}")
+            parts.append(f"{sign} {body}")
     parts.append(("+ " if parts else "") + f"O(q^{s.truncation})")
     return " ".join(parts)
 
@@ -527,10 +553,9 @@ class PuiseuxSeries:
             scalar = Fraction(scalar)
         v, c = unit.leading()
         if v != 0 or c != 1:
-            cinv = _ONE / c if isinstance(c, Fraction) else c.inverse()
             scalar = scalar * c
             offset = Fraction(offset) + v
-            unit = unit.shift(-v).scale(cinv)
+            unit = unit.shift(-v).scale(1 / c)
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "offset", Fraction(offset))
         object.__setattr__(self, "unit", unit)
@@ -569,20 +594,10 @@ class PuiseuxSeries:
         return PuiseuxSeries(self.scalar**exponent, self.offset * exponent, unit)
 
     def pow_rational(self, r: Fraction) -> "PuiseuxSeries":
-        """Exact rational power; the scalar must admit an exact root."""
-        r = Fraction(r)
-        if r.denominator == 1:
-            return self ** int(r)
-        scalar = self.scalar
-        if isinstance(scalar, CyclotomicNumber):
-            if not scalar.is_rational():
-                raise LeadingCoefficientNotPower("cyclotomic scalar has no canonical root")
-            scalar = scalar.rational_value()
-        root = rational_nth_root(scalar, r.denominator)
-        if root is None:
-            raise LeadingCoefficientNotPower(f"{scalar} has no exact {r.denominator}-th root")
-        unit = self.unit.log_unit().scale(r).exp_positive()
-        return PuiseuxSeries(root ** r.numerator, self.offset * r, unit)
+        """Exact rational power; the scalar must admit an exact root, which is
+        the root of the constant series it spans."""
+        scalar = QSeries.constant(self.scalar, 1).pow_rational(r).leading()[1]
+        return PuiseuxSeries(scalar, self.offset * Fraction(r), self.unit.pow_rational(r))
 
     def twist(self, c: Coefficient, branch: Coefficient | None = None) -> "PuiseuxSeries":
         """Substitute q -> c*q.  The unit twists termwise; q^offset contributes
@@ -606,8 +621,7 @@ class PuiseuxSeries:
         The scalar never matters here, which is why log-derivatives are the
         right interface to eta quotients with awkward prefactors.
         """
-        series = self.unit.qdq() * self.unit.inv()
-        return series + QSeries.constant(self.offset, series.truncation)
+        return self.unit.qdq() * self.unit.inv() + self.offset
 
     def to_qseries(self) -> QSeries:
         """Collapse to a Laurent series; requires an integral offset."""
@@ -632,4 +646,4 @@ class PuiseuxSeries:
         else:
             o = self.offset
             prefix = f"q^{o}*" if o.denominator == 1 else f"q^({o})*"
-        return f"PuiseuxSeries({_coeff_str(self.scalar)}*{prefix}({format_series(self.unit)}))"
+        return f"PuiseuxSeries({self.scalar}*{prefix}({format_series(self.unit)}))"

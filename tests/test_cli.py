@@ -49,10 +49,11 @@ def test_expand_fractional_offset_prints_unit_form(capsys):
 
 
 def test_expand_bad_expression_is_a_usage_error(capsys):
-    status, out, err = _run(capsys, command="expand", order=10, expression="zeta(2)")
-    assert status == 2
-    assert out == ""
-    assert "error:" in err
+    for expression in ("zeta(2)", "eta(1)^1/0"):
+        status, out, err = _run(capsys, command="expand", order=10, expression=expression)
+        assert status == 2
+        assert out == ""
+        assert "error:" in err
 
 
 def test_expand_order_must_clear_the_leading_exponent(capsys):
@@ -282,6 +283,7 @@ def test_parse_args_usage_errors():
         ["gw-table", "--kmax", "-1"],
         ["verify", "everything"],
         ["verify", "e6", "--parallel"],
+        ["solve", "e6", "--strict-typo-mode"],
         ["expand"],
     ):
         with pytest.raises(SystemExit) as excinfo:

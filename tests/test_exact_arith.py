@@ -9,7 +9,6 @@ from gwseries.exact_arith import (
     CyclotomicNumber,
     OrderMismatch,
     cyclotomic_polynomial,
-    cyclotomic_root,
     euler_phi,
     integer_nth_root,
     rational_nth_root,
@@ -61,28 +60,28 @@ def test_cyclotomic_polynomial_known_values():
 
 
 def test_root_of_unity_basics():
-    assert cyclotomic_root(1, 0).rational_value() == 1
-    assert cyclotomic_root(72, 36).rational_value() == -1
-    w = cyclotomic_root(3, 1)
+    assert CyclotomicNumber.zeta(1, 0).rational_value() == 1
+    assert CyclotomicNumber.zeta(72, 36).rational_value() == -1
+    w = CyclotomicNumber.zeta(3, 1)
     assert (1 + w + w * w).is_zero()
-    assert cyclotomic_root(72, 8) * cyclotomic_root(72, 64) == 1
+    assert CyclotomicNumber.zeta(72, 8) * CyclotomicNumber.zeta(72, 64) == 1
 
 
 def test_root_of_unity_has_multiplicative_order():
     for order in ORDERS:
-        z = cyclotomic_root(order)
+        z = CyclotomicNumber.zeta(order)
         assert z**order == 1
         power = CyclotomicNumber.one(order)
         for k in range(1, order):
             power = power * z
             if order > 1 and k < order:
-                assert power == cyclotomic_root(order, k)
+                assert power == CyclotomicNumber.zeta(order, k)
         assert power * z == 1
 
 
 def test_negative_powers_reduce_mod_order():
-    assert cyclotomic_root(72, -48) == cyclotomic_root(72, 24)
-    assert cyclotomic_root(9, -1) == cyclotomic_root(9, 8)
+    assert CyclotomicNumber.zeta(72, -48) == CyclotomicNumber.zeta(72, 24)
+    assert CyclotomicNumber.zeta(9, -1) == CyclotomicNumber.zeta(9, 8)
 
 
 def test_field_axioms_randomized():
@@ -129,7 +128,7 @@ def test_inverse_of_zero_raises():
 
 
 def test_known_inverse_in_third_roots():
-    w = cyclotomic_root(3)
+    w = CyclotomicNumber.zeta(3)
     x = 1 + w
     assert x * x.inverse() == 1
     # 1 + w = -w^2, so its inverse is -w
@@ -143,33 +142,33 @@ def test_rational_embedding_and_mixed_arithmetic():
     assert half + Fraction(1, 2) == 1
     assert Fraction(3, 2) - half == 1
     assert half * 4 == 2
-    z = cyclotomic_root(24)
+    z = CyclotomicNumber.zeta(24)
     assert (z * 0).is_zero()
     assert not (z + 1).is_rational()
 
 
 def test_embed_into_larger_field():
-    w = cyclotomic_root(3)
+    w = CyclotomicNumber.zeta(3)
     w72 = w.embed(72)
-    assert w72 == cyclotomic_root(72, 24)
+    assert w72 == CyclotomicNumber.zeta(72, 24)
     assert w72.order == 72
-    mixed = w72 + cyclotomic_root(72, 1)
+    mixed = w72 + CyclotomicNumber.zeta(72, 1)
     assert not mixed.is_rational()
 
 
 def test_order_mismatch_raises():
     with pytest.raises(OrderMismatch):
-        cyclotomic_root(3) + cyclotomic_root(9)
+        CyclotomicNumber.zeta(3) + CyclotomicNumber.zeta(9)
     # equal elements of different orders must be embedded before comparing
     with pytest.raises(OrderMismatch):
-        cyclotomic_root(3) == cyclotomic_root(72) ** 24
-    assert cyclotomic_root(3).embed(72) == cyclotomic_root(72) ** 24
-    assert CyclotomicNumber.from_rational(3, -1) == cyclotomic_root(72, 36)
+        CyclotomicNumber.zeta(3) == CyclotomicNumber.zeta(72) ** 24
+    assert CyclotomicNumber.zeta(3).embed(72) == CyclotomicNumber.zeta(72) ** 24
+    assert CyclotomicNumber.from_rational(3, -1) == CyclotomicNumber.zeta(72, 36)
 
 
 def test_real_subfield_identity():
     # zeta + 1/zeta is real: for order 9 it satisfies x^3 - 3x + 1 = 0
-    z = cyclotomic_root(9)
+    z = CyclotomicNumber.zeta(9)
     x = z + z.inverse()
     assert (x**3 - 3 * x + 1).is_zero()
 

@@ -129,7 +129,7 @@ def test_eta_quotient_parse_and_str():
 
 
 def test_eta_quotient_rejects_garbage():
-    for bad in ("", "theta(2)", "eta(-1)", "eta(2)^", "eta(2)^^2", "eta(x)"):
+    for bad in ("", "theta(2)", "eta(-1)", "eta(2)^", "eta(2)^^2", "eta(x)", "eta(1)^1/0"):
         with pytest.raises(ValueError):
             EtaQuotient.parse(bad)
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gwseries.exact_arith import OrderMismatch, cyclotomic_root, int_convolve
+from gwseries.exact_arith import CyclotomicNumber, OrderMismatch, int_convolve
 from gwseries.modular import eta_unit
 from gwseries.qseries import (
     BranchMissing,
@@ -258,7 +258,7 @@ def test_partition_oracle_in_qcubed():
 
 def test_twist_multiplies_coefficients_termwise():
     rng = random.Random(72)
-    z = cyclotomic_root(24, 5)
+    z = CyclotomicNumber.zeta(24, 5)
     s = _random_series(rng, 12)
     twisted = s.twist(z)
     for e, c in s.known_terms():
@@ -412,10 +412,10 @@ def _mixed_coefficient(rng: random.Random):
     q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
     if kind == 0:
         return q
-    z = cyclotomic_root(72, rng.randrange(72)) * q
+    z = CyclotomicNumber.zeta(72, rng.randrange(72)) * q
     if kind == 1:
         return z
-    return z + cyclotomic_root(72, rng.randrange(72)) * Fraction(1, rng.randint(1, 5))
+    return z + CyclotomicNumber.zeta(72, rng.randrange(72)) * Fraction(1, rng.randint(1, 5))
 
 
 def test_cyclotomic_series_products_match_scalar_schoolbook():
@@ -438,16 +438,16 @@ def test_cyclotomic_series_products_match_scalar_schoolbook():
 
 
 def test_twisted_eta_unit_inverse_log_and_exp():
-    u = eta_unit(1, 40).twist(cyclotomic_root(72, 5))
+    u = eta_unit(1, 40).twist(CyclotomicNumber.zeta(72, 5))
     assert u * u.inv() == 1
     assert u.log_unit().exp_positive() == u
-    shifted = u.shift(-2).scale(cyclotomic_root(72, 7) + Fraction(1, 3))
+    shifted = u.shift(-2).scale(CyclotomicNumber.zeta(72, 7) + Fraction(1, 3))
     assert shifted * shifted.inv() == QSeries.one(38)
 
 
 def test_product_across_cyclotomic_orders_raises():
-    a = QSeries([1, cyclotomic_root(72, 1)], 0, 4)
-    b = QSeries([cyclotomic_root(24, 1)], 0, 4)
+    a = QSeries([1, CyclotomicNumber.zeta(72, 1)], 0, 4)
+    b = QSeries([CyclotomicNumber.zeta(24, 1)], 0, 4)
     with pytest.raises(OrderMismatch):
         a * b
 
@@ -476,7 +476,7 @@ def test_json_schema_shape():
 
 
 def test_cyclotomic_series_refuse_json():
-    s = QSeries([cyclotomic_root(3)], 0, 2)
+    s = QSeries([CyclotomicNumber.zeta(3)], 0, 2)
     with pytest.raises(ValueError):
         s.to_json_dict()
 
@@ -514,9 +514,9 @@ def test_puiseux_twist_branch_contract():
     unit = QSeries([1, 1], 0, 6)
     s = PuiseuxSeries(1, Fraction(1, 24), unit)
     with pytest.raises(BranchMissing):
-        s.twist(cyclotomic_root(72, 3))
-    twisted = s.twist(cyclotomic_root(72, 3), branch=cyclotomic_root(72, 1))
-    assert twisted.scalar == cyclotomic_root(72, 1)
+        s.twist(CyclotomicNumber.zeta(72, 3))
+    twisted = s.twist(CyclotomicNumber.zeta(72, 3), branch=CyclotomicNumber.zeta(72, 1))
+    assert twisted.scalar == CyclotomicNumber.zeta(72, 1)
     # integral offsets never need a branch
     t = PuiseuxSeries(1, Fraction(2), unit).twist(Fraction(-1))
     assert t.scalar == 1
