@@ -35,7 +35,7 @@ from .modular import (
     halphen_variables,
     lattice_theta,
 )
-from .qseries import QSeries
+from .qseries import QSeries, solve_qdq_system
 from .reporting import GenusOneResult, IdentityReport, combine, series_match
 
 _HALF = Fraction(1, 2)
@@ -70,18 +70,27 @@ class D4Coefficients:
         )
 
 
+def _d4_rhs(a: QSeries, b: QSeries, c: QSeries) -> tuple[QSeries, QSeries, QSeries]:
+    """The first-order quadratic system associativity forces, ' = q d/dq:
+
+        a' =  (8/3) a c - 24 a b
+        b' = -(2/3) a^2 - (16/3) b c + (8/9) c^2
+        c' =   6 a^2 - (8/3) c^2
+    """
+    aa, cc = a * a, c * c
+    return (
+        (a * c).scale(Fraction(8, 3)) - (a * b).scale(24),
+        aa.scale(Fraction(-2, 3)) - (b * c).scale(Fraction(16, 3)) + cc.scale(Fraction(8, 9)),
+        aa.scale(6) - cc.scale(Fraction(8, 3)),
+    )
+
+
 def d4_recursion_solve(order: int) -> D4Coefficients:
-    """Solve the quadratic recursion equivalent to associativity.
+    """Solve the system `_d4_rhs` equivalent to associativity.
 
-    The system
-
-        q a' =  (8/3) a c - 24 a b
-        q b' = -(2/3) a^2 - (16/3) b c + (8/9) c^2
-        q c' =   6 a^2 - (8/3) c^2
-
-    forces c_0 = 0 (order-0 part of the last line) and then b_0 = -1/24
-    (order-1 part of the first line, using a_1 = 1).  With those seeds the
-    n-th coefficients are isolated on the left:
+    Its q^0 part forces c_0 = 0 and its q^1 part b_0 = -1/24 (using
+    a_1 = 1); from those seeds `solve_qdq_system` isolates every later
+    coefficient:
 
     >>> sol = d4_recursion_solve(6)
     >>> sol.a
@@ -91,29 +100,8 @@ def d4_recursion_solve(order: int) -> D4Coefficients:
     """
     if order < 2:
         raise ValueError("need at least two coefficients to apply a_1 = 1")
-    a = [Fraction(0)] * order
-    b = [Fraction(0)] * order
-    c = [Fraction(0)] * order
-    a[1] = Fraction(1)
-    b[0] = Fraction(-1, 24)
-    for n in range(2, order):
-        a[n] = sum(
-            (a[k] * (Fraction(8, 3) * c[n - k] - 24 * b[n - k]) for k in range(1, n)),
-            Fraction(0),
-        ) / (n - 1)
-        s_aa = sum((a[k] * a[n - k] for k in range(1, n)), Fraction(0))
-        s_cc = sum((c[k] * c[n - k] for k in range(1, n)), Fraction(0))
-        c[n] = (6 * s_aa - Fraction(8, 3) * s_cc) / n
-        s_bc = sum((b[k] * c[n - k] for k in range(1, n)), Fraction(0))
-        b[n] = (
-            -Fraction(2, 3) * s_aa
-            - Fraction(16, 3) * (s_bc + b[0] * c[n])
-            + Fraction(8, 9) * s_cc
-        ) / n
-    make = lambda coeffs: QSeries.from_coefficient_map(
-        {e: x for e, x in enumerate(coeffs) if x}, order
-    )
-    return D4Coefficients(make(a), make(b), make(c))
+    seeds = ((0, 1), (Fraction(-1, 24), 0), (0, 0))
+    return D4Coefficients(*solve_qdq_system(_d4_rhs, seeds, order))
 
 
 def d4_analytic(order: int) -> D4Coefficients:
@@ -139,22 +127,10 @@ def d4_eta_forms(order: int) -> D4Coefficients:
 
 def d4_ode_reports(order: int, coeffs: D4Coefficients) -> list[IdentityReport]:
     """The first-order quadratic system the three series satisfy."""
-    a, b, c = coeffs.a, coeffs.b, coeffs.c
+    series = (coeffs.a, coeffs.b, coeffs.c)
     return [
-        series_match(
-            "d4-ode-a", a.qdq(), (a * c).scale(Fraction(8, 3)) - (a * b).scale(24), order
-        ),
-        series_match(
-            "d4-ode-b",
-            b.qdq(),
-            (a * a).scale(Fraction(-2, 3))
-            - (b * c).scale(Fraction(16, 3))
-            + (c * c).scale(Fraction(8, 9)),
-            order,
-        ),
-        series_match(
-            "d4-ode-c", c.qdq(), (a * a).scale(6) - (c * c).scale(Fraction(8, 3)), order
-        ),
+        series_match(f"d4-ode-{name}", s.qdq(), rhs, order)
+        for name, s, rhs in zip("abc", series, _d4_rhs(*series))
     ]
 
 

@@ -9,14 +9,16 @@ unique solution with leading coefficient 1/3 of the Schwarzian-type equation
 
     a'''/a' - (3/2)(a''/a')^2 = -(1/2) (8 + a^3)/(1 - a^3)^2 * a * (a')^2,
 
-with ' = q d/dq.  Fourteen power series f_0..f_13 built from a and the
-square root f_0 = (1/3) (a'/(1 - a^3))^(1/2) populate the genus-zero
-potential on eight coordinates.  Everything is certified twice: the solver
-against the eta closed form, each derived series against an independent
-formula, and a suite of modular identities tying a to the j-invariant,
-cusp forms, and twisted eta products over the 72nd cyclotomic field.  The
-builders only build; `e6_suites` builds each series once and hands it to the
-report functions.
+with ' = q d/dq.  The solver does not step through this third-order
+equation: `_e6_rhs` rewrites it as a first-order system for f_0, f_1 = a f_0
+and f_2, which the shared `solve_qdq_system` solves, and a = f_1/f_0.
+Fourteen power series f_0..f_13 built from a and the square root
+f_0 = (1/3) (a'/(1 - a^3))^(1/2) populate the genus-zero potential on eight
+coordinates.  Everything is certified twice: the solver against the eta
+closed form, each derived series against an independent formula, and a suite
+of modular identities tying a to the j-invariant, cusp forms, and twisted eta
+products over the 72nd cyclotomic field.  The builders only build;
+`e6_suites` builds each series once and hands it to the report functions.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .modular import (
     verify_cusp_form_from_j,
     verify_eta_product_rotation,
 )
-from .qseries import QSeries
+from .qseries import QSeries, solve_qdq_system
 from .reporting import (
     GenusOneResult,
     IdentityReport,
@@ -82,11 +84,6 @@ class E6Coefficients:
 # -- the pole series ---------------------------------------------------------------
 
 
-def _one_minus_cube(a: QSeries) -> QSeries:
-    cube = a * a * a
-    return QSeries.constant(Fraction(1), cube.truncation) - cube
-
-
 def _schwarzian_combination(a: QSeries) -> QSeries:
     """(1-a^3)^2 [a' a''' - (3/2)(a'')^2] + (1/2)(8+a^3) a (a')^4, ' = q d/dq.
 
@@ -97,41 +94,51 @@ def _schwarzian_combination(a: QSeries) -> QSeries:
     d2 = d1.qdq()
     d3 = d2.qdq()
     cube = a * a * a
-    one_minus = QSeries.constant(Fraction(1), cube.truncation) - cube
-    eight_plus = QSeries.constant(Fraction(8), cube.truncation) + cube
     wronskian = d1 * d3 - (d2 * d2).scale(Fraction(3, 2))
-    quartic = d1 * d1
-    quartic = quartic * quartic
-    return (one_minus * one_minus) * wronskian + (eight_plus * a * quartic).scale(
-        Fraction(1, 2)
+    return (1 - cube) ** 2 * wronskian + ((8 + cube) * a * d1**4).scale(Fraction(1, 2))
+
+
+def _e6_rhs(f0: QSeries, f1: QSeries, f2: QSeries) -> tuple[QSeries, QSeries, QSeries]:
+    """The first-order system of (f_0, f_1, f_2), ' = q d/dq:
+
+        f_0' = 9 f_0 (f_1^2 - f_2)
+        f_1' = 9 (f_0^3 - f_1 f_2)
+        f_2' = 9 (f_0^3 f_1 - f_2^2)
+
+    It follows from the definitions `e6_build_fi` uses,
+
+        f_0^2 = a'/(9 (1 - a^3)),   f_1 = a f_0,   f_2 = f_1^2 - f_0'/(9 f_0).
+
+    The first line is the definition of f_2 solved for f_0'.  The second is
+    f_1' = a' f_0 + a f_0' with a' = 9 (1 - a^3) f_0^2.  The third is the
+    Schwarzian equation rewritten: f_2' = 2 f_1 f_1' - (f_0'/f_0)'/9 holds
+    a''' only in (a''/a')' = S + (1/2)(a''/a')^2, with S the Schwarzian
+    a'''/a' - (3/2)(a''/a')^2, and the equation replaces S by its right side.
+    """
+    f0sq, f1sq = f0 * f0, f1 * f1
+    f0cb = f0sq * f0
+    return (
+        (f0 * (f1sq - f2)).scale(9),
+        (f0cb - f1 * f2).scale(9),
+        (f0cb * f1 - f2 * f2).scale(9),
     )
 
 
 def e6_schwarzian_solve(order: int) -> QSeries:
-    """Coefficients of the pole series, one per step, from the combination above.
+    """The pole series a = f_1/f_0 from the first-order system `_e6_rhs`.
 
-    With a_{-1}, ..., a_{n-2} known and a_{n-1} provisionally zero, the
-    combination is determined through O(q^{n-7}) and its q^{n-8} coefficient
-    is linear in the withheld a_{n-1} with slope -n^3 a_{-1}^7.  Solving
-    step by step pins every coefficient; the q^{-8} coefficient carries no
-    unknown at all and must vanish on its own, which is checked outright.
+    The seeds are f_0 = q + O(q^2), f_1 = 1/3 + O(q^2), f_2 = O(q^2), which
+    `solve_qdq_system` checks against the system.  The system is solved two
+    orders deep: dividing by f_0 = q + ... costs two orders of a.
 
     >>> e6_schwarzian_solve(9)
     QSeries(1/3q^-1 + 5/3q^2 - 7/3q^5 + q^8 + O(q^9))
     """
     if order < 0:
         raise ValueError("order must be at least 0")
-    coeffs = {-1: _THIRD}
-    base = _schwarzian_combination(QSeries.from_coefficient_map(coeffs, 0))
-    if base.coefficient(-8) != 0:
-        raise ArithmeticError("pole coefficient fails the degree -8 consistency check")
-    slope_inverse = Fraction(3) ** 7
-    for n in range(1, order + 1):
-        provisional = QSeries.from_coefficient_map(coeffs, n)
-        s = _schwarzian_combination(provisional).coefficient(n - 8)
-        if s:
-            coeffs[n - 1] = s * slope_inverse / n**3
-    return QSeries.from_coefficient_map(coeffs, order)
+    seeds = ((0, 1), (_THIRD, 0), (0, 0))
+    f0, f1, _ = solve_qdq_system(_e6_rhs, seeds, order + 2)
+    return (f1 * f0.inv()).truncate(order)
 
 
 def e6_h_analytic(order: int) -> QSeries:
@@ -157,7 +164,7 @@ def e6_schwarzian_residual_report(order: int, a: QSeries) -> IdentityReport:
 
 
 def _sqrt_route_f0(a: QSeries) -> QSeries:
-    ratio = a.qdq() * _one_minus_cube(a).inv()
+    ratio = a.qdq() * (1 - a * a * a).inv()
     return ratio.nth_root(2).scale(_SQRT_NORMALIZATION)
 
 
@@ -211,7 +218,7 @@ def e6_coefficient_reports(
     ]
     d1 = a.qdq()
     d2 = d1.qdq()
-    rational = d1 * _one_minus_cube(a).inv()
+    rational = d1 * (1 - a * a * a).inv()
     curvature = d2 * d1.inv()
     asq_rational = a * a * rational
     reports.append(
@@ -252,12 +259,13 @@ def e6_identity_suite(order: int, a: QSeries, f0: QSeries) -> list[IdentityRepor
     certified through the same order.  `a` must reach order + 2 and the eta
     quotient `f0` = eta(9)^3 / eta(3) must reach order."""
     cube = a * a * a
-    one_minus = QSeries.constant(Fraction(1), cube.truncation) - cube
-    eight_plus = QSeries.constant(Fraction(8), cube.truncation) + cube
+    one_minus = 1 - cube
+    eight_plus = 8 + cube
     d1 = a.qdq()
 
     lhs_j = (cube * eight_plus**3 * (one_minus**3).inv()).scale(Fraction(-1, 64))
-    reports = [series_match("e6-j-relation", lhs_j, J_series(order), order)]
+    J = J_series(order)
+    reports = [series_match("e6-j-relation", lhs_j, J, order)]
 
     cube_minus_one = one_minus.scale(-1)
     # offset of this quotient is -3, so expand three orders deeper
@@ -274,7 +282,7 @@ def e6_identity_suite(order: int, a: QSeries, f0: QSeries) -> list[IdentityRepor
     rhs_slope = (f0.truncate(order) ** 2).scale(9)
     reports.append(series_match("e6-slope-eta", slope, rhs_slope, order))
 
-    reports.append(verify_cusp_form_from_j(order))
+    reports.append(verify_cusp_form_from_j(order, J, discriminant))
     reports.append(verify_eta_product_rotation(order))
     reports.extend(e6_twisted_pole_reports(order, a))
     return reports

@@ -263,31 +263,15 @@ class LatticeSpec:
 def lattice_theta(spec: LatticeSpec, truncation: int) -> QSeries:
     """Sum of q^(x,x) over the coset, for norms below the truncation.
 
-    Plain box enumeration over |x_i| <= sqrt(T); membership in M + shift is a
-    parity condition on the coordinate sum.
+    Membership in M + shift is a parity condition on the coordinate sum, and
+    (-1)^(sum x_i) = prod (-1)^(x_i) splits over the coordinates, so theta_3^4
+    counts all of Z^4, theta_4^4 the even sums minus the odd ones, and the
+    coset's theta is (theta_3^4 + theta_4^4)/2 or (theta_3^4 - theta_4^4)/2.
     """
-    parity = sum(spec.shift) % 2
-    bound = math.isqrt(max(truncation - 1, 0))
-    counts = [0] * truncation
-    rng = range(-bound, bound + 1)
-    for x0 in rng:
-        n0 = x0 * x0
-        if n0 >= truncation:
-            continue
-        for x1 in rng:
-            n1 = n0 + x1 * x1
-            if n1 >= truncation:
-                continue
-            for x2 in rng:
-                n2 = n1 + x2 * x2
-                if n2 >= truncation:
-                    continue
-                base = (x0 + x1 + x2) & 1
-                for x3 in rng:
-                    n3 = n2 + x3 * x3
-                    if n3 < truncation and (base ^ (x3 & 1)) == parity:
-                        counts[n3] += 1
-    return QSeries(counts, 0, truncation)
+    # a theta constant needs its constant term known, so build at least to O(q)
+    theta3, theta4 = (theta_jacobi(i, max(truncation, 1)).to_qseries() ** 4 for i in (3, 4))
+    sign = -1 if sum(spec.shift) % 2 else 1
+    return (theta3 + theta4.scale(sign)).scale(Fraction(1, 2)).truncate(truncation)
 
 
 # -- Eisenstein series, Delta, j, J ------------------------------------------------
@@ -369,24 +353,24 @@ def verify_eta_product_rotation(truncation: int) -> IdentityReport:
     return puiseux_match("eta-product-rotation", lhs, rhs, truncation)
 
 
-def verify_cusp_form_from_j(truncation: int) -> IdentityReport:
-    """(q dJ/dq)^6 / (2^6 3^9 J^4 (J-1)^3) = eta(q^3)^24."""
-    J = J_series(truncation)
+def verify_cusp_form_from_j(truncation: int, J: QSeries, discriminant: QSeries) -> IdentityReport:
+    """(q dJ/dq)^6 / (2^6 3^9 J^4 (J-1)^3) = eta(q^3)^24, from the series
+    J = `J_series` and `discriminant` = eta(q^3)^24 through the truncation."""
     one = QSeries.one(truncation)
     num = J.qdq() ** 6
     den = (J**4 * (J - one) ** 3).scale(Fraction(2**6 * 3**9))
     lhs = num * den.inv()
-    rhs = EtaQuotient(((3, Fraction(24)),)).expand(truncation).to_qseries()
-    return series_match("cusp-form-weight12", lhs, rhs, truncation)
+    return series_match("cusp-form-weight12", lhs, discriminant, truncation)
 
 
 def modular_reports(truncation: int) -> list[IdentityReport]:
     """The whole modular identity suite, every q-series check at one order."""
+    discriminant = EtaQuotient(((3, Fraction(24)),)).expand(truncation).to_qseries()
     return [
         verify_f_eta(truncation),
         verify_even_part(truncation),
         verify_sigma_doubling(),
         *halphen_reports(truncation, halphen_variables(truncation)),
         verify_eta_product_rotation(truncation),
-        verify_cusp_form_from_j(truncation),
+        verify_cusp_form_from_j(truncation, J_series(truncation), discriminant),
     ]

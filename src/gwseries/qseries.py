@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .exact_arith import (
     CyclotomicNumber,
@@ -509,6 +509,40 @@ class QSeries:
 
     def __repr__(self):
         return f"QSeries({format_series(self)})"
+
+
+def solve_qdq_system(
+    rhs: Callable[..., Sequence[QSeries]], seeds: Sequence[Sequence[Coefficient | int]], order: int
+) -> tuple[QSeries, ...]:
+    """The power series Y with q dY/dq = rhs(*Y), known through O(q^order).
+
+    `seeds` holds the q^0 and q^1 coefficients of each component, which must
+    satisfy the system through q^1.  For polynomial rhs the q^n coefficient
+    of rhs(Y) is J0 Y_n plus terms in lower coefficients, J0 the Jacobian at
+    the constant terms, read once at truncation 2.  Step n evaluates rhs with
+    Y_n provisionally 0 and solves (n - J0) Y_n = [rhs]_n by back
+    substitution, which needs J0 upper triangular.
+
+    >>> solve_qdq_system(lambda y: (y * y - y,), [(1, 1)], 6)   # 1/(1-q)
+    (QSeries(1 + q + q^2 + q^3 + q^4 + q^5 + O(q^6)),)
+    """
+    ys = [QSeries(seed, 0, 2) for seed in seeds]
+    if not all((r - y.qdq()).is_zero() for r, y in zip(rhs(*ys), ys)):
+        raise ArithmeticError("the seeds do not satisfy the system through q^1")
+    k, q = len(ys), QSeries.monomial(1, 1, 2)
+    # J0[i][j]: the q^1 coefficient of rhs_i at Y + q e_j, less the one at Y
+    bumped = [rhs(*(y + q if i == j else y for i, y in enumerate(ys))) for j in range(k)]
+    jac = [[b[i].coefficient(1) - ys[i].coefficient(1) for b in bumped] for i in range(k)]
+    if any(jac[i][j] for i in range(k) for j in range(i)):
+        raise ArithmeticError("J0 is not upper triangular")
+    for n in range(2, order):
+        ys = [y._replace(truncation=n + 1) for y in ys]
+        rs = [r.coefficient(n) for r in rhs(*ys)]
+        new = [0] * k
+        for i in reversed(range(k)):
+            new[i] = (rs[i] + sum(jac[i][j] * new[j] for j in range(i + 1, k))) / (n - jac[i][i])
+        ys = [y + QSeries.monomial(c, n, n + 1) for y, c in zip(ys, new)]
+    return tuple(y.truncate(order) for y in ys)
 
 
 def format_series(s: QSeries) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -191,6 +192,20 @@ def test_wrong_closed_form_is_a_localized_failure(capsys, monkeypatch):
     assert "FAIL  e6-solver-matches-eta (order 12; first failure at q^2," in out
 
 
+def test_wrong_first_order_system_is_a_localized_failure(capsys, monkeypatch):
+    original = e6._e6_rhs
+
+    def perturbed(f0, f1, f2):
+        # 9 f2^2 -> 8 f2^2: f2 = O(q^2), so the seeds and J0 stay as they were
+        d0, d1, d2 = original(f0, f1, f2)
+        return d0, d1, d2 + f2 * f2
+
+    monkeypatch.setattr(e6, "_e6_rhs", perturbed)
+    status, out, _ = _run(capsys, command="verify", model="e6", order=12)
+    assert status == 10
+    assert "FAIL  e6-solver-matches-eta (order 12; first failure at q^5, residual 1/36)" in out
+
+
 def test_internal_failures_exit_three(capsys, monkeypatch):
     def _boom(order):
         raise PrecisionError("synthetic precision collapse")
@@ -229,6 +244,34 @@ def test_gw_table_json(capsys):
         {"k": 3, "c_k": "0"},
     ]
     assert payload["report"]["status"] == "pass"
+
+
+# -- byte identity -----------------------------------------------------------------
+
+# sha256 of stdout, recorded before the two models shared one first-order solver
+PINNED_STDOUT = [
+    (dict(command="solve", model="e6", order=2),
+     "3d7734386426fb8c54506fd4ad33cdc62907c43b78c451f3034b1eb7204941a6"),
+    (dict(command="solve", model="e6", order=3),
+     "a531479241b137bd261f51ec0e3a3d43bb46ccb17826df511cd8b53f0ec72936"),
+    (dict(command="solve", model="e6", order=80),
+     "c0b5b3cf018c85ce311ab52d914c1ef84bdede15d3a2ad983b3684826eb2cd69"),
+    (dict(command="solve", model="e6", order=122),
+     "67fef75d5e23734ed7c9ad30f096b53edbc223a3775da7c6fb28560eb0e46329"),
+    (dict(command="solve", model="d4", order=2, format="json"),
+     "9cf8d4904a123ba7a834634f951a240d21178b2a415ae671be0b5c7fd3bdf1d3"),
+    (dict(command="solve", model="d4", order=125, format="json"),
+     "600497ab3e6cdda01fd395d7ec2264bb3dbc71d5f5182428ebc53eb1f5fa4b9d"),
+    (dict(command="gw-table", kmax=30),
+     "4157eddfdea96402d477e933089fb296da48e1e63cd0ede5fa3173a68b029303"),
+]
+
+
+@pytest.mark.parametrize("config, digest", PINNED_STDOUT)
+def test_stdout_is_byte_identical_to_the_pinned_run(capsys, config, digest):
+    status, out, _ = _run(capsys, **config)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- genus-one ---------------------------------------------------------------------

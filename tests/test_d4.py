@@ -42,6 +42,44 @@ def test_recursion_needs_room_to_pivot():
         d4_recursion_solve(1)
 
 
+def _fraction_recursion(order: int) -> D4Coefficients:
+    """Reference: the system as three Fraction convolution sums, with the
+    n-th coefficients isolated on the left from the seeds a_1 = 1,
+    b_0 = -1/24, c_0 = 0."""
+    a = [Fraction(0)] * order
+    b = [Fraction(0)] * order
+    c = [Fraction(0)] * order
+    a[1] = Fraction(1)
+    b[0] = Fraction(-1, 24)
+    for n in range(2, order):
+        a[n] = sum(
+            (a[k] * (Fraction(8, 3) * c[n - k] - 24 * b[n - k]) for k in range(1, n)),
+            Fraction(0),
+        ) / (n - 1)
+        s_aa = sum((a[k] * a[n - k] for k in range(1, n)), Fraction(0))
+        s_cc = sum((c[k] * c[n - k] for k in range(1, n)), Fraction(0))
+        c[n] = (6 * s_aa - Fraction(8, 3) * s_cc) / n
+        s_bc = sum((b[k] * c[n - k] for k in range(1, n)), Fraction(0))
+        b[n] = (
+            -Fraction(2, 3) * s_aa
+            - Fraction(16, 3) * (s_bc + b[0] * c[n])
+            + Fraction(8, 9) * s_cc
+        ) / n
+    make = lambda coeffs: QSeries.from_coefficient_map(
+        {e: x for e, x in enumerate(coeffs) if x}, order
+    )
+    return D4Coefficients(make(a), make(b), make(c))
+
+
+def test_recursion_matches_the_fraction_sums():
+    for order in [*range(2, 41), 125]:
+        reference = _fraction_recursion(order)
+        solved = d4_recursion_solve(order)
+        for field in ("a", "b", "c"):
+            s, r = getattr(solved, field), getattr(reference, field)
+            assert s == r and s.truncation == r.truncation == order, (order, field)
+
+
 def test_recursion_agrees_with_divisor_sum_forms():
     recursive = d4_recursion_solve(60)
     closed = d4_analytic(60)

@@ -6,6 +6,8 @@ import pytest
 
 from gwseries.e6 import (
     E6Coefficients,
+    _e6_rhs,
+    _schwarzian_combination,
     e6_build_fi,
     e6_build_potential,
     e6_coefficient_reports,
@@ -46,6 +48,35 @@ def test_solver_support_is_two_mod_three():
 def test_solver_rejects_negative_order():
     with pytest.raises(ValueError):
         e6_schwarzian_solve(-1)
+
+
+def _schwarzian_step_solve(order: int) -> QSeries:
+    """Reference: the pole series one coefficient per step, straight from the
+    third-order equation.  With a_-1..a_(n-2) known and a_(n-1) withheld, the
+    q^(n-8) coefficient of the Schwarzian combination is linear in a_(n-1)
+    with slope -n^3 a_-1^7; the q^-8 coefficient carries no unknown."""
+    coeffs = {-1: Fraction(1, 3)}
+    assert _schwarzian_combination(QSeries.from_coefficient_map(coeffs, 0)).coefficient(-8) == 0
+    for n in range(1, order + 1):
+        s = _schwarzian_combination(QSeries.from_coefficient_map(coeffs, n)).coefficient(n - 8)
+        if s:
+            coeffs[n - 1] = s * Fraction(3) ** 7 / n**3
+    return QSeries.from_coefficient_map(coeffs, order)
+
+
+def test_solver_matches_the_schwarzian_step_loop():
+    for order in [*range(41), 122]:
+        reference = _schwarzian_step_solve(order)
+        solved = e6_schwarzian_solve(order)
+        assert solved == reference, order
+        assert solved.truncation == reference.truncation == order
+
+
+def test_first_order_system_holds_on_the_eta_side_series():
+    f = e6_build_fi(60).f[:3]
+    for name, series, rhs in zip(("f0", "f1", "f2"), f, _e6_rhs(*f)):
+        residual = series.qdq() - rhs
+        assert residual.is_zero() and residual.truncation == 60, name
 
 
 def test_closed_form_is_shifted_eta_cube():

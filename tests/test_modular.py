@@ -196,9 +196,12 @@ def test_J_series_is_rescaled_j_of_q_cubed():
 
 
 def test_cusp_form_recovered_from_j():
-    report = verify_cusp_form_from_j(40)
+    discriminant = eta_expand("eta(3)^24", 40).to_qseries()
+    report = verify_cusp_form_from_j(40, J_series(40), discriminant)
     assert report.passed
     assert report.name == "cusp-form-weight12"
+    bumped = discriminant + QSeries.monomial(1, 30, 40)
+    assert verify_cusp_form_from_j(40, J_series(40), bumped).first_failure.exponent == 30
 
 
 # -- theta constants and the Halphen system ---------------------------------------------
@@ -277,7 +280,7 @@ def _census(parity: int, truncation: int) -> list[int]:
 
 
 def test_lattice_theta_even_sum_census():
-    truncation = 9
+    truncation = 40
     theta = lattice_theta(LatticeSpec.even_sum(), truncation)
     assert [theta.coefficient(e) for e in range(truncation)] == _census(0, truncation)
     assert theta.coefficient(0) == 1
@@ -287,7 +290,7 @@ def test_lattice_theta_even_sum_census():
 
 
 def test_lattice_theta_shifted_census():
-    truncation = 9
+    truncation = 40
     theta = lattice_theta(LatticeSpec.unit_shift(), truncation)
     assert [theta.coefficient(e) for e in range(truncation)] == _census(1, truncation)
     assert theta.leading() == (1, 8)

@@ -18,6 +18,7 @@ from gwseries.qseries import (
     ValuationNotDivisible,
     ZeroDivisor,
     format_series,
+    solve_qdq_system,
 )
 
 CASES = 100
@@ -110,6 +111,29 @@ def test_geometric_series_product():
     one_minus_q = QSeries([1, -1], 0, 40)
     geometric = QSeries([1] * 40, 0, 40)
     assert one_minus_q * geometric == QSeries.one(40)
+
+
+def test_qdq_system_solves_the_geometric_series():
+    # q dy/dq = y^2 - y with y = 1 + q + ... is solved by 1/(1 - q)
+    for order in (0, 1, 2, 3, 40):
+        (y,) = solve_qdq_system(lambda y: (y * y - y,), [(1, 1)], order)
+        assert y == QSeries([1] * order, 0, order) and y.truncation == order
+
+
+def test_qdq_system_rejects_seeds_off_the_system():
+    with pytest.raises(ArithmeticError, match="seeds"):
+        solve_qdq_system(lambda y: (y * y - y,), [(2, 1)], 10)  # q^0: 0 != 2^2 - 2
+    with pytest.raises(ArithmeticError, match="seeds"):
+        solve_qdq_system(lambda y: (y * y,), [(0, 1)], 10)  # q^1: 1 != 2 * 0 * 1
+
+
+def test_qdq_system_needs_an_upper_triangular_jacobian():
+    # q y' = y, q z' = y: J0 = [[1, 0], [1, 0]] has an entry below the diagonal
+    with pytest.raises(ArithmeticError, match="upper triangular"):
+        solve_qdq_system(lambda y, z: (y, y), [(0, 1), (0, 1)], 10)
+    # the same system with z listed first is upper triangular and solvable
+    z, y = solve_qdq_system(lambda z, y: (y, y), [(0, 1), (0, 1)], 10)
+    assert z == y == QSeries.monomial(1, 1, 10)
 
 
 def test_inverse_round_trips_randomized():
