@@ -17,7 +17,8 @@ f_0 = (1/3) (a'/(1 - a^3))^(1/2) populate the genus-zero potential on eight
 coordinates.  Everything is certified twice: the solver against the eta
 closed form, each derived series against an independent formula, and a suite
 of modular identities tying a to the j-invariant, cusp forms, and twisted eta
-products over the 72nd cyclotomic field.  The builders only build;
+products, series over Q(zeta_3) with 72nd roots of unity only in their
+scalars.  The builders only build;
 `e6_suites` builds each series once and hands it to the report functions.
 """
 
@@ -255,7 +256,7 @@ def e6_coefficient_reports(
 
 def e6_identity_suite(order: int, a: QSeries, f0: QSeries) -> list[IdentityReport]:
     """The j-invariant relation, the cusp-form identities, and the twisted
-    eta expressions for the pole series `a` (the last over Q(zeta_72)), all
+    eta expressions for the pole series `a` (the last over Q(zeta_3)), all
     certified through the same order.  `a` must reach order + 2 and the eta
     quotient `f0` = eta(9)^3 / eta(3) must reach order."""
     cube = a * a * a
@@ -288,30 +289,42 @@ def e6_identity_suite(order: int, a: QSeries, f0: QSeries) -> list[IdentityRepor
     return reports
 
 
+# Per report: name, the power of omega = zeta_3 in the constant, the twist
+# q -> zeta_3^k q, the branch zeta_72^b of (zeta_3^k)^(1/24) and the phase
+# zeta_72^p; the scalar zeta_72^(3b + p) of the twisted quotient is 1.
+_TWISTED_POLE_ROWS = (
+    ("e6-pole-twist-square", 1, -2, -2, 6),
+    ("e6-pole-twist-linear", 2, -1, -1, 3),
+)
+
+
 def e6_twisted_pole_reports(order: int, a: QSeries) -> list[IdentityReport]:
-    """a = omega^k + (1/3) (eta(q omega^(k-3))/eta(q^9))^3 * zeta, over Q(zeta_72).
+    """a = omega^j + (1/3) (eta(q zeta_3^k)/eta(q^9))^3 * zeta_72^p, reported
+    with index 24 k, the twist as a power of zeta_72.
 
     Twisting eta's q^(1/24) prefactor needs a 72nd root of unity branch;
-    the branch taken is the literal one, (e^(2 pi i m/3))^(1/24) read off
-    the exponent, matching the product identity for eta(q^3)^4.
+    the branch taken is the literal one, zeta_72^k read off the exponent,
+    matching the product identity for eta(q^3)^4.  Only the scalar lives in
+    Q(zeta_72); the series are over Q(zeta_3), and a scalar that is not
+    rational fails the report at the pole, where it first enters.
     """
-    zeta = CyclotomicNumber.zeta(72, 1)
-    omega = CyclotomicNumber.zeta(72, 24)
     eta_plain = dedekind_eta(order + 1)
     eta_nine_cubed = eta_expand("eta(9)^3", order + 1)
     reports = []
-    for name, constant, twist_power, branch_power, phase_power in (
-        ("e6-pole-twist-square", omega, -48, -2, 6),
-        ("e6-pole-twist-linear", omega * omega, -24, -1, 3),
-    ):
+    for name, omega_power, k, branch_power, phase_power in _TWISTED_POLE_ROWS:
         twisted = eta_plain.twist(
-            CyclotomicNumber.zeta(72, twist_power),
-            branch=CyclotomicNumber.zeta(72, branch_power),
+            CyclotomicNumber.zeta(3, k), branch=CyclotomicNumber.zeta(72, branch_power)
         )
-        quotient = (twisted**3 / eta_nine_cubed).to_qseries()
-        phase = CyclotomicNumber.zeta(72, phase_power) * _THIRD
-        rhs = QSeries.constant(constant, order) + quotient.scale(phase)
-        reports.append(series_match(name, a, rhs, order, indices=(twist_power,)))
+        quotient = twisted**3 / eta_nine_cubed
+        scalar = quotient.scalar * CyclotomicNumber.zeta(72, phase_power) * _THIRD
+        pole = int(quotient.offset)
+        if not scalar.is_rational():
+            reports.append(failure_report(name, order, (24 * k,), pole, a.coefficient(pole) - scalar))
+            continue
+        rhs = QSeries.constant(CyclotomicNumber.zeta(3, omega_power), order) + (
+            quotient.unit.scale(scalar.rational_value()).shift(pole)
+        )
+        reports.append(series_match(name, a, rhs, order, indices=(24 * k,)))
     return reports
 
 

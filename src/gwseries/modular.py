@@ -176,7 +176,13 @@ def theta_jacobi(which: int, truncation: int) -> PuiseuxSeries:
     which=2: sum q^((m+1/2)^2) = 2 q^(1/4) (1 + q^2 + q^6 + ...)
     which=3: sum q^(m^2)
     which=4: sum (-1)^m q^(m^2)
+
+    The unit's constant term is known only from truncation 1 on.
     """
+    if which not in (2, 3, 4):
+        raise ValueError("theta index must be 2, 3, or 4")
+    if truncation < 1:
+        raise ValueError(f"theta constants need truncation >= 1, not {truncation}")
     if which == 2:
         # (m+1/2)^2 = 1/4 + m(m+1); m and -(m+1) pair up
         entries: dict[int, int] = {}
@@ -185,14 +191,12 @@ def theta_jacobi(which: int, truncation: int) -> PuiseuxSeries:
             entries[m * (m + 1)] = 1
             m += 1
         return PuiseuxSeries(2, Fraction(1, 4), QSeries.from_coefficient_map(entries, truncation))
-    if which in (3, 4):
-        entries = {0: 1}
-        m = 1
-        while m * m < truncation:
-            entries[m * m] = 2 if which == 3 else (2 if m % 2 == 0 else -2)
-            m += 1
-        return PuiseuxSeries(1, Fraction(0), QSeries.from_coefficient_map(entries, truncation))
-    raise ValueError("theta index must be 2, 3, or 4")
+    entries = {0: 1}
+    m = 1
+    while m * m < truncation:
+        entries[m * m] = 2 if which == 3 else (2 if m % 2 == 0 else -2)
+        m += 1
+    return PuiseuxSeries(1, Fraction(0), QSeries.from_coefficient_map(entries, truncation))
 
 
 def theta_logderiv(which: int, truncation: int) -> QSeries:
@@ -332,20 +336,20 @@ def verify_sigma_doubling() -> IdentityReport:
 
 
 def verify_eta_product_rotation(truncation: int) -> IdentityReport:
-    """Rotated eta product over Q(zeta_72):
+    """Rotated eta product:
 
         zeta_24 * eta(q) eta(q w^-1) eta(q w^-2) eta(q^9) = eta(q^3)^4,
 
-    where w = exp(2 pi i/3) and each twist q -> q w^-k carries the branch
-    zeta_72^-k for the 24th root in the prefactor.
+    where w = zeta_3 = exp(2 pi i/3) and each twist q -> q w^-k carries the
+    branch zeta_72^-k for the 24th root in the prefactor.  The series are
+    over Q(zeta_3); only the scalars need Q(zeta_72).
     """
     z = CyclotomicNumber.zeta(72)
-    w_inv = z ** (-24)
     eta = dedekind_eta(truncation)
     lhs = (
         eta
-        * eta.twist(w_inv, branch=z ** (-1))
-        * eta.twist(w_inv**2, branch=z ** (-2))
+        * eta.twist(CyclotomicNumber.zeta(3, -1), branch=z ** (-1))
+        * eta.twist(CyclotomicNumber.zeta(3, -2), branch=z ** (-2))
         * dedekind_eta(truncation, scale=9)
         * z**3
     )

@@ -206,6 +206,18 @@ def test_wrong_first_order_system_is_a_localized_failure(capsys, monkeypatch):
     assert "FAIL  e6-solver-matches-eta (order 12; first failure at q^5, residual 1/36)" in out
 
 
+@pytest.mark.parametrize("row, exponent", [
+    (("e6-pole-twist-square", 1, -2, -3, 6), -1),  # branch zeta_72^-3: the scalar is not rational
+    (("e6-pole-twist-square", 2, -2, -2, 6), 0),  # constant omega^2 in place of omega
+])
+def test_wrong_twisted_row_is_a_localized_failure(capsys, monkeypatch, row, exponent):
+    monkeypatch.setattr(e6, "_TWISTED_POLE_ROWS", (row, e6._TWISTED_POLE_ROWS[1]))
+    status, out, _ = _run(capsys, command="verify", model="e6", order=20)
+    assert status == 11
+    assert f"FAIL  e6-pole-twist-square (order 20; first failure at q^{exponent}," in out
+    assert "pass  e6-pole-twist-linear (order 20)" in out
+
+
 def test_internal_failures_exit_three(capsys, monkeypatch):
     def _boom(order):
         raise PrecisionError("synthetic precision collapse")
@@ -264,6 +276,16 @@ PINNED_STDOUT = [
      "600497ab3e6cdda01fd395d7ec2264bb3dbc71d5f5182428ebc53eb1f5fa4b9d"),
     (dict(command="gw-table", kmax=30),
      "4157eddfdea96402d477e933089fb296da48e1e63cd0ede5fa3173a68b029303"),
+    (dict(command="solve", model="e6", order=242),
+     "89b49119c9af20cb65f60d0bfbc57d4cee212bf51da7a5e3c49a0d2bb17ab175"),
+    (dict(command="solve", model="d4", order=200, format="json"),
+     "efaef83e2b1390216fe7b7c32cc5ccf899859af1770b3f6f6377655bb7a5489f"),
+    (dict(command="gw-table", kmax=100),
+     "27752564e1e3d0c846134ab695bcc2b78386f5e5bc14e58392d0a680667a7de6"),
+    (dict(command="verify", model="e6", order=60),
+     "28970f1097e0c11a39d676e1005f8cd0c7ed215ee4e0b7e72ed2188eb11a0a8f"),
+    (dict(command="verify", model="identities", order=60),
+     "0555af0322f1232b5fe2e7c9c8275ec15e75aa43e3c764c1b8adbd348211dc41"),
 ]
 
 

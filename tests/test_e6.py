@@ -167,6 +167,18 @@ def test_twisted_pole_expressions_run_in_the_cyclotomic_field():
         assert report.order_certified >= 15
 
 
+def test_twisted_pole_reports_fail_where_the_pole_series_is_raised():
+    a = e6_h_analytic(20)
+    a = a + QSeries.monomial(Fraction(1, 7), 10, a.truncation)
+    reports = e6_twisted_pole_reports(20, a)
+    assert [r.name for r in reports] == ["e6-pole-twist-square", "e6-pole-twist-linear"]
+    for report, index in zip(reports, (-48, -24)):
+        assert not report.passed
+        assert report.first_failure.indices == (index,)
+        assert report.first_failure.exponent == 10
+        assert report.first_failure.residual == "1/7"
+
+
 # -- degree-one counts -----------------------------------------------------------------
 
 

@@ -234,6 +234,14 @@ def test_theta_index_is_checked():
         theta_jacobi(5, 10)
 
 
+def test_theta_constants_need_a_known_constant_term():
+    for which in (2, 3, 4):
+        for truncation in (0, -3):
+            with pytest.raises(ValueError, match="truncation >= 1"):
+                theta_jacobi(which, truncation)
+    assert theta_jacobi(2, 1).unit == QSeries.one(1)
+
+
 def test_halphen_variable_constants():
     x2 = theta_logderiv(2, 12)
     x3 = theta_logderiv(3, 12)

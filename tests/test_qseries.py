@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from gwseries.d4 import _d4_rhs
+from gwseries.e6 import _e6_rhs
 from gwseries.exact_arith import CyclotomicNumber, OrderMismatch, int_convolve
 from gwseries.modular import eta_unit
 from gwseries.qseries import (
@@ -134,6 +137,67 @@ def test_qdq_system_needs_an_upper_triangular_jacobian():
     # the same system with z listed first is upper triangular and solvable
     z, y = solve_qdq_system(lambda z, y: (y, y), [(0, 1), (0, 1)], 10)
     assert z == y == QSeries.monomial(1, 1, 10)
+
+
+def _step_solve(rhs, seeds, order: int) -> tuple[QSeries, ...]:
+    """Reference: the solver one coefficient per step.  Step n evaluates rhs
+    with Y_n provisionally 0 and solves (n - J0) Y_n = [rhs]_n by back
+    substitution, one full evaluation of the system per coefficient."""
+    ys = [QSeries(seed, 0, 2) for seed in seeds]
+    k, q = len(ys), QSeries.monomial(1, 1, 2)
+    bumped = [rhs(*(y + q if i == j else y for i, y in enumerate(ys))) for j in range(k)]
+    jac = [[b[i].coefficient(1) - ys[i].coefficient(1) for b in bumped] for i in range(k)]
+    for n in range(2, order):
+        ys = [y._replace(truncation=n + 1) for y in ys]
+        rs = [r.coefficient(n) for r in rhs(*ys)]
+        new = [0] * k
+        for i in reversed(range(k)):
+            new[i] = (rs[i] + sum(jac[i][j] * new[j] for j in range(i + 1, k))) / (n - jac[i][i])
+        ys = [y + QSeries.monomial(c, n, n + 1) for y, c in zip(ys, new)]
+    return tuple(y.truncate(order) for y in ys)
+
+
+_SYSTEMS = {
+    "geometric": (lambda y: (y * y - y,), [(1, 1)]),
+    "d4": (_d4_rhs, ((0, 1), (Fraction(-1, 24), 0), (0, 0))),
+    "e6": (_e6_rhs, ((0, 1), (Fraction(1, 3), 0), (0, 0))),
+}
+
+
+@pytest.mark.parametrize("system", sorted(_SYSTEMS))
+def test_doubling_solver_matches_the_step_loop(system):
+    rhs, seeds = _SYSTEMS[system]
+    for order in [*range(41), 125, 242]:
+        reference = _step_solve(rhs, seeds, order)
+        solved = solve_qdq_system(rhs, seeds, order)
+        for s, r in zip(solved, reference, strict=True):
+            assert s == r and s.truncation == r.truncation == order, order
+
+
+def test_doubling_solver_calls_the_system_logarithmically_often():
+    calls = []
+
+    def counted(*ys):
+        calls.append(max(y.truncation for y in ys))
+        return _e6_rhs(*ys)
+
+    seeds = _SYSTEMS["e6"][1]
+    order, k = 242, len(seeds)
+    solve_qdq_system(counted, seeds, order)
+    assert len(calls) <= 4 * math.ceil(math.log2(order)) + k + 2
+    assert max(calls) == order
+
+
+def test_qdq_system_is_solved_over_the_rationals_only():
+    w = CyclotomicNumber.zeta(3)
+    with pytest.raises(OrderMismatch):
+        solve_qdq_system(lambda y: (y * y - y + w - w * w,), [(w, 0)], 10)
+
+
+def test_qdq_system_stops_at_a_resonance():
+    # q y' = 2 y: n - J0 vanishes at n = 2, where y_2 is not determined
+    with pytest.raises(ZeroDivisionError):
+        solve_qdq_system(lambda y: (y.scale(2),), [(0, 0)], 10)
 
 
 def test_inverse_round_trips_randomized():
