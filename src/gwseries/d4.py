@@ -41,10 +41,6 @@ from .reporting import GenusOneResult, IdentityReport, combine, series_match
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
-# WDVV checks walk every coordinate quadruple, so their order is capped
-# independently of the requested order.
-WDVV_ORDER_CAP = 20
-
 
 @dataclasses.dataclass(frozen=True)
 class D4Coefficients:
@@ -59,15 +55,6 @@ class D4Coefficients:
             raise ValueError("b must have constant term -1/24")
         if self.c.coefficient(0) != 0:
             raise ValueError("c must have constant term 0")
-
-    @property
-    def truncation(self) -> int:
-        return min(self.a.truncation, self.b.truncation, self.c.truncation)
-
-    def truncate(self, order: int) -> "D4Coefficients":
-        return D4Coefficients(
-            self.a.truncate(order), self.b.truncate(order), self.c.truncate(order)
-        )
 
 
 def _d4_rhs(a: QSeries, b: QSeries, c: QSeries) -> tuple[QSeries, QSeries, QSeries]:
@@ -262,14 +249,11 @@ def d4_genus_one(order: int, coeffs: D4Coefficients) -> GenusOneResult:
 def d4_suites(order: int) -> list[tuple[str, list[IdentityReport]]]:
     """The `verify d4` suites, every series built once.
 
-    The potential for the WDVV scan needs two orders past its capped check,
-    so the closed forms are built at the larger of the two orders and
-    truncated down.
+    The closed forms are built at `order`, and the potential built from them
+    is certified by WDVV through that order.
     """
-    cap = min(order, WDVV_ORDER_CAP)
-    built = d4_analytic(max(order, cap + 2))
-    s = built.truncate(order)
-    potential = d4_build_potential(built.truncate(cap + 2))
+    s = d4_analytic(order)
+    potential = d4_build_potential(s)
     return [
         (
             "d4-construction",
@@ -282,7 +266,7 @@ def d4_suites(order: int) -> list[tuple[str, list[IdentityReport]]]:
         ),
         ("d4-elliptic-weyl", d4_elliptic_weyl_reports(order, s)),
         ("d4-genus-one", [d4_genus_one(order, s).report]),
-        ("d4-potential", [wdvv_residual(potential, cap), euler_residual(potential)]),
+        ("d4-potential", [wdvv_residual(potential, order), euler_residual(potential)]),
     ]
 
 

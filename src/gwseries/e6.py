@@ -49,10 +49,6 @@ from .reporting import (
 _THIRD = Fraction(1, 3)
 _SQRT_NORMALIZATION = _THIRD  # the constant A with A^2 = 1/9 and f_0 = q + ...
 
-# WDVV checks walk every coordinate quadruple, so their order is capped
-# independently of the requested order.
-WDVV_ORDER_CAP = 15
-
 
 @dataclasses.dataclass(frozen=True)
 class E6Coefficients:
@@ -502,16 +498,18 @@ def e6_suites(order: int, raw_f11_block: bool = False) -> list[tuple[str, list[I
     The equation is solved once, two orders deep, for both the solver check
     and the second route of the degree table, and the eta quotient f_0 is
     expanded once, for the coefficients, the slope identity and the table.
+    The potential is built from the coefficients truncated to `order`, and
+    WDVV is certified through that order.
     """
     coeffs = e6_build_fi(order + 8)
     solved = e6_schwarzian_solve(order + 2)
     f0 = coeffs.f[0]
-    cap = min(order, WDVV_ORDER_CAP)
-    potential = e6_build_potential(coeffs.truncate(cap + 2), raw_f11_block)
+    at_order = coeffs.truncate(order)
+    potential = e6_build_potential(at_order, raw_f11_block)
     return [
         ("e6-coefficients", e6_coefficient_reports(order, coeffs, solved)),
         ("e6-identities", e6_identity_suite(order, coeffs.a.truncate(order + 2), f0)),
         ("e6-gw-table", [_gw_table(max((order - 2) // 3, 0), solved, f0)[1]]),
-        ("e6-genus-one", [e6_genus_one(order, coeffs.truncate(order)).report]),
-        ("e6-potential", [wdvv_residual(potential, cap), euler_residual(potential)]),
+        ("e6-genus-one", [e6_genus_one(order, at_order).report]),
+        ("e6-potential", [wdvv_residual(potential, order), euler_residual(potential)]),
     ]

@@ -13,22 +13,24 @@ The WDVV residual is checked for every coordinate quadruple (a,b,c,d):
 
     sum_{e,f} F_abe eta^{ef} F_fcd  -  F_ade eta^{ef} F_fbc  =  0.
 
-Internally the integer numerators of each distinct coefficient series are
-packed once into a single int (Kronecker substitution, in the slot format
-of exact_arith), so the scan is integer arithmetic only: a product of two
+Internally each coefficient series is interned up to a rational scalar and
+packed once into a single int (Kronecker substitution, in the slot format of
+exact_arith), so the scan is integer arithmetic only: a product of two
 series is one multiplication, a residual is a difference of packed ints,
-and its first nonzero coefficient is read from the lowest set bit.
+and its first nonzero coefficient is read from the lowest set bit.  A
+contraction is kept only until the scan's last read of it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .exact_arith import _first_slot, _pack_slots, _slot_width, _unpack_slots
-from .qseries import QSeries
+from .qseries import PrecisionError, QSeries
 from .reporting import IdentityReport, failure_report, pass_report
 
 _F0 = Fraction(0)
@@ -120,14 +122,14 @@ def _lower(key: tuple[int, ...], slots) -> tuple[tuple[int, ...], int] | None:
 def _derivative_terms(potential: FrobeniusPotential, truncation: int):
     """The rule of the module docstring as triple -> [(multi-index, scalar,
     series)] for d_a d_b d_c F: quantum terms first, in the potential's order,
-    then classical ones.  Series stop at `truncation` at the latest; there is
-    one per (quantum key, number of t slots) plus one constant series shared
-    by the classical part, so callers may intern them by id.
+    then classical ones.  Series stop at `truncation`, which no quantum series
+    may stop below; there is one per (quantum key, number of t slots) plus one
+    constant series shared by the classical part.
     """
     log = len(potential.coords) - 1
     one = QSeries.one(truncation)
     towers = {
-        key: [series.truncate(min(truncation, series.truncation))]
+        key: [series.truncate(truncation)]
         for key, series in potential.quantum.items()
     }
     for tower in towers.values():
@@ -261,43 +263,42 @@ def euler_residual(potential: FrobeniusPotential) -> IdentityReport:
 class _WdvvEngine:
     """Exact associativity residuals in packed-integer arithmetic.
 
-    The numerators of the interned coefficient series, the derivative-term
-    scalars and the inverse-metric weights are each brought to integers over
-    one common denominator.  Each series is packed once into one int of T
-    slots in the slot format of exact_arith, wide enough for any residual
-    coefficient plus a sign bit, and all arithmetic is mod 2^(8 width T), so
-    slots past T drop out.  A pair product is one memoized multiplication, a
-    contraction is an integer combination of pair products per monomial, and
-    a residual is the difference of two packed ints: zero exactly when its T
-    coefficients all vanish, with its first nonzero exponent at the lowest
-    set bit.  Monomials are packed too, one slot per coordinate, so that
-    multiplying two monomials is one addition.
+    A derivative-term series is interned by its valuation and primitive
+    numerators, the first one positive; the rest of it joins the term's
+    scalar.  Scalars and inverse-metric weights are integers over one common
+    denominator each.  Base series are packed into T slots wide enough for
+    any residual coefficient plus a sign bit, all mod 2^(8 width T), so slots
+    past T drop out.  A pair product is one memoized multiplication.  A
+    contraction, an integer combination of pair products per monomial, is
+    memoized while `reads` counts reads left for it.  A residual is the
+    difference of two packed ints, first nonzero at the lowest set bit.
+    Monomials are packed one slot per coordinate, so multiplying two of them
+    is one addition.
     """
 
     def __init__(self, potential: FrobeniusPotential, truncation: int):
+        if potential.quantum and potential.truncation < truncation:
+            raise PrecisionError(f"wdvv: need order {truncation}, have {potential.truncation}")
         inverse = metric_from_potential(potential).inverse_rows()
         self.dim = dim = len(potential.coords)
         derivative_terms = _derivative_terms(potential, truncation)
-        ref_of: dict[int, int] = {}
-        columns: list[QSeries] = []
+        ref_of: dict[tuple[int, tuple[int, ...]], int] = {}
         triples: dict[tuple[int, int, int], list] = {}
         for triple in combinations_with_replacement(range(dim), 3):
             triples[triple] = []
             for key, scalar, series in derivative_terms(triple):
-                ref = ref_of.get(id(series))
-                if ref is None:
-                    if series.valuation < 0:
-                        raise ValueError("WDVV engine expects power-series coefficients")
-                    ref = ref_of[id(series)] = len(columns)
-                    columns.append(series)
-                triples[triple].append((key, scalar, ref))
+                if series.valuation < 0:
+                    raise ValueError("WDVV engine expects power-series coefficients")
+                if series.coeffs:
+                    g = math.gcd(*series.coeffs) * (1 if series.coeffs[0] > 0 else -1)
+                    base = (series.valuation, tuple(x // g for x in series.coeffs))
+                    ref = ref_of.setdefault(base, len(ref_of))
+                    triples[triple].append((key, scalar * Fraction(g, series.den), ref))
         eta = [(e, f, w) for e in range(dim) for f in range(dim) if (w := inverse[e][f])]
-        # each series already is integer numerators over its own denominator
-        d_coeff = math.lcm(*(s.den for s in columns))
         d_scalar = math.lcm(*(s.denominator for terms in triples.values() for _, s, _ in terms))
         d_weight = math.lcm(*(w.denominator for _, _, w in eta))
-        self.denominator = d_coeff**2 * d_scalar**2 * d_weight
-        arrays = [[0] * s.valuation + [x * (d_coeff // s.den) for x in s.coeffs] for s in columns]
+        self.denominator = d_scalar**2 * d_weight
+        arrays = [[0] * valuation + list(numerators) for valuation, numerators in ref_of]
         self.eta_pairs = [(e, f, w.numerator * (d_weight // w.denominator)) for e, f, w in eta]
         degree = max((max(key) for terms in triples.values() for key, _, _ in terms), default=0)
         self.monomial_width = _slot_width(2 * degree)
@@ -318,40 +319,40 @@ class _WdvvEngine:
         self._packed = [_pack_slots(array, self.width) for array in arrays]
         self._pair_products: list[list[int | None]] = [[None] * len(arrays) for _ in arrays]
         self._contractions: dict[tuple, dict[int, int]] = {}
+        self.reads: Counter = Counter()  # reads left in the scan, per contraction
 
-    def contraction(self, pair1: tuple[int, int], pair2: tuple[int, int]) -> dict[int, int]:
-        """(xy|zw) = sum_{e,f} F_xye eta^{ef} F_fzw as {packed monomial:
-        packed coefficients}, nonzero ones only, in units of 1/denominator."""
-        key = tuple(sorted((tuple(sorted(pair1)), tuple(sorted(pair2)))))
-        cached = self._contractions.get(key)
-        if cached is not None:
-            return cached
-        p1, p2 = key
-        acc: dict[int, int] = {}
-        products = self._pair_products
-        for e, f, w in self.eta_pairs:
-            t1 = self._terms[tuple(sorted((*p1, e)))]
-            if not t1:
-                continue
-            t2 = self._terms[tuple(sorted((*p2, f)))]
-            for m1, s1, r1 in t1:
-                s1w = s1 * w
-                row = products[r1]
-                for m2, s2, r2 in t2:
-                    product = row[r2]
-                    if product is None:
-                        product = (self._packed[r1] * self._packed[r2]) & self.mask
-                        row[r2] = products[r2][r1] = product
-                    acc[m1 + m2] = acc.get(m1 + m2, 0) + s1w * s2 * product
-        poly = {m: total & self.mask for m, total in acc.items() if total & self.mask}
-        self._contractions[key] = poly
+    def contraction(self, key: tuple) -> dict[int, int]:
+        """(xy|zw) = sum_{e,f} F_xye eta^{ef} F_fzw for key ((x,y),(z,w)) as
+        {packed monomial: packed coefficients}, nonzero ones only, in units of
+        1/denominator."""
+        poly = self._contractions.pop(key, None)
+        if poly is None:
+            p1, p2 = key
+            acc: dict[int, int] = {}
+            products = self._pair_products
+            for e, f, w in self.eta_pairs:
+                t1 = self._terms[tuple(sorted((*p1, e)))]
+                if not t1:
+                    continue
+                t2 = self._terms[tuple(sorted((*p2, f)))]
+                for m1, s1, r1 in t1:
+                    s1w = s1 * w
+                    row = products[r1]
+                    for m2, s2, r2 in t2:
+                        product = row[r2]
+                        if product is None:
+                            product = (self._packed[r1] * self._packed[r2]) & self.mask
+                            row[r2] = products[r2][r1] = product
+                        acc[m1 + m2] = acc.get(m1 + m2, 0) + s1w * s2 * product
+            poly = {m: total & self.mask for m, total in acc.items() if total & self.mask}
+        if (remaining := self.reads.pop(key, 0) - 1) > 0:
+            self.reads[key], self._contractions[key] = remaining, poly
         return poly
 
     def residual_failure(self, a: int, b: int, c: int, d: int):
         """First nonzero coefficient of the (a,b,c,d) residual as
         (exponent, residual), or None."""
-        p1 = self.contraction((a, b), (c, d))
-        p2 = self.contraction((a, d), (b, c))
+        p1, p2 = (self.contraction(key) for key in _contraction_keys(a, b, c, d))
         if p1 == p2:
             return None
         # a tie in the exponent goes to the first monomial met in a set of
@@ -368,22 +369,29 @@ class _WdvvEngine:
         return best[0], Fraction(best[1], self.denominator)
 
 
+def _contraction_keys(a: int, b: int, c: int, d: int) -> list[tuple]:
+    """Memo keys of (ab|cd) and (ad|bc), the two sides of the (a,b,c,d) residual."""
+    sides = (((a, b), (c, d)), ((a, d), (b, c)))
+    return [tuple(sorted((tuple(sorted(x)), tuple(sorted(y))))) for x, y in sides]
+
+
 def wdvv_residual(potential: FrobeniusPotential, truncation: int) -> IdentityReport:
     """Associativity residual over the coordinate quadruples, in
-    lexicographic order.
+    lexicographic order; PrecisionError if a quantum series stops below
+    `truncation`.
 
-    Swapping a<->c or b<->d negates the residual, so only the least quadruple
-    of each orbit {(a,b,c,d), (c,b,a,d), (a,d,c,b), (c,d,a,b)} is checked;
-    the first failing quadruple is the least of its orbit, so it is still
-    found.  b == d is skipped: that residual vanishes identically.
+    Swapping a<->c or b<->d negates the residual, and a == c or b == d makes
+    it vanish identically (the contraction is symmetric in its two pairs), so
+    only a < c and b < d is checked: the least quadruple of its orbit, which
+    is where the first failure lies.  Any quadruple with the unit index 0 is
+    skipped too: quantum keys have no t0 and metric_from_potential rejects a
+    non-constant metric, so F_0xy = eta_xy exactly and both contractions
+    reduce to the same third derivative.
     """
     engine = _WdvvEngine(potential, truncation)
-    for quad in product(range(engine.dim), repeat=4):
-        a, b, c, d = quad
-        if b == d or min(quad, (c, b, a, d), (a, d, c, b), (c, d, a, b)) != quad:
-            continue
-        failure = engine.residual_failure(a, b, c, d)
-        if failure is not None:
-            exponent, residual = failure
-            return failure_report("wdvv", truncation, quad, exponent, residual)
+    quads = [q for q in product(range(1, engine.dim), repeat=4) if q[0] < q[2] and q[1] < q[3]]
+    engine.reads = Counter(key for quad in quads for key in _contraction_keys(*quad))
+    for quad in quads:
+        if (failure := engine.residual_failure(*quad)) is not None:
+            return failure_report("wdvv", truncation, quad, *failure)
     return pass_report("wdvv", truncation)

@@ -218,6 +218,27 @@ def test_wrong_twisted_row_is_a_localized_failure(capsys, monkeypatch, row, expo
     assert "pass  e6-pole-twist-linear (order 20)" in out
 
 
+@pytest.mark.parametrize("model, order, key, exponent", [
+    ("e6", 40, (0, 1, 1, 1, 0, 0, 0, 0), 30),  # t1 t2 t3
+    ("d4", 100, (0, 1, 1, 1, 1, 0), 90),  # t1 t2 t3 t4
+    ("d4", 100, (0, 4, 0, 0, 0, 0), 90),  # t1^4
+    ("d4", 100, (0, 2, 2, 0, 0, 0), 90),  # t1^2 t2^2
+])
+def test_wdvv_suite_certifies_the_requested_order(capsys, monkeypatch, model, order, key, exponent):
+    module = {"d4": d4, "e6": e6}[model]
+    original = getattr(module, f"{model}_build_potential")
+
+    def perturbed(*args, **kwargs):
+        return original(*args, **kwargs).with_mutated_quantum(key, exponent, Fraction(1, 7))
+
+    monkeypatch.setattr(module, f"{model}_build_potential", perturbed)
+    status, out, _ = _run(capsys, command="verify", model=model, order=order)
+    assert status == 14
+    failing = [line for line in out.splitlines() if line.startswith("  FAIL")]
+    assert len(failing) == 1 and failing[0].startswith(f"  FAIL  wdvv (order {order}; "), failing
+    assert any(f"first failure at q^{e}," in failing[0] for e in (exponent, exponent + 1)), failing
+
+
 def test_internal_failures_exit_three(capsys, monkeypatch):
     def _boom(order):
         raise PrecisionError("synthetic precision collapse")
@@ -260,7 +281,8 @@ def test_gw_table_json(capsys):
 
 # -- byte identity -----------------------------------------------------------------
 
-# sha256 of stdout, recorded before the two models shared one first-order solver
+# sha256 of stdout, recorded before the two models shared one first-order solver;
+# the `verify` digests were recorded once WDVV certified the requested order
 PINNED_STDOUT = [
     (dict(command="solve", model="e6", order=2),
      "3d7734386426fb8c54506fd4ad33cdc62907c43b78c451f3034b1eb7204941a6"),
@@ -283,9 +305,11 @@ PINNED_STDOUT = [
     (dict(command="gw-table", kmax=100),
      "27752564e1e3d0c846134ab695bcc2b78386f5e5bc14e58392d0a680667a7de6"),
     (dict(command="verify", model="e6", order=60),
-     "28970f1097e0c11a39d676e1005f8cd0c7ed215ee4e0b7e72ed2188eb11a0a8f"),
+     "e4cd6062db793382f6f58c56ff51fdbec588d26bd63e3cf2ac8f3465b3571f99"),
     (dict(command="verify", model="identities", order=60),
      "0555af0322f1232b5fe2e7c9c8275ec15e75aa43e3c764c1b8adbd348211dc41"),
+    (dict(command="verify", model="d4", order=125),
+     "c448b2292ed99d834559385ba09c107ff918389ee444f58a639f7ccad8d42f6a"),
 ]
 
 
@@ -294,6 +318,15 @@ def test_stdout_is_byte_identical_to_the_pinned_run(capsys, config, digest):
     status, out, _ = _run(capsys, **config)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_strict_typo_stdout_is_pinned(capsys):
+    status, out, _ = _run(capsys, command="verify", model="e6", order=60, strict_typo_mode=True)
+    assert status == 14
+    assert ("  FAIL  wdvv (order 60; first failure at q^2, indices (1, 1, 4, 4), residual -1/6)\n"
+            in out)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d2375ea21430ae1aa2835039b5d496509f85efd1e55d159bc20ff2aa9639f977")
 
 
 # -- genus-one ---------------------------------------------------------------------

@@ -7,7 +7,9 @@ from math import factorial
 
 import pytest
 
+import gwseries.frobenius as frobenius
 from gwseries.d4 import d4_analytic, d4_build_potential
+from gwseries.e6 import e6_build_fi, e6_build_potential
 from gwseries.frobenius import (
     FrobeniusPotential,
     MetricMatrix,
@@ -19,7 +21,7 @@ from gwseries.frobenius import (
     third_derivative,
     wdvv_residual,
 )
-from gwseries.qseries import QSeries
+from gwseries.qseries import PrecisionError, QSeries
 
 # Rational plane curve counts through 3d-1 generic points, the classic
 # associativity benchmark: any single wrong count breaks WDVV.
@@ -308,6 +310,74 @@ def test_residual_is_antisymmetric_in_the_outer_pair():
                         assert swapped is None
                     else:
                         assert swapped == (forward[0], -forward[1])
+
+
+def test_wdvv_refuses_to_certify_past_the_potential():
+    with pytest.raises(PrecisionError, match="need order 40"):
+        wdvv_residual(d4_build_potential(d4_analytic(10)), 40)
+    # with no quantum part the potential is exact, though its truncation reads 0
+    plane = _projective_plane()
+    classical = FrobeniusPotential(plane.coords, plane.degrees, plane.classical, {})
+    assert classical.truncation == 0
+    assert wdvv_residual(classical, 40).passed
+
+
+def test_wdvv_takes_a_quantum_coefficient_that_q_d_dq_kills(wdvv_reference):
+    # a constant coefficient: every derivative term with a t slot is the zero series
+    plane = _projective_plane()
+    quantum = {(0, 3, 0): QSeries([Fraction(1, 6)], 0, 6)}
+    cubic = FrobeniusPotential(plane.coords, plane.degrees, plane.classical, quantum)
+    failure = wdvv_residual(cubic, 6).first_failure
+    assert (failure.indices, failure.exponent, Fraction(failure.residual)) == ((1, 1, 2, 2), 0, 1)
+    engine = _WdvvEngine(cubic, 6)
+    reference = wdvv_reference(cubic, 6)
+    for quad in product(range(engine.dim), repeat=4):
+        reference.assert_first_failure(quad, engine.residual_failure(*quad))
+
+
+def test_engine_interns_its_series_up_to_a_scalar():
+    # the fourteen f_i (resp. a, b, c) under q d/dq^0..3, plus the constant 1
+    assert len(_WdvvEngine(e6_build_potential(e6_build_fi(20)), 20)._packed) == 57
+    assert len(_WdvvEngine(d4_build_potential(d4_analytic(20)), 20)._packed) == 13
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The engines wdvv_residual builds, each recording the quadruples it scans."""
+    engines = []
+
+    class Recording(_WdvvEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.quads = []
+            engines.append(self)
+
+        def residual_failure(self, *quad):
+            self.quads.append(quad)
+            return super().residual_failure(*quad)
+
+    monkeypatch.setattr(frobenius, "_WdvvEngine", Recording)
+    return engines
+
+
+def test_a_full_scan_leaves_the_contraction_memo_empty(scanned):
+    assert wdvv_residual(_projective_plane(), 6).passed
+    assert wdvv_residual(d4_build_potential(d4_analytic(20)), 20).passed
+    assert wdvv_residual(e6_build_potential(e6_build_fi(10)), 8).passed
+    assert len(scanned) == 3
+    for engine in scanned:
+        assert engine.quads and engine._contractions == {} and engine.reads == {}
+
+
+def test_scan_skips_every_quadruple_with_the_unit_index(scanned):
+    for potential, truncation in _wdvv_cases():
+        wdvv_residual(potential, truncation)
+        engine = _WdvvEngine(potential, truncation)
+        for quad in product(range(engine.dim), repeat=4):
+            if 0 in quad:
+                assert engine.residual_failure(*quad) is None, quad
+    assert len(scanned) == len(_wdvv_cases())
+    assert all(engine.quads and 0 not in quad for engine in scanned for quad in engine.quads)
 
 
 def test_mutation_helper_changes_one_coefficient():
