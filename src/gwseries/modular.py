@@ -131,6 +131,32 @@ class EtaQuotient:
                 unit = unit * base.pow_rational(r)
         return PuiseuxSeries(1, self.offset, unit)
 
+    def logderiv(self, truncation: int) -> QSeries:
+        """q d/dq log of the quotient through O(q^truncation), never expanded.
+
+        The log-derivative is additive over products and homogeneous over
+        powers, and the unit of eta(q^m) is u_1(q^m) for u_1 = prod (1 - q^n),
+        so with L = q d/dq log u_1 = (q du_1/dq) / u_1,
+
+            q d/dq log prod eta(q^m)^(r_m) = offset + sum r_m m L(q^m).
+
+        L is built once, from u_1 through ceil(T / min m) terms and one
+        inverse.  The result equals `expand(truncation).logderiv()`, stored
+        form included:
+
+        >>> EtaQuotient(((1, Fraction(24)),)).logderiv(4)   # E_2
+        QSeries(1 - 24q - 72q^2 - 96q^3 + O(q^4))
+        >>> quotient = EtaQuotient.parse("eta(2)^-3/2 * eta(4)^1/2")
+        >>> quotient.logderiv(30) == quotient.expand(30).logderiv()
+        True
+        """
+        u = eta_unit(1, -(-truncation // min(m for m, _ in self.factors)))
+        L = u.qdq() * u.inv()
+        out = QSeries.constant(self.offset, truncation)
+        for m, r in self.factors:
+            out = out + L.substitute_power(m).truncate(truncation).scale(r * m)
+        return out
+
     _FACTOR_RE = re.compile(r"^eta\((\d+)\)(?:\^(-?\d+(?:/\d+)?))?$")
 
     @classmethod
@@ -209,8 +235,8 @@ def halphen_variables(truncation: int) -> dict[int, QSeries]:
     return {i: theta_logderiv(i, truncation) for i in (2, 3, 4)}
 
 
-# The scalar 2 in 2*eta(q^2)^-1*eta(q^4)^2 is constant, so the logarithmic
-# derivative never sees it; logderiv drops scalars by construction.
+# theta_2 = 2*eta(q^2)^-1*eta(q^4)^2 carries the scalar 2, which the
+# log-derivative never sees, so the quotients are stored without scalars.
 _THETA_ETA_FORMS = {
     2: EtaQuotient(((2, Fraction(-1)), (4, Fraction(2)))),
     3: EtaQuotient(((1, Fraction(-2)), (2, Fraction(5)), (4, Fraction(-2)))),
@@ -219,12 +245,13 @@ _THETA_ETA_FORMS = {
 
 
 def theta_eta_reports(truncation: int, x: dict[int, QSeries]) -> list[IdentityReport]:
-    """X_i from the theta sum against its eta-quotient form, i = 2, 3, 4."""
-    out = []
-    for i in (2, 3, 4):
-        rhs = _THETA_ETA_FORMS[i].expand(truncation).logderiv()
-        out.append(series_match(f"theta-eta-x{i}", x[i], rhs, truncation))
-    return out
+    """X_i from the theta sum against the log-derivative of its eta-quotient
+    form (`EtaQuotient.logderiv`, from the eta product and one inverse),
+    i = 2, 3, 4."""
+    return [
+        series_match(f"theta-eta-x{i}", x[i], _THETA_ETA_FORMS[i].logderiv(truncation), truncation)
+        for i in (2, 3, 4)
+    ]
 
 
 def halphen_reports(truncation: int, x: dict[int, QSeries]) -> list[IdentityReport]:
@@ -311,7 +338,7 @@ def J_series(truncation: int) -> QSeries:
 def verify_f_eta(truncation: int) -> IdentityReport:
     """f(q) built from divisor sums against -q d/dq log eta(q)."""
     lhs = f_series(truncation)
-    rhs = -dedekind_eta(truncation).logderiv()
+    rhs = -EtaQuotient(((1, Fraction(1)),)).logderiv(truncation)
     return series_match("divisor-sum-vs-eta-logderiv", lhs, rhs, truncation)
 
 

@@ -388,7 +388,7 @@ class QSeries:
 
         With c = nums/d, c^v = nums_v/d_v and n exponents known, the block at
         exponent v + i is multiplied by nums_v nums^i d^(n-1-i), and the one
-        denominator by d_v d^(n-1).
+        denominator by d_v d^(n-1).  Over Q each of these is one integer.
         """
         if c == 1:
             return self
@@ -399,9 +399,15 @@ class QSeries:
         d, lift = base.den, base.den ** max(len(s.coeffs) // s._width - 1, 0)
         power = [x * lift for x in start.coeffs]  # nums_v nums^i d^(n-1-i)
         out: list[int] = []
-        for i in range(0, len(s.coeffs), s._width):
-            out += _convolve(s.coeffs[i : i + s._width], power, s.order, 1)
-            power = [x // d for x in _convolve(power, base.coeffs, s.order, 1)]  # exact until unused
+        if s.order == 1:
+            (p,), (k,) = base.coeffs, power
+            for x in s.coeffs:
+                out.append(x * k)
+                k = k * p // d  # exact until unused
+        else:
+            for i in range(0, len(s.coeffs), s._width):
+                out += _convolve(s.coeffs[i : i + s._width], power, s.order, 1)
+                power = [x // d for x in _convolve(power, base.coeffs, s.order, 1)]  # exact until unused
         return s._replace(den=s.den * start.den * lift, coeffs=out)
 
     def log_unit(self) -> "QSeries":

@@ -11,8 +11,9 @@ import gwseries
 import gwseries.cli as cli
 import gwseries.d4 as d4
 import gwseries.e6 as e6
+import gwseries.modular as modular
 from gwseries.cli import DEFAULT_ORDER, ORDER_ENV_VAR, RunConfig, main, parse_args, run
-from gwseries.modular import eta_expand
+from gwseries.modular import EtaQuotient, eta_expand
 from gwseries.qseries import PrecisionError, QSeries
 
 
@@ -179,6 +180,36 @@ def test_wrong_eta_form_is_a_localized_failure(capsys, monkeypatch):
     assert "pass  d4-eta-form-b (order 16)" in out
 
 
+def _failures(out: str) -> list[str]:
+    return [line.strip() for line in out.splitlines() if line.lstrip().startswith("FAIL")]
+
+
+def test_wrong_d4_eta_exponent_is_a_localized_failure(capsys, monkeypatch):
+    wrong = EtaQuotient.parse("eta(1) * eta(2)^-3/2 * eta(4)^1/4")  # eta(4)^1/2 is right
+    monkeypatch.setitem(d4._D4_ETA_FORMS, "a", wrong)
+    status, out, _ = _run(capsys, command="verify", model="d4", order=40)
+    assert status == 10
+    # the first failure the expand-then-logderiv route finds
+    exponent, residual = (-wrong.expand(40).logderiv()).first_difference(d4.d4_analytic(40).a)
+    assert (exponent, residual) == (0, Fraction(1, 24))
+    assert _failures(out) == [
+        f"FAIL  d4-eta-form-a (order 40; first failure at q^{exponent}, residual {residual})"
+    ]
+
+
+def test_wrong_theta_eta_exponent_is_a_localized_failure(capsys, monkeypatch):
+    wrong = EtaQuotient(((1, Fraction(-2)), (2, Fraction(5)), (4, Fraction(-1))))  # eta(4)^-2 is right
+    monkeypatch.setitem(modular._THETA_ETA_FORMS, 3, wrong)
+    status, out, _ = _run(capsys, command="verify", model="halphen", order=40)
+    assert status == 10
+    x3 = modular.halphen_variables(40)[3]
+    exponent, residual = x3.first_difference(wrong.expand(40).logderiv())
+    assert (exponent, residual) == (0, Fraction(-1, 6))
+    assert _failures(out) == [
+        f"FAIL  theta-eta-x3 (order 40; first failure at q^{exponent}, residual {residual})"
+    ]
+
+
 def test_wrong_closed_form_is_a_localized_failure(capsys, monkeypatch):
     original = e6.e6_h_analytic
 
@@ -310,6 +341,10 @@ PINNED_STDOUT = [
      "0555af0322f1232b5fe2e7c9c8275ec15e75aa43e3c764c1b8adbd348211dc41"),
     (dict(command="verify", model="d4", order=125),
      "c448b2292ed99d834559385ba09c107ff918389ee444f58a639f7ccad8d42f6a"),
+    (dict(command="verify", model="halphen", order=175),
+     "7b899a8648eb46f5f8fd3d8a4aeb98c6e89f00059de96e27ad75de76955f88b8"),
+    (dict(command="verify", model="identities", order=200),
+     "538bd37b17ae8e86f190ddf204c16aa43fe149d7843364734ad4d3ceb5ee031c"),
 ]
 
 

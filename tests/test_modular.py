@@ -4,7 +4,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gwseries.d4 import d4_eta_forms
 from gwseries.modular import (
     EtaQuotient,
     J_series,
@@ -30,7 +33,7 @@ from gwseries.modular import (
     verify_f_eta,
     verify_sigma_doubling,
 )
-from gwseries.qseries import QSeries
+from gwseries.qseries import QSeries, QSeriesError, ZeroDivisor
 
 
 def _sigma_brute(n: int, power: int = 1) -> int:
@@ -134,6 +137,66 @@ def test_eta_quotient_rejects_garbage():
             EtaQuotient.parse(bad)
     with pytest.raises(ValueError):
         EtaQuotient(((2, Fraction(0)),))
+
+
+@st.composite
+def eta_quotients(draw):
+    """1-4 factors eta(q^m)^r, m in 1..12, r nonzero with denominator 1-4."""
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        num = draw(st.integers(-6, 6).filter(bool))
+        factors.append((draw(st.integers(1, 12)), Fraction(num, draw(st.integers(1, 4)))))
+    return EtaQuotient(tuple(factors))
+
+
+def _stored(s: QSeries) -> tuple:
+    return s.order, s.den, s.valuation, s.coeffs, s.truncation
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(eta_quotients(), st.integers(1, 150))
+def test_eta_quotient_logderiv_equals_the_expanded_route(quotient, truncation):
+    """Additivity of the log-derivative gives what expanding the quotient
+    (fractional powers through log and exp) and then differentiating gives,
+    down to the stored numerators and denominator."""
+    assert _stored(quotient.logderiv(truncation)) == _stored(quotient.expand(truncation).logderiv())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(eta_quotients(), st.integers(-3, 0))
+def test_eta_quotient_logderiv_fails_like_the_expanded_route(quotient, truncation):
+    with pytest.raises(QSeriesError) as expanded:
+        quotient.expand(truncation).logderiv()
+    with pytest.raises(QSeriesError) as direct:
+        quotient.logderiv(truncation)
+    assert type(direct.value) is type(expanded.value) is ZeroDivisor
+
+
+def test_eta_logderivs_take_no_fractional_power(monkeypatch):
+    """The eta forms of the d4 and Halphen suites cost one series inverse
+    per quotient: no log, exp or rational power is ever taken."""
+    x = halphen_variables(175)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an eta log-derivative took a power or a logarithm")
+
+    for name in ("pow_rational", "log_unit", "exp_positive"):
+        monkeypatch.setattr(QSeries, name, forbidden)
+    counts = {"inv": 0, "logderiv": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(QSeries, "inv", counted("inv", QSeries.inv))
+    monkeypatch.setattr(EtaQuotient, "logderiv", counted("logderiv", EtaQuotient.logderiv))
+    d4_eta_forms(125)
+    assert counts == {"inv": 3, "logderiv": 3}
+    assert all(r.passed for r in theta_eta_reports(175, x))
+    assert counts == {"inv": 6, "logderiv": 6}
 
 
 def test_eta_expand_accepts_text():
