@@ -25,19 +25,19 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from .frobenius import FrobeniusPotential, euler_residual, wdvv_residual
+from .frobenius import FrobeniusPotential, euler_residual, orbit_potential, wdvv_residual
 from .modular import (  # noqa: F401  (eta_expand: perfbench's tracer test reads d4's binding)
     EtaQuotient,
     LatticeSpec,
-    dedekind_eta,
     eta_expand,
     f_series,
+    genus_one,
     halphen_reports,
     halphen_variables,
     lattice_theta,
 )
 from .qseries import QSeries, solve_qdq_system
-from .reporting import GenusOneResult, IdentityReport, combine, series_match
+from .reporting import GenusOneResult, IdentityReport, series_match
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -199,24 +199,18 @@ def d4_construction_reports(
 
 
 def d4_build_potential(coeffs: D4Coefficients) -> FrobeniusPotential:
-    """Genus-zero potential on coordinates (t0, t1..t4, t), t acting as log q."""
-    classical = {(2, 0, 0, 0, 0, 1): _HALF}
-    quantum = {(0, 1, 1, 1, 1, 0): coeffs.a}
-    quarter_b = coeffs.b.scale(_QUARTER)
-    sixth_c = coeffs.c.scale(Fraction(1, 6))
-    for i in range(1, 5):
-        key = [0] * 6
-        key[i] = 2
-        classical[(1,) + tuple(key[1:])] = _QUARTER
-        key[i] = 4
-        quantum[tuple(key)] = quarter_b
-        for j in range(i + 1, 5):
-            pair = [0] * 6
-            pair[i] = pair[j] = 2
-            quantum[tuple(pair)] = sixth_c
-    degrees = (Fraction(1), _HALF, _HALF, _HALF, _HALF, Fraction(0))
-    return FrobeniusPotential(
-        ("t0", "t1", "t2", "t3", "t4", "t"), degrees, classical, quantum
+    """Genus-zero potential on coordinates (t0, t1..t4, t), t acting as log q:
+    one row per orbit of the permutations of t1..t4."""
+    return orbit_potential(
+        ("t0", "t1", "t2", "t3", "t4", "t"),
+        (Fraction(1), _HALF, _HALF, _HALF, _HALF, Fraction(0)),
+        ((1,), (2,), (3,), (4,)),
+        [((2, 0, 0, 0, 0, 1), _HALF), ((1, 2, 0, 0, 0, 0), _QUARTER)],
+        [
+            ((0, 1, 1, 1, 1, 0), Fraction(1), coeffs.a),
+            ((0, 4, 0, 0, 0, 0), _QUARTER, coeffs.b),
+            ((0, 2, 2, 0, 0, 0), Fraction(1, 6), coeffs.c),
+        ],
     )
 
 
@@ -241,30 +235,10 @@ def d4_elliptic_weyl_reports(order: int, coeffs: D4Coefficients) -> list[Identit
 
 
 def d4_genus_one(order: int, coeffs: D4Coefficients) -> GenusOneResult:
-    """Genus-one potential -(1/2) log eta(q^2) with its two certificates.
-
-    Splitting off the log q piece of log eta leaves a power series:
-    the result carries the coefficient of log q (-1/24) and the series part
-    separately.  Certified against q d/dq F_1 = f(q^2), once directly and
-    once through the coefficient combination b + c/3 coming from the
-    genus-one Virasoro constraint.
-    """
-    eta_sq = dedekind_eta(order, scale=2)
-    linear = eta_sq.offset * -_HALF
-    series = eta_sq.unit.log_unit().scale(-_HALF)
-    half_order = -(-order // 2)
-    f_qsq = f_series(half_order).substitute_power(2).truncate(order)
-    derivative = QSeries.constant(linear, order) + series.qdq()
-    report = combine(
-        "d4-genus-one",
-        [
-            series_match("d4-genus-one-derivative", derivative, f_qsq, order),
-            series_match(
-                "d4-genus-one-virasoro", coeffs.b + coeffs.c.scale(Fraction(1, 3)), f_qsq, order
-            ),
-        ],
-    )
-    return GenusOneResult(linear, series, report)
+    """Genus-one potential -(1/2) log eta(q^2), certified by `genus_one`
+    against f(q^2) directly and through the genus-one Virasoro combination
+    b + c/3."""
+    return genus_one("d4-genus-one", order, 2, coeffs.b + coeffs.c.scale(Fraction(1, 3)))
 
 
 # -- verify suites ---------------------------------------------------------------------

@@ -28,23 +28,17 @@ import dataclasses
 from fractions import Fraction
 
 from .exact_arith import CyclotomicNumber
-from .frobenius import FrobeniusPotential, euler_residual, wdvv_residual
+from .frobenius import FrobeniusPotential, euler_residual, orbit_potential, wdvv_residual
 from .modular import (
     J_series,
     dedekind_eta,
     eta_expand,
-    f_series,
+    genus_one,
     verify_cusp_form_from_j,
     verify_eta_product_rotation,
 )
 from .qseries import QSeries, solve_qdq_system
-from .reporting import (
-    GenusOneResult,
-    IdentityReport,
-    combine,
-    failure_report,
-    series_match,
-)
+from .reporting import GenusOneResult, IdentityReport, failure_report, series_match
 
 _THIRD = Fraction(1, 3)
 _SQRT_NORMALIZATION = _THIRD  # the constant A with A^2 = 1/9 and f_0 = q + ...
@@ -54,13 +48,10 @@ _SQRT_NORMALIZATION = _THIRD  # the constant A with A^2 = 1/9 and f_0 = q + ...
 class E6Coefficients:
     a: QSeries
     f: tuple[QSeries, ...]
-    A: Fraction = _SQRT_NORMALIZATION
 
     def __post_init__(self):
         if len(self.f) != 14:
             raise ValueError("expected the fourteen potential coefficients")
-        if self.A * self.A != Fraction(1, 9):
-            raise ValueError("normalization must square to 1/9")
         if self.a.leading() != (-1, _THIRD):
             raise ValueError("the pole series must start with (1/3) q^-1")
         if self.f[0].leading() != (1, Fraction(1)):
@@ -73,9 +64,7 @@ class E6Coefficients:
         return min(self.a.truncation, *(s.truncation for s in self.f))
 
     def truncate(self, order: int) -> "E6Coefficients":
-        return E6Coefficients(
-            self.a.truncate(order), tuple(s.truncate(order) for s in self.f), self.A
-        )
+        return E6Coefficients(self.a.truncate(order), tuple(s.truncate(order) for s in self.f))
 
 
 # -- the pole series ---------------------------------------------------------------
@@ -363,11 +352,24 @@ def _gw_table(
 # -- potential, genus one -------------------------------------------------------------
 
 
-def _block(indices: dict[int, int]) -> tuple[int, ...]:
-    key = [0] * 8
-    for slot, exponent in indices.items():
-        key[slot] = exponent
-    return tuple(key)
+# One row per orbit of the permutations of the pairs (t1,t6), (t2,t5), (t3,t4):
+# the index i of the series f_i, its prefactor, and a representative monomial.
+_E6_QUANTUM_ROWS = (
+    (0, Fraction(1), (0, 1, 1, 1, 0, 0, 0, 0)),
+    (1, Fraction(1, 6), (0, 3, 0, 0, 0, 0, 0, 0)),
+    (2, Fraction(1), (0, 1, 1, 0, 0, 1, 1, 0)),
+    (3, Fraction(1, 2), (0, 2, 0, 0, 1, 1, 0, 0)),
+    (4, Fraction(1, 2), (0, 1, 1, 0, 2, 0, 0, 0)),
+    (5, Fraction(1, 4), (0, 2, 0, 0, 0, 0, 2, 0)),
+    (6, Fraction(1, 6), (0, 1, 0, 0, 3, 0, 1, 0)),
+    (7, Fraction(1, 2), (0, 1, 0, 0, 1, 1, 2, 0)),
+    (8, Fraction(1, 4), (0, 1, 0, 0, 2, 2, 0, 0)),
+    (9, Fraction(1, 24), (0, 1, 0, 0, 0, 0, 4, 0)),
+    (10, Fraction(1, 36), (0, 0, 0, 0, 3, 3, 0, 0)),
+    (11, Fraction(1, 24), (0, 0, 0, 0, 4, 1, 1, 0)),
+    (12, Fraction(1, 8), (0, 0, 0, 0, 2, 2, 2, 0)),
+    (13, Fraction(1, 720), (0, 0, 0, 0, 6, 0, 0, 0)),
+)
 
 
 def e6_build_potential(coeffs: E6Coefficients, raw_f11_block: bool = False) -> FrobeniusPotential:
@@ -378,113 +380,27 @@ def e6_build_potential(coeffs: E6Coefficients, raw_f11_block: bool = False) -> F
     t4^4 t5 t6 not at all; the default completes the orbit symmetrically,
     which is what associativity requires.
     """
-    f = coeffs.f
-    classical = {
-        _block({0: 2, 7: 1}): Fraction(1, 2),
-        _block({0: 1, 1: 1, 6: 1}): _THIRD,
-        _block({0: 1, 2: 1, 5: 1}): _THIRD,
-        _block({0: 1, 3: 1, 4: 1}): _THIRD,
-    }
-    blocks: list[tuple[QSeries, Fraction, list[dict[int, int]]]] = [
-        (f[0], Fraction(1), [{1: 1, 2: 1, 3: 1}]),
-        (f[1], Fraction(1, 6), [{1: 3}, {2: 3}, {3: 3}]),
-        (
-            f[2],
-            Fraction(1),
-            [{1: 1, 2: 1, 5: 1, 6: 1}, {1: 1, 3: 1, 4: 1, 6: 1}, {2: 1, 3: 1, 4: 1, 5: 1}],
-        ),
-        (
-            f[3],
-            Fraction(1, 2),
-            [{1: 2, 4: 1, 5: 1}, {2: 2, 4: 1, 6: 1}, {3: 2, 5: 1, 6: 1}],
-        ),
-        (
-            f[4],
-            Fraction(1, 2),
-            [{1: 1, 2: 1, 4: 2}, {1: 1, 3: 1, 5: 2}, {2: 1, 3: 1, 6: 2}],
-        ),
-        (f[5], Fraction(1, 4), [{1: 2, 6: 2}, {2: 2, 5: 2}, {3: 2, 4: 2}]),
-        (
-            f[6],
-            Fraction(1, 6),
-            [
-                {1: 1, 6: 1, 4: 3},
-                {1: 1, 6: 1, 5: 3},
-                {2: 1, 5: 1, 4: 3},
-                {2: 1, 5: 1, 6: 3},
-                {3: 1, 4: 1, 5: 3},
-                {3: 1, 4: 1, 6: 3},
-            ],
-        ),
-        (
-            f[7],
-            Fraction(1, 2),
-            [
-                {1: 1, 4: 1, 5: 1, 6: 2},
-                {2: 1, 4: 1, 5: 2, 6: 1},
-                {3: 1, 4: 2, 5: 1, 6: 1},
-            ],
-        ),
-        (
-            f[8],
-            Fraction(1, 4),
-            [{1: 1, 4: 2, 5: 2}, {2: 1, 4: 2, 6: 2}, {3: 1, 5: 2, 6: 2}],
-        ),
-        (f[9], Fraction(1, 24), [{1: 1, 6: 4}, {2: 1, 5: 4}, {3: 1, 4: 4}]),
-        (f[10], Fraction(1, 36), [{4: 3, 5: 3}, {4: 3, 6: 3}, {5: 3, 6: 3}]),
-        (f[12], Fraction(1, 8), [{4: 2, 5: 2, 6: 2}]),
-        (f[13], Fraction(1, 720), [{4: 6}, {5: 6}, {6: 6}]),
-    ]
+    potential = orbit_potential(
+        ("t0", "t1", "t2", "t3", "t4", "t5", "t6", "t"),
+        (Fraction(1), *[Fraction(2, 3)] * 3, *[_THIRD] * 3, Fraction(0)),
+        ((1, 6), (2, 5), (3, 4)),
+        [((2, 0, 0, 0, 0, 0, 0, 1), Fraction(1, 2)), ((1, 1, 0, 0, 0, 0, 1, 0), _THIRD)],
+        [(rep, prefactor, coeffs.f[i]) for i, prefactor, rep in _E6_QUANTUM_ROWS],
+    )
     if raw_f11_block:
-        blocks.append(
-            (f[11], Fraction(1, 24), [{4: 1, 5: 1, 6: 4}, {4: 1, 5: 4, 6: 1}, {4: 1, 5: 1, 6: 4}])
-        )
-    else:
-        blocks.append(
-            (f[11], Fraction(1, 24), [{4: 4, 5: 1, 6: 1}, {4: 1, 5: 4, 6: 1}, {4: 1, 5: 1, 6: 4}])
-        )
-    quantum: dict[tuple[int, ...], QSeries] = {}
-    for series, prefactor, monomials in blocks:
-        for monomial in monomials:
-            key = _block(monomial)
-            piece = series.scale(prefactor)
-            quantum[key] = quantum[key] + piece if key in quantum else piece
-    degrees = (
-        Fraction(1),
-        Fraction(2, 3),
-        Fraction(2, 3),
-        Fraction(2, 3),
-        _THIRD,
-        _THIRD,
-        _THIRD,
-        Fraction(0),
-    )
-    return FrobeniusPotential(
-        ("t0", "t1", "t2", "t3", "t4", "t5", "t6", "t"), degrees, classical, quantum
-    )
+        quantum, doubled = potential.quantum, (0, 0, 0, 0, 1, 1, 4, 0)
+        del quantum[(0, 0, 0, 0, 4, 1, 1, 0)]
+        quantum[doubled] = quantum[doubled].scale(2)
+    return potential
 
 
 def e6_genus_one(order: int, coeffs: E6Coefficients) -> GenusOneResult:
-    """Genus-one potential -(1/3) log eta(q^3) with its two certificates.
-
+    """Genus-one potential -(1/3) log eta(q^3), certified by `genus_one`:
     q d/dq of it must be -1/24 + sum sigma(n) q^(3n), and the same series
     must come out of the genus-one Virasoro combination (3/4) f_2 + (3/8) f_5.
     """
-    eta_cubed_arg = dedekind_eta(order, scale=3)
-    linear = eta_cubed_arg.offset * -_THIRD
-    series = eta_cubed_arg.unit.log_unit().scale(-_THIRD)
-    third_order = -(-order // 3)
-    f_q3 = f_series(third_order).substitute_power(3).truncate(order)
-    derivative = QSeries.constant(linear, order) + series.qdq()
     virasoro = coeffs.f[2].scale(Fraction(3, 4)) + coeffs.f[5].scale(Fraction(3, 8))
-    report = combine(
-        "e6-genus-one",
-        [
-            series_match("e6-genus-one-derivative", derivative, f_q3, order),
-            series_match("e6-genus-one-virasoro", virasoro, f_q3, order),
-        ],
-    )
-    return GenusOneResult(linear, series, report)
+    return genus_one("e6-genus-one", order, 3, virasoro)
 
 
 # -- verify suite ---------------------------------------------------------------------

@@ -27,7 +27,7 @@ import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 from .exact_arith import _first_slot, _pack_slots, _slot_width, _unpack_slots
 from .qseries import PrecisionError, QSeries
@@ -102,6 +102,45 @@ class FrobeniusPotential:
         return dataclasses.replace(self, quantum=quantum)
 
 
+def _orbit(representative: tuple[int, ...], blocks) -> list[tuple[int, ...]]:
+    """The distinct images of a multi-index under every permutation of the
+    equal-length slot tuples `blocks`, in the order first met."""
+    images: dict[tuple[int, ...], None] = {}
+    for perm in permutations(blocks):
+        image = list(representative)
+        for source, target in zip(blocks, perm):
+            for s, t in zip(source, target):
+                image[t] = representative[s]
+        images[tuple(image)] = None
+    return list(images)
+
+
+def orbit_potential(coords, degrees, blocks, classical_rows, quantum_rows) -> FrobeniusPotential:
+    """A potential written as one row per orbit of the permutations of `blocks`.
+
+    A row is (representative multi-index, prefactor), plus the QSeries for a
+    quantum row.  Each distinct image of the representative is a key, the
+    keys of a quantum row share one scaled series, and a key two rows reach
+    carries their sum.  The (2,2,2,2) rows t1^4 and t1^2 t2^2:
+
+    >>> one, rows = QSeries.one(4), [((0, 4, 0, 0, 0, 0), 4), ((0, 2, 2, 0, 0, 0), 6)]
+    >>> F = orbit_potential("t0 t1 t2 t3 t4 t".split(), [0] * 6, ((1,), (2,), (3,), (4,)),
+    ...                     [], [(key, Fraction(1, n), one) for key, n in rows])
+    >>> sorted(Counter(map(id, F.quantum.values())).values())  # keys per shared series
+    [4, 6]
+    """
+    classical: dict[tuple[int, ...], Fraction] = {}
+    for representative, prefactor in classical_rows:
+        for key in _orbit(representative, blocks):
+            classical[key] = classical.get(key, _F0) + prefactor
+    quantum: dict[tuple[int, ...], QSeries] = {}
+    for representative, prefactor, series in quantum_rows:
+        scaled = series.scale(prefactor)
+        for key in _orbit(representative, blocks):
+            quantum[key] = quantum[key] + scaled if key in quantum else scaled
+    return FrobeniusPotential(tuple(coords), tuple(degrees), classical, quantum)
+
+
 # -- derivatives ------------------------------------------------------------------
 
 
@@ -123,24 +162,24 @@ def _derivative_terms(potential: FrobeniusPotential, truncation: int):
     """The rule of the module docstring as triple -> [(multi-index, scalar,
     series)] for d_a d_b d_c F: quantum terms first, in the potential's order,
     then classical ones.  Series stop at `truncation`, which no quantum series
-    may stop below; there is one per (quantum key, number of t slots) plus one
-    constant series shared by the classical part.
+    may stop below; there is one per (quantum series object, number of t
+    slots), so keys sharing a series share its q d/dq tower, plus one constant
+    series shared by the classical part.
     """
     log = len(potential.coords) - 1
     one = QSeries.one(truncation)
-    towers = {
-        key: [series.truncate(truncation)]
-        for key, series in potential.quantum.items()
-    }
-    for tower in towers.values():
-        for _ in range(3):
-            tower.append(tower[-1].qdq())
+    towers: dict[int, list[QSeries]] = {}
+    for series in potential.quantum.values():
+        if id(series) not in towers:
+            tower = towers[id(series)] = [series.truncate(truncation)]
+            for _ in range(3):
+                tower.append(tower[-1].qdq())
 
     def terms(triple: tuple[int, int, int]) -> list:
         slots = [s for s in triple if s != log]
         out = [
-            (*lowered, towers[key][3 - len(slots)])
-            for key in potential.quantum
+            (*lowered, towers[id(series)][3 - len(slots)])
+            for key, series in potential.quantum.items()
             if (lowered := _lower(key, slots)) is not None
         ]
         for key, value in potential.classical.items():

@@ -17,7 +17,9 @@ from fractions import Fraction
 from .exact_arith import CyclotomicNumber
 from .qseries import PuiseuxSeries, QSeries
 from .reporting import (
+    GenusOneResult,
     IdentityReport,
+    combine,
     failure_report,
     pass_report,
     puiseux_match,
@@ -330,6 +332,29 @@ def J_series(truncation: int) -> QSeries:
     """J(q) = j(q^3)/1728, a Laurent series with valuation -3."""
     inner = j_series(truncation // 3 + 2)
     return inner.substitute_power(3).scale(Fraction(1, 1728)).truncate(truncation)
+
+
+# -- genus one ---------------------------------------------------------------------
+
+
+def genus_one(name: str, order: int, scale: int, virasoro: QSeries) -> GenusOneResult:
+    """Genus-one potential -(1/scale) log eta(q^scale), split into its log q
+    coefficient (-1/24) and a power series, with two certificates: its
+    q d/dq (`-derivative`) and the model's genus-one Virasoro combination of
+    its coefficient series (`-virasoro`) must both be f(q^scale)."""
+    eta = dedekind_eta(order, scale=scale)
+    linear = eta.offset * Fraction(-1, scale)
+    series = eta.unit.log_unit().scale(Fraction(-1, scale))
+    f_scaled = f_series(-(-order // scale)).substitute_power(scale).truncate(order)
+    derivative = QSeries.constant(linear, order) + series.qdq()
+    report = combine(
+        name,
+        [
+            series_match(f"{name}-derivative", derivative, f_scaled, order),
+            series_match(f"{name}-virasoro", virasoro, f_scaled, order),
+        ],
+    )
+    return GenusOneResult(linear, series, report)
 
 
 # -- modular identity suite ---------------------------------------------------------

@@ -345,6 +345,10 @@ PINNED_STDOUT = [
      "7b899a8648eb46f5f8fd3d8a4aeb98c6e89f00059de96e27ad75de76955f88b8"),
     (dict(command="verify", model="identities", order=200),
      "538bd37b17ae8e86f190ddf204c16aa43fe149d7843364734ad4d3ceb5ee031c"),
+    (dict(command="genus-one", model="d4", order=60, format="json"),
+     "63a1c979b46d35dc4ac71fbdfc2d7cf68b60b3de8191a7a0c435f0a4c622e775"),
+    (dict(command="genus-one", model="e6", order=60, format="json"),
+     "60f59f5d8bc8d10df71e95bc02a3fd54ad0bfb62bafd4086455e1e372f5b3040"),
 ]
 
 

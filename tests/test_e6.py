@@ -104,7 +104,6 @@ def test_build_fi_passes_its_own_cross_checks():
         assert report.passed, report.name
     coeffs = coeffs.truncate(24)
     assert len(coeffs.f) == 14
-    assert coeffs.A == Fraction(1, 3)
     assert coeffs.truncation >= 24
     f0 = coeffs.f[0]
     assert [f0.coefficient(3 * k + 1) for k in range(5)] == [1, 1, 2, 0, 2]
@@ -115,7 +114,7 @@ def test_coefficient_routes_reject_tampering():
     coeffs = e6_build_fi(28)
     f = list(coeffs.f)
     f[2] = f[2] + QSeries.monomial(Fraction(1, 5), 3, f[2].truncation)
-    tampered = E6Coefficients(coeffs.a, tuple(f), coeffs.A)
+    tampered = E6Coefficients(coeffs.a, tuple(f))
     reports = {
         r.name: r for r in e6_coefficient_reports(20, tampered, e6_schwarzian_solve(20))
     }
@@ -125,19 +124,16 @@ def test_coefficient_routes_reject_tampering():
 
 def test_coefficient_container_validates():
     coeffs = e6_build_fi(10)
-    assert E6Coefficients(coeffs.a, coeffs.f, Fraction(-1, 3)).A == Fraction(-1, 3)
     with pytest.raises(ValueError):
-        E6Coefficients(coeffs.a, coeffs.f[:13], coeffs.A)
+        E6Coefficients(coeffs.a, coeffs.f[:13])
     with pytest.raises(ValueError):
-        E6Coefficients(coeffs.a, coeffs.f, Fraction(1, 2))
+        E6Coefficients(coeffs.a.scale(3), coeffs.f)
     with pytest.raises(ValueError):
-        E6Coefficients(coeffs.a.scale(3), coeffs.f, coeffs.A)
-    with pytest.raises(ValueError):
-        E6Coefficients(coeffs.a, (coeffs.f[1],) + coeffs.f[1:], coeffs.A)
+        E6Coefficients(coeffs.a, (coeffs.f[1],) + coeffs.f[1:])
     f = list(coeffs.f)
     f[1] = f[1].scale(2)
     with pytest.raises(ValueError):
-        E6Coefficients(coeffs.a, tuple(f), coeffs.A)
+        E6Coefficients(coeffs.a, tuple(f))
 
 
 # -- modular identities ----------------------------------------------------------------

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 import pytest
@@ -339,6 +339,57 @@ def test_engine_interns_its_series_up_to_a_scalar():
     # the fourteen f_i (resp. a, b, c) under q d/dq^0..3, plus the constant 1
     assert len(_WdvvEngine(e6_build_potential(e6_build_fi(20)), 20)._packed) == 57
     assert len(_WdvvEngine(d4_build_potential(d4_analytic(20)), 20)._packed) == 13
+
+
+def test_engine_takes_q_derivatives_once_per_series(monkeypatch):
+    # the keys of an orbit share one series, so three q d/dq per distinct
+    # series: the fourteen f_i, one more for the doubled f_11 key of the
+    # transcribed block, and a, b, c
+    potentials = [
+        e6_build_potential(e6_build_fi(20)),
+        e6_build_potential(e6_build_fi(20), raw_f11_block=True),
+        d4_build_potential(d4_analytic(20)),
+    ]
+    calls = []
+    qdq = QSeries.qdq
+
+    def counting(self):
+        calls.append(self)
+        return qdq(self)
+
+    monkeypatch.setattr(QSeries, "qdq", counting)
+    counts = []
+    for potential in potentials:
+        calls.clear()
+        _WdvvEngine(potential, 20)
+        counts.append(len(calls))
+    assert counts == [42, 45, 9]
+
+
+@pytest.mark.parametrize(
+    "build, blocks, keys",
+    [
+        (lambda: d4_build_potential(d4_analytic(12)), ((1,), (2,), (3,), (4,)), 11),
+        (lambda: e6_build_potential(e6_build_fi(12)), ((1, 6), (2, 5), (3, 4)), 41),
+    ],
+    ids=["d4", "e6"],
+)
+def test_potentials_are_invariant_under_their_block_permutations(build, blocks, keys):
+    potential = build()
+    assert len(potential.quantum) == keys
+    for perm in permutations(blocks):
+        source_of = list(range(len(potential.coords)))
+        for source, target in zip(blocks, perm):
+            for s, t in zip(source, target):
+                source_of[t] = s
+
+        def image(key):
+            return tuple(key[s] for s in source_of)
+
+        assert {image(k): v for k, v in potential.classical.items()} == potential.classical
+        assert {image(k) for k in potential.quantum} == set(potential.quantum)
+        for key, series in potential.quantum.items():
+            assert potential.quantum[image(key)] == series
 
 
 @pytest.fixture

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwseries.d4 import d4_eta_forms
+import gwseries.modular as modular
+from gwseries.d4 import D4Coefficients, d4_analytic, d4_eta_forms, d4_genus_one
+from gwseries.e6 import E6Coefficients, e6_build_fi, e6_genus_one
 from gwseries.modular import (
     EtaQuotient,
     J_series,
@@ -393,3 +395,39 @@ def test_modular_reports_all_pass():
             "halphen-x2x3", "eta-product-rotation", "cusp-form-weight12"} <= set(names)
     for report in reports:
         assert report.passed, report.name
+
+
+# -- genus one ---------------------------------------------------------------------------
+
+
+def _genus_one_with(model: str, order: int, bump: QSeries):
+    """The model's genus-one result with `bump` added to c (d4) or f_5 (e6)."""
+    if model == "d4":
+        s = d4_analytic(order)
+        return d4_genus_one(order, D4Coefficients(s.a, s.b, s.c + bump))
+    coeffs = e6_build_fi(order)
+    f = list(coeffs.f)
+    f[5] = f[5] + bump
+    return e6_genus_one(order, E6Coefficients(coeffs.a, tuple(f)))
+
+
+@pytest.mark.parametrize(
+    "model, scale, virasoro_residual", [("d4", 2, Fraction(1, 21)), ("e6", 3, Fraction(3, 56))]
+)
+def test_genus_one_certificates_have_teeth(monkeypatch, model, scale, virasoro_residual):
+    order = 40
+    assert _genus_one_with(model, order, QSeries.zero(order)).passed
+    # (1/7) q^9 in c enters b + c/3 as 1/21; in f_5 it enters (3/4) f_2 + (3/8) f_5 as 3/56
+    report = _genus_one_with(model, order, QSeries.monomial(Fraction(1, 7), 9, order)).report
+    assert report.name == f"{model}-genus-one[{model}-genus-one-virasoro]"
+    failure = report.first_failure
+    assert (failure.exponent, Fraction(failure.residual)) == (9, virasoro_residual)
+    # a wrong f(q) shows up on both sides, and the derivative side is reported first
+    f_series = modular.f_series
+    monkeypatch.setattr(
+        modular, "f_series", lambda n: f_series(n) + QSeries.monomial(Fraction(1, 7), 3, n)
+    )
+    report = _genus_one_with(model, order, QSeries.zero(order)).report
+    assert report.name == f"{model}-genus-one[{model}-genus-one-derivative]"
+    failure = report.first_failure
+    assert (failure.exponent, Fraction(failure.residual)) == (3 * scale, Fraction(-1, 7))
