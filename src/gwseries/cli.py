@@ -17,21 +17,18 @@ an internal error: it shows up as a failing report.
 
 The default truncation order is 60 and can be overridden either with
 --order or the GWSERIES_ORDER environment variable.
+
+Each command imports the modules it runs when it runs, so a process pays
+only for the layers of its own command.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import io
-import json
 import os
 import sys
+from typing import NamedTuple
 
-from .d4 import d4_analytic, d4_genus_one, d4_recursion_solve, d4_suites, halphen_suites
-from .e6 import e6_build_fi, e6_genus_one, e6_gw_table, e6_schwarzian_solve, e6_suites
-from .modular import EtaQuotient, modular_reports
 from .qseries import QSeries, QSeriesError, format_series
 from .reporting import IdentityReport
 
@@ -39,8 +36,7 @@ DEFAULT_ORDER = 60
 ORDER_ENV_VAR = "GWSERIES_ORDER"
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything a single CLI invocation needs, normalized and validated."""
 
     command: str
@@ -57,11 +53,19 @@ class RunConfig:
 
 def _verify_suites(config: RunConfig) -> list[tuple[str, list[IdentityReport]]]:
     if config.model == "d4":
+        from .d4 import d4_suites
+
         return d4_suites(config.order)
     if config.model == "e6":
+        from .e6 import e6_suites
+
         return e6_suites(config.order, raw_f11_block=config.strict_typo_mode)
     if config.model == "halphen":
+        from .d4 import halphen_suites
+
         return halphen_suites(config.order)
+    from .modular import modular_reports
+
     return [("modular-suite", modular_reports(config.order))]
 
 
@@ -80,10 +84,15 @@ def _report_line(report: IdentityReport) -> str:
 
 
 def _print_json(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
 def _print_csv(header: list[str], rows: list[list[str]]) -> None:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -106,6 +115,8 @@ def _exit_status(groups: list[tuple[str, list[IdentityReport]]]) -> int:
 
 
 def _run_expand(config: RunConfig) -> int:
+    from .modular import EtaQuotient
+
     try:
         quotient = EtaQuotient.parse(config.expression or "")
     except ValueError as exc:
@@ -151,9 +162,13 @@ def _run_expand(config: RunConfig) -> int:
 
 def _run_solve(config: RunConfig) -> int:
     if config.model == "d4":
+        from .d4 import d4_recursion_solve
+
         solution = d4_recursion_solve(config.order)
         named = [("a", solution.a), ("b", solution.b), ("c", solution.c)]
     else:
+        from .e6 import e6_schwarzian_solve
+
         named = [("a", e6_schwarzian_solve(config.order))]
     if config.format == "json":
         _print_json({
@@ -197,6 +212,8 @@ def _run_verify(config: RunConfig) -> int:
 
 
 def _run_gw_table(config: RunConfig) -> int:
+    from .e6 import e6_gw_table
+
     table, report = e6_gw_table(config.kmax)
     if config.format == "json":
         _print_json({
@@ -216,8 +233,12 @@ def _run_gw_table(config: RunConfig) -> int:
 
 def _run_genus_one(config: RunConfig) -> int:
     if config.model == "d4":
+        from .d4 import d4_analytic, d4_genus_one
+
         result = d4_genus_one(config.order, d4_analytic(config.order))
     else:
+        from .e6 import e6_build_fi, e6_genus_one
+
         result = e6_genus_one(config.order, e6_build_fi(config.order))
     if config.format == "json":
         _print_json({

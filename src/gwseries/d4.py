@@ -22,9 +22,9 @@ it to the report functions.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
+from .exact_arith import Frozen
 from .frobenius import FrobeniusPotential, euler_residual, orbit_potential, wdvv_residual
 from .modular import (  # noqa: F401  (eta_expand: perfbench's tracer test reads d4's binding)
     EtaQuotient,
@@ -43,26 +43,23 @@ _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
 
-@dataclasses.dataclass(frozen=True)
-class D4Coefficients:
-    a: QSeries
-    b: QSeries
-    c: QSeries
+class D4Coefficients(Frozen):
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        if self.a.leading() != (1, Fraction(1)):
+    def __init__(self, a: QSeries, b: QSeries, c: QSeries):
+        if a.leading() != (1, Fraction(1)):
             raise ValueError("a must start with q")
-        if self.b.coefficient(0) != Fraction(-1, 24):
+        if b.coefficient(0) != Fraction(-1, 24):
             raise ValueError("b must have constant term -1/24")
-        if self.c.coefficient(0) != 0:
+        if c.coefficient(0) != 0:
             raise ValueError("c must have constant term 0")
+        self._freeze(a, b, c)
 
     @classmethod
     def _unchecked(cls, a: QSeries, b: QSeries, c: QSeries) -> "D4Coefficients":
         """The container without the checks above, for series a report certifies."""
         coeffs = object.__new__(cls)
-        for name, series in zip("abc", (a, b, c)):
-            object.__setattr__(coeffs, name, series)
+        coeffs._freeze(a, b, c)
         return coeffs
 
 

@@ -24,10 +24,9 @@ scalars.  The builders only build;
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
-from .exact_arith import CyclotomicNumber
+from .exact_arith import CyclotomicNumber, Frozen
 from .frobenius import FrobeniusPotential, euler_residual, orbit_potential, wdvv_residual
 from .modular import (
     J_series,
@@ -44,20 +43,19 @@ _THIRD = Fraction(1, 3)
 _SQRT_NORMALIZATION = _THIRD  # the constant A with A^2 = 1/9 and f_0 = q + ...
 
 
-@dataclasses.dataclass(frozen=True)
-class E6Coefficients:
-    a: QSeries
-    f: tuple[QSeries, ...]
+class E6Coefficients(Frozen):
+    __slots__ = ("a", "f")
 
-    def __post_init__(self):
-        if len(self.f) != 14:
+    def __init__(self, a: QSeries, f: tuple[QSeries, ...]):
+        if len(f) != 14:
             raise ValueError("expected the fourteen potential coefficients")
-        if self.a.leading() != (-1, _THIRD):
+        if a.leading() != (-1, _THIRD):
             raise ValueError("the pole series must start with (1/3) q^-1")
-        if self.f[0].leading() != (1, Fraction(1)):
+        if f[0].leading() != (1, Fraction(1)):
             raise ValueError("f_0 must start with q")
-        if self.f[1].coefficient(0) != _THIRD:
+        if f[1].coefficient(0) != _THIRD:
             raise ValueError("f_1 must have constant term 1/3")
+        self._freeze(a, f)
 
     @property
     def truncation(self) -> int:

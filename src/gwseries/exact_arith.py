@@ -22,6 +22,30 @@ class OrderMismatch(ArithmeticError):
     """
 
 
+class Frozen:
+    """Base of the package's immutable value classes: a subclass names its
+    fields in `__slots__` and sets them once, in that order, by `_freeze`.
+    Two instances of one class are equal when all their fields are."""
+
+    __slots__ = ()
+
+    def _freeze(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
 def integer_nth_root(m: int, n: int) -> int | None:
     """Exact n-th root of an integer, or None if m is not a perfect power.
 
@@ -200,7 +224,7 @@ def _reduce_mod_cyclotomic(vec: list[int], n: int) -> list[int]:
     return vec
 
 
-class CyclotomicNumber:
+class CyclotomicNumber(Frozen):
     """Element of Q(zeta_n), stored as integer coordinates over one denominator.
 
     The coordinate vector has length deg Phi_n and represents the element in
@@ -232,12 +256,7 @@ class CyclotomicNumber:
         if g > 1:
             nums = tuple(c // g for c in nums)
             den //= g
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclotomicNumber is immutable")
+        self._freeze(order, nums, den)
 
     # -- constructors ----------------------------------------------------
 

@@ -23,13 +23,12 @@ contraction is kept only until the scan's last read of it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
-from .exact_arith import _first_slot, _pack_slots, _slot_width, _unpack_slots
+from .exact_arith import Frozen, _first_slot, _pack_slots, _slot_width, _unpack_slots
 from .qseries import PrecisionError, QSeries
 from .reporting import IdentityReport, failure_report, pass_report
 
@@ -45,41 +44,45 @@ class NonConstantMetric(ArithmeticError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class FrobeniusPotential:
+class FrobeniusPotential(Frozen):
     """Genus-zero potential in flat coordinates.
 
+    coords:    coordinate names, t0 first and the log coordinate t last.
+    degrees:   Euler weight per coordinate; the log coordinate carries 0.
     classical: multi-index (over all coordinates) -> Fraction; cubic for the
                models built here, though the constructor does not insist, so
                metric_from_potential can reject a bad polynomial honestly.
     quantum:   multi-index (zero in the t0 and t slots) -> QSeries; the series
                carries the full coefficient including any rational prefactor.
-    degrees:   Euler weight per coordinate; the log coordinate carries 0.
     """
 
-    coords: tuple[str, ...]
-    degrees: tuple[Fraction, ...]
-    classical: dict[tuple[int, ...], Fraction]
-    quantum: dict[tuple[int, ...], QSeries]
+    __slots__ = ("coords", "degrees", "classical", "quantum")
 
-    def __post_init__(self):
-        n = len(self.coords)
+    def __init__(
+        self,
+        coords: tuple[str, ...],
+        degrees: tuple[Fraction, ...],
+        classical: dict[tuple[int, ...], Fraction],
+        quantum: dict[tuple[int, ...], QSeries],
+    ):
+        n = len(coords)
         if n < 2:
             raise ValueError("need distinct unit (t0) and log (t) coordinates")
-        if len(self.degrees) != n:
+        if len(degrees) != n:
             raise ValueError("one Euler weight per coordinate")
-        for key, value in self.classical.items():
+        for key, value in classical.items():
             if len(key) != n or any(e < 0 for e in key):
                 raise ValueError(f"classical key {key} has wrong shape")
             if not isinstance(value, Fraction):
                 raise ValueError("classical coefficients must be Fractions")
-        for key, value in self.quantum.items():
+        for key, value in quantum.items():
             if len(key) != n:
                 raise ValueError(f"quantum key {key} has wrong length")
             if key[0] != 0 or key[-1] != 0:
                 raise ValueError("quantum part may not involve t0 or the log coordinate")
             if not isinstance(value, QSeries):
                 raise ValueError("quantum coefficients must be QSeries")
+        self._freeze(coords, degrees, classical, quantum)
 
     @property
     def truncation(self) -> int:
@@ -99,7 +102,7 @@ class FrobeniusPotential:
         bumped = series + QSeries.monomial(delta, exponent, series.truncation)
         quantum = dict(self.quantum)
         quantum[key] = bumped
-        return dataclasses.replace(self, quantum=quantum)
+        return FrobeniusPotential(self.coords, self.degrees, self.classical, quantum)
 
 
 def _orbit(representative: tuple[int, ...], blocks) -> list[tuple[int, ...]]:
@@ -216,19 +219,18 @@ def third_derivative(
 # -- metric ------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class MetricMatrix:
-    coords: tuple[str, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+class MetricMatrix(Frozen):
+    __slots__ = ("coords", "rows")
 
-    def __post_init__(self):
-        n = len(self.coords)
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
+    def __init__(self, coords: tuple[str, ...], rows: tuple[tuple[Fraction, ...], ...]):
+        n = len(coords)
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("metric must be square over the coordinate list")
         for i in range(n):
             for j in range(i):
-                if self.rows[i][j] != self.rows[j][i]:
+                if rows[i][j] != rows[j][i]:
                     raise ValueError("metric must be symmetric")
+        self._freeze(coords, rows)
 
     def entry(self, a: str, b: str) -> Fraction:
         i = self.coords.index(a)
@@ -302,9 +304,9 @@ def euler_residual(potential: FrobeniusPotential) -> IdentityReport:
 class _WdvvEngine:
     """Exact associativity residuals in packed-integer arithmetic.
 
-    A derivative-term series is interned by its valuation and primitive
-    numerators, the first one positive; the rest of it joins the term's
-    scalar.  Scalars and inverse-metric weights are integers over one common
+    Each derivative-term series object is interned once, by its valuation
+    and primitive numerators (`_intern`); the rest of it joins the scalar of
+    every term that holds it.  Scalars and inverse-metric weights are integers over one common
     denominator each.  Base series are packed into T slots wide enough for
     any residual coefficient plus a sign bit, all mod 2^(8 width T), so slots
     past T drop out.  A pair product is one memoized multiplication.  A
@@ -322,17 +324,15 @@ class _WdvvEngine:
         self.dim = dim = len(potential.coords)
         derivative_terms = _derivative_terms(potential, truncation)
         ref_of: dict[tuple[int, tuple[int, ...]], int] = {}
+        interned: dict[int, tuple[Fraction, int] | None] = {}  # by id of a term's series
         triples: dict[tuple[int, int, int], list] = {}
         for triple in combinations_with_replacement(range(dim), 3):
             triples[triple] = []
             for key, scalar, series in derivative_terms(triple):
-                if series.valuation < 0:
-                    raise ValueError("WDVV engine expects power-series coefficients")
-                if series.coeffs:
-                    g = math.gcd(*series.coeffs) * (1 if series.coeffs[0] > 0 else -1)
-                    base = (series.valuation, tuple(x // g for x in series.coeffs))
-                    ref = ref_of.setdefault(base, len(ref_of))
-                    triples[triple].append((key, scalar * Fraction(g, series.den), ref))
+                if id(series) not in interned:
+                    interned[id(series)] = _intern(series, ref_of)
+                if (entry := interned[id(series)]) is not None:
+                    triples[triple].append((key, scalar * entry[0], entry[1]))
         eta = [(e, f, w) for e in range(dim) for f in range(dim) if (w := inverse[e][f])]
         d_scalar = math.lcm(*(s.denominator for terms in triples.values() for _, s, _ in terms))
         d_weight = math.lcm(*(w.denominator for _, _, w in eta))
@@ -406,6 +406,19 @@ class _WdvvEngine:
             if slot is not None and (best is None or slot[0] < best[0]):
                 best = slot
         return best[0], Fraction(best[1], self.denominator)
+
+
+def _intern(series: QSeries, ref_of: dict) -> tuple[Fraction, int] | None:
+    """(factor, ref) with series = factor * (base series number ref), the base
+    its valuation and primitive numerators, first one positive, numbered in
+    `ref_of` as first met; None for a zero series."""
+    if series.valuation < 0:
+        raise ValueError("WDVV engine expects power-series coefficients")
+    if not series.coeffs:
+        return None
+    g = math.gcd(*series.coeffs) * (1 if series.coeffs[0] > 0 else -1)
+    base = (series.valuation, tuple(x // g for x in series.coeffs))
+    return Fraction(g, series.den), ref_of.setdefault(base, len(ref_of))
 
 
 def _contraction_keys(a: int, b: int, c: int, d: int) -> list[tuple]:

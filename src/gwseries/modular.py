@@ -9,12 +9,11 @@ coefficients; identity checks come back as IdentityReports.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from fractions import Fraction
 
-from .exact_arith import CyclotomicNumber
+from .exact_arith import CyclotomicNumber, Frozen
 from .qseries import PuiseuxSeries, QSeries
 from .reporting import (
     GenusOneResult,
@@ -32,12 +31,16 @@ SIGMA_DOUBLING_N_MAX = 10_000
 
 
 def _sigma_sieve(n_max: int, power: int = 1) -> list[int]:
-    """sigma(n, power) for 0 <= n <= n_max, with 0 in entry 0, by one sieve."""
+    """sigma(n, power) for 0 <= n <= n_max, with 0 in entry 0, by a sieve
+    over the divisor pairs n = d k with d <= k: for each d <= sqrt(n_max) one
+    slice adds d^power + k^power at d*d, d*(d+1), ..., and d*d, where k = d,
+    gives the second d^power back."""
     sums = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        dp = d**power
-        for m in range(d, n_max + 1, d):
-            sums[m] += dp
+    powers = range(n_max + 1) if power == 1 else [k**power for k in range(n_max + 1)]
+    for d in range(1, math.isqrt(n_max) + 1):
+        dp = powers[d]
+        sums[d * d :: d] = [s + dp + kp for s, kp in zip(sums[d * d :: d], powers[d : n_max // d + 1])]
+        sums[d * d] -= dp
     return sums
 
 
@@ -78,17 +81,16 @@ def f_series(truncation: int) -> QSeries:
 
 
 def _eta_unit_coeffs(scale: int, truncation: int) -> list[int]:
-    """Integer coefficients of prod_{n>=1} (1 - q^(scale*n)) through q^(T-1)."""
+    """Integer coefficients of prod_{n>=1} (1 - x^n), x = q^scale, through
+    q^(T-1), by Euler's pentagonal theorem: the product is the sum of
+    (-1)^k x^(k(3k-1)/2) over all integers k."""
     cs = [0] * truncation
-    if truncation > 0:
-        cs[0] = 1
-    n = scale
-    while n < truncation:
-        # multiply by (1 - q^n); descending index keeps reads unpolluted
-        for i in range(truncation - 1 - n, -1, -1):
-            if cs[i]:
-                cs[i + n] -= cs[i]
-        n += scale
+    k = 0
+    while (pentagonal := scale * k * (3 * k - 1) // 2) < truncation:
+        for exponent in (pentagonal, pentagonal + scale * k):  # k and -k
+            if exponent < truncation:
+                cs[exponent] = -1 if k % 2 else 1
+        k += 1
     return cs
 
 
@@ -104,20 +106,19 @@ def dedekind_eta(truncation: int, scale: int = 1) -> PuiseuxSeries:
     return PuiseuxSeries(1, Fraction(scale, 24), eta_unit(scale, truncation))
 
 
-@dataclasses.dataclass(frozen=True)
-class EtaQuotient:
+class EtaQuotient(Frozen):
     """A finite product prod eta(q^m)^r with exact rational exponents r."""
 
-    factors: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        factors = tuple((int(m), Fraction(r)) for m, r in self.factors)
+    def __init__(self, factors: tuple[tuple[int, Fraction], ...]):
+        factors = tuple((int(m), Fraction(r)) for m, r in factors)
         for m, r in factors:
             if m < 1:
                 raise ValueError(f"eta scale must be positive, got {m}")
             if r == 0:
                 raise ValueError("zero exponents are not stored")
-        object.__setattr__(self, "factors", factors)
+        self._freeze(factors)
 
     @property
     def offset(self) -> Fraction:
@@ -270,19 +271,19 @@ def halphen_reports(truncation: int, x: dict[int, QSeries]) -> list[IdentityRepo
 # -- lattice theta functions ---------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(Frozen):
     """Coset (M + shift) of the even-sum lattice M = {x in Z^4 : sum x_i even}.
 
     The shift is 0 or the unit vector (1,0,0,0); either way the coset norms
     are integers, which is what lets the theta function live in QSeries.
     """
 
-    shift: tuple[int, int, int, int]
+    __slots__ = ("shift",)
 
-    def __post_init__(self):
-        if len(self.shift) != 4 or not all(isinstance(s, int) for s in self.shift):
+    def __init__(self, shift: tuple[int, int, int, int]):
+        if len(shift) != 4 or not all(isinstance(s, int) for s in shift):
             raise ValueError("shift must be four integers")
+        self._freeze(shift)
 
     @classmethod
     def even_sum(cls) -> "LatticeSpec":

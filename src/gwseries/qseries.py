@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .exact_arith import (
     CyclotomicNumber,
+    Frozen,
     OrderMismatch,
     _reduce_mod_cyclotomic,
     euler_phi,
@@ -105,7 +106,7 @@ def _common(a: "QSeries", b: "QSeries") -> tuple["QSeries", "QSeries"]:
     return a._embed(order), b._embed(order)
 
 
-class QSeries:
+class QSeries(Frozen):
     """Exact Laurent series known through q^(truncation-1).
 
     Stored as (order, den, valuation, truncation, coeffs) in the canonical
@@ -162,12 +163,8 @@ class QSeries:
             den //= g
             coeffs = [x // g for x in coeffs]
         series = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (order, den, valuation, tuple(coeffs), truncation)):
-            object.__setattr__(series, name, value)
+        series._freeze(order, den, valuation, tuple(coeffs), truncation)
         return series
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QSeries is immutable")
 
     @property
     def _width(self) -> int:  # coordinates per exponent
@@ -645,7 +642,7 @@ def format_series(s: QSeries) -> str:
     return " ".join(parts)
 
 
-class PuiseuxSeries:
+class PuiseuxSeries(Frozen):
     """scalar * q^offset * unit(q), the offset an exact rational.
 
     The unit is normalized to constant term exactly 1, with its leading
@@ -670,12 +667,7 @@ class PuiseuxSeries:
             scalar = scalar * c
             offset = Fraction(offset) + v
             unit = unit.shift(-v).scale(1 / c)
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "offset", Fraction(offset))
-        object.__setattr__(self, "unit", unit)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PuiseuxSeries is immutable")
+        self._freeze(scalar, Fraction(offset), unit)
 
     def __mul__(self, other):
         if isinstance(other, PuiseuxSeries):

@@ -8,33 +8,32 @@ is an exact field element rendered as text.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
+from typing import NamedTuple
 
 from .qseries import PrecisionError, PuiseuxSeries, QSeries
 
 
-@dataclasses.dataclass(frozen=True)
-class FirstFailure:
+class FirstFailure(NamedTuple):
     indices: tuple[int, ...]
     exponent: int
     residual: str
 
 
-@dataclasses.dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
+    """A verdict: it passed exactly when no first failure is stored."""
+
     name: str
     order_certified: int
-    status: str  # "pass" or "fail"
     first_failure: FirstFailure | None = None
-
-    def __post_init__(self):
-        if (self.status == "pass") != (self.first_failure is None):
-            raise ValueError("pass/fail status must match the stored failure")
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.first_failure is None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.first_failure is None else "fail"
 
     def to_json_dict(self) -> dict:
         out = {"name": self.name, "order": self.order_certified, "status": self.status}
@@ -54,13 +53,11 @@ class IdentityReport:
 def failure_report(
     name: str, order: int, indices: tuple[int, ...], exponent: int, residual
 ) -> IdentityReport:
-    return IdentityReport(
-        name, order, "fail", FirstFailure(indices, exponent, str(residual))
-    )
+    return IdentityReport(name, order, FirstFailure(indices, exponent, str(residual)))
 
 
 def pass_report(name: str, order: int) -> IdentityReport:
-    return IdentityReport(name, order, "pass")
+    return IdentityReport(name, order)
 
 
 def series_match(
@@ -105,14 +102,11 @@ def combine(name: str, reports: list[IdentityReport]) -> IdentityReport:
     order = min(r.order_certified for r in reports)
     for r in reports:
         if not r.passed:
-            return IdentityReport(
-                f"{name}[{r.name}]", order, "fail", r.first_failure
-            )
+            return IdentityReport(f"{name}[{r.name}]", order, r.first_failure)
     return pass_report(name, order)
 
 
-@dataclasses.dataclass(frozen=True)
-class GenusOneResult:
+class GenusOneResult(NamedTuple):
     """Genus-one potential: (linear coefficient of log q) and the q-series tail."""
 
     linear_coefficient: Fraction

@@ -274,7 +274,7 @@ def test_internal_failures_exit_three(capsys, monkeypatch):
     def _boom(order):
         raise PrecisionError("synthetic precision collapse")
 
-    monkeypatch.setattr(cli, "halphen_suites", _boom)
+    monkeypatch.setattr(d4, "halphen_suites", _boom)  # cli imports it per command
     status, out, err = _run(capsys, command="verify", model="halphen", order=12)
     assert status == 3
     assert "internal error: synthetic precision collapse" in err
@@ -349,13 +349,19 @@ PINNED_STDOUT = [
      "63a1c979b46d35dc4ac71fbdfc2d7cf68b60b3de8191a7a0c435f0a4c622e775"),
     (dict(command="genus-one", model="e6", order=60, format="json"),
      "60f59f5d8bc8d10df71e95bc02a3fd54ad0bfb62bafd4086455e1e372f5b3040"),
+    (dict(command="expand", expression="eta(1)^24", order=420),
+     "8753422598584128502a1e6ab60bdca9e14d3c8606c62fd167240989336b23da"),
+    (dict(command="expand", expression="eta(2)^-3/2 * eta(4)^1/2", order=60),
+     "799b27c445e24f1d4d873869388fc0611c9b308a1548f3ea15aecb1e83c49e3a"),
+    (dict(command="verify", model="e6", order=64, strict_typo_mode=True, format="json"),
+     "19354ba14eb3b3db8c84d90e5473ad834e5769df441db967172c07230ab8918c"),
 ]
 
 
 @pytest.mark.parametrize("config, digest", PINNED_STDOUT)
 def test_stdout_is_byte_identical_to_the_pinned_run(capsys, config, digest):
     status, out, _ = _run(capsys, **config)
-    assert status == 0
+    assert status == (14 if config.get("strict_typo_mode") else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -366,6 +366,25 @@ def test_engine_takes_q_derivatives_once_per_series(monkeypatch):
     assert counts == [42, 45, 9]
 
 
+def test_engine_interns_each_series_once(monkeypatch):
+    # one gcd and primitive tuple per series object, not one per derivative
+    # term: the 446 nonzero terms of the e6 triples hold 57 series objects
+    potential = e6_build_potential(e6_build_fi(20))
+    terms = frobenius._derivative_terms(potential, 20)
+    triples = combinations_with_replacement(range(len(potential.coords)), 3)
+    assert sum(1 for t in triples for _, _, s in terms(t) if not s.is_zero()) == 446
+    calls = []
+    intern = frobenius._intern
+
+    def counting(series, ref_of):
+        calls.append(series)
+        return intern(series, ref_of)
+
+    monkeypatch.setattr(frobenius, "_intern", counting)
+    _WdvvEngine(potential, 20)
+    assert len(calls) == len({id(s) for s in calls}) == 57
+
+
 @pytest.mark.parametrize(
     "build, blocks, keys",
     [

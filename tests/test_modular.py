@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gwseries.modular as modular
@@ -80,6 +80,16 @@ def test_sigma_known_values():
     assert sigma(10) == 3 * sigma(5)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(0, 2000), st.sampled_from((1, 3)))
+@example(0, 1)
+@example(1, 1)
+@example(0, 3)
+@example(1, 3)
+def test_divisor_pair_sieve_matches_sigma(n_max, power):
+    assert modular._sigma_sieve(n_max, power) == [0] + [sigma(n, power) for n in range(1, n_max + 1)]
+
+
 def test_f_series_coefficients():
     f = f_series(10)
     assert f.coefficient(0) == Fraction(-1, 24)
@@ -105,6 +115,30 @@ def test_eta_unit_is_the_pentagonal_number_series():
     expected = _pentagonal_coeffs(truncation)
     unit = eta_unit(1, truncation)
     assert [unit.coefficient(e) for e in range(truncation)] == expected
+
+
+def _eta_unit_by_products(scale: int, truncation: int) -> list[int]:
+    """prod (1 - q^(scale n)) through q^(T-1), one factor at a time."""
+    cs = [0] * truncation
+    if truncation > 0:
+        cs[0] = 1
+    n = scale
+    while n < truncation:
+        # multiply by (1 - q^n); descending index keeps reads unpolluted
+        for i in range(truncation - 1 - n, -1, -1):
+            if cs[i]:
+                cs[i + n] -= cs[i]
+        n += scale
+    return cs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(1, 27), st.integers(0, 500))
+@example(1, 0)
+@example(1, 1)
+@example(27, 500)
+def test_pentagonal_eta_unit_matches_the_product(scale, truncation):
+    assert modular._eta_unit_coeffs(scale, truncation) == _eta_unit_by_products(scale, truncation)
 
 
 def test_eta_unit_rescales_exponents():
