@@ -23,12 +23,11 @@ it to the report functions.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
-from .exact_arith import Frozen
 from .frobenius import FrobeniusPotential, euler_residual, orbit_potential, wdvv_residual
 from .modular import (  # noqa: F401  (eta_expand: perfbench's tracer test reads d4's binding)
     EtaQuotient,
-    LatticeSpec,
     eta_expand,
     f_series,
     genus_one,
@@ -43,24 +42,10 @@ _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
 
-class D4Coefficients(Frozen):
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: QSeries, b: QSeries, c: QSeries):
-        if a.leading() != (1, Fraction(1)):
-            raise ValueError("a must start with q")
-        if b.coefficient(0) != Fraction(-1, 24):
-            raise ValueError("b must have constant term -1/24")
-        if c.coefficient(0) != 0:
-            raise ValueError("c must have constant term 0")
-        self._freeze(a, b, c)
-
-    @classmethod
-    def _unchecked(cls, a: QSeries, b: QSeries, c: QSeries) -> "D4Coefficients":
-        """The container without the checks above, for series a report certifies."""
-        coeffs = object.__new__(cls)
-        coeffs._freeze(a, b, c)
-        return coeffs
+class D4Coefficients(NamedTuple):
+    a: QSeries
+    b: QSeries
+    c: QSeries
 
 
 def _d4_rhs(a: QSeries, b: QSeries, c: QSeries) -> tuple[QSeries, QSeries, QSeries]:
@@ -123,14 +108,8 @@ def d4_eta_forms(order: int) -> D4Coefficients:
     """The same three series as minus log-derivatives of the eta quotients
     `_D4_ETA_FORMS`, each from `EtaQuotient.logderiv`: the eta product and
     one series inverse, with no fractional power taken.
-
-    The container's normalization checks are skipped: these series are what
-    `d4_eta_form_reports` certifies, so a wrong quotient must reach it as a
-    failing report rather than stop the run here.
     """
-    return D4Coefficients._unchecked(
-        *(-_D4_ETA_FORMS[field].logderiv(order) for field in ("a", "b", "c"))
-    )
+    return D4Coefficients(*(-_D4_ETA_FORMS[field].logderiv(order) for field in ("a", "b", "c")))
 
 
 def d4_ode_reports(order: int, coeffs: D4Coefficients) -> list[IdentityReport]:
@@ -218,8 +197,7 @@ def d4_elliptic_weyl_reports(order: int, coeffs: D4Coefficients) -> list[Identit
     h0 = (1/8) Theta_{shifted}, and h1, h2 built from Theta_{even} and the
     log-derivative of eta(q^2); these must reproduce a, b, c exactly.
     """
-    theta_even = lattice_theta(LatticeSpec.even_sum(), order)
-    theta_shift = lattice_theta(LatticeSpec.unit_shift(), order)
+    theta_even, theta_shift = lattice_theta(order)
     half_logderiv = EtaQuotient(((2, _HALF),)).logderiv(order)
     h0 = theta_shift.scale(Fraction(1, 8))
     h1 = (half_logderiv + theta_even.scale(Fraction(1, 24))).scale(-_HALF)

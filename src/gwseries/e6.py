@@ -25,8 +25,9 @@ scalars.  The builders only build;
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
-from .exact_arith import CyclotomicNumber, Frozen
+from .exact_arith import CyclotomicNumber
 from .frobenius import FrobeniusPotential, euler_residual, orbit_potential, wdvv_residual
 from .modular import (
     J_series,
@@ -43,23 +44,9 @@ _THIRD = Fraction(1, 3)
 _SQRT_NORMALIZATION = _THIRD  # the constant A with A^2 = 1/9 and f_0 = q + ...
 
 
-class E6Coefficients(Frozen):
-    __slots__ = ("a", "f")
-
-    def __init__(self, a: QSeries, f: tuple[QSeries, ...]):
-        if len(f) != 14:
-            raise ValueError("expected the fourteen potential coefficients")
-        if a.leading() != (-1, _THIRD):
-            raise ValueError("the pole series must start with (1/3) q^-1")
-        if f[0].leading() != (1, Fraction(1)):
-            raise ValueError("f_0 must start with q")
-        if f[1].coefficient(0) != _THIRD:
-            raise ValueError("f_1 must have constant term 1/3")
-        self._freeze(a, f)
-
-    @property
-    def truncation(self) -> int:
-        return min(self.a.truncation, *(s.truncation for s in self.f))
+class E6Coefficients(NamedTuple):
+    a: QSeries
+    f: tuple[QSeries, ...]
 
     def truncate(self, order: int) -> "E6Coefficients":
         return E6Coefficients(self.a.truncate(order), tuple(s.truncate(order) for s in self.f))

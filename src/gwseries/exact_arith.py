@@ -23,9 +23,11 @@ class OrderMismatch(ArithmeticError):
 
 
 class Frozen:
-    """Base of the package's immutable value classes: a subclass names its
-    fields in `__slots__` and sets them once, in that order, by `_freeze`.
-    Two instances of one class are equal when all their fields are."""
+    """Base of the package's value classes that establish an invariant (a
+    canonical form, validated input): a subclass names its fields in
+    `__slots__` and sets them once, in that order, by `_freeze`.  Two
+    instances of one class are equal when all their fields are.  A record
+    without an invariant is a `typing.NamedTuple`."""
 
     __slots__ = ()
 
@@ -244,6 +246,7 @@ class CyclotomicNumber(Frozen):
     __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, nums: tuple[int, ...], den: int = 1):
+        # the reduced form makes equality plain tuple comparison
         deg = euler_phi(order)
         if len(nums) != deg:
             raise ValueError(f"expected {deg} coordinates for order {order}")

@@ -27,6 +27,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from typing import NamedTuple
 
 from .exact_arith import Frozen, _first_slot, _pack_slots, _slot_width, _unpack_slots
 from .qseries import PrecisionError, QSeries
@@ -75,6 +76,8 @@ class FrobeniusPotential(Frozen):
                 raise ValueError(f"classical key {key} has wrong shape")
             if not isinstance(value, Fraction):
                 raise ValueError("classical coefficients must be Fractions")
+        # quantum keys free of t0 and t are what make wdvv_residual's skip of the t0
+        # quadruples and metric_from_potential's classical-only read sound
         for key, value in quantum.items():
             if len(key) != n:
                 raise ValueError(f"quantum key {key} has wrong length")
@@ -219,18 +222,9 @@ def third_derivative(
 # -- metric ------------------------------------------------------------------------
 
 
-class MetricMatrix(Frozen):
-    __slots__ = ("coords", "rows")
-
-    def __init__(self, coords: tuple[str, ...], rows: tuple[tuple[Fraction, ...], ...]):
-        n = len(coords)
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("metric must be square over the coordinate list")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("metric must be symmetric")
-        self._freeze(coords, rows)
+class MetricMatrix(NamedTuple):
+    coords: tuple[str, ...]
+    rows: tuple[tuple[Fraction, ...], ...]
 
     def entry(self, a: str, b: str) -> Fraction:
         i = self.coords.index(a)

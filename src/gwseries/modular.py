@@ -9,6 +9,7 @@ coefficients; identity checks come back as IdentityReports.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -101,6 +102,15 @@ def eta_unit(scale: int, truncation: int) -> QSeries:
     return QSeries(_eta_unit_coeffs(scale, truncation), 0, truncation)
 
 
+@functools.lru_cache(maxsize=None)
+def _eta_logderiv_unit(truncation: int) -> QSeries:
+    """L = q d/dq log prod (1 - q^n) through O(q^truncation), from the
+    pentagonal unit and one inverse; never from the divisor sieve, which
+    `divisor-sum-vs-eta-logderiv` and `d4-eta-form-*` check it against."""
+    u = eta_unit(1, truncation)
+    return u.qdq() * u.inv()
+
+
 def dedekind_eta(truncation: int, scale: int = 1) -> PuiseuxSeries:
     """eta(q^scale) = q^(scale/24) * prod (1 - q^(scale*n))."""
     return PuiseuxSeries(1, Fraction(scale, 24), eta_unit(scale, truncation))
@@ -113,6 +123,7 @@ class EtaQuotient(Frozen):
 
     def __init__(self, factors: tuple[tuple[int, Fraction], ...]):
         factors = tuple((int(m), Fraction(r)) for m, r in factors)
+        # these validate input: the command line reaches them through `parse`
         for m, r in factors:
             if m < 1:
                 raise ValueError(f"eta scale must be positive, got {m}")
@@ -143,9 +154,9 @@ class EtaQuotient(Frozen):
 
             q d/dq log prod eta(q^m)^(r_m) = offset + sum r_m m L(q^m).
 
-        L is built once, from u_1 through ceil(T / min m) terms and one
-        inverse.  The result equals `expand(truncation).logderiv()`, stored
-        form included:
+        L is `_eta_logderiv_unit` at the same truncation, shared by every
+        log-derivative taken there.  The result equals
+        `expand(truncation).logderiv()`, stored form included:
 
         >>> EtaQuotient(((1, Fraction(24)),)).logderiv(4)   # E_2
         QSeries(1 - 24q - 72q^2 - 96q^3 + O(q^4))
@@ -153,8 +164,7 @@ class EtaQuotient(Frozen):
         >>> quotient.logderiv(30) == quotient.expand(30).logderiv()
         True
         """
-        u = eta_unit(1, -(-truncation // min(m for m, _ in self.factors)))
-        L = u.qdq() * u.inv()
+        L = _eta_logderiv_unit(truncation)
         out = QSeries.constant(self.offset, truncation)
         for m, r in self.factors:
             out = out + L.substitute_power(m).truncate(truncation).scale(r * m)
@@ -190,6 +200,7 @@ class EtaQuotient(Frozen):
         )
 
 
+# a thin wrapper, but perfbench's tracer counts its calls (modular.eta_expand.*)
 def eta_expand(quotient: EtaQuotient | str, truncation: int) -> PuiseuxSeries:
     if isinstance(quotient, str):
         quotient = EtaQuotient.parse(quotient)
@@ -228,6 +239,7 @@ def theta_jacobi(which: int, truncation: int) -> PuiseuxSeries:
     return PuiseuxSeries(1, Fraction(0), QSeries.from_coefficient_map(entries, truncation))
 
 
+# a one-liner, but perfbench's tracer counts its calls (modular.theta_logderiv.*)
 def theta_logderiv(which: int, truncation: int) -> QSeries:
     """X_i = q d/dq log theta_i, the Halphen variables."""
     return theta_jacobi(which, truncation).logderiv()
@@ -271,41 +283,22 @@ def halphen_reports(truncation: int, x: dict[int, QSeries]) -> list[IdentityRepo
 # -- lattice theta functions ---------------------------------------------------
 
 
-class LatticeSpec(Frozen):
-    """Coset (M + shift) of the even-sum lattice M = {x in Z^4 : sum x_i even}.
+def lattice_theta(truncation: int) -> tuple[QSeries, QSeries]:
+    """Sums of q^(x,x), for norms below the truncation, over the even-sum
+    lattice M = {x in Z^4 : sum x_i even} and over its coset M + (1,0,0,0).
 
-    The shift is 0 or the unit vector (1,0,0,0); either way the coset norms
-    are integers, which is what lets the theta function live in QSeries.
-    """
-
-    __slots__ = ("shift",)
-
-    def __init__(self, shift: tuple[int, int, int, int]):
-        if len(shift) != 4 or not all(isinstance(s, int) for s in shift):
-            raise ValueError("shift must be four integers")
-        self._freeze(shift)
-
-    @classmethod
-    def even_sum(cls) -> "LatticeSpec":
-        return cls((0, 0, 0, 0))
-
-    @classmethod
-    def unit_shift(cls) -> "LatticeSpec":
-        return cls((1, 0, 0, 0))
-
-
-def lattice_theta(spec: LatticeSpec, truncation: int) -> QSeries:
-    """Sum of q^(x,x) over the coset, for norms below the truncation.
-
-    Membership in M + shift is a parity condition on the coordinate sum, and
+    Membership is a parity condition on the coordinate sum, and
     (-1)^(sum x_i) = prod (-1)^(x_i) splits over the coordinates, so theta_3^4
     counts all of Z^4, theta_4^4 the even sums minus the odd ones, and the
-    coset's theta is (theta_3^4 + theta_4^4)/2 or (theta_3^4 - theta_4^4)/2.
+    two cosets are (theta_3^4 + theta_4^4)/2 and (theta_3^4 - theta_4^4)/2:
+
+    >>> lattice_theta(4)
+    (QSeries(1 + 24q^2 + O(q^4)), QSeries(8q + 32q^3 + O(q^4)))
     """
     # a theta constant needs its constant term known, so build at least to O(q)
     theta3, theta4 = (theta_jacobi(i, max(truncation, 1)).to_qseries() ** 4 for i in (3, 4))
-    sign = -1 if sum(spec.shift) % 2 else 1
-    return (theta3 + theta4.scale(sign)).scale(Fraction(1, 2)).truncate(truncation)
+    even, shifted = ((theta3 + theta4.scale(sign)).scale(Fraction(1, 2)) for sign in (1, -1))
+    return even.truncate(truncation), shifted.truncate(truncation)
 
 
 # -- Eisenstein series, Delta, j, J ------------------------------------------------

@@ -145,7 +145,8 @@ class QSeries(Frozen):
     @classmethod
     def _make(cls, order: int, den: int, valuation: int, coeffs: Sequence[int], truncation: int):
         """The series with these fields in canonical form: zero end blocks
-        dropped, the common factor of den and the numerators divided out."""
+        dropped, the common factor of den and the numerators divided out.
+        Every series is made here, because equality compares the fields."""
         width = euler_phi(order)
         lo, hi = 0, len(coeffs)
         while lo < hi and not any(coeffs[lo : lo + width]):
@@ -658,6 +659,7 @@ class PuiseuxSeries(Frozen):
     __slots__ = ("scalar", "offset", "unit")
 
     def __init__(self, scalar: Coefficient | int, offset: Fraction, unit: QSeries):
+        # the normal form (unit constant term 1) makes equality field-wise
         if unit.is_zero():
             raise ZeroDivisor("Puiseux unit must have a nonzero leading term")
         if not isinstance(scalar, (Fraction, CyclotomicNumber)):
@@ -698,12 +700,6 @@ class PuiseuxSeries(Frozen):
             return PuiseuxSeries(1, Fraction(0), QSeries.one(self.unit.truncation))
         unit = self.unit**exponent
         return PuiseuxSeries(self.scalar**exponent, self.offset * exponent, unit)
-
-    def pow_rational(self, r: Fraction) -> "PuiseuxSeries":
-        """Exact rational power; the scalar must admit an exact root, which is
-        the root of the constant series it spans."""
-        scalar = QSeries.constant(self.scalar, 1).pow_rational(r).leading()[1]
-        return PuiseuxSeries(scalar, self.offset * Fraction(r), self.unit.pow_rational(r))
 
     def twist(self, c: Coefficient, branch: Coefficient | None = None) -> "PuiseuxSeries":
         """Substitute q -> c*q.  The unit twists termwise; q^offset contributes

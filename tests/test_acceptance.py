@@ -28,7 +28,7 @@ from gwseries.e6 import (
     e6_schwarzian_solve,
 )
 from gwseries.frobenius import euler_residual, wdvv_residual
-from gwseries.modular import LatticeSpec, eta_expand, lattice_theta
+from gwseries.modular import eta_expand, lattice_theta
 from gwseries.qseries import QSeries
 
 
@@ -170,8 +170,7 @@ def test_criterion_08_genus_one_both_models():
 
 def test_criterion_09_elliptic_weyl_comparison():
     reports = d4_elliptic_weyl_reports(40, d4_analytic(40))
-    even = lattice_theta(LatticeSpec.even_sum(), 3)
-    shifted = lattice_theta(LatticeSpec.unit_shift(), 3)
+    even, shifted = lattice_theta(3)
     anchors = even.coefficient(0) == 1 and shifted.leading() == (1, 8)
     _certify(
         9,

@@ -223,6 +223,27 @@ def test_wrong_closed_form_is_a_localized_failure(capsys, monkeypatch):
     assert "FAIL  e6-solver-matches-eta (order 12; first failure at q^2," in out
 
 
+@pytest.mark.parametrize("module, builder, perturb, line", [
+    (e6, "e6_h_analytic", lambda a: a + QSeries.monomial(Fraction(1, 7), -1, a.truncation),
+     "FAIL  e6-solver-matches-eta (order 12; first failure at q^-1, residual -1/7)"),
+    (e6, "e6_build_fi", lambda s: s._replace(f=(s.f[0].scale(2), *s.f[1:])),
+     "FAIL  e6-f0-sqrt-route (order 12; first failure at q^1, residual -1)"),
+    (d4, "d4_analytic", lambda s: s._replace(b=s.b + QSeries.constant(Fraction(1, 1000), s.b.truncation)),
+     "FAIL  d4-recursion-b (order 16; first failure at q^0, residual -1/1000)"),
+    (d4, "d4_analytic", lambda s: s._replace(a=s.a.scale(2)),
+     "FAIL  d4-recursion-a (order 16; first failure at q^1, residual -1)"),
+], ids=["e6-pole", "e6-f0", "d4-b-constant", "d4-a-leading"])
+def test_wrong_normalization_is_a_localized_failure(capsys, monkeypatch, module, builder, perturb, line):
+    """A wrong leading coefficient reaches the suite that certifies it as a
+    FAIL line; no coefficient record checks it on construction."""
+    original = getattr(module, builder)
+    monkeypatch.setattr(module, builder, lambda order: perturb(original(order)))
+    model, order = ("e6", 12) if module is e6 else ("d4", 16)
+    status, out, _ = _run(capsys, command="verify", model=model, order=order)
+    assert status == 10
+    assert line in out
+
+
 def test_wrong_first_order_system_is_a_localized_failure(capsys, monkeypatch):
     original = e6._e6_rhs
 

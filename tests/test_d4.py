@@ -123,16 +123,6 @@ def test_construction_reports_cover_both_routes():
         assert report.passed, report.name
 
 
-def test_coefficient_container_validates_leading_terms():
-    s = d4_analytic(10)
-    with pytest.raises(ValueError):
-        D4Coefficients(s.a.scale(2), s.b, s.c)
-    with pytest.raises(ValueError):
-        D4Coefficients(s.a, s.c, s.c)
-    with pytest.raises(ValueError):
-        D4Coefficients(s.a, s.b, s.b)
-
-
 # -- differential equations and bridges ----------------------------------------------
 
 

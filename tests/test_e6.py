@@ -104,7 +104,7 @@ def test_build_fi_passes_its_own_cross_checks():
         assert report.passed, report.name
     coeffs = coeffs.truncate(24)
     assert len(coeffs.f) == 14
-    assert coeffs.truncation >= 24
+    assert {s.truncation for s in (coeffs.a, *coeffs.f)} == {24}
     f0 = coeffs.f[0]
     assert [f0.coefficient(3 * k + 1) for k in range(5)] == [1, 1, 2, 0, 2]
     assert coeffs.f[1].coefficient(0) == Fraction(1, 3)
@@ -120,20 +120,6 @@ def test_coefficient_routes_reject_tampering():
     }
     assert not reports["e6-f2-derivative-route"].passed
     assert reports["e6-f3-derivative-route"].passed
-
-
-def test_coefficient_container_validates():
-    coeffs = e6_build_fi(10)
-    with pytest.raises(ValueError):
-        E6Coefficients(coeffs.a, coeffs.f[:13])
-    with pytest.raises(ValueError):
-        E6Coefficients(coeffs.a.scale(3), coeffs.f)
-    with pytest.raises(ValueError):
-        E6Coefficients(coeffs.a, (coeffs.f[1],) + coeffs.f[1:])
-    f = list(coeffs.f)
-    f[1] = f[1].scale(2)
-    with pytest.raises(ValueError):
-        E6Coefficients(coeffs.a, tuple(f))
 
 
 # -- modular identities ----------------------------------------------------------------

@@ -189,13 +189,6 @@ def test_degenerate_metric_is_rejected():
         metric.inverse_rows()
 
 
-def test_metric_matrix_validates_shape():
-    with pytest.raises(ValueError):
-        MetricMatrix(("a", "b"), ((Fraction(1),),))
-    with pytest.raises(ValueError):
-        MetricMatrix(("a", "b"), ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(0))))
-
-
 # -- Euler grading -----------------------------------------------------------------
 
 

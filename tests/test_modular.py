@@ -13,7 +13,6 @@ from gwseries.e6 import E6Coefficients, e6_build_fi, e6_genus_one
 from gwseries.modular import (
     EtaQuotient,
     J_series,
-    LatticeSpec,
     dedekind_eta,
     delta_series,
     eisenstein_e4,
@@ -210,8 +209,10 @@ def test_eta_quotient_logderiv_fails_like_the_expanded_route(quotient, truncatio
 
 def test_eta_logderivs_take_no_fractional_power(monkeypatch):
     """The eta forms of the d4 and Halphen suites cost one series inverse
-    per quotient: no log, exp or rational power is ever taken."""
+    per truncation, shared by every quotient taken there: no log, exp or
+    rational power is ever taken."""
     x = halphen_variables(175)
+    modular._eta_logderiv_unit.cache_clear()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("an eta log-derivative took a power or a logarithm")
@@ -230,9 +231,9 @@ def test_eta_logderivs_take_no_fractional_power(monkeypatch):
     monkeypatch.setattr(QSeries, "inv", counted("inv", QSeries.inv))
     monkeypatch.setattr(EtaQuotient, "logderiv", counted("logderiv", EtaQuotient.logderiv))
     d4_eta_forms(125)
-    assert counts == {"inv": 3, "logderiv": 3}
+    assert counts == {"inv": 1, "logderiv": 3}
     assert all(r.passed for r in theta_eta_reports(175, x))
-    assert counts == {"inv": 6, "logderiv": 6}
+    assert counts == {"inv": 2, "logderiv": 6}
 
 
 def test_eta_expand_accepts_text():
@@ -387,9 +388,9 @@ def _census(parity: int, truncation: int) -> list[int]:
 
 
 def test_lattice_theta_even_sum_census():
-    truncation = 40
-    theta = lattice_theta(LatticeSpec.even_sum(), truncation)
-    assert [theta.coefficient(e) for e in range(truncation)] == _census(0, truncation)
+    for truncation in (0, 1, 2, 40):  # below 1 the thetas are built at 1
+        theta = lattice_theta(truncation)[0]
+        assert [theta.coefficient(e) for e in range(truncation)] == _census(0, truncation)
     assert theta.coefficient(0) == 1
     assert theta.coefficient(1) == 0
     assert theta.coefficient(2) == 24
@@ -397,19 +398,12 @@ def test_lattice_theta_even_sum_census():
 
 
 def test_lattice_theta_shifted_census():
-    truncation = 40
-    theta = lattice_theta(LatticeSpec.unit_shift(), truncation)
-    assert [theta.coefficient(e) for e in range(truncation)] == _census(1, truncation)
+    for truncation in (0, 1, 2, 40):  # below 1 the thetas are built at 1
+        theta = lattice_theta(truncation)[1]
+        assert [theta.coefficient(e) for e in range(truncation)] == _census(1, truncation)
     assert theta.leading() == (1, 8)
     assert theta.coefficient(2) == 0
     assert theta.coefficient(3) == 32
-
-
-def test_lattice_spec_validates_shift():
-    with pytest.raises(ValueError):
-        LatticeSpec((1, 0, 0))
-    with pytest.raises(ValueError):
-        LatticeSpec((1, 0, 0, Fraction(1, 2)))
 
 
 # -- the full suite ----------------------------------------------------------------------

@@ -589,15 +589,6 @@ def test_puiseux_product_collects_offsets_and_scalars():
     assert prod.unit == unit * unit
 
 
-def test_puiseux_fractional_power_needs_no_branch_for_rational_scalar():
-    unit = QSeries([1, 2, 1], 0, 8)
-    s = PuiseuxSeries(4, Fraction(1, 2), unit)
-    root = s.pow_rational(Fraction(1, 2))
-    assert root.scalar == 2
-    assert root.offset == Fraction(1, 4)
-    assert root.unit == unit.nth_root(2)
-
-
 def test_puiseux_twist_branch_contract():
     unit = QSeries([1, 1], 0, 6)
     s = PuiseuxSeries(1, Fraction(1, 24), unit)
