@@ -33,6 +33,7 @@ from .qseries import QSeries, QSeriesError, format_series
 from .reporting import IdentityReport
 
 DEFAULT_ORDER = 60
+DEFAULT_KMAX = 10
 ORDER_ENV_VAR = "GWSERIES_ORDER"
 
 
@@ -45,7 +46,7 @@ class RunConfig(NamedTuple):
     model: str | None = None
     strict_typo_mode: bool = False
     expression: str | None = None
-    kmax: int = 10
+    kmax: int = DEFAULT_KMAX
 
 
 # -- verification suites -------------------------------------------------------------
@@ -327,8 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_gw = sub.add_parser("gw-table", help="degree counts c_k with certificate")
-    p_gw.add_argument("--kmax", type=int, default=10, metavar="K",
-                      help="largest degree to tabulate (default 10)")
+    p_gw.add_argument("--kmax", type=int, default=DEFAULT_KMAX, metavar="K",
+                      help=f"largest degree to tabulate (default {DEFAULT_KMAX})")
     add_common(p_gw, with_order=False)
 
     p_genus = sub.add_parser("genus-one", help="genus-one series and certificates")
@@ -360,7 +361,7 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     order = DEFAULT_ORDER
     if hasattr(args, "order"):
         order = _resolve_order(parser, args.order)
-    kmax = getattr(args, "kmax", 10)
+    kmax = getattr(args, "kmax", DEFAULT_KMAX)
     if kmax < 0:
         parser.error(f"kmax must be nonnegative, got {kmax}")
     model = getattr(args, "model", None) or getattr(args, "target", None)

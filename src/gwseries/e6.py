@@ -12,10 +12,12 @@ unique solution with leading coefficient 1/3 of the Schwarzian-type equation
 with ' = q d/dq.  The solver does not step through this third-order
 equation: `_e6_rhs` rewrites it as a first-order system for f_0, f_1 = a f_0
 and f_2, which the shared `solve_qdq_system` solves, and a = f_1/f_0.
-Fourteen power series f_0..f_13 built from a and the square root
-f_0 = (1/3) (a'/(1 - a^3))^(1/2) populate the genus-zero potential on eight
+Fourteen power series f_0..f_13, polynomials in the three generators
+(one table, `_E6_QUANTUM_ROWS`), populate the genus-zero potential on eight
 coordinates.  Everything is certified twice: the solver against the eta
-closed form, each derived series against an independent formula, and a suite
+closed form, f_0 against the square root (1/3) (a'/(1 - a^3))^(1/2), the
+generators against their system, each derived series against an independent
+formula, and a suite
 of modular identities tying a to the j-invariant, cusp forms, and twisted eta
 products, series over Q(zeta_3) with 72nd roots of unity only in their
 scalars.  The builders only build;
@@ -41,7 +43,6 @@ from .qseries import QSeries, solve_qdq_system
 from .reporting import GenusOneResult, IdentityReport, failure_report, series_match
 
 _THIRD = Fraction(1, 3)
-_SQRT_NORMALIZATION = _THIRD  # the constant A with A^2 = 1/9 and f_0 = q + ...
 
 
 class E6Coefficients(NamedTuple):
@@ -134,87 +135,102 @@ def e6_schwarzian_residual_report(order: int, a: QSeries) -> IdentityReport:
 # -- the fourteen coefficient series ------------------------------------------------
 
 
-def _sqrt_route_f0(a: QSeries) -> QSeries:
-    ratio = a.qdq() * (1 - a * a * a).inv()
-    return ratio.nth_root(2).scale(_SQRT_NORMALIZATION)
+def _slope(a: QSeries) -> QSeries:
+    """a'/(1 - a^3) = 9 f_0^2, ' = q d/dq."""
+    return a.qdq() * (1 - a * a * a).inv()
+
+
+def _sqrt_route_f0(slope: QSeries) -> QSeries:
+    """f_0 = (1/3) (a'/(1 - a^3))^(1/2) from the `_slope` of a, the root q + ..."""
+    return slope.nth_root(2).scale(_THIRD)
+
+
+# One row per orbit of the permutations of the pairs (t1,t6), (t2,t5), (t3,t4),
+# row i for the series f_i: f_i as a polynomial {(i, j, k): c, ...} meaning the
+# sum of c f_0^i f_1^j f_2^k, its prefactor, and a representative monomial.
+_E6_QUANTUM_ROWS = (
+    ({(1, 0, 0): 1}, Fraction(1), (0, 1, 1, 1, 0, 0, 0, 0)),
+    ({(0, 1, 0): 1}, Fraction(1, 6), (0, 3, 0, 0, 0, 0, 0, 0)),
+    ({(0, 0, 1): 1}, Fraction(1), (0, 1, 1, 0, 0, 1, 1, 0)),
+    ({(2, 0, 0): 1}, Fraction(1, 2), (0, 2, 0, 0, 1, 1, 0, 0)),
+    ({(1, 1, 0): 1}, Fraction(1, 2), (0, 1, 1, 0, 2, 0, 0, 0)),
+    ({(0, 0, 1): 2, (0, 2, 0): -1}, Fraction(1, 4), (0, 2, 0, 0, 0, 0, 2, 0)),
+    ({(3, 0, 0): 1}, Fraction(1, 6), (0, 1, 0, 0, 3, 0, 1, 0)),
+    ({(2, 1, 0): 1}, Fraction(1, 2), (0, 1, 0, 0, 1, 1, 2, 0)),
+    ({(1, 2, 0): 1}, Fraction(1, 4), (0, 1, 0, 0, 2, 2, 0, 0)),
+    ({(0, 3, 0): 1}, Fraction(1, 24), (0, 1, 0, 0, 0, 0, 4, 0)),
+    ({(3, 1, 0): 3}, Fraction(1, 36), (0, 0, 0, 0, 3, 3, 0, 0)),
+    ({(2, 2, 0): 3}, Fraction(1, 24), (0, 0, 0, 0, 4, 1, 1, 0)),
+    ({(4, 0, 0): 2, (1, 3, 0): 1}, Fraction(1, 8), (0, 0, 0, 0, 2, 2, 2, 0)),
+    ({(3, 1, 0): 6, (0, 4, 0): -3}, Fraction(1, 720), (0, 0, 0, 0, 6, 0, 0, 0)),
+)
 
 
 def e6_build_fi(order: int) -> E6Coefficients:
     """All fourteen series at the requested order, from the eta closed forms.
 
-    Builds only; the independent routes to the same series are
-    `e6_coefficient_reports`.
+    The generators are f_0 = eta(9)^3/eta(3), f_1 = a f_0 and
+    f_2 = f_1^2 - f_0'/(9 f_0); every f_i is its `_E6_QUANTUM_ROWS`
+    polynomial in them, with each monomial multiplied out once.  Builds only;
+    the independent routes to the same series are `e6_coefficient_reports`.
     """
     slack = order + 2
     a = e6_h_analytic(slack)
     f0 = eta_expand("eta(9)^3 * eta(3)^-1", slack + 1).to_qseries()
     f1 = a * f0
-    x = f0.qdq() * f0.inv()
     f1sq = f1 * f1
-    f0sq = f0 * f0
-    f0cb = f0sq * f0
-    f = (
-        f0,
-        f1,
-        x.scale(Fraction(-1, 9)) + f1sq,
-        f0sq,
-        f1 * f0,
-        x.scale(Fraction(-2, 9)) + f1sq,
-        f0cb,
-        f1 * f0sq,
-        f1sq * f0,
-        f1 * f1sq,
-        (f1 * f0cb).scale(3),
-        (f1sq * f0sq).scale(3),
-        f0sq.scale(2) * f0sq + f1 * f1sq * f0,
-        (f1 * f0cb).scale(6) - (f1sq * f1sq).scale(3),
-    )
-    return E6Coefficients(a.truncate(order), tuple(s.truncate(order) for s in f))
+    generators = (f0, f1, f1sq - (f0.qdq() * f0.inv()).scale(Fraction(1, 9)))
+    built = {(1, 0, 0): f0, (0, 1, 0): f1, (0, 0, 1): generators[2], (0, 2, 0): f1sq}
+
+    def monomial(e: tuple[int, int, int]) -> QSeries:
+        if e not in built:
+            i = next(i for i, n in enumerate(e) if n)
+            built[e] = monomial((*e[:i], e[i] - 1, *e[i + 1 :])) * generators[i]
+        return built[e]
+
+    f = []
+    for polynomial, _, _ in _E6_QUANTUM_ROWS:
+        first, *rest = (monomial(e).scale(c) for e, c in polynomial.items())
+        f.append(sum(rest, first).truncate(order))
+    return E6Coefficients(a.truncate(order), tuple(f))
 
 
 def e6_coefficient_reports(
     order: int, coeffs: E6Coefficients, solved: QSeries
 ) -> list[IdentityReport]:
     """Independent routes to the same series: square root, eta quotient, the
-    derivative-based closed forms coming from the flatness calculation, and
-    the equation solver's `solved` pole series.
+    derivative-based closed forms coming from the flatness calculation, the
+    first-order system `_e6_rhs` on the eta-side generators f_0, f_1, f_2,
+    and the equation solver's `solved` pole series.
 
     `coeffs` must reach order + 8, which the defining equation's residual
     needs; `solved` must reach order.
     """
-    a = coeffs.a
-    f = coeffs.f
-    reports = [
-        series_match("e6-f0-sqrt-route", _sqrt_route_f0(a), f[0], order),
-    ]
+    a, f = coeffs
     d1 = a.qdq()
-    d2 = d1.qdq()
-    rational = d1 * (1 - a * a * a).inv()
-    curvature = d2 * d1.inv()
-    asq_rational = a * a * rational
-    reports.append(
+    slope = _slope(a)
+    curvature = d1.qdq() * d1.inv()
+    asq_slope = a * a * slope
+    reports = [
+        series_match("e6-f0-sqrt-route", _sqrt_route_f0(slope), f[0], order),
         series_match(
             "e6-f2-derivative-route",
-            (curvature + asq_rational).scale(Fraction(-1, 18)),
+            (curvature + asq_slope).scale(Fraction(-1, 18)),
             f[2],
             order,
-        )
-    )
-    reports.append(
-        series_match("e6-f3-derivative-route", rational.scale(Fraction(1, 9)), f[3], order)
-    )
-    reports.append(
-        series_match(
-            "e6-f4-derivative-route", (a * rational).scale(Fraction(1, 9)), f[4], order
-        )
-    )
-    reports.append(
+        ),
+        series_match("e6-f3-derivative-route", slope.scale(Fraction(1, 9)), f[3], order),
+        series_match("e6-f4-derivative-route", (a * slope).scale(Fraction(1, 9)), f[4], order),
         series_match(
             "e6-f5-derivative-route",
-            (curvature + asq_rational.scale(2)).scale(Fraction(-1, 9)),
+            (curvature + asq_slope.scale(2)).scale(Fraction(-1, 9)),
             f[5],
             order,
-        )
+        ),
+    ]
+    reports.extend(
+        series_match(f"e6-ode-f{i}", s.qdq(), rhs, order)
+        for i, (s, rhs) in enumerate(zip(f[:3], _e6_rhs(*f[:3])))
     )
     reports.append(series_match("e6-solver-matches-eta", solved, a, order))
     reports.append(e6_schwarzian_residual_report(order, a))
@@ -231,10 +247,11 @@ def e6_identity_suite(order: int, a: QSeries, f0: QSeries) -> list[IdentityRepor
     quotient `f0` = eta(9)^3 / eta(3) must reach order."""
     cube = a * a * a
     one_minus = 1 - cube
-    eight_plus = 8 + cube
+    inverse = one_minus.inv()
+    inverse_cube = inverse**3
     d1 = a.qdq()
 
-    lhs_j = (cube * eight_plus**3 * (one_minus**3).inv()).scale(Fraction(-1, 64))
+    lhs_j = (cube * (8 + cube) ** 3 * inverse_cube).scale(Fraction(-1, 64))
     J = J_series(order)
     reports = [series_match("e6-j-relation", lhs_j, J, order)]
 
@@ -245,11 +262,11 @@ def e6_identity_suite(order: int, a: QSeries, f0: QSeries) -> list[IdentityRepor
     )
     reports.append(series_match("e6-cube-unit", cube_minus_one, rhs_unit, order))
 
-    sextic = (d1**6 * (cube_minus_one**3).inv()).scale(Fraction(1, 27))
+    sextic = (d1**6 * inverse_cube).scale(Fraction(-1, 27))  # (a^3 - 1)^-3 = -(1 - a^3)^-3
     discriminant = eta_expand("eta(3)^24", order).to_qseries()
     reports.append(series_match("e6-cusp-form-sextic", sextic, discriminant, order))
 
-    slope = d1 * one_minus.inv()
+    slope = d1 * inverse
     rhs_slope = (f0.truncate(order) ** 2).scale(9)
     reports.append(series_match("e6-slope-eta", slope, rhs_slope, order))
 
@@ -279,13 +296,13 @@ def e6_twisted_pole_reports(order: int, a: QSeries) -> list[IdentityReport]:
     rational fails the report at the pole, where it first enters.
     """
     eta_plain = dedekind_eta(order + 1)
-    eta_nine_cubed = eta_expand("eta(9)^3", order + 1)
+    eta_nine_inverse_cubed = eta_expand("eta(9)^-3", order + 1)
     reports = []
     for name, omega_power, k, branch_power, phase_power in _TWISTED_POLE_ROWS:
         twisted = eta_plain.twist(
             CyclotomicNumber.zeta(3, k), branch=CyclotomicNumber.zeta(72, branch_power)
         )
-        quotient = twisted**3 / eta_nine_cubed
+        quotient = twisted**3 * eta_nine_inverse_cubed
         scalar = quotient.scalar * CyclotomicNumber.zeta(72, phase_power) * _THIRD
         pole = int(quotient.offset)
         if not scalar.is_rational():
@@ -304,57 +321,31 @@ def e6_twisted_pole_reports(order: int, a: QSeries) -> list[IdentityReport]:
 def e6_gw_table(kmax: int) -> tuple[list[tuple[int, Fraction]], IdentityReport]:
     """Degree counts c_k (coefficient of q^(3k+1) in f_0) plus their certificate.
 
-    The table values come from the eta quotient.  The certificate recomputes
-    f_0 down the entirely independent road the counts originally came from:
-    solving the associativity-forced equation for the pole series coefficient
-    by coefficient, then applying the square-root formula.  The two tables
-    must agree, and f_0 must be supported on exponents 1 mod 3.
+    The table values come from the eta quotient; the certificate is
+    `_gw_dual_route` through q^(3 kmax + 2).
     """
-    f0_eta = eta_expand("eta(9)^3 * eta(3)^-1", 3 * kmax + 2).to_qseries()
-    return _gw_table(kmax, e6_schwarzian_solve(3 * kmax + 4), f0_eta)
-
-
-def _gw_table(
-    kmax: int, solved: QSeries, f0: QSeries
-) -> tuple[list[tuple[int, Fraction]], IdentityReport]:
-    """`e6_gw_table` from a solver run `solved` that reaches at least 3 kmax + 4
-    and the eta quotient `f0` reaching at least 3 kmax + 3."""
     order = 3 * kmax + 2
-    f0_eta = f0.truncate(order + 1)
-    f0_solver = _sqrt_route_f0(solved.truncate(order + 2)).truncate(order)
-    report = series_match("e6-gw-dual-route", f0_solver, f0_eta, order)
+    f0 = eta_expand("eta(9)^3 * eta(3)^-1", order).to_qseries()
+    table = [(k, Fraction(f0.coefficient(3 * k + 1))) for k in range(kmax + 1)]
+    return table, _gw_dual_route(order, e6_schwarzian_solve(order + 2), f0)
+
+
+def _gw_dual_route(order: int, solved: QSeries, f0: QSeries) -> IdentityReport:
+    """The eta quotient `f0` against f_0 down the entirely independent road
+    the degree counts originally came from: solving the associativity-forced
+    equation for the pole series `solved`, then applying the square-root
+    formula.  The two must agree through q^(order-1), and f_0 must be
+    supported on exponents 1 mod 3 there.  `solved` must reach order + 2.
+    """
+    report = series_match("e6-gw-dual-route", _sqrt_route_f0(_slope(solved)), f0, order)
     if report.passed:
-        for exponent, coeff in f0_eta.known_terms():
+        for exponent, coeff in f0.truncate(order).known_terms():
             if coeff and exponent % 3 != 1:
-                report = failure_report(
-                    "e6-gw-dual-route", order, (exponent,), exponent, coeff
-                )
-                break
-    table = [(k, Fraction(f0_eta.coefficient(3 * k + 1))) for k in range(kmax + 1)]
-    return table, report
+                return failure_report("e6-gw-dual-route", order, (exponent,), exponent, coeff)
+    return report
 
 
 # -- potential, genus one -------------------------------------------------------------
-
-
-# One row per orbit of the permutations of the pairs (t1,t6), (t2,t5), (t3,t4):
-# the index i of the series f_i, its prefactor, and a representative monomial.
-_E6_QUANTUM_ROWS = (
-    (0, Fraction(1), (0, 1, 1, 1, 0, 0, 0, 0)),
-    (1, Fraction(1, 6), (0, 3, 0, 0, 0, 0, 0, 0)),
-    (2, Fraction(1), (0, 1, 1, 0, 0, 1, 1, 0)),
-    (3, Fraction(1, 2), (0, 2, 0, 0, 1, 1, 0, 0)),
-    (4, Fraction(1, 2), (0, 1, 1, 0, 2, 0, 0, 0)),
-    (5, Fraction(1, 4), (0, 2, 0, 0, 0, 0, 2, 0)),
-    (6, Fraction(1, 6), (0, 1, 0, 0, 3, 0, 1, 0)),
-    (7, Fraction(1, 2), (0, 1, 0, 0, 1, 1, 2, 0)),
-    (8, Fraction(1, 4), (0, 1, 0, 0, 2, 2, 0, 0)),
-    (9, Fraction(1, 24), (0, 1, 0, 0, 0, 0, 4, 0)),
-    (10, Fraction(1, 36), (0, 0, 0, 0, 3, 3, 0, 0)),
-    (11, Fraction(1, 24), (0, 0, 0, 0, 4, 1, 1, 0)),
-    (12, Fraction(1, 8), (0, 0, 0, 0, 2, 2, 2, 0)),
-    (13, Fraction(1, 720), (0, 0, 0, 0, 6, 0, 0, 0)),
-)
 
 
 def e6_build_potential(coeffs: E6Coefficients, raw_f11_block: bool = False) -> FrobeniusPotential:
@@ -370,7 +361,7 @@ def e6_build_potential(coeffs: E6Coefficients, raw_f11_block: bool = False) -> F
         (Fraction(1), *[Fraction(2, 3)] * 3, *[_THIRD] * 3, Fraction(0)),
         ((1, 6), (2, 5), (3, 4)),
         [((2, 0, 0, 0, 0, 0, 0, 1), Fraction(1, 2)), ((1, 1, 0, 0, 0, 0, 1, 0), _THIRD)],
-        [(rep, prefactor, coeffs.f[i]) for i, prefactor, rep in _E6_QUANTUM_ROWS],
+        [(rep, prefactor, f) for (_, prefactor, rep), f in zip(_E6_QUANTUM_ROWS, coeffs.f)],
     )
     if raw_f11_block:
         quantum, doubled = potential.quantum, (0, 0, 0, 0, 1, 1, 4, 0)
@@ -410,7 +401,7 @@ def e6_suites(order: int, raw_f11_block: bool = False) -> list[tuple[str, list[I
     return [
         ("e6-coefficients", e6_coefficient_reports(order, coeffs, solved)),
         ("e6-identities", e6_identity_suite(order, coeffs.a.truncate(order + 2), f0)),
-        ("e6-gw-table", [_gw_table(max((order - 2) // 3, 0), solved, f0)[1]]),
+        ("e6-gw-table", [_gw_dual_route(order, solved, f0)]),
         ("e6-genus-one", [e6_genus_one(order, at_order).report]),
         ("e6-potential", [wdvv_residual(potential, order), euler_residual(potential)]),
     ]

@@ -138,11 +138,7 @@ class EtaQuotient(Frozen):
     def expand(self, truncation: int) -> PuiseuxSeries:
         unit = QSeries.one(truncation)
         for m, r in self.factors:
-            base = eta_unit(m, truncation)
-            if r.denominator == 1:
-                unit = unit * base ** int(r)
-            else:
-                unit = unit * base.pow_rational(r)
+            unit = unit * eta_unit(m, truncation).pow_rational(r)
         return PuiseuxSeries(1, self.offset, unit)
 
     def logderiv(self, truncation: int) -> QSeries:

@@ -318,6 +318,13 @@ def test_gw_table_text_includes_certificate(capsys):
     assert "pass  e6-gw-dual-route" in out
 
 
+@pytest.mark.parametrize("order", [12, 13, 14])
+def test_verify_e6_certifies_the_dual_route_at_the_requested_order(capsys, order):
+    status, out, _ = _run(capsys, command="verify", model="e6", order=order)
+    assert status == 0
+    assert f"  pass  e6-gw-dual-route (order {order})\n" in out
+
+
 def test_gw_table_json(capsys):
     status, out, _ = _run(capsys, command="gw-table", kmax=3, format="json")
     assert status == 0
@@ -357,7 +364,7 @@ PINNED_STDOUT = [
     (dict(command="gw-table", kmax=100),
      "27752564e1e3d0c846134ab695bcc2b78386f5e5bc14e58392d0a680667a7de6"),
     (dict(command="verify", model="e6", order=60),
-     "e4cd6062db793382f6f58c56ff51fdbec588d26bd63e3cf2ac8f3465b3571f99"),
+     "e5cb823150e8002686a1d30792d2040e916282a3f48843b5ccbab98cde8c2584"),
     (dict(command="verify", model="identities", order=60),
      "0555af0322f1232b5fe2e7c9c8275ec15e75aa43e3c764c1b8adbd348211dc41"),
     (dict(command="verify", model="d4", order=125),
@@ -375,7 +382,7 @@ PINNED_STDOUT = [
     (dict(command="expand", expression="eta(2)^-3/2 * eta(4)^1/2", order=60),
      "799b27c445e24f1d4d873869388fc0611c9b308a1548f3ea15aecb1e83c49e3a"),
     (dict(command="verify", model="e6", order=64, strict_typo_mode=True, format="json"),
-     "19354ba14eb3b3db8c84d90e5473ad834e5769df441db967172c07230ab8918c"),
+     "388043c05f9acf6ef0c02ed0bbc01dc1eb6fbeaed2040de48131ce277c470848"),
 ]
 
 
@@ -392,7 +399,7 @@ def test_strict_typo_stdout_is_pinned(capsys):
     assert ("  FAIL  wdvv (order 60; first failure at q^2, indices (1, 1, 4, 4), residual -1/6)\n"
             in out)
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "d2375ea21430ae1aa2835039b5d496509f85efd1e55d159bc20ff2aa9639f977")
+        "de3531ae892cf17ff669e2fa9727e373d6b3d5a7cf9a5fbef4845cda2e926833")
 
 
 # -- genus-one ---------------------------------------------------------------------

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import gwseries.e6 as e6
+from gwseries import modular
 from gwseries.e6 import (
     E6Coefficients,
     _e6_rhs,
+    _gw_dual_route,
     _schwarzian_combination,
     e6_build_fi,
     e6_build_potential,
@@ -17,6 +20,7 @@ from gwseries.e6 import (
     e6_identity_suite,
     e6_schwarzian_residual_report,
     e6_schwarzian_solve,
+    e6_suites,
     e6_twisted_pole_reports,
 )
 from gwseries.frobenius import euler_residual, metric_from_potential, wdvv_residual
@@ -122,6 +126,56 @@ def test_coefficient_routes_reject_tampering():
     assert reports["e6-f3-derivative-route"].passed
 
 
+def test_first_order_system_reports_fail_where_f2_is_raised(monkeypatch):
+    built = e6.e6_build_fi
+
+    def perturbed(order):
+        coeffs = built(order)
+        f2 = coeffs.f[2] + QSeries.monomial(Fraction(1, 7), 10, coeffs.f[2].truncation)
+        return coeffs._replace(f=(*coeffs.f[:2], f2, *coeffs.f[3:]))
+
+    monkeypatch.setattr(e6, "e6_build_fi", perturbed)
+    reports = dict(e6_suites(30))["e6-coefficients"]
+    failures = {
+        r.name: (r.first_failure.exponent, r.first_failure.residual)
+        for r in reports
+        if r.name.startswith("e6-ode-")
+    }
+    # f_0' = 9 f_0 (f_1^2 - f_2) meets the bump one order up, through f_0 = q + ...
+    assert failures == {"e6-ode-f0": (11, "9/7"), "e6-ode-f1": (10, "3/7"), "e6-ode-f2": (10, "10/7")}
+
+
+def test_derived_series_are_built_once(monkeypatch):
+    """1 - a^3 is inverted once per report function, cubed for the
+    j-relation and the sextic, and eta(9)^-3 is expanded once for both
+    twisted rows."""
+    order = 60
+    coeffs = e6_build_fi(order + 8)
+    solved = e6_schwarzian_solve(order + 2)
+    a, f0 = coeffs.a.truncate(order + 2), coeffs.f[0]
+    modular._eta_logderiv_unit.cache_clear()
+    count = 0
+    inv = QSeries.inv
+
+    def counted(self):
+        nonlocal count
+        count += 1
+        return inv(self)
+
+    monkeypatch.setattr(QSeries, "inv", counted)
+
+    def inversions(run):
+        nonlocal count
+        count = 0
+        run()
+        return count
+
+    assert inversions(lambda: e6_suites(order)) == 28
+    assert inversions(lambda: e6_identity_suite(order, a, f0)) == 5
+    assert inversions(lambda: e6_twisted_pole_reports(order, a)) == 1
+    assert inversions(lambda: e6_coefficient_reports(order, coeffs, solved)) == 10
+
+
 # -- modular identities ----------------------------------------------------------------
 
 
@@ -170,6 +224,22 @@ def test_gw_table_values_and_certificate():
     assert report.name == "e6-gw-dual-route"
     assert [k for k, _ in table] == list(range(11))
     assert [c for _, c in table] == DEGREE_ONE_COUNTS
+
+
+@pytest.mark.parametrize("exponent", [9, 11])
+def test_gw_dual_route_rejects_f0_off_its_support(monkeypatch, exponent):
+    """Both routes agree on a stray term at an exponent not 1 mod 3; the
+    support check alone catches it."""
+    order = 20
+    stray = QSeries.monomial(Fraction(1, 7), exponent, order)
+    sqrt_route = e6._sqrt_route_f0
+    monkeypatch.setattr(e6, "_sqrt_route_f0", lambda slope: sqrt_route(slope) + stray)
+    f0 = eta_expand("eta(9)^3 * eta(3)^-1", order).to_qseries() + stray
+    report = _gw_dual_route(order, e6_schwarzian_solve(order + 2), f0)
+    assert report.name == "e6-gw-dual-route"
+    assert not report.passed
+    failure = report.first_failure
+    assert (failure.exponent, failure.indices, failure.residual) == (exponent, (exponent,), "1/7")
 
 
 def test_gw_table_of_zero_degree():
