@@ -124,40 +124,25 @@ def _run_expand(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     integral = quotient.offset.denominator == 1
-    if integral:
-        # --order is the absolute truncation: exponents below it are known.
-        unit_order = config.order - int(quotient.offset)
-        if unit_order < 1:
-            print(
-                f"error: order {config.order} does not reach past the leading "
-                f"exponent {quotient.offset}",
-                file=sys.stderr,
-            )
-            return 2
-        expansion = quotient.expand(unit_order)
-    else:
-        expansion = quotient.expand(config.order)
+    # --order is the absolute truncation: exponents below it are known.
+    unit_order = config.order - int(quotient.offset) if integral else config.order
+    if unit_order < 1:
+        print(f"error: order {config.order} does not reach past the leading "
+              f"exponent {quotient.offset}", file=sys.stderr)
+        return 2
+    expansion = quotient.expand(unit_order)
+    series = expansion.to_qseries() if integral else expansion.unit
     if config.format == "json":
-        if integral:
-            _print_json({"command": "expand", "expression": str(quotient),
-                         "series": expansion.to_qseries().to_json_dict()})
-        else:
-            _print_json({
-                "command": "expand",
-                "expression": str(quotient),
-                "scalar": str(expansion.scalar),
-                "offset": str(expansion.offset),
-                "unit": expansion.unit.to_json_dict(),
-            })
+        fields = ({"series": series.to_json_dict()} if integral else
+                  {"scalar": str(expansion.scalar), "offset": str(expansion.offset),
+                   "unit": series.to_json_dict()})
+        _print_json({"command": "expand", "expression": str(quotient), **fields})
     elif config.format == "csv":
-        series = expansion.to_qseries() if integral else expansion.unit
-        _print_csv(["series", "exponent", "coefficient"],
-                   _series_csv_rows(str(quotient), series))
+        _print_csv(["series", "exponent", "coefficient"], _series_csv_rows(str(quotient), series))
+    elif integral:
+        print(format_series(series))
     else:
-        if integral:
-            print(format_series(expansion.to_qseries()))
-        else:
-            print(f"q^({expansion.offset}) * ({format_series(expansion.unit)})")
+        print(f"q^({expansion.offset}) * ({format_series(series)})")
     return 0
 
 

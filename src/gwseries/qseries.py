@@ -522,8 +522,7 @@ def solve_qdq_system(
     """The power series Y with q dY/dq = rhs(*Y), known through O(q^order).
 
     `seeds` holds the q^0 and q^1 coefficients of each component, which must
-    satisfy the system through q^1.  J0, the Jacobian of rhs at the constant
-    terms, is read once at truncation 2 and must be upper triangular.
+    satisfy the system through q^1.
 
     The rest comes in doubling blocks.  With Y known through q^(m-1), the
     correction E = O(q^m) on [m, hi), hi = min(2m, order), w = hi - m, has
@@ -535,11 +534,15 @@ def solve_qdq_system(
     with J(Y) = sum_d J_d q^d, needed mod q^w, and R = F(Y) - q dY/dq, which
     is O(q^m) and costs one rhs call at truncation hi.  Column j of J comes
     from rhs(Y + q^w e_j) - rhs(Y) = q^w J(Y) e_j + O(q^2w), read at
-    truncation 2w, so a block costs 1 + k rhs calls for k components and a
-    solve about (1 + k) log2(order).  The block is solved by divide and
-    conquer (`_solve_block`); each `_LEAF`-wide piece by back substitution
-    against n - J0 on integer numerators, which is why the system must be
-    over Q.
+    truncation 2w, so a block costs 1 + k rhs calls for k components, and a
+    solve one more for the seeds (29 calls for three components at order
+    242).  J0, the Jacobian at the constant terms, is the q^0 part of the
+    block's J and must be upper triangular; that is checked before any
+    coefficient of the block is solved, so for order <= 2, with no block,
+    J0 is never read.  Each block is back-substituted whole against n - J0,
+    every value an integer numerator over one running denominator that is
+    multiplied up when a pivot n - J0_ii does not divide, which is why the
+    system must be over Q.
 
     >>> solve_qdq_system(lambda y: (y * y - y,), [(1, 1)], 6)   # 1/(1-q)
     (QSeries(1 + q + q^2 + q^3 + q^4 + q^5 + O(q^6)),)
@@ -547,13 +550,7 @@ def solve_qdq_system(
     ys = [QSeries(seed, 0, 2) for seed in seeds]
     if not all((r - y.qdq()).is_zero() for r, y in zip(rhs(*ys), ys)):
         raise ArithmeticError("the seeds do not satisfy the system through q^1")
-    k, q = len(ys), QSeries.monomial(1, 1, 2)
-    # J0[i][j]: the q^1 coefficient of rhs_i at Y + q e_j, less the one at Y
-    bumped = [rhs(*(y + q if i == j else y for i, y in enumerate(ys))) for j in range(k)]
-    jac = [[b[i].coefficient(1) - ys[i].coefficient(1) for b in bumped] for i in range(k)]
-    if any(jac[i][j] for i in range(k) for j in range(i)):
-        raise ArithmeticError("J0 is not upper triangular")
-    m = 2
+    k, m = len(ys), 2
     while m < order:
         hi = min(2 * m, order)
         w = hi - m
@@ -561,56 +558,31 @@ def solve_qdq_system(
         base = rhs(*ys)
         low, bump = [y.truncate(2 * w) for y in ys], QSeries.monomial(1, w, 2 * w)
         cols = [rhs(*(y + bump if i == j else y for i, y in enumerate(low))) for j in range(k)]
-        jacobian = [[(c[i] - base[i]).truncate(2 * w).shift(-w) for c in cols] for i in range(k)]
+        jac = [[(c[i] - base[i]).truncate(2 * w) for c in cols] for i in range(k)]  # q^w J(Y)
+        dj = math.lcm(*(s.den for row in jac for s in row))
+        js = [[_numerators(s, w, 2 * w, dj) for s in row] for row in jac]
+        if any(js[i][j][0] for i in range(k) for j in range(i)):
+            raise ArithmeticError("J0 is not upper triangular")
         forcing = [r - y.qdq() for r, y in zip(base, ys)]
-        ys = [y + e for y, e in zip(ys, _solve_block(jacobian, forcing, m, hi, hi))]
+        den = math.lcm(*(r.den for r in forcing))
+        rs = [_numerators(r, m, hi, den) for r in forcing]
+        es = [[0] * w for _ in range(k)]
+        for t in range(w):
+            for i in reversed(range(k)):
+                # es[j][t] is still 0 for j <= i, and J0 has no entry below the diagonal
+                acc = dj * rs[i][t] + sum(sum(map(mul, js[i][j][: t + 1], es[j][t::-1])) for j in range(k))
+                pivot = (m + t) * dj - js[i][i][0]
+                if not pivot:
+                    raise ZeroDivisionError(f"n - J0 is singular at n = {m + t}")
+                lift = abs(pivot) // math.gcd(acc, pivot)
+                if lift > 1:
+                    den *= lift
+                    for row in (*rs, *es):
+                        row[:] = [x * lift for x in row]
+                es[i][t] = acc * lift // pivot
+        ys = [y + QSeries._make(1, den, m, e, hi) for y, e in zip(ys, es)]
         m = hi
     return tuple(y.truncate(order) for y in ys)
-
-
-_LEAF = 32  # block width solved coefficient by coefficient
-
-
-def _solve_block(
-    jac: list[list[QSeries]], forcing: list[QSeries], lo: int, hi: int, end: int
-) -> list[QSeries]:
-    """E on [lo, hi) with (n - J0) E_n = R_n + sum_{lo <= l < n} J_(n-l) E_l,
-    R = `forcing` already holding the share of every E_l below lo; each
-    component a polynomial known through O(q^end).
-
-    The first half is solved, its share J E_first added to the forcing as
-    k^2 series products, then the second half; a piece at most `_LEAF` wide
-    is back-substituted with every value a numerator over one running
-    denominator, multiplied up when a pivot n - J0_ii does not divide.
-    """
-    if hi - lo > _LEAF:
-        mid = (lo + hi) // 2
-        first = _solve_block(jac, forcing, lo, mid, end)
-        forcing = [
-            sum((s.truncate(hi - lo) * e for s, e in zip(row, first)), r)
-            for row, r in zip(jac, forcing)
-        ]
-        return [a + b for a, b in zip(first, _solve_block(jac, forcing, mid, hi, end))]
-    k, width = len(forcing), hi - lo
-    dj = math.lcm(*(s.den for row in jac for s in row))
-    js = [[_numerators(s, 0, width, dj) for s in row] for row in jac]
-    den = math.lcm(*(r.den for r in forcing))
-    rs = [_numerators(r, lo, hi, den) for r in forcing]
-    es = [[0] * width for _ in range(k)]
-    for t in range(width):
-        for i in reversed(range(k)):
-            # es[j][t] is still 0 for j <= i, and J0 has no entry below the diagonal
-            acc = dj * rs[i][t] + sum(sum(map(mul, js[i][j][: t + 1], es[j][t::-1])) for j in range(k))
-            pivot = (lo + t) * dj - js[i][i][0]
-            if not pivot:
-                raise ZeroDivisionError(f"n - J0 is singular at n = {lo + t}")
-            lift = abs(pivot) // math.gcd(acc, pivot)
-            if lift > 1:
-                den *= lift
-                for row in (*rs, *es):
-                    row[:] = [x * lift for x in row]
-            es[i][t] = acc * lift // pivot
-    return [QSeries._make(1, den, lo, e, end) for e in es]
 
 
 def _numerators(s: QSeries, lo: int, hi: int, den: int) -> list[int]:

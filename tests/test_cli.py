@@ -383,6 +383,10 @@ PINNED_STDOUT = [
      "799b27c445e24f1d4d873869388fc0611c9b308a1548f3ea15aecb1e83c49e3a"),
     (dict(command="verify", model="e6", order=64, strict_typo_mode=True, format="json"),
      "388043c05f9acf6ef0c02ed0bbc01dc1eb6fbeaed2040de48131ce277c470848"),
+    (dict(command="expand", expression="eta(2)^-3/2 * eta(4)^1/2", order=60, format="json"),
+     "b4afa721e9ddd52730529fcc1de49713d7db29b25674cf3feedd364cbbeec4d0"),
+    (dict(command="expand", expression="eta(2)^-3/2 * eta(4)^1/2", order=60, format="csv"),
+     "7d2326e854383fedac6d61c7d0dbe4742c54645488d725a0bb069c2210427b6c"),
 ]
 
 

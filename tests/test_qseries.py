@@ -132,8 +132,9 @@ def test_qdq_system_rejects_seeds_off_the_system():
 
 def test_qdq_system_needs_an_upper_triangular_jacobian():
     # q y' = y, q z' = y: J0 = [[1, 0], [1, 0]] has an entry below the diagonal
-    with pytest.raises(ArithmeticError, match="upper triangular"):
-        solve_qdq_system(lambda y, z: (y, y), [(0, 1), (0, 1)], 10)
+    for order in (3, 10):  # at order 3 the only block is one coefficient wide
+        with pytest.raises(ArithmeticError, match="upper triangular"):
+            solve_qdq_system(lambda y, z: (y, y), [(0, 1), (0, 1)], order)
     # the same system with z listed first is upper triangular and solvable
     z, y = solve_qdq_system(lambda z, y: (y, y), [(0, 1), (0, 1)], 10)
     assert z == y == QSeries.monomial(1, 1, 10)
@@ -174,17 +175,19 @@ def test_doubling_solver_matches_the_step_loop(system):
             assert s == r and s.truncation == r.truncation == order, order
 
 
-def test_doubling_solver_calls_the_system_logarithmically_often():
+@pytest.mark.parametrize("system, order, expected", [("e6", 242, 29), ("e6", 62, 21), ("d4", 125, 25)])
+def test_doubling_solver_calls_the_system_logarithmically_often(system, order, expected):
+    rhs, seeds = _SYSTEMS[system]
     calls = []
 
     def counted(*ys):
         calls.append(max(y.truncation for y in ys))
-        return _e6_rhs(*ys)
+        return rhs(*ys)
 
-    seeds = _SYSTEMS["e6"][1]
-    order, k = 242, len(seeds)
     solve_qdq_system(counted, seeds, order)
-    assert len(calls) <= 4 * math.ceil(math.log2(order)) + k + 2
+    # the seeds check, then 1 + k calls per doubling block [m, min(2m, order)), m = 2, 4, ...
+    blocks = math.ceil(math.log2(order)) - 1
+    assert len(calls) == 1 + (1 + len(seeds)) * blocks == expected
     assert max(calls) == order
 
 
