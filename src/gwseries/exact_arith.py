@@ -11,6 +11,8 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import compress
+from operator import sub
 from typing import Sequence
 
 
@@ -151,21 +153,33 @@ def int_convolve(xs: Sequence[int], ys: Sequence[int], n: int | None = None) -> 
     slot makes each digit nonnegative.  n defaults to the full product
     length, past which coefficients are zero.
 
+    Only the residue class the data occupies is packed: with a, b the first
+    nonzero indices and g the gcd of all nonzero index offsets (read from the
+    data, so an entry off the class only lowers g), xs = x^a X(x^g) and
+    ys = x^b Y(x^g), and only XY is computed, then scattered from a + b.
+
     >>> int_convolve([1, -2], [3, 4, -5])
     [3, -2, -13, 10]
     >>> int_convolve([10**30, 1], [-(10**30), 1], n=5) == [-(10**60), 0, 1, 0, 0]
     True
+    >>> int_convolve([0, 1, 0, 0, 2], [0, 0, 3, 0, 0, -1], n=10)  # stride 3
+    [0, 0, 0, 3, 0, 0, 5, 0, 0, -2]
     """
     if n is None:
         n = len(xs) + len(ys) - 1 if xs and ys else 0
     xs, ys = xs[:n], ys[:n]
-    bound = max(map(abs, xs), default=0) * max(map(abs, ys), default=0) * min(len(xs), len(ys))
-    if not bound:
+    xs_at, ys_at = list(compress(range(len(xs)), xs)), list(compress(range(len(ys)), ys))
+    if not xs_at or not ys_at or xs_at[0] + ys_at[0] >= n:
         return [0] * n
-    width = _slot_width(bound)
-    size = min(n, len(xs) + len(ys) - 1)
+    a, b = xs_at[0], ys_at[0]
+    g = math.gcd(*map(sub, xs_at[1:], xs_at), *map(sub, ys_at[1:], ys_at)) or 1
+    xs, ys = xs[a::g], ys[b::g]
+    width = _slot_width(max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys)))
+    out, count = [0] * n, len(range(a + b, n, g))
+    size = min(count, len(xs) + len(ys) - 1)
     product = _pack_slots(xs, width) * _pack_slots(ys, width)
-    return _unpack_slots(product, width, size) + [0] * (n - size)
+    out[a + b :: g] = _unpack_slots(product, width, size) + [0] * (count - size)
+    return out
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:

@@ -17,7 +17,10 @@ Internally each coefficient series is interned up to a rational scalar and
 packed once into a single int (Kronecker substitution, in the slot format of
 exact_arith), so the scan is integer arithmetic only: a product of two
 series is one multiplication, a residual is a difference of packed ints,
-and its first nonzero coefficient is read from the lowest set bit.  A
+and its first nonzero coefficient is read from the lowest set bit.  Only the
+residue class each series occupies is packed: the stride g is the gcd of the
+exponent offsets within every series (3 for e6, 2 for d4), read from the
+numerators, so a perturbation off the class only lowers g and stays seen.  A
 contraction is kept only until the scan's last read of it.
 """
 
@@ -27,6 +30,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from operator import and_
 from typing import NamedTuple
 
 from .exact_arith import Frozen, _first_slot, _pack_slots, _slot_width, _unpack_slots
@@ -300,13 +304,15 @@ class _WdvvEngine:
 
     Each derivative-term series object is interned once, by its valuation
     and primitive numerators (`_intern`); the rest of it joins the scalar of
-    every term that holds it.  Scalars and inverse-metric weights are integers over one common
-    denominator each.  Base series are packed into T slots wide enough for
-    any residual coefficient plus a sign bit, all mod 2^(8 width T), so slots
-    past T drop out.  A pair product is one memoized multiplication.  A
-    contraction, an integer combination of pair products per monomial, is
-    memoized while `reads` counts reads left for it.  A residual is the
-    difference of two packed ints, first nonzero at the lowest set bit.
+    every term that holds it.  Scalars and inverse-metric weights are integers
+    over one common denominator each.  A base of class c = valuation mod g
+    keeps one slot per exponent c + g k below T (`slots` at most), wide enough
+    for any residual coefficient plus a sign bit.  A pair product is one
+    memoized multiplication, in class s mod g for the class sum s, one slot up
+    per carry, masked to the exponents below T so that later ones drop out.  A
+    contraction, an integer combination of pair products per monomial and
+    class, is memoized while `reads` counts reads left for it.  A residual is
+    a difference of packed ints, first nonzero at the lowest set bit.
     Monomials are packed one slot per coordinate, so multiplying two of them
     is one addition.
     """
@@ -331,38 +337,45 @@ class _WdvvEngine:
         d_scalar = math.lcm(*(s.denominator for terms in triples.values() for _, s, _ in terms))
         d_weight = math.lcm(*(w.denominator for _, _, w in eta))
         self.denominator = d_scalar**2 * d_weight
-        arrays = [[0] * valuation + list(numerators) for valuation, numerators in ref_of]
         self.eta_pairs = [(e, f, w.numerator * (d_weight // w.denominator)) for e, f, w in eta]
+        g = self.stride = math.gcd(*(i for _, nums in ref_of for i, x in enumerate(nums) if x)) or 1
+        classes = self._classes = [valuation % g for valuation, _ in ref_of]
+        arrays = [[0] * (valuation // g) + list(nums[::g]) for valuation, nums in ref_of]
+        self.slots = len(range(0, truncation, g))
         degree = max((max(key) for terms in triples.values() for key, _, _ in terms), default=0)
-        self.monomial_width = _slot_width(2 * degree)
+        self.monomial_width = mw = _slot_width(2 * degree)
+        # a term's key is its packed monomial * (2g - 1) + its base's class, so the sum
+        # of two keys holds the class sum s < 2g - 1 of their pair product
+        spread = 2 * g - 1
         self._terms = {
             triple: [
-                (_pack_slots(key, self.monomial_width), s.numerator * (d_scalar // s.denominator), r)
+                (_pack_slots(key, mw) * spread + classes[r], s.numerator * (d_scalar // s.denominator), r)
                 for key, s, r in terms
             ]
             for triple, terms in triples.items()
         }
         # a residual coefficient is a difference of two sums of
-        # weight * scalar * scalar * (pair-product coefficient of at most T terms)
+        # weight * scalar * scalar * (pair-product coefficient of at most `slots` terms)
         weights = sum(abs(w) for _, _, w in self.eta_pairs)
         scalars = max((sum(abs(s) for _, s, _ in terms) for terms in self._terms.values()), default=0)
         largest = max((abs(v) for array in arrays for v in array), default=0)
-        self.width = _slot_width(2 * weights * scalars**2 * truncation * largest**2)
-        self.mask = (1 << (8 * self.width * truncation)) - 1
+        self.width = _slot_width(2 * weights * scalars**2 * self.slots * largest**2)
+        # class sum s keeps the slots of its exponents s, s + g, ... below T
+        self.masks = [(1 << 8 * self.width * len(range(s, truncation, g))) - 1 for s in range(2 * g - 1)]
         self._packed = [_pack_slots(array, self.width) for array in arrays]
         self._pair_products: list[list[int | None]] = [[None] * len(arrays) for _ in arrays]
-        self._contractions: dict[tuple, dict[int, int]] = {}
+        self._contractions: dict[tuple, dict[int, tuple[int, ...]]] = {}
         self.reads: Counter = Counter()  # reads left in the scan, per contraction
 
-    def contraction(self, key: tuple) -> dict[int, int]:
+    def contraction(self, key: tuple) -> dict[int, tuple[int, ...]]:
         """(xy|zw) = sum_{e,f} F_xye eta^{ef} F_fzw for key ((x,y),(z,w)) as
-        {packed monomial: packed coefficients}, nonzero ones only, in units of
-        1/denominator."""
+        {packed monomial: packed coefficients of each class}, nonzero ones
+        only, in units of 1/denominator."""
         poly = self._contractions.pop(key, None)
         if poly is None:
             p1, p2 = key
             acc: dict[int, int] = {}
-            products = self._pair_products
+            products, classes = self._pair_products, self._classes
             for e, f, w in self.eta_pairs:
                 t1 = self._terms[tuple(sorted((*p1, e)))]
                 if not t1:
@@ -374,10 +387,17 @@ class _WdvvEngine:
                     for m2, s2, r2 in t2:
                         product = row[r2]
                         if product is None:
-                            product = (self._packed[r1] * self._packed[r2]) & self.mask
+                            mask = self.masks[classes[r1] + classes[r2]]
+                            product = (self._packed[r1] * self._packed[r2]) & mask
                             row[r2] = products[r2][r1] = product
                         acc[m1 + m2] = acc.get(m1 + m2, 0) + s1w * s2 * product
-            poly = {m: total & self.mask for m, total in acc.items() if total & self.mask}
+            # class sum s is class s mod g, shifted one slot per carry s // g
+            g, split = self.stride, {}
+            for m, total in acc.items():
+                monomial, s = divmod(m, 2 * g - 1)
+                split.setdefault(monomial, [0] * g)[s % g] += total << (8 * self.width * (s // g))
+            masked = ((m, tuple(map(and_, totals, self.masks))) for m, totals in split.items())
+            poly = {m: totals for m, totals in masked if any(totals)}
         if (remaining := self.reads.pop(key, 0) - 1) > 0:
             self.reads[key], self._contractions[key] = remaining, poly
         return poly
@@ -388,17 +408,18 @@ class _WdvvEngine:
         p1, p2 = (self.contraction(key) for key in _contraction_keys(a, b, c, d))
         if p1 == p2:
             return None
-        # a tie in the exponent goes to the first monomial met in a set of
-        # monomial tuples, so the failure reported does not depend on packing
+        # slot k of class c is exponent c + g k; a tie in the exponent goes to the first monomial
+        # met in a set of monomial tuples, so the failure reported does not depend on packing
         p1, p2 = (
             {tuple(_unpack_slots(m, self.monomial_width, self.dim)): v for m, v in p.items()}
             for p in (p1, p2)
         )
-        best = None
+        g, zero, best = self.stride, (0,) * self.stride, None
         for midx in set(p1) | set(p2):
-            slot = _first_slot((p1.get(midx, 0) - p2.get(midx, 0)) & self.mask, self.width)
-            if slot is not None and (best is None or slot[0] < best[0]):
-                best = slot
+            for c, x, y, mask in zip(range(g), p1.get(midx, zero), p2.get(midx, zero), self.masks):
+                slot = _first_slot((x - y) & mask, self.width)
+                if slot is not None and (best is None or c + g * slot[0] < best[0]):
+                    best = c + g * slot[0], slot[1]
         return best[0], Fraction(best[1], self.denominator)
 
 

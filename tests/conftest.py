@@ -23,12 +23,13 @@ class WdvvReference:
         self._thirds: dict[tuple[int, ...], dict] = {}
         self._contractions: dict[tuple, dict] = {}
 
-    def third(self, *slots: int) -> dict[tuple[int, ...], list[Fraction]]:
+    def third(self, *slots: int) -> dict[tuple[int, ...], list[tuple[int, Fraction]]]:
+        """d_a d_b d_c F as {monomial: its nonzero (exponent, coefficient) pairs below T}."""
         key = tuple(sorted(slots))
         if key not in self._thirds:
             names = [self.potential.coords[i] for i in key]
             self._thirds[key] = {
-                monomial: [series.coefficient(e) for e in range(self.T)]
+                monomial: [(e, c) for e in range(self.T) if (c := series.coefficient(e))]
                 for monomial, series in third_derivative(self.potential, *names).items()
             }
         return self._thirds[key]
@@ -44,12 +45,15 @@ class WdvvReference:
             if not weight:
                 continue
             for m1, u in self.third(x, y, e).items():
+                weighted = [(i, weight * ui) for i, ui in u]
                 for m2, v in self.third(f, z, w).items():
                     monomial = tuple(i + j for i, j in zip(m1, m2))
                     acc = out.setdefault(monomial, [Fraction(0)] * self.T)
-                    for i, ui in enumerate(u):
-                        for j in range(self.T - i):
-                            acc[i + j] += weight * ui * v[j]
+                    for i, ui in weighted:
+                        for j, vj in v:
+                            if i + j >= self.T:
+                                break
+                            acc[i + j] += ui * vj
         return out
 
     def residual(self, a: int, b: int, c: int, d: int) -> dict[tuple[int, ...], list[Fraction]]:
@@ -59,9 +63,9 @@ class WdvvReference:
         zeros = [Fraction(0)] * self.T
         out = {}
         for monomial in set(left) | set(right):
-            diff = [p - q for p, q in zip(left.get(monomial, zeros), right.get(monomial, zeros))]
-            if any(diff):
-                out[monomial] = diff
+            u, v = left.get(monomial, zeros), right.get(monomial, zeros)
+            if u != v:
+                out[monomial] = [p - q for p, q in zip(u, v)]
         return out
 
     def assert_first_failure(self, quad: tuple[int, ...], failure) -> None:

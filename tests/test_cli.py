@@ -387,6 +387,11 @@ PINNED_STDOUT = [
      "b4afa721e9ddd52730529fcc1de49713d7db29b25674cf3feedd364cbbeec4d0"),
     (dict(command="expand", expression="eta(2)^-3/2 * eta(4)^1/2", order=60, format="csv"),
      "7d2326e854383fedac6d61c7d0dbe4742c54645488d725a0bb069c2210427b6c"),
+    # every WDVV base series is a monomial at these orders, so the engine's stride is 1
+    (dict(command="verify", model="e6", order=2),
+     "e53ea7411e494f7da2467b663cf88cdb8ea4886f8f8c27c6c7fa2a193f4d4935"),
+    (dict(command="verify", model="e6", order=3, strict_typo_mode=True),
+     "535b888f57609ee674b378943575c45da42d3651ff983b05cdaefa6944f4004f"),
 ]
 
 

@@ -238,16 +238,42 @@ def test_each_wrong_curve_count_breaks_associativity():
     assert Fraction(report.first_failure.residual) == -6552
 
 
+E6_PROBE_KEY = (0, 1, 1, 1, 0, 0, 0, 0)  # f_0 = q + q^4 + 2q^7 + ..., class 1 mod 3
+
+
 def _wdvv_cases() -> list[tuple[FrobeniusPotential, int]]:
     plane = _projective_plane()
     d4 = d4_build_potential(d4_analytic(8))
+    e6 = e6_build_potential(e6_build_fi(12))
     return [
         (plane, 6),
         (plane.with_mutated_quantum((0, 5, 0), 2, Fraction(1, 720)), 6),
         (plane.with_mutated_quantum((0, 14, 0), 5, Fraction(-3)), 6),
-        (d4.with_mutated_quantum((0, 2, 2, 0, 0, 0), 3, Fraction(-5, 7)), 6),
+        (d4.with_mutated_quantum((0, 2, 2, 0, 0, 0), 3, Fraction(-5, 7)), 6),  # off class
+        (d4.with_mutated_quantum((0, 2, 2, 0, 0, 0), 4, Fraction(-5, 7)), 6),  # on class
         (_toy_potential(Fraction(3, 5)), 6),  # inverse metric entry 5/3
+        (e6, 10),
+        (e6.with_mutated_quantum(E6_PROBE_KEY, 4, Fraction(-2, 5)), 10),  # on class
+        (e6.with_mutated_quantum(E6_PROBE_KEY, 2, Fraction(-2, 5)), 10),  # off class
     ]
+
+
+def test_engine_reads_the_stride_from_the_numerators():
+    # monomial bases (the plane) give stride 1; a perturbation off its class
+    # lowers a model's stride to 1, one on its class keeps it
+    strides = [_WdvvEngine(potential, truncation).stride for potential, truncation in _wdvv_cases()]
+    assert strides == [1, 1, 1, 1, 2, 1, 3, 3, 1]
+    e6 = _WdvvEngine(e6_build_potential(e6_build_fi(60)), 60)
+    assert (e6.stride, e6.slots, len(e6._packed)) == (3, 20, 57)
+    d4 = _WdvvEngine(d4_build_potential(d4_analytic(60)), 60)
+    assert (d4.stride, d4.slots) == (2, 30)
+
+
+def test_every_stride_case_has_teeth():
+    failures = [wdvv_residual(potential, truncation).first_failure for potential, truncation in _wdvv_cases()]
+    assert [failure is None for failure in failures] == [True] + [False] * 5 + [True, False, False]
+    # each e6 perturbation of f_0 at q^e shows at q^(e+1)
+    assert [(f.exponent, f.residual) for f in failures[-2:]] == [(5, "4/5"), (3, "4/5")]
 
 
 def test_reduced_quadruple_scan_finds_the_same_failure():

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gwseries.d4 import _d4_rhs
 from gwseries.e6 import _e6_rhs
@@ -470,6 +472,51 @@ def test_int_convolve_extremes():
     assert int_convolve([7], [-6]) == [-42]
     assert int_convolve([-big], [big], 2) == [-big * big, 0]
     assert int_convolve([1, -1], [1, 1]) == [1, 0, -1]
+
+
+@st.composite
+def _class_supported(draw, stride: int) -> list[int]:
+    """A list supported on one residue class mod `stride`: leading zeros, then
+    entries `stride` apart, some of them zero, then trailing zeros."""
+    values = draw(st.lists(st.integers(-9, 9) | st.integers(-(10**30), 10**30), max_size=8))
+    out = [0] * draw(st.integers(0, 7))
+    for value in values:
+        out += [value] + [0] * (stride - 1)
+    return out + [0] * draw(st.integers(0, 3))
+
+
+@st.composite
+def _strided_products(draw):
+    """Two operands on one class mod g each, for g in (1, 2, 3, 5) times 1 or 2,
+    and an output length below, at or above the product length."""
+    g = draw(st.sampled_from((1, 2, 3, 5)))
+    xs = draw(_class_supported(g * draw(st.integers(1, 2))))
+    ys = draw(_class_supported(g * draw(st.integers(1, 2))))
+    full = len(xs) + len(ys) - 1 if xs and ys else 0
+    n = draw(st.none() | st.sampled_from((0, 1, full // 2, full - 1, full, full + 3)) | st.integers(0, full + 5))
+    return xs, ys, None if n is None else max(n, 0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_strided_products())
+@example(([], [1, 2], None))
+@example(([0], [0], 3))
+@example(([0, 0, 0], [0, 0, 0, 0], None))
+@example(([0, 0, 5, 0, 0], [0, 7, 0, 0, 0, 0, -1], None))  # a monomial: its offsets' gcd is 0
+@example(([0, 0, -(10**30)], [10**30, 0, 0, 10**30], 4))
+@example(([0, 1, 0, 0, 2, 0], [0, 0, 3, 0, 0, -1], 7))
+def test_int_convolve_packs_one_residue_class(case):
+    xs, ys, n = case
+    full = _schoolbook(xs, ys)
+    expected = full if n is None else (full + [0] * n)[:n]
+    assert int_convolve(xs, ys, n) == expected
+    assert int_convolve(xs, ys) == full
+
+
+def test_int_convolve_keeps_its_empty_and_zero_returns():
+    assert int_convolve([], [1, 2]) == []
+    assert int_convolve([0], [0], 3) == [0, 0, 0]
+    assert int_convolve([0, 0, 4], [0, 5], 2) == [0, 0]  # product starts at the cut
 
 
 def test_long_rational_multiplication_matches_scalar_schoolbook():
