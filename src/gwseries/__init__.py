@@ -1,7 +1,7 @@
 """Exact q-series reconstruction of orbifold curve counts.
 
-The package recomputes, in exact rational (and where needed cyclotomic)
-arithmetic, the genus-zero and genus-one generating series of the orbifold
+The package recomputes, in exact rational arithmetic (a series over
+Q(zeta_3) is a pair of rational series), the genus-zero and genus-one generating series of the orbifold
 projective lines with four Z/2 points and three Z/3 points, together with
 machine-checked certificates for every identity the computation leans on:
 associativity of the quantum product, eta-quotient and theta closed forms,

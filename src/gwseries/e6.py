@@ -19,8 +19,8 @@ closed form, f_0 against the square root (1/3) (a'/(1 - a^3))^(1/2), the
 generators against their system, each derived series against an independent
 formula, and a suite
 of modular identities tying a to the j-invariant, cusp forms, and twisted eta
-products, series over Q(zeta_3) with 72nd roots of unity only in their
-scalars.  The builders only build;
+products, series over Q(zeta_3) held as pairs of rational series, with 72nd
+roots of unity only in their scalars.  The builders only build;
 `e6_suites` builds each series once and hands it to the report functions.
 """
 
@@ -29,17 +29,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact_arith import CyclotomicNumber
 from .frobenius import FrobeniusPotential, euler_residual, orbit_potential, wdvv_residual
 from .modular import (
     J_series,
-    dedekind_eta,
     eta_expand,
     genus_one,
     verify_cusp_form_from_j,
     verify_eta_product_rotation,
 )
-from .qseries import QSeries, solve_qdq_system
+from .qseries import OmegaSeries, QSeries, field_text, solve_qdq_system
 from .reporting import GenusOneResult, IdentityReport, failure_report, series_match
 
 _THIRD = Fraction(1, 3)
@@ -290,27 +288,28 @@ def e6_twisted_pole_reports(order: int, a: QSeries) -> list[IdentityReport]:
     with index 24 k, the twist as a power of zeta_72.
 
     Twisting eta's q^(1/24) prefactor needs a 72nd root of unity branch;
-    the branch taken is the literal one, zeta_72^k read off the exponent,
-    matching the product identity for eta(q^3)^4.  Only the scalar lives in
-    Q(zeta_72); the series are over Q(zeta_3), and a scalar that is not
-    rational fails the report at the pole, where it first enters.
+    the branch taken is the literal one, zeta_72^b read off the row,
+    matching the product identity for eta(q^3)^4.  The prefactor is kept as
+    zeta_72^e times a rational, e = 3b + p mod 72.  It lies in Q(zeta_3)
+    exactly when 12 | e and in Q exactly when 36 | e; outside Q(zeta_3) it
+    fails the report at the pole, where it first enters.  The series part
+    needs no root of unity but w = zeta_3: eta(q^9) is a series in q^9,
+    which the twist fixes, so the twisted unit is the twist of the one
+    rational unit of eta(q)^3 / eta(q^9)^3, its 3-dissection
+    A_0 + w^k A_1 + w^2k A_2 (`OmegaSeries.twist`), a pair over Q(zeta_3).
     """
-    eta_plain = dedekind_eta(order + 1)
-    eta_nine_inverse_cubed = eta_expand("eta(9)^-3", order + 1)
+    quotient = eta_expand("eta(1)^3 * eta(9)^-3", order + 1)
+    pole, scalar, known = int(quotient.offset), quotient.scalar * _THIRD, quotient.unit.truncation
     reports = []
     for name, omega_power, k, branch_power, phase_power in _TWISTED_POLE_ROWS:
-        twisted = eta_plain.twist(
-            CyclotomicNumber.zeta(3, k), branch=CyclotomicNumber.zeta(72, branch_power)
-        )
-        quotient = twisted**3 * eta_nine_inverse_cubed
-        scalar = quotient.scalar * CyclotomicNumber.zeta(72, phase_power) * _THIRD
-        pole = int(quotient.offset)
-        if not scalar.is_rational():
-            reports.append(failure_report(name, order, (24 * k,), pole, a.coefficient(pole) - scalar))
+        phase = (3 * branch_power + phase_power) % 72
+        if phase % 12:
+            residual = field_text((a.coefficient(pole), ""), (-scalar, f"*z72^{phase}"))
+            reports.append(failure_report(name, order, (24 * k,), pole, residual))
             continue
-        rhs = QSeries.constant(CyclotomicNumber.zeta(3, omega_power), order) + (
-            quotient.unit.scale(scalar.rational_value()).shift(pole)
-        )
+        root = OmegaSeries.root_of_unity(72, phase, known)
+        twisted = (OmegaSeries.twist(quotient.unit, k) * root * scalar).shift(pole)
+        rhs = OmegaSeries.root_of_unity(3, omega_power, order) + twisted
         reports.append(series_match(name, a, rhs, order, indices=(24 * k,)))
     return reports
 

@@ -14,15 +14,14 @@ import math
 import re
 from fractions import Fraction
 
-from .exact_arith import CyclotomicNumber, Frozen
-from .qseries import PuiseuxSeries, QSeries
+from .exact_arith import Frozen
+from .qseries import OmegaSeries, PuiseuxSeries, QSeries
 from .reporting import (
     GenusOneResult,
     IdentityReport,
     combine,
     failure_report,
     pass_report,
-    puiseux_match,
     series_match,
 )
 
@@ -383,20 +382,23 @@ def verify_eta_product_rotation(truncation: int) -> IdentityReport:
         zeta_24 * eta(q) eta(q w^-1) eta(q w^-2) eta(q^9) = eta(q^3)^4,
 
     where w = zeta_3 = exp(2 pi i/3) and each twist q -> q w^-k carries the
-    branch zeta_72^-k for the 24th root in the prefactor.  The series are
-    over Q(zeta_3); only the scalars need Q(zeta_72).
+    branch zeta_72^-k for the 24th root in the prefactor.  The roots of unity
+    multiply to zeta_72^(3 - 1 - 2) = 1, so both prefactors are a rational
+    times q^(1/2), compared first.  The twist of the rational eta unit by
+    w^-k is its 3-dissection A_0 + w^-k A_1 + w^-2k A_2, a pair over
+    Q(zeta_3) (`OmegaSeries.twist`), so the left unit is one pair product
+    times a rational one, and it must come out rational.
     """
-    z = CyclotomicNumber.zeta(72)
-    eta = dedekind_eta(truncation)
-    lhs = (
-        eta
-        * eta.twist(CyclotomicNumber.zeta(3, -1), branch=z ** (-1))
-        * eta.twist(CyclotomicNumber.zeta(3, -2), branch=z ** (-2))
-        * dedekind_eta(truncation, scale=9)
-        * z**3
-    )
+    name = "eta-product-rotation"
+    eta, eta_nine = dedekind_eta(truncation), dedekind_eta(truncation, scale=9)
     rhs = EtaQuotient(((3, Fraction(4)),)).expand(truncation)
-    return puiseux_match("eta-product-rotation", lhs, rhs, truncation)
+    offset, scalar = 3 * eta.offset + eta_nine.offset, eta.scalar**3 * eta_nine.scalar
+    if offset != rhs.offset:
+        return failure_report(name, truncation, (), 0, f"offset {offset} != {rhs.offset}")
+    if scalar != rhs.scalar:
+        return failure_report(name, truncation, (), 0, f"scalar {scalar} != {rhs.scalar}")
+    twisted = OmegaSeries.twist(eta.unit, -1) * OmegaSeries.twist(eta.unit, -2)
+    return series_match(name, twisted * (eta.unit * eta_nine.unit), rhs.unit, truncation)
 
 
 def verify_cusp_form_from_j(truncation: int, J: QSeries, discriminant: QSeries) -> IdentityReport:

@@ -5,21 +5,23 @@ order T: coefficients at exponents >= T are unknown, not zero.  Every
 operation propagates the truncation honestly, so a computed coefficient is
 always a theorem about the underlying series.
 
-Coefficients lie in Q (field order 1) or Q(zeta_N) (order N) and are stored
-as in FLINT's fmpq_poly: integer numerators `coeffs` over one positive `den`,
-phi(N) power-basis coordinates per exponent in one flat tuple, in canonical
-form (gcd(den, *coeffs) == 1, no zero block at either end).  Arithmetic is
-integer arithmetic with one denominator update and one gcd; products go
-through `int_convolve`, and inverse, log and exp are Newton iterations over
-them.  A rational operand meeting an order-N one is embedded; two orders
-above 1 raise OrderMismatch.  Fractions and CyclotomicNumbers only enter and
-leave at the boundary: the constructor, `from_coefficient_map`,
-`coefficient`, `known_terms`, `leading`, `format_series` and `to_json_dict`.
+Coefficients lie in Q and are stored as in FLINT's fmpq_poly: integer
+numerators `coeffs`, one per exponent, over one positive `den`, in canonical
+form (gcd(den, *coeffs) == 1, no zero at either end).  Arithmetic is integer
+arithmetic with one denominator update and one gcd; products go through
+`int_convolve`, and inverse, log and exp are Newton iterations over them.
+Fractions only enter and leave at the boundary: the constructor,
+`from_coefficient_map`, `coefficient`, `known_terms`, `leading`,
+`format_series` and `to_json_dict`.
 
 A PuiseuxSeries is a fractional-exponent prefactor around a QSeries unit:
 scalar * q^offset * unit(q), with the offset an exact rational.  That is
 enough for eta quotients and Jacobi theta constants, whose only
 non-integral behaviour sits in the prefactor.
+
+An OmegaSeries is a series over Q(zeta_3) as a pair of rational series,
+u + w v with w = zeta_3.  The twist q -> w^k q of a rational series is its
+3-dissection, so twisted eta products need no other field.
 """
 
 from __future__ import annotations
@@ -27,20 +29,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exact_arith import (
-    CyclotomicNumber,
-    Frozen,
-    OrderMismatch,
-    _reduce_mod_cyclotomic,
-    euler_phi,
-    int_convolve,
-    rational_nth_root,
-)
+from .exact_arith import Frozen, int_convolve, rational_nth_root
 
-Coefficient = Union[Fraction, CyclotomicNumber]
-_SCALARS = (int, Fraction, CyclotomicNumber)
+_SCALARS = (int, Fraction)
 _ONE = Fraction(1)
 
 
@@ -64,53 +57,15 @@ class LeadingCoefficientNotPower(QSeriesError):
     """Leading coefficient has no exact root in the coefficient field."""
 
 
-class BranchMissing(QSeriesError):
-    """A fractional-power twist needs an explicit branch scalar."""
-
-
 class PrecisionError(QSeriesError):
     """A coefficient beyond the truncation order was requested."""
-
-
-def _parts(c) -> tuple[int, Sequence[int], int]:
-    """(order, power-basis numerators, denominator) of an exact scalar."""
-    if isinstance(c, CyclotomicNumber):
-        return c.order, c.nums, c.den
-    c = c if isinstance(c, (int, Fraction)) else Fraction(c)
-    return 1, (c.numerator,), c.denominator
-
-
-def _convolve(xs: Sequence[int], ys: Sequence[int], order: int, n: int) -> list[int]:
-    """The first n coordinate blocks of the product of two numerator lists
-    over Q(zeta_order).  Each block of phi(N) coordinates is padded to
-    2 phi(N) - 1 slots, so the coordinate products of one q-coefficient never
-    reach the next, and each slot block is then reduced modulo Phi_N."""
-    width = euler_phi(order)
-    if width == 1:  # one coordinate per exponent: nothing to pad or reduce
-        return int_convolve(xs, ys, n)
-    stride, pad = 2 * width - 1, (0,) * (width - 1)
-
-    def padded(cs: Sequence[int]) -> list[int]:
-        return [x for i in range(0, min(len(cs), n * width), width) for x in (*cs[i : i + width], *pad)]
-
-    flat = int_convolve(padded(xs), padded(ys), n * stride)
-    blocks = (flat[k : k + stride] for k in range(0, n * stride, stride))
-    return [x for block in blocks for x in _reduce_mod_cyclotomic(block, order)]
-
-
-def _common(a: "QSeries", b: "QSeries") -> tuple["QSeries", "QSeries"]:
-    """a and b over one field: a rational series is embedded into the other's."""
-    order = max(a.order, b.order)
-    if min(a.order, b.order) not in (1, order):
-        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}; embed first")
-    return a._embed(order), b._embed(order)
 
 
 class QSeries(Frozen):
     """Exact Laurent series known through q^(truncation-1).
 
-    Stored as (order, den, valuation, truncation, coeffs) in the canonical
-    form of the module docstring; the constructor takes exact values.
+    Stored as (den, valuation, coeffs, truncation) in the canonical form of
+    the module docstring; the constructor takes exact values.
 
     >>> s = QSeries([1, -1, 0, 2], valuation=-1, truncation=5)
     >>> s
@@ -122,41 +77,33 @@ class QSeries(Frozen):
     >>> s + QSeries.one(3) == s.truncate(3) + 1
     True
     >>> h = QSeries([Fraction(1, 2), Fraction(-1, 3)], 0, 3)
-    >>> (h.order, h.den, h.coeffs)
-    (1, 6, (3, -2))
+    >>> (h.den, h.coeffs)
+    (6, (3, -2))
     """
 
-    __slots__ = ("order", "den", "valuation", "coeffs", "truncation")
+    __slots__ = ("den", "valuation", "coeffs", "truncation")
 
-    def __new__(cls, coeffs: Iterable[Coefficient], valuation: int = 0, truncation: int | None = None):
-        parts = [_parts(c) for c in coeffs]
-        order = max((o for o, _, _ in parts), default=1)
-        if any(o not in (1, order) for o, _, _ in parts):
-            raise OrderMismatch(f"orders differ: {sorted({o for o, _, _ in parts} - {1})}; embed first")
-        width = euler_phi(order)
-        den = math.lcm(*(d for _, _, d in parts))
-        flat: list[int] = []
-        for _, nums, d in parts:
-            flat += [x * (den // d) for x in nums] + [0] * (width - len(nums))
+    def __new__(cls, coeffs: Iterable[Fraction | int], valuation: int = 0, truncation: int | None = None):
+        values = [c if isinstance(c, _SCALARS) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in values))
         if truncation is None:
-            truncation = valuation + len(parts)
-        return cls._make(order, den, valuation, flat, truncation)
+            truncation = valuation + len(values)
+        return cls._make(den, valuation, [c.numerator * (den // c.denominator) for c in values], truncation)
 
     @classmethod
-    def _make(cls, order: int, den: int, valuation: int, coeffs: Sequence[int], truncation: int):
-        """The series with these fields in canonical form: zero end blocks
-        dropped, the common factor of den and the numerators divided out.
-        Every series is made here, because equality compares the fields."""
-        width = euler_phi(order)
+    def _make(cls, den: int, valuation: int, coeffs: Sequence[int], truncation: int):
+        """The series with these fields in canonical form: zero ends dropped,
+        the common factor of den and the numerators divided out.  Every
+        series is made here, because equality compares the fields."""
         lo, hi = 0, len(coeffs)
-        while lo < hi and not any(coeffs[lo : lo + width]):
-            lo += width
-        while hi > lo and not any(coeffs[hi - width : hi]):
-            hi -= width
-        valuation += lo // width
+        while lo < hi and not coeffs[lo]:
+            lo += 1
+        while hi > lo and not coeffs[hi - 1]:
+            hi -= 1
+        valuation += lo
         if lo == hi:
             valuation, den = truncation, 1
-        elif valuation + (hi - lo) // width > truncation:
+        elif valuation + hi - lo > truncation:
             raise ValueError("coefficients extend past the truncation order")
         coeffs = coeffs[lo:hi]
         g = math.gcd(den, *coeffs)
@@ -164,29 +111,12 @@ class QSeries(Frozen):
             den //= g
             coeffs = [x // g for x in coeffs]
         series = object.__new__(cls)
-        series._freeze(order, den, valuation, tuple(coeffs), truncation)
+        series._freeze(den, valuation, tuple(coeffs), truncation)
         return series
-
-    @property
-    def _width(self) -> int:  # coordinates per exponent
-        return euler_phi(self.order)
 
     def _replace(self, **fields) -> "QSeries":
         """A copy with some fields replaced, brought to canonical form."""
         return QSeries._make(**{name: getattr(self, name) for name in self.__slots__} | fields)
-
-    def _embed(self, order: int) -> "QSeries":
-        """The same series over Q(zeta_order); self must be rational or of that order."""
-        if order == self.order:
-            return self
-        pad = (0,) * (euler_phi(order) - 1)
-        return self._replace(order=order, coeffs=[x for c in self.coeffs for x in (c, *pad)])
-
-    def _value(self, block: Sequence[int]) -> Coefficient:
-        """One coordinate block over den, as an exact field element."""
-        if self.order == 1:
-            return Fraction(block[0], self.den)
-        return CyclotomicNumber(self.order, tuple(block), self.den)
 
     # -- constructors ------------------------------------------------------
 
@@ -199,11 +129,11 @@ class QSeries(Frozen):
         return cls.constant(1, truncation)
 
     @classmethod
-    def constant(cls, value: Coefficient | int, truncation: int) -> "QSeries":
+    def constant(cls, value: Fraction | int, truncation: int) -> "QSeries":
         return cls.monomial(value, 0, truncation)
 
     @classmethod
-    def monomial(cls, value: Coefficient | int, exponent: int, truncation: int) -> "QSeries":
+    def monomial(cls, value: Fraction | int, exponent: int, truncation: int) -> "QSeries":
         if exponent >= truncation:
             # the term sits in the unknown tail; only O(q^T) remains
             return cls.zero(truncation)
@@ -211,7 +141,7 @@ class QSeries(Frozen):
 
     @classmethod
     def from_coefficient_map(
-        cls, entries: Mapping[int, Coefficient | int], truncation: int
+        cls, entries: Mapping[int, Fraction | int], truncation: int
     ) -> "QSeries":
         if not entries:
             return cls.zero(truncation)
@@ -227,28 +157,24 @@ class QSeries(Frozen):
         """True when every known coefficient vanishes (zero through O(q^T))."""
         return not self.coeffs
 
-    def coefficient(self, exponent: int) -> Coefficient:
+    def coefficient(self, exponent: int) -> Fraction:
         if exponent >= self.truncation:
             raise PrecisionError(
                 f"coefficient of q^{exponent} unknown at truncation {self.truncation}"
             )
-        width = self._width
-        i = (exponent - self.valuation) * width
-        inside = 0 <= i < len(self.coeffs)
-        return self._value(self.coeffs[i : i + width] if inside else (0,) * width)
+        i = exponent - self.valuation
+        return Fraction(self.coeffs[i] if 0 <= i < len(self.coeffs) else 0, self.den)
 
-    def known_terms(self) -> Iterator[tuple[int, Coefficient]]:
+    def known_terms(self) -> Iterator[tuple[int, Fraction]]:
         """Nonzero (exponent, coefficient) pairs in increasing exponent order."""
-        width = self._width
-        for i in range(0, len(self.coeffs), width):
-            block = self.coeffs[i : i + width]
-            if any(block):
-                yield self.valuation + i // width, self._value(block)
+        for i, x in enumerate(self.coeffs):
+            if x:
+                yield self.valuation + i, Fraction(x, self.den)
 
-    def leading(self) -> tuple[int, Coefficient]:
+    def leading(self) -> tuple[int, Fraction]:
         if not self.coeffs:
             raise ZeroDivisor("series is zero to its truncation order")
-        return self.valuation, self._value(self.coeffs[: self._width])
+        return self.valuation, Fraction(self.coeffs[0], self.den)
 
     def truncate(self, truncation: int) -> "QSeries":
         """Forget coefficients at exponents >= truncation."""
@@ -256,7 +182,7 @@ class QSeries(Frozen):
             raise PrecisionError(
                 f"cannot extend truncation {self.truncation} to {truncation}"
             )
-        keep = max(0, truncation - self.valuation) * self._width
+        keep = max(0, truncation - self.valuation)
         return self._replace(coeffs=self.coeffs[:keep], truncation=truncation)
 
     def shift(self, k: int) -> "QSeries":
@@ -270,23 +196,21 @@ class QSeries(Frozen):
             other = QSeries.constant(other, self.truncation)
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = _common(self, other)
+        a, b = self, other
         t = min(a.truncation, b.truncation)
         if a.is_zero():
             return b.truncate(t)
         if b.is_zero():
             return a.truncate(t)
-        width = a._width
         lo = min(a.valuation, b.valuation)
-        hi = min(t, max(s.valuation + len(s.coeffs) // width for s in (a, b)))
+        hi = min(t, max(a.valuation + len(a.coeffs), b.valuation + len(b.coeffs)))
         den = math.lcm(a.den, b.den)
-        out = [0] * (max(0, hi - lo) * width)
+        out = [0] * max(0, hi - lo)
         for s in (a, b):
             k = den // s.den
-            part = s.coeffs[: max(0, hi - s.valuation) * width]
-            for i, x in enumerate(part, (s.valuation - lo) * width):
+            for i, x in enumerate(s.coeffs[: max(0, hi - s.valuation)], s.valuation - lo):
                 out[i] += x * k
-        return QSeries._make(a.order, den, lo, out, t)
+        return QSeries._make(den, lo, out, t)
 
     __radd__ = __add__
 
@@ -301,27 +225,23 @@ class QSeries(Frozen):
     def __neg__(self):
         return self._replace(coeffs=[-x for x in self.coeffs])
 
-    def scale(self, scalar: Coefficient | int) -> "QSeries":
-        c = QSeries.constant(scalar, self.truncation - self.valuation)
-        if c.order > 1:
-            return self * c
-        # a rational scalar multiplies every numerator alike
-        p = c.coeffs[0] if c.coeffs else 0
-        return self._replace(den=self.den * c.den, coeffs=[x * p for x in self.coeffs])
+    def scale(self, scalar: Fraction | int) -> "QSeries":
+        c = scalar if isinstance(scalar, _SCALARS) else Fraction(scalar)
+        p = c.numerator
+        return self._replace(den=self.den * c.denominator, coeffs=[x * p for x in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return self.scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = _common(self, other)
+        a, b = self, other
         # O(q^Ta) * q^vb and q^va * O(q^Tb) bound what the product can know.
         t = min(a.truncation + b.valuation, b.truncation + a.valuation)
         if a.is_zero() or b.is_zero():
-            return QSeries._make(a.order, 1, t, (), t)
+            return QSeries._make(1, t, (), t)
         v = a.valuation + b.valuation
-        flat = _convolve(a.coeffs, b.coeffs, a.order, t - v)
-        return QSeries._make(a.order, a.den * b.den, v, flat, t)
+        return QSeries._make(a.den * b.den, v, int_convolve(a.coeffs, b.coeffs, t - v), t)
 
     __rmul__ = __mul__
 
@@ -368,45 +288,38 @@ class QSeries(Frozen):
 
     def qdq(self) -> "QSeries":
         """The operator q d/dq, acting termwise as c_n -> n c_n."""
-        width, v = self._width, self.valuation
-        return self._replace(coeffs=[x * (v + i // width) for i, x in enumerate(self.coeffs)])
+        v = self.valuation
+        return self._replace(coeffs=[x * (v + i) for i, x in enumerate(self.coeffs)])
 
     def substitute_power(self, m: int) -> "QSeries":
         """Replace q by q^m (m >= 1); exponents and truncation scale by m."""
         if m < 1:
             raise ValueError("substitution power must be >= 1")
-        width = self._width
         flat = [0] * (len(self.coeffs) * m)
-        for i in range(0, len(self.coeffs), width):
-            flat[i * m : i * m + width] = self.coeffs[i : i + width]
+        flat[::m] = self.coeffs
         return self._replace(valuation=self.valuation * m, coeffs=flat, truncation=self.truncation * m)
 
-    def twist(self, c: Coefficient | int) -> "QSeries":
-        """Substitute q -> c*q: the q^n coefficient picks up a factor c^n.
+    def twist(self, c: Fraction | int) -> "QSeries":
+        """Substitute q -> c*q for a rational c: the q^n coefficient picks up
+        a factor c^n.  A twist by a power of zeta_3 is `OmegaSeries.twist`.
 
-        With c = nums/d, c^v = nums_v/d_v and n exponents known, the block at
-        exponent v + i is multiplied by nums_v nums^i d^(n-1-i), and the one
-        denominator by d_v d^(n-1).  Over Q each of these is one integer.
+        With c = p/d, c^v = p_v/d_v and n exponents known, the numerator at
+        exponent v + i is multiplied by the integer p_v p^i d^(n-1-i), and the
+        one denominator by d_v d^(n-1).
         """
+        c = Fraction(c)
         if c == 1:
             return self
         if not c:
             raise ZeroDivisionError("twist scalar must be invertible")
-        s, base = _common(self, QSeries.constant(c, 1))
-        start = QSeries.constant(base.leading()[1] ** s.valuation, 1)._embed(s.order)
-        d, lift = base.den, base.den ** max(len(s.coeffs) // s._width - 1, 0)
-        power = [x * lift for x in start.coeffs]  # nums_v nums^i d^(n-1-i)
-        out: list[int] = []
-        if s.order == 1:
-            (p,), (k,) = base.coeffs, power
-            for x in s.coeffs:
-                out.append(x * k)
-                k = k * p // d  # exact until unused
-        else:
-            for i in range(0, len(s.coeffs), s._width):
-                out += _convolve(s.coeffs[i : i + s._width], power, s.order, 1)
-                power = [x // d for x in _convolve(power, base.coeffs, s.order, 1)]  # exact until unused
-        return s._replace(den=s.den * start.den * lift, coeffs=out)
+        start = c**self.valuation
+        p, d = c.numerator, c.denominator
+        lift = d ** max(len(self.coeffs) - 1, 0)
+        k, out = start.numerator * lift, []
+        for x in self.coeffs:
+            out.append(x * k)
+            k = k * p // d  # exact until unused
+        return self._replace(den=self.den * start.denominator * lift, coeffs=out)
 
     def log_unit(self) -> "QSeries":
         """Logarithm of a unit with constant term exactly 1.
@@ -418,13 +331,12 @@ class QSeries(Frozen):
         >>> (u.log_unit() - QSeries([1, Fraction(-1,2), Fraction(1,3), Fraction(-1,4), Fraction(1,5)], 1, 6)).is_zero()
         True
         """
-        width = self._width
-        if self.valuation != 0 or self.coeffs[:width] != (self.den,) + (0,) * (width - 1):
+        if self.valuation != 0 or self.coeffs[:1] != (self.den,):
             raise NotUnit("log requires constant term exactly 1")
         d = self.qdq() * self.inv()
         lcm = math.lcm(*range(1, self.truncation))
-        cs = [x * (lcm // (d.valuation + i // width)) for i, x in enumerate(d.coeffs)]
-        return QSeries._make(d.order, d.den * lcm, d.valuation, cs, self.truncation)
+        cs = [x * (lcm // (d.valuation + i)) for i, x in enumerate(d.coeffs)]
+        return QSeries._make(d.den * lcm, d.valuation, cs, self.truncation)
 
     def exp_positive(self) -> "QSeries":
         """Exponential of a series with valuation >= 1.
@@ -454,8 +366,6 @@ class QSeries(Frozen):
         v, _ = self.leading()
         if (v * r).denominator != 1:
             raise ValuationNotDivisible(f"valuation {v} times exponent {r} is fractional")
-        if any(self.coeffs[1 : self._width]):
-            raise LeadingCoefficientNotPower("no canonical root in a cyclotomic field")
         c = Fraction(self.coeffs[0], self.den)
         root = rational_nth_root(c, r.denominator)
         if root is None:
@@ -484,8 +394,9 @@ class QSeries(Frozen):
 
     __hash__ = None  # equality only holds up to min truncation
 
-    def first_difference(self, other: "QSeries") -> tuple[int, Coefficient] | None:
-        """Smallest exponent where the two series disagree, with the residual."""
+    def first_difference(self, other):
+        """Smallest exponent where the two series disagree, with the residual;
+        `other` may be an OmegaSeries, and then the residual is its text."""
         diff = self - other
         return None if diff.is_zero() else diff.leading()
 
@@ -495,12 +406,8 @@ class QSeries(Frozen):
         """Schema: {"valuation": int, "truncation": int, "coeffs": ["num/den", ...]}.
 
         The coefficient list is dense from the valuation through truncation-1.
-        Only rational-coefficient series serialize.
         """
-        width = self._width
-        if any(x for i, x in enumerate(self.coeffs) if i % width):
-            raise ValueError("only rational-coefficient series serialize to JSON")
-        cs = [str(Fraction(x, self.den)) for x in self.coeffs[::width]]
+        cs = [str(Fraction(x, self.den)) for x in self.coeffs]
         cs += ["0"] * (self.truncation - self.valuation - len(cs))
         return {"valuation": self.valuation, "truncation": self.truncation, "coeffs": cs}
 
@@ -517,7 +424,7 @@ class QSeries(Frozen):
 
 
 def solve_qdq_system(
-    rhs: Callable[..., Sequence[QSeries]], seeds: Sequence[Sequence[Coefficient | int]], order: int
+    rhs: Callable[..., Sequence[QSeries]], seeds: Sequence[Sequence[Fraction | int]], order: int
 ) -> tuple[QSeries, ...]:
     """The power series Y with q dY/dq = rhs(*Y), known through O(q^order).
 
@@ -548,7 +455,10 @@ def solve_qdq_system(
     (QSeries(1 + q + q^2 + q^3 + q^4 + q^5 + O(q^6)),)
     """
     ys = [QSeries(seed, 0, 2) for seed in seeds]
-    if not all((r - y.qdq()).is_zero() for r, y in zip(rhs(*ys), ys)):
+    start = rhs(*ys)
+    if not all(isinstance(r, QSeries) for r in start):
+        raise TypeError("solve_qdq_system solves systems over Q")
+    if not all((r - y.qdq()).is_zero() for r, y in zip(start, ys)):
         raise ArithmeticError("the seeds do not satisfy the system through q^1")
     k, m = len(ys), 2
     while m < order:
@@ -580,15 +490,13 @@ def solve_qdq_system(
                     for row in (*rs, *es):
                         row[:] = [x * lift for x in row]
                 es[i][t] = acc * lift // pivot
-        ys = [y + QSeries._make(1, den, m, e, hi) for y, e in zip(ys, es)]
+        ys = [y + QSeries._make(den, m, e, hi) for y, e in zip(ys, es)]
         m = hi
     return tuple(y.truncate(order) for y in ys)
 
 
 def _numerators(s: QSeries, lo: int, hi: int, den: int) -> list[int]:
     """The coefficients of s at q^lo..q^(hi-1) as numerators over den."""
-    if s.order != 1:
-        raise OrderMismatch("solve_qdq_system solves systems over Q")
     if hi > s.truncation:
         raise PrecisionError(f"coefficient of q^{hi - 1} unknown at truncation {s.truncation}")
     lift, start = den // s.den, lo - s.valuation
@@ -599,12 +507,7 @@ def format_series(s: QSeries) -> str:
     """Human form: 'q + q^4 + 2q^7 + O(q^8)', coefficients as exact fractions."""
     parts = []
     for e, c in s.known_terms():
-        if isinstance(c, CyclotomicNumber) and c.is_rational():
-            c = c.rational_value()
-        if isinstance(c, CyclotomicNumber):
-            sign, body = "+", f"({c})"
-        else:
-            sign, body = "-" if c < 0 else "+", str(abs(c))
+        sign, body = "-" if c < 0 else "+", str(abs(c))
         if e:
             body = ("" if body == "1" else body) + ("q" if e == 1 else f"q^{e}")
         if not parts:
@@ -630,12 +533,11 @@ class PuiseuxSeries(Frozen):
 
     __slots__ = ("scalar", "offset", "unit")
 
-    def __init__(self, scalar: Coefficient | int, offset: Fraction, unit: QSeries):
+    def __init__(self, scalar: Fraction | int, offset: Fraction, unit: QSeries):
         # the normal form (unit constant term 1) makes equality field-wise
         if unit.is_zero():
             raise ZeroDivisor("Puiseux unit must have a nonzero leading term")
-        if not isinstance(scalar, (Fraction, CyclotomicNumber)):
-            scalar = Fraction(scalar)
+        scalar = Fraction(scalar)
         v, c = unit.leading()
         if v != 0 or c != 1:
             scalar = scalar * c
@@ -650,7 +552,7 @@ class PuiseuxSeries(Frozen):
                 self.offset + other.offset,
                 self.unit * other.unit,
             )
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
+        if isinstance(other, _SCALARS):
             return PuiseuxSeries(self.scalar * other, self.offset, self.unit)
         return NotImplemented
 
@@ -672,22 +574,6 @@ class PuiseuxSeries(Frozen):
             return PuiseuxSeries(1, Fraction(0), QSeries.one(self.unit.truncation))
         unit = self.unit**exponent
         return PuiseuxSeries(self.scalar**exponent, self.offset * exponent, unit)
-
-    def twist(self, c: Coefficient, branch: Coefficient | None = None) -> "PuiseuxSeries":
-        """Substitute q -> c*q.  The unit twists termwise; q^offset contributes
-        c^offset, which for fractional offsets is a branch choice the caller
-        must supply."""
-        if self.offset.denominator == 1:
-            prefactor = c ** int(self.offset)
-            if branch is not None and branch != prefactor:
-                raise ValueError("explicit branch contradicts the integral offset")
-        else:
-            if branch is None:
-                raise BranchMissing(
-                    f"twisting q^({self.offset}) needs a branch for c^offset"
-                )
-            prefactor = branch
-        return PuiseuxSeries(self.scalar * prefactor, self.offset, self.unit.twist(c))
 
     def logderiv(self) -> QSeries:
         """q d/dq of the logarithm: offset + q d/dq log(unit).
@@ -721,3 +607,120 @@ class PuiseuxSeries(Frozen):
             o = self.offset
             prefix = f"q^{o}*" if o.denominator == 1 else f"q^({o})*"
         return f"PuiseuxSeries({self.scalar}*{prefix}({format_series(self.unit)}))"
+
+
+def field_text(*terms: tuple[Fraction, str]) -> str:
+    """An exact number as a report prints it: the nonzero terms of
+    (coefficient, basis label) joined by ' + ', '0' if there are none.
+
+    >>> field_text((Fraction(1), ""), (Fraction(2), "*z3^1"))
+    '1 + 2*z3^1'
+    """
+    return " + ".join(f"{c}{label}" for c, label in terms if c) or "0"
+
+
+class OmegaSeries(NamedTuple):
+    """u + w v over Q(zeta_3), w = exp(2 pi i/3), as two rational series.
+
+    With w^2 = -1 - w a product of two pairs is three rational products:
+    for P = u1 u2, Q = v1 v2 and R = (u1 + v1)(u2 + v2),
+
+        (u1 + w v1)(u2 + w v2) = (P - Q) + w (R - P - 2Q).
+
+    A rational series or scalar multiplies u and v separately.  The pair is
+    known through the smaller of the two truncations.
+
+    >>> one, w = QSeries.one(4), OmegaSeries.root_of_unity(3, 1, 4)
+    >>> (w * w * w - one).is_zero(), (w * w + w + one).is_zero()
+    (True, True)
+    """
+
+    u: QSeries
+    v: QSeries
+
+    @classmethod
+    def twist(cls, s: QSeries, k: int) -> "OmegaSeries":
+        """s(w^k q) from the 3-dissection s = A_0 + A_1 + A_2, A_r the terms
+        with exponent r mod 3: s(w^k q) = A_0 + w^k A_1 + w^2k A_2, one pass
+        over the numerators and no product.
+
+        >>> OmegaSeries.twist(QSeries([1, 1, 1, 1], 0, 4), 1)  # 1 + w q + w^2 q^2 + q^3
+        OmegaSeries(u=QSeries(1 - q^2 + q^3 + O(q^4)), v=QSeries(q - q^2 + O(q^4)))
+        """
+        us, vs = list(s.coeffs), [0] * len(s.coeffs)
+        if k % 3:
+            # k^2 = 1 mod 3: exponents k mod 3 pick up w, exponents 2k mod 3 pick up w^2 = -1 - w
+            at_w, at_w2 = (k - s.valuation) % 3, (2 * k - s.valuation) % 3
+            vs[at_w::3] = s.coeffs[at_w::3]
+            us[at_w::3] = [0] * len(vs[at_w::3])
+            us[at_w2::3] = vs[at_w2::3] = [-x for x in s.coeffs[at_w2::3]]
+        return cls(s._replace(coeffs=us), s._replace(coeffs=vs))
+
+    @classmethod
+    def root_of_unity(cls, n: int, e: int, truncation: int) -> "OmegaSeries":
+        """The constant zeta_n^e.  It lies in Q(zeta_3) exactly when it is a
+        sixth root of unity, n | 6e, and then zeta_n^e = zeta_6^m = (-1)^m w^2m
+        for m = 6e/n; it is rational exactly when n | 2e.  For n = 72 these
+        read 12 | e and 36 | e."""
+        m, rest = divmod(6 * e, n)
+        if rest:
+            raise ValueError(f"zeta_{n}^{e} is not in Q(zeta_3)")
+        sign = -1 if m % 2 else 1
+        x, y = ((1, 0), (0, 1), (-1, -1))[2 * m % 3]  # w^0, w^1, w^2 = -1 - w
+        return cls(QSeries.constant(sign * x, truncation), QSeries.constant(sign * y, truncation))
+
+    @property
+    def truncation(self) -> int:
+        return min(self.u.truncation, self.v.truncation)
+
+    def truncate(self, truncation: int) -> "OmegaSeries":
+        return OmegaSeries(self.u.truncate(truncation), self.v.truncate(truncation))
+
+    def shift(self, k: int) -> "OmegaSeries":
+        return OmegaSeries(self.u.shift(k), self.v.shift(k))
+
+    def __add__(self, other):
+        if isinstance(other, QSeries):
+            return OmegaSeries(self.u + other, self.v)
+        if isinstance(other, OmegaSeries):
+            return OmegaSeries(self.u + other.u, self.v + other.v)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return OmegaSeries(-self.u, -self.v)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, OmegaSeries):
+            p, q = self.u * other.u, self.v * other.v
+            r = (self.u + self.v) * (other.u + other.v)
+            return OmegaSeries(p - q, r - p - q * 2)
+        if isinstance(other, (QSeries, *_SCALARS)):
+            return OmegaSeries(self.u * other, self.v * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        """True when u and v both vanish through O(q^truncation)."""
+        return min(self.u.valuation, self.v.valuation) >= self.truncation
+
+    def leading(self) -> tuple[int, str]:
+        """The lowest known term, its coefficient x + y w printed 'x + y*z3^1'."""
+        if self.is_zero():
+            raise ZeroDivisor("series is zero to its truncation order")
+        e = min(self.u.valuation, self.v.valuation)
+        return e, field_text((self.u.coefficient(e), ""), (self.v.coefficient(e), "*z3^1"))
+
+    def first_difference(self, other) -> tuple[int, str] | None:
+        """Smallest exponent where self and a QSeries or OmegaSeries disagree,
+        with the residual's text."""
+        diff = self - other
+        return None if diff.is_zero() else diff.leading()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .qseries import PrecisionError, PuiseuxSeries, QSeries
+from .qseries import OmegaSeries, PrecisionError, QSeries
 
 
 class FirstFailure(NamedTuple):
@@ -62,12 +62,13 @@ def pass_report(name: str, order: int) -> IdentityReport:
 
 def series_match(
     name: str,
-    lhs: QSeries,
-    rhs: QSeries,
+    lhs: QSeries | OmegaSeries,
+    rhs: QSeries | OmegaSeries,
     order: int,
     indices: tuple[int, ...] = (),
 ) -> IdentityReport:
-    """Certify lhs == rhs for all exponents below `order`.
+    """Certify lhs == rhs for all exponents below `order`; either side may be
+    a series over Q(zeta_3), and then so is the residual.
 
     Both sides must actually know their coefficients that far; asking for more
     precision than was computed is a caller bug, not a failed identity.
@@ -82,15 +83,6 @@ def series_match(
         return pass_report(name, order)
     exponent, residual = diff
     return failure_report(name, order, indices, exponent, residual)
-
-
-def puiseux_match(name: str, lhs: PuiseuxSeries, rhs: PuiseuxSeries, order: int) -> IdentityReport:
-    """Certify equality of two Puiseux expansions: scalar, offset, and unit."""
-    if lhs.offset != rhs.offset:
-        return failure_report(name, order, (), 0, f"offset {lhs.offset} != {rhs.offset}")
-    if lhs.scalar != rhs.scalar:
-        return failure_report(name, order, (), 0, f"scalar {lhs.scalar} != {rhs.scalar}")
-    return series_match(name, lhs.unit, rhs.unit, order)
 
 
 def combine(name: str, reports: list[IdentityReport]) -> IdentityReport:

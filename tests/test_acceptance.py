@@ -151,7 +151,7 @@ def test_criterion_07_e6_identity_suite():
     ok = len(reports) == 8 and all(
         r.passed and r.order_certified >= 60 for r in reports
     )
-    _certify(7, ok, "eight identities exact to order 60, three of them over Q(zeta_72)")
+    _certify(7, ok, "eight identities exact to order 60, three of them over Q(zeta_3)")
 
 
 def test_criterion_08_genus_one_both_models():

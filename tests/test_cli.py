@@ -258,6 +258,14 @@ def test_wrong_first_order_system_is_a_localized_failure(capsys, monkeypatch):
     assert "FAIL  e6-solver-matches-eta (order 12; first failure at q^5, residual 1/36)" in out
 
 
+# the whole FAIL line, residual text included, for each wrong row below; a
+# prefactor outside Q(zeta_3) prints as r*z72^e, e in [0, 72), unreduced
+_WRONG_ROW_FAILURES = {
+    -1: "q^-1, indices (-48,), residual 1/3 + -1/3*z72^69",
+    0: "q^0, indices (-48,), residual 1 + 2*z3^1",
+}
+
+
 @pytest.mark.parametrize("row, exponent", [
     (("e6-pole-twist-square", 1, -2, -3, 6), -1),  # branch zeta_72^-3: the scalar is not rational
     (("e6-pole-twist-square", 2, -2, -2, 6), 0),  # constant omega^2 in place of omega
@@ -266,8 +274,9 @@ def test_wrong_twisted_row_is_a_localized_failure(capsys, monkeypatch, row, expo
     monkeypatch.setattr(e6, "_TWISTED_POLE_ROWS", (row, e6._TWISTED_POLE_ROWS[1]))
     status, out, _ = _run(capsys, command="verify", model="e6", order=20)
     assert status == 11
-    assert f"FAIL  e6-pole-twist-square (order 20; first failure at q^{exponent}," in out
-    assert "pass  e6-pole-twist-linear (order 20)" in out
+    failure = _WRONG_ROW_FAILURES[exponent]
+    assert f"  FAIL  e6-pole-twist-square (order 20; first failure at {failure})\n" in out
+    assert "  pass  e6-pole-twist-linear (order 20)\n" in out
 
 
 @pytest.mark.parametrize("model, order, key, exponent", [
@@ -392,6 +401,13 @@ PINNED_STDOUT = [
      "e53ea7411e494f7da2467b663cf88cdb8ea4886f8f8c27c6c7fa2a193f4d4935"),
     (dict(command="verify", model="e6", order=3, strict_typo_mode=True),
      "535b888f57609ee674b378943575c45da42d3651ff983b05cdaefa6944f4004f"),
+    # the twisted pole series' q^-1 term meets the truncation
+    (dict(command="verify", model="e6", order=3),
+     "526194d09769985504330d123119a0e05c2b608651c887ed904a18ae6c984035"),
+    (dict(command="verify", model="identities", order=2),
+     "104c5833acba58dce7bd9d779e212c244da3e4d5958b50fd3feb1d2f3a2942ee"),
+    (dict(command="verify", model="identities", order=3),
+     "05bc583c72990dbe19dbe400c166e68c6aa9750c72108bebdc7768958586f7b0"),
 ]
 
 

@@ -215,6 +215,20 @@ def test_twisted_pole_reports_fail_where_the_pole_series_is_raised():
         assert report.first_failure.residual == "1/7"
 
 
+@pytest.mark.parametrize("exponent", [-1, 0, 1, 2, 10, 29])
+def test_twisted_pole_reports_have_teeth(monkeypatch, exponent):
+    """(1/7) q^e added to the pole series that `e6_suites` hands the identity
+    suite: both twisted reports fail at q^e, whatever the class of e mod 3."""
+    order, suite = 30, e6.e6_identity_suite
+    bump = QSeries.monomial(Fraction(1, 7), exponent, order + 2)
+    monkeypatch.setattr(e6, "e6_identity_suite", lambda order, a, f0: suite(order, a + bump, f0))
+    reports = {r.name: r for _, batch in e6.e6_suites(order) for r in batch}
+    for name in ("e6-pole-twist-square", "e6-pole-twist-linear"):
+        failure = reports[name].first_failure
+        assert (failure.exponent, failure.residual) == (exponent, "1/7"), name
+    assert reports["eta-product-rotation"].passed
+
+
 # -- degree-one counts -----------------------------------------------------------------
 
 

@@ -34,7 +34,7 @@ from gwseries.modular import (
     verify_f_eta,
     verify_sigma_doubling,
 )
-from gwseries.qseries import QSeries, QSeriesError, ZeroDivisor
+from gwseries.qseries import PuiseuxSeries, QSeries, QSeriesError, ZeroDivisor
 
 
 def _sigma_brute(n: int, power: int = 1) -> int:
@@ -185,7 +185,7 @@ def eta_quotients(draw):
 
 
 def _stored(s: QSeries) -> tuple:
-    return s.order, s.den, s.valuation, s.coeffs, s.truncation
+    return s.den, s.valuation, s.coeffs, s.truncation
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -413,6 +413,27 @@ def test_rotated_eta_product_over_cyclotomic_field():
     report = verify_eta_product_rotation(30)
     assert report.passed
     assert report.name == "eta-product-rotation"
+
+
+@pytest.mark.parametrize("exponent", [0, 3, 12, 27])
+def test_rotated_eta_product_has_teeth(monkeypatch, exponent):
+    """(1/7) q^e added to the eta unit the rotation reads.  It enters the
+    three factors eta(q w^-k), k = 0, 1, 2, with weight 1 + w^e + w^2e, which
+    is 3 for 3 | e and 0 otherwise, so for 3 | e the report fails at q^e (at
+    q^0 the unit's new constant term moves into the prefactor)."""
+    original = modular.dedekind_eta
+
+    def perturbed(truncation, scale=1):
+        eta = original(truncation, scale)
+        if scale != 1:
+            return eta
+        bump = QSeries.monomial(Fraction(1, 7), exponent, truncation)
+        return PuiseuxSeries(eta.scalar, eta.offset, eta.unit + bump)
+
+    monkeypatch.setattr(modular, "dedekind_eta", perturbed)
+    report = verify_eta_product_rotation(40)
+    assert not report.passed
+    assert report.first_failure.exponent <= exponent
 
 
 def test_modular_reports_all_pass():

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from gwseries.d4 import _d4_rhs
 from gwseries.e6 import _e6_rhs
-from gwseries.exact_arith import CyclotomicNumber, OrderMismatch, int_convolve
+from gwseries.exact_arith import int_convolve
 from gwseries.modular import eta_unit
 from gwseries.qseries import (
-    BranchMissing,
     LeadingCoefficientNotPower,
     NotUnit,
+    OmegaSeries,
     PrecisionError,
     PuiseuxSeries,
     QSeries,
@@ -194,9 +194,10 @@ def test_doubling_solver_calls_the_system_logarithmically_often(system, order, e
 
 
 def test_qdq_system_is_solved_over_the_rationals_only():
-    w = CyclotomicNumber.zeta(3)
-    with pytest.raises(OrderMismatch):
-        solve_qdq_system(lambda y: (y * y - y + w - w * w,), [(w, 0)], 10)
+    # y = 1/(1-q) solves q y' = y^2 - y; the same system handed back as a
+    # series over Q(zeta_3) passes the seeds check and is then refused
+    with pytest.raises(TypeError):
+        solve_qdq_system(lambda y: (OmegaSeries.twist(y * y - y, 0),), [(1, 1)], 10)
 
 
 def test_qdq_system_stops_at_a_resonance():
@@ -351,11 +352,16 @@ def test_partition_oracle_in_qcubed():
 
 def test_twist_multiplies_coefficients_termwise():
     rng = random.Random(72)
-    z = CyclotomicNumber.zeta(24, 5)
+    z = Fraction(-5, 3)
     s = _random_series(rng, 12)
     twisted = s.twist(z)
     for e, c in s.known_terms():
         assert twisted.coefficient(e) == c * z**e
+    # by w = zeta_3 the factor w^e is 1, w or w^2 = -1 - w as e = 0, 1, 2 mod 3
+    twisted = OmegaSeries.twist(s, 1)
+    for e, c in s.known_terms():
+        x, y = ((c, 0), (0, c), (-c, -c))[e % 3]
+        assert (twisted.u.coefficient(e), twisted.v.coefficient(e)) == (x, y)
 
 
 def test_twist_by_minus_one_flips_odd_part():
@@ -531,7 +537,7 @@ def test_long_rational_multiplication_matches_scalar_schoolbook():
         assert prod.coefficient(e) == expected.get(e, 0)
 
 
-# -- series over Q(zeta_72) ---------------------------------------------------------------
+# -- series over Q(zeta_3) ----------------------------------------------------------------
 
 
 def _scalar_product(a: QSeries, b: QSeries) -> tuple[dict, int]:
@@ -545,49 +551,64 @@ def _scalar_product(a: QSeries, b: QSeries) -> tuple[dict, int]:
     return out, truncation
 
 
-def _mixed_coefficient(rng: random.Random):
-    kind = rng.randrange(4)
-    q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-    if kind == 0:
-        return q
-    z = CyclotomicNumber.zeta(72, rng.randrange(72)) * q
-    if kind == 1:
-        return z
-    return z + CyclotomicNumber.zeta(72, rng.randrange(72)) * Fraction(1, rng.randint(1, 5))
+def _pair_product(a: OmegaSeries, b: OmegaSeries) -> tuple[dict, int]:
+    """Coefficients (x, y) = x + y w of a*b below its truncation, by scalar
+    arithmetic alone, w^2 = -1 - w."""
+    va = min(a.u.valuation, a.v.valuation)
+    vb = min(b.u.valuation, b.v.valuation)
+    truncation = min(a.truncation + vb, b.truncation + va)
+    out: dict = {}
+    for ea in range(va, a.truncation):
+        x1, y1 = a.u.coefficient(ea), a.v.coefficient(ea)
+        for eb in range(vb, min(b.truncation, truncation - ea)):
+            x2, y2 = b.u.coefficient(eb), b.v.coefficient(eb)
+            x, y = out.get(ea + eb, (0, 0))
+            out[ea + eb] = (x + x1 * x2 - y1 * y2, y + x1 * y2 + y1 * x2 - y1 * y2)
+    return out, truncation
 
 
 def test_cyclotomic_series_products_match_scalar_schoolbook():
     rng = random.Random(80)
     for _ in range(12):
-        series = []
+        pairs = []
         for _ in range(2):
-            length = rng.randint(1, 30)
-            valuation = rng.randint(-4, 3)
-            truncation = valuation + length + rng.randint(0, 6)
-            series.append(
-                QSeries([_mixed_coefficient(rng) for _ in range(length)], valuation, truncation)
-            )
-        a, b = series
-        expected, truncation = _scalar_product(a, b)
+            truncation = rng.randint(1, 30)
+            parts = [_random_series(rng, truncation, valuation_low=-4) for _ in range(2)]
+            if rng.randrange(3) == 0:
+                parts[rng.randrange(2)] = QSeries.zero(truncation)  # one part zero
+            pairs.append(OmegaSeries(*parts))
+        a, b = pairs
+        expected, truncation = _pair_product(a, b)
         prod = a * b
         assert prod.truncation == truncation
-        for e in range(a.valuation + b.valuation, truncation):
-            assert prod.coefficient(e) == expected.get(e, 0)
+        for e in range(-9, truncation):  # every part has valuation >= -4
+            assert (prod.u.coefficient(e), prod.v.coefficient(e)) == expected.get(e, (0, 0))
 
 
 def test_twisted_eta_unit_inverse_log_and_exp():
-    u = eta_unit(1, 40).twist(CyclotomicNumber.zeta(72, 5))
-    assert u * u.inv() == 1
-    assert u.log_unit().exp_positive() == u
-    shifted = u.shift(-2).scale(CyclotomicNumber.zeta(72, 7) + Fraction(1, 3))
-    assert shifted * shifted.inv() == QSeries.one(38)
+    # the twist by w^k commutes with inverse, log and exp
+    u = eta_unit(1, 40)
+    for k in (1, 2):
+        twisted = OmegaSeries.twist(u, k)
+        assert (twisted * OmegaSeries.twist(u.inv(), k) - QSeries.one(40)).is_zero()
+        log = u.log_unit()
+        assert (OmegaSeries.twist(log.exp_positive(), k) - twisted).is_zero()
+        # q d/dq log u = (q du/dq) / u, twisted term by term
+        lhs = OmegaSeries.twist(log.qdq(), k) * twisted
+        assert (lhs - OmegaSeries.twist(u.qdq(), k)).is_zero()
+        # with a scalar in Q(zeta_3) riding along: zeta_72^12 = 1 + w
+        zeta = OmegaSeries.root_of_unity(72, 12, 40)
+        assert (twisted * zeta * OmegaSeries.twist(u.inv(), k) - zeta).is_zero()
 
 
 def test_product_across_cyclotomic_orders_raises():
-    a = QSeries([1, CyclotomicNumber.zeta(72, 1)], 0, 4)
-    b = QSeries([CyclotomicNumber.zeta(24, 1)], 0, 4)
-    with pytest.raises(OrderMismatch):
-        a * b
+    twisted = OmegaSeries.twist(eta_unit(1, 8), 1)
+    # a 72nd root of unity outside Q(zeta_3) has no pair to multiply by
+    with pytest.raises(ValueError):
+        twisted * OmegaSeries.root_of_unity(72, 3, 8)
+    # and a pair does not multiply a Puiseux series
+    with pytest.raises(TypeError):
+        twisted * PuiseuxSeries(1, Fraction(1, 24), eta_unit(1, 8))
 
 
 # -- serialization ---------------------------------------------------------------------
@@ -613,12 +634,6 @@ def test_json_schema_shape():
     assert data["coeffs"] == ["1/3", "0", "-2"]
 
 
-def test_cyclotomic_series_refuse_json():
-    s = QSeries([CyclotomicNumber.zeta(3)], 0, 2)
-    with pytest.raises(ValueError):
-        s.to_json_dict()
-
-
 def test_format_series_examples():
     assert format_series(QSeries([1, 0, 0, 1, 0, 0, 2], 1, 8)) == "q + q^4 + 2q^7 + O(q^8)"
     assert format_series(QSeries([Fraction(-1, 24)], 0, 2)) == "-1/24 + O(q^2)"
@@ -637,18 +652,6 @@ def test_puiseux_product_collects_offsets_and_scalars():
     assert prod.scalar == 1
     assert prod.offset == 1
     assert prod.unit == unit * unit
-
-
-def test_puiseux_twist_branch_contract():
-    unit = QSeries([1, 1], 0, 6)
-    s = PuiseuxSeries(1, Fraction(1, 24), unit)
-    with pytest.raises(BranchMissing):
-        s.twist(CyclotomicNumber.zeta(72, 3))
-    twisted = s.twist(CyclotomicNumber.zeta(72, 3), branch=CyclotomicNumber.zeta(72, 1))
-    assert twisted.scalar == CyclotomicNumber.zeta(72, 1)
-    # integral offsets never need a branch
-    t = PuiseuxSeries(1, Fraction(2), unit).twist(Fraction(-1))
-    assert t.scalar == 1
 
 
 def test_puiseux_logderiv_reports_offset():

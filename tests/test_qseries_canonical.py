@@ -1,9 +1,9 @@
-"""Property tests for the stored form of QSeries: integer numerators over one
-denominator, phi(N) power-basis coordinates per exponent.
+"""Property tests for the stored form of QSeries, integer numerators over one
+denominator, and for OmegaSeries, series over Q(zeta_3) as pairs of them.
 
-Every result must be canonical (gcd(den, *coeffs) == 1, no zero block at
-either end) and agree, coefficient by coefficient, with schoolbook
-arithmetic on Fraction and CyclotomicNumber values written out below.
+Every result must be canonical (gcd(den, *coeffs) == 1, no zero at either
+end) and agree, coefficient by coefficient, with schoolbook arithmetic on
+Fraction values, and on pairs (x, y) = x + y w of them, written out below.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gwseries.exact_arith import CyclotomicNumber, OrderMismatch, euler_phi
-from gwseries.qseries import QSeries
+from gwseries.qseries import OmegaSeries, QSeries
 
-CYCLOTOMIC_ORDERS = (3, 12, 72)
-FIELD_ORDERS = st.sampled_from((1, *CYCLOTOMIC_ORDERS))
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
@@ -27,50 +24,44 @@ PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max
 
 
 @st.composite
-def field_elements(draw, order: int, nonzero: bool = False):
-    """A rational (int or Fraction) or, for order > 1, a CyclotomicNumber."""
+def rationals(draw, nonzero: bool = False):
+    """An int or a Fraction."""
     den = draw(st.integers(1, 12))
-    if order == 1 or draw(st.integers(0, 3)) == 0:
-        num = draw(st.integers(-9, 9).filter(lambda x: x or not nonzero))
-        return num if den == 1 else Fraction(num, den)
-    width = euler_phi(order)
-    nums = draw(st.lists(st.integers(-4, 4), min_size=width, max_size=width))
-    if nonzero and not any(nums):
-        nums[0] = 1
-    return CyclotomicNumber(order, tuple(nums), den)
+    num = draw(st.integers(-9, 9).filter(lambda x: x or not nonzero))
+    return num if den == 1 else Fraction(num, den)
 
 
 @st.composite
-def series_with_reference(draw, order: int):
+def series_with_reference(draw, valuation_low: int = -4):
     """(series, reference); the reference is ({exponent: value}, truncation)
-    with the nonzero values exactly as given to the constructor.  Over
-    Q(zeta_N) the first coefficient is a CyclotomicNumber, so the series has
-    order N even when all its values happen to be rational or zero."""
-    valuation = draw(st.integers(-4, 3))
-    coeffs = draw(st.lists(field_elements(order), min_size=1, max_size=10))
-    if order > 1 and not isinstance(coeffs[0], CyclotomicNumber):
-        coeffs[0] = CyclotomicNumber.from_rational(order, coeffs[0])
+    with the nonzero values exactly as given to the constructor."""
+    valuation = draw(st.integers(valuation_low, 3))
+    coeffs = draw(st.lists(rationals(), min_size=1, max_size=10))
     if draw(st.booleans()):
-        coeffs[0] = 0 * coeffs[0]  # leading zeros must be dropped
+        coeffs[0] = 0  # leading zeros must be dropped
     truncation = valuation + len(coeffs) + draw(st.integers(0, 4))
     terms = {valuation + i: c for i, c in enumerate(coeffs) if c}
     return QSeries(coeffs, valuation, truncation), (terms, truncation)
 
 
 @st.composite
-def operand_pairs(draw):
-    """Two series over Q(zeta_N), each either rational or of order N."""
-    order = draw(FIELD_ORDERS)
-    a = draw(series_with_reference(draw(st.sampled_from((1, order)))))
-    b = draw(series_with_reference(draw(st.sampled_from((1, order)))))
-    return order, a, b
+def pairs_with_reference(draw):
+    """(OmegaSeries, reference); the reference maps exponents to (x, y), the
+    number x + y w, below the pair's truncation, which both parts share."""
+    u, (us, tu) = draw(series_with_reference())
+    v, (vs, tv) = draw(series_with_reference())
+    t = min(tu, tv)
+    terms = {e: (us.get(e, 0), vs.get(e, 0)) for e in {*us, *vs} if e < t}
+    return OmegaSeries(u.truncate(t), v.truncate(t)), (_nonzero(terms), t)
 
 
 # -- the schoolbook reference ---------------------------------------------------------
 
+OMEGA_POWERS = ((1, 0), (0, 1), (-1, -1))  # w^0, w^1, w^2 = -1 - w
+
 
 def _nonzero(terms: dict) -> dict:
-    return {e: c for e, c in sorted(terms.items()) if c}
+    return {e: c for e, c in sorted(terms.items()) if c and c != (0, 0)}
 
 
 def _valuation(ref) -> int:
@@ -84,8 +75,27 @@ def _ref_add(a, b, sign: int = 1):
     for terms, factor in ((a[0], 1), (b[0], sign)):
         for e, c in terms.items():
             if e < t:
-                out[e] = out.get(e, 0) + factor * c
+                c = _times(c, factor)
+                out[e] = _plus(out[e], c) if e in out else c
     return _nonzero(out), t
+
+
+def _times(x, y):
+    """Product of two numbers, each rational or a pair (x, y) = x + y w."""
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        (a, b), (c, d) = x, y
+        return a * c - b * d, a * d + b * c - b * d  # w^2 = -1 - w
+    if isinstance(x, tuple):
+        return x[0] * y, x[1] * y
+    if isinstance(y, tuple):
+        return x * y[0], x * y[1]
+    return x * y
+
+
+def _plus(x, y):
+    if isinstance(x, tuple):
+        return x[0] + y[0], x[1] + y[1]
+    return x + y
 
 
 def _ref_mul(a, b):
@@ -94,13 +104,14 @@ def _ref_mul(a, b):
     for ea, ca in a[0].items():
         for eb, cb in b[0].items():
             if ea + eb < t:
-                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+                product = _times(ca, cb)
+                out[ea + eb] = _plus(out[ea + eb], product) if ea + eb in out else product
     return _nonzero(out), t
 
 
 def _ref_termwise(a, factor):
     """Each q^e coefficient c replaced by c * factor(e)."""
-    return _nonzero({e: c * factor(e) for e, c in a[0].items()}), a[1]
+    return _nonzero({e: _times(c, factor(e)) for e, c in a[0].items()}), a[1]
 
 
 def _ref_inv(a):
@@ -118,13 +129,11 @@ def _ref_truncate(a, t: int):
 
 
 def _assert_canonical(s: QSeries) -> None:
-    width = euler_phi(s.order)
     assert all(type(x) is int for x in s.coeffs)
     assert s.den > 0 and math.gcd(s.den, *s.coeffs) == 1
-    assert len(s.coeffs) % width == 0
     if s.coeffs:
-        assert any(s.coeffs[:width]) and any(s.coeffs[-width:])
-        assert s.valuation + len(s.coeffs) // width <= s.truncation
+        assert s.coeffs[0] and s.coeffs[-1]
+        assert s.valuation + len(s.coeffs) <= s.truncation
     else:
         assert (s.den, s.valuation) == (1, s.truncation)
 
@@ -138,22 +147,29 @@ def _assert_matches(s: QSeries, ref) -> None:
     assert list(s.known_terms()) == sorted(terms.items())
 
 
+def _assert_pair_matches(p: OmegaSeries, ref) -> None:
+    terms, t = ref
+    _assert_canonical(p.u)
+    _assert_canonical(p.v)
+    assert p.truncation == t
+    for e in range(min([*terms, t]) - 2, t):
+        assert (p.u.coefficient(e), p.v.coefficient(e)) == terms.get(e, (0, 0))
+
+
 # -- properties -------------------------------------------------------------------------
 
 
 @PROPERTY_SETTINGS
-@given(st.data())
-def test_constructor_stores_the_canonical_form(data):
-    order = data.draw(FIELD_ORDERS)
-    s, ref = data.draw(series_with_reference(order))
-    assert s.order == order
+@given(series_with_reference())
+def test_constructor_stores_the_canonical_form(case):
+    s, ref = case
     _assert_matches(s, ref)
 
 
 @PROPERTY_SETTINGS
-@given(operand_pairs())
-def test_sums_and_products_match_schoolbook(pair):
-    _, (a, ra), (b, rb) = pair
+@given(series_with_reference(), series_with_reference())
+def test_sums_and_products_match_schoolbook(first, second):
+    (a, ra), (b, rb) = first, second
     _assert_matches(a + b, _ref_add(ra, rb))
     _assert_matches(a - b, _ref_add(ra, rb, -1))
     _assert_matches(a * b, _ref_mul(ra, rb))
@@ -162,34 +178,54 @@ def test_sums_and_products_match_schoolbook(pair):
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_scale_qdq_twist_and_truncate_match_schoolbook(data):
-    order = data.draw(FIELD_ORDERS)
-    s, ref = data.draw(series_with_reference(order))
-    k = data.draw(field_elements(order))
-    c = data.draw(field_elements(order, nonzero=True))
+    s, ref = data.draw(series_with_reference())
+    k = data.draw(rationals())
+    c = Fraction(data.draw(rationals(nonzero=True)))
     cut = data.draw(st.integers(ref[1] - 6, ref[1]))
     _assert_matches(s.scale(k), _ref_termwise(ref, lambda e: k))
     _assert_matches(s.qdq(), _ref_termwise(ref, lambda e: e))
-    base = c if isinstance(c, CyclotomicNumber) else Fraction(c)
-    _assert_matches(s.twist(c), _ref_termwise(ref, lambda e: base**e))
+    _assert_matches(s.twist(c), _ref_termwise(ref, lambda e: c**e))
     _assert_matches(s.truncate(cut), _ref_truncate(ref, cut))
 
 
 @PROPERTY_SETTINGS
-@given(st.data())
-def test_inverse_matches_schoolbook(data):
-    order = data.draw(FIELD_ORDERS)
-    s, ref = data.draw(series_with_reference(order))
+@given(series_with_reference())
+def test_inverse_matches_schoolbook(case):
+    s, ref = case
     assume(not s.is_zero())
     _assert_matches(s.inv(), _ref_inv(ref))
 
 
 @PROPERTY_SETTINGS
-@given(st.data())
-def test_two_cyclotomic_orders_do_not_mix(data):
-    first, second = data.draw(st.permutations(CYCLOTOMIC_ORDERS))[:2]
-    a, _ = data.draw(series_with_reference(first))
-    b, _ = data.draw(series_with_reference(second))
-    with pytest.raises(OrderMismatch):
-        a + b
-    with pytest.raises(OrderMismatch):
-        a * b
+@given(st.integers(-200, 200))
+def test_two_cyclotomic_orders_do_not_mix(e):
+    """zeta_72^e enters Q(zeta_3) exactly when 12 | e, as the power
+    zeta_6^(e/12) of zeta_6 = 1 + w; any other e is refused."""
+    if e % 12:
+        with pytest.raises(ValueError):
+            OmegaSeries.root_of_unity(72, e, 3)
+        return
+    expected = (1, 0)
+    for _ in range(e // 12 % 6):
+        expected = _times(expected, (1, 1))
+    _assert_pair_matches(OmegaSeries.root_of_unity(72, e, 3), ({0: expected}, 3))
+
+
+@PROPERTY_SETTINGS
+@given(pairs_with_reference(), pairs_with_reference(), series_with_reference(), rationals())
+def test_pair_arithmetic_matches_schoolbook(first, second, rational, c):
+    (a, ra), (b, rb), (s, rs) = first, second, rational
+    _assert_pair_matches(a + b, _ref_add(ra, rb))
+    _assert_pair_matches(a - b, _ref_add(ra, rb, -1))
+    _assert_pair_matches(a * b, _ref_mul(ra, rb))
+    _assert_pair_matches(a * s, _ref_mul(ra, rs))
+    _assert_pair_matches(s * a, _ref_mul(rs, ra))
+    _assert_pair_matches(a * c, _ref_termwise(ra, lambda e: c))
+
+
+@PROPERTY_SETTINGS
+@given(series_with_reference(valuation_low=-7), st.integers(-7, 7))
+def test_dissection_twist_matches_schoolbook(case, k):
+    """OmegaSeries.twist(s, k) is s(w^k q): the q^e coefficient times w^(ke)."""
+    s, ref = case
+    _assert_pair_matches(OmegaSeries.twist(s, k), _ref_termwise(ref, lambda e: OMEGA_POWERS[k * e % 3]))
