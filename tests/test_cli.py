@@ -408,6 +408,15 @@ PINNED_STDOUT = [
      "104c5833acba58dce7bd9d779e212c244da3e4d5958b50fd3feb1d2f3a2942ee"),
     (dict(command="verify", model="identities", order=3),
      "05bc583c72990dbe19dbe400c166e68c6aa9750c72108bebdc7768958586f7b0"),
+    # an integral offset (-1) reached through a fractional exponent
+    (dict(command="expand", expression="eta(48)^-1/2", order=2),
+     "db97ce61338bec80b7d8f833217a778b18d247122e89b09572469c2cf4dd1a7b"),
+    # the fractional-offset JSON: scalar, offset and unit fields
+    (dict(command="expand", expression="eta(1)^1/2", order=5, format="json"),
+     "98fa14f19c8a83b4c475b44c4d3cc2f614a1e1c104842b24482f57e7aa683638"),
+    # theta_2's q^(1/4) enters the Halphen checks through theta_logderiv
+    (dict(command="verify", model="halphen", order=60, format="json"),
+     "628043b7b7c52f3eb0ad80f32845c2e9bbecf22b590728a06ba2478ce19c8573"),
 ]
 
 
