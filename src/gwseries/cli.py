@@ -130,11 +130,11 @@ def _run_expand(config: RunConfig) -> int:
         print(f"error: order {config.order} does not reach past the leading "
               f"exponent {quotient.offset}", file=sys.stderr)
         return 2
-    expansion = quotient.expand(unit_order)
-    series = expansion.to_qseries() if integral else expansion.unit
+    series = quotient.expand(unit_order) if integral else quotient.unit(unit_order)
     if config.format == "json":
+        # "scalar" is always 1: an eta quotient's leading coefficient is 1
         fields = ({"series": series.to_json_dict()} if integral else
-                  {"scalar": str(expansion.scalar), "offset": str(expansion.offset),
+                  {"scalar": "1", "offset": str(quotient.offset),
                    "unit": series.to_json_dict()})
         _print_json({"command": "expand", "expression": str(quotient), **fields})
     elif config.format == "csv":
@@ -142,7 +142,7 @@ def _run_expand(config: RunConfig) -> int:
     elif integral:
         print(format_series(series))
     else:
-        print(f"q^({expansion.offset}) * ({format_series(series)})")
+        print(f"q^({quotient.offset}) * ({format_series(series)})")
     return 0
 
 

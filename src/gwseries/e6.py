@@ -117,7 +117,7 @@ def e6_h_analytic(order: int) -> QSeries:
     Builds only; the comparison with the equation solver is the
     `e6-solver-matches-eta` report.
     """
-    quotient = eta_expand("eta(1)^3 * eta(9)^-3", order + 1).to_qseries()
+    quotient = eta_expand("eta(1)^3 * eta(9)^-3", order + 1)
     return QSeries.constant(Fraction(1), order) + quotient.scale(_THIRD)
 
 
@@ -174,7 +174,7 @@ def e6_build_fi(order: int) -> E6Coefficients:
     """
     slack = order + 2
     a = e6_h_analytic(slack)
-    f0 = eta_expand("eta(9)^3 * eta(3)^-1", slack + 1).to_qseries()
+    f0 = eta_expand("eta(9)^3 * eta(3)^-1", slack + 1)
     f1 = a * f0
     f1sq = f1 * f1
     generators = (f0, f1, f1sq - (f0.qdq() * f0.inv()).scale(Fraction(1, 9)))
@@ -238,11 +238,14 @@ def e6_coefficient_reports(
 # -- modular identity suite ---------------------------------------------------------
 
 
-def e6_identity_suite(order: int, a: QSeries, f0: QSeries) -> list[IdentityReport]:
+def e6_identity_suite(
+    order: int, a: QSeries, f0: QSeries, quotient: QSeries
+) -> list[IdentityReport]:
     """The j-invariant relation, the cusp-form identities, and the twisted
     eta expressions for the pole series `a` (the last over Q(zeta_3)), all
     certified through the same order.  `a` must reach order + 2 and the eta
-    quotient `f0` = eta(9)^3 / eta(3) must reach order."""
+    quotients `f0` = eta(9)^3 / eta(3) and `quotient` = eta(1)^3 / eta(9)^3
+    must reach order."""
     cube = a * a * a
     one_minus = 1 - cube
     inverse = one_minus.inv()
@@ -255,13 +258,11 @@ def e6_identity_suite(order: int, a: QSeries, f0: QSeries) -> list[IdentityRepor
 
     cube_minus_one = one_minus.scale(-1)
     # offset of this quotient is -3, so expand three orders deeper
-    rhs_unit = (
-        eta_expand("eta(3)^12 * eta(9)^-12", order + 3).to_qseries().scale(Fraction(1, 27))
-    )
+    rhs_unit = eta_expand("eta(3)^12 * eta(9)^-12", order + 3).scale(Fraction(1, 27))
     reports.append(series_match("e6-cube-unit", cube_minus_one, rhs_unit, order))
 
     sextic = (d1**6 * inverse_cube).scale(Fraction(-1, 27))  # (a^3 - 1)^-3 = -(1 - a^3)^-3
-    discriminant = eta_expand("eta(3)^24", order).to_qseries()
+    discriminant = eta_expand("eta(3)^24", order)
     reports.append(series_match("e6-cusp-form-sextic", sextic, discriminant, order))
 
     slope = d1 * inverse
@@ -270,7 +271,7 @@ def e6_identity_suite(order: int, a: QSeries, f0: QSeries) -> list[IdentityRepor
 
     reports.append(verify_cusp_form_from_j(order, J, discriminant))
     reports.append(verify_eta_product_rotation(order))
-    reports.extend(e6_twisted_pole_reports(order, a))
+    reports.extend(e6_twisted_pole_reports(order, a, quotient))
     return reports
 
 
@@ -283,7 +284,7 @@ _TWISTED_POLE_ROWS = (
 )
 
 
-def e6_twisted_pole_reports(order: int, a: QSeries) -> list[IdentityReport]:
+def e6_twisted_pole_reports(order: int, a: QSeries, quotient: QSeries) -> list[IdentityReport]:
     """a = omega^j + (1/3) (eta(q zeta_3^k)/eta(q^9))^3 * zeta_72^p, reported
     with index 24 k, the twist as a power of zeta_72.
 
@@ -295,20 +296,21 @@ def e6_twisted_pole_reports(order: int, a: QSeries) -> list[IdentityReport]:
     fails the report at the pole, where it first enters.  The series part
     needs no root of unity but w = zeta_3: eta(q^9) is a series in q^9,
     which the twist fixes, so the twisted unit is the twist of the one
-    rational unit of eta(q)^3 / eta(q^9)^3, its 3-dissection
-    A_0 + w^k A_1 + w^2k A_2 (`OmegaSeries.twist`), a pair over Q(zeta_3).
+    rational unit of `quotient` = eta(q)^3 / eta(q^9)^3 = q^-1 + ..., its
+    3-dissection A_0 + w^k A_1 + w^2k A_2 (`OmegaSeries.twist`), a pair over
+    Q(zeta_3).  `quotient` must reach order.
     """
-    quotient = eta_expand("eta(1)^3 * eta(9)^-3", order + 1)
-    pole, scalar, known = int(quotient.offset), quotient.scalar * _THIRD, quotient.unit.truncation
+    pole = quotient.valuation
+    unit = quotient.truncate(order).shift(-pole)
     reports = []
     for name, omega_power, k, branch_power, phase_power in _TWISTED_POLE_ROWS:
         phase = (3 * branch_power + phase_power) % 72
         if phase % 12:
-            residual = field_text((a.coefficient(pole), ""), (-scalar, f"*z72^{phase}"))
+            residual = field_text((a.coefficient(pole), ""), (-_THIRD, f"*z72^{phase}"))
             reports.append(failure_report(name, order, (24 * k,), pole, residual))
             continue
-        root = OmegaSeries.root_of_unity(72, phase, known)
-        twisted = (OmegaSeries.twist(quotient.unit, k) * root * scalar).shift(pole)
+        root = OmegaSeries.root_of_unity(72, phase, unit.truncation)
+        twisted = (OmegaSeries.twist(unit, k) * root * _THIRD).shift(pole)
         rhs = OmegaSeries.root_of_unity(3, omega_power, order) + twisted
         reports.append(series_match(name, a, rhs, order, indices=(24 * k,)))
     return reports
@@ -324,7 +326,7 @@ def e6_gw_table(kmax: int) -> tuple[list[tuple[int, Fraction]], IdentityReport]:
     `_gw_dual_route` through q^(3 kmax + 2).
     """
     order = 3 * kmax + 2
-    f0 = eta_expand("eta(9)^3 * eta(3)^-1", order).to_qseries()
+    f0 = eta_expand("eta(9)^3 * eta(3)^-1", order)
     table = [(k, Fraction(f0.coefficient(3 * k + 1))) for k in range(kmax + 1)]
     return table, _gw_dual_route(order, e6_schwarzian_solve(order + 2), f0)
 
@@ -387,19 +389,21 @@ def e6_suites(order: int, raw_f11_block: bool = False) -> list[tuple[str, list[I
     The coefficient series are built eight orders deep, which the defining
     equation's residual needs, and truncated down where a check needs less.
     The equation is solved once, two orders deep, for both the solver check
-    and the second route of the degree table, and the eta quotient f_0 is
-    expanded once, for the coefficients, the slope identity and the table.
+    and the second route of the degree table, and the eta quotients are
+    expanded once, in `e6_build_fi`: f_0 for the coefficients, the slope
+    identity and the table, and eta(1)^3 / eta(9)^3 = 3 (a - 1) for the
+    closed form and the twisted rows.
     The potential is built from the coefficients truncated to `order`, and
     WDVV is certified through that order.
     """
     coeffs = e6_build_fi(order + 8)
     solved = e6_schwarzian_solve(order + 2)
-    f0 = coeffs.f[0]
+    f0, quotient = coeffs.f[0], (coeffs.a - 1).scale(3)
     at_order = coeffs.truncate(order)
     potential = e6_build_potential(at_order, raw_f11_block)
     return [
         ("e6-coefficients", e6_coefficient_reports(order, coeffs, solved)),
-        ("e6-identities", e6_identity_suite(order, coeffs.a.truncate(order + 2), f0)),
+        ("e6-identities", e6_identity_suite(order, coeffs.a.truncate(order + 2), f0, quotient)),
         ("e6-gw-table", [_gw_dual_route(order, solved, f0)]),
         ("e6-genus-one", [e6_genus_one(order, at_order).report]),
         ("e6-potential", [wdvv_residual(potential, order), euler_residual(potential)]),

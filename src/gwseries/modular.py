@@ -3,8 +3,10 @@
 Divisor sums, the weight-two quasi-modular series f(q), Dedekind eta and eta
 quotients, Jacobi theta constants with their Halphen system, lattice theta
 functions for the even-sum sublattice of Z^4, and the classical tower
-E4 -> Delta -> j -> J.  Everything is a QSeries or PuiseuxSeries with exact
-coefficients; identity checks come back as IdentityReports.
+E4 -> Delta -> j -> J.  Everything is a QSeries with exact coefficients.
+A fractional q-power prefactor stays where it is known: an eta quotient's
+q^offset in `EtaQuotient.offset`, beside its unit, and theta_2's 2 q^(1/4)
+in `theta_logderiv`.  Identity checks come back as IdentityReports.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 from fractions import Fraction
 
 from .exact_arith import Frozen
-from .qseries import OmegaSeries, PuiseuxSeries, QSeries
+from .qseries import OmegaSeries, QSeries, ValuationNotDivisible
 from .reporting import (
     GenusOneResult,
     IdentityReport,
@@ -110,13 +112,10 @@ def _eta_logderiv_unit(truncation: int) -> QSeries:
     return u.qdq() * u.inv()
 
 
-def dedekind_eta(truncation: int, scale: int = 1) -> PuiseuxSeries:
-    """eta(q^scale) = q^(scale/24) * prod (1 - q^(scale*n))."""
-    return PuiseuxSeries(1, Fraction(scale, 24), eta_unit(scale, truncation))
-
-
 class EtaQuotient(Frozen):
-    """A finite product prod eta(q^m)^r with exact rational exponents r."""
+    """A finite product prod eta(q^m)^r with exact rational exponents r,
+    that is q^offset times the unit prod (1 - q^(m n))^r, since
+    eta(q^m) = q^(m/24) prod (1 - q^(m n))."""
 
     __slots__ = ("factors",)
 
@@ -134,11 +133,19 @@ class EtaQuotient(Frozen):
     def offset(self) -> Fraction:
         return sum((Fraction(m) * r / 24 for m, r in self.factors), Fraction(0))
 
-    def expand(self, truncation: int) -> PuiseuxSeries:
+    def unit(self, truncation: int) -> QSeries:
+        """The quotient without its q^offset, through O(q^truncation)."""
         unit = QSeries.one(truncation)
         for m, r in self.factors:
             unit = unit * eta_unit(m, truncation).pow_rational(r)
-        return PuiseuxSeries(1, self.offset, unit)
+        return unit
+
+    def expand(self, truncation: int) -> QSeries:
+        """q^offset times `unit(truncation)`, known through
+        O(q^(offset + truncation)); the offset must be an integer."""
+        if self.offset.denominator != 1:
+            raise ValuationNotDivisible(f"offset {self.offset} is not an integer")
+        return self.unit(truncation).shift(int(self.offset))
 
     def logderiv(self, truncation: int) -> QSeries:
         """q d/dq log of the quotient through O(q^truncation), never expanded.
@@ -151,12 +158,14 @@ class EtaQuotient(Frozen):
 
         L is `_eta_logderiv_unit` at the same truncation, shared by every
         log-derivative taken there.  The result equals
-        `expand(truncation).logderiv()`, stored form included:
+        offset + (q du/dq) / u for the expanded u = `unit(truncation)`,
+        stored form included:
 
         >>> EtaQuotient(((1, Fraction(24)),)).logderiv(4)   # E_2
         QSeries(1 - 24q - 72q^2 - 96q^3 + O(q^4))
         >>> quotient = EtaQuotient.parse("eta(2)^-3/2 * eta(4)^1/2")
-        >>> quotient.logderiv(30) == quotient.expand(30).logderiv()
+        >>> u = quotient.unit(30)
+        >>> quotient.logderiv(30) == u.qdq() * u.inv() + quotient.offset
         True
         """
         L = _eta_logderiv_unit(truncation)
@@ -196,7 +205,7 @@ class EtaQuotient(Frozen):
 
 
 # a thin wrapper, but perfbench's tracer counts its calls (modular.eta_expand.*)
-def eta_expand(quotient: EtaQuotient | str, truncation: int) -> PuiseuxSeries:
+def eta_expand(quotient: EtaQuotient | str, truncation: int) -> QSeries:
     if isinstance(quotient, str):
         quotient = EtaQuotient.parse(quotient)
     return quotient.expand(truncation)
@@ -205,14 +214,15 @@ def eta_expand(quotient: EtaQuotient | str, truncation: int) -> PuiseuxSeries:
 # -- Jacobi theta constants and the Halphen system ---------------------------------
 
 
-def theta_jacobi(which: int, truncation: int) -> PuiseuxSeries:
+def theta_jacobi(which: int, truncation: int) -> QSeries:
     """Theta constant as a lattice sum over m in Z.
 
-    which=2: sum q^((m+1/2)^2) = 2 q^(1/4) (1 + q^2 + q^6 + ...)
+    which=2: 1 + q^2 + q^6 + ..., theta_2 = sum q^((m+1/2)^2) without its
+             prefactor 2 q^(1/4), which `theta_logderiv` accounts for
     which=3: sum q^(m^2)
     which=4: sum (-1)^m q^(m^2)
 
-    The unit's constant term is known only from truncation 1 on.
+    The constant term is known only from truncation 1 on.
     """
     if which not in (2, 3, 4):
         raise ValueError("theta index must be 2, 3, or 4")
@@ -225,19 +235,21 @@ def theta_jacobi(which: int, truncation: int) -> PuiseuxSeries:
         while m * (m + 1) < truncation:
             entries[m * (m + 1)] = 1
             m += 1
-        return PuiseuxSeries(2, Fraction(1, 4), QSeries.from_coefficient_map(entries, truncation))
+        return QSeries.from_coefficient_map(entries, truncation)
     entries = {0: 1}
     m = 1
     while m * m < truncation:
         entries[m * m] = 2 if which == 3 else (2 if m % 2 == 0 else -2)
         m += 1
-    return PuiseuxSeries(1, Fraction(0), QSeries.from_coefficient_map(entries, truncation))
+    return QSeries.from_coefficient_map(entries, truncation)
 
 
 # a one-liner, but perfbench's tracer counts its calls (modular.theta_logderiv.*)
 def theta_logderiv(which: int, truncation: int) -> QSeries:
-    """X_i = q d/dq log theta_i, the Halphen variables."""
-    return theta_jacobi(which, truncation).logderiv()
+    """X_i = q d/dq log theta_i, the Halphen variables; theta_2's prefactor
+    2 q^(1/4) adds 1/4."""
+    theta = theta_jacobi(which, truncation)
+    return theta.qdq() * theta.inv() + (Fraction(1, 4) if which == 2 else 0)
 
 
 def halphen_variables(truncation: int) -> dict[int, QSeries]:
@@ -291,7 +303,7 @@ def lattice_theta(truncation: int) -> tuple[QSeries, QSeries]:
     (QSeries(1 + 24q^2 + O(q^4)), QSeries(8q + 32q^3 + O(q^4)))
     """
     # a theta constant needs its constant term known, so build at least to O(q)
-    theta3, theta4 = (theta_jacobi(i, max(truncation, 1)).to_qseries() ** 4 for i in (3, 4))
+    theta3, theta4 = (theta_jacobi(i, max(truncation, 1)) ** 4 for i in (3, 4))
     even, shifted = ((theta3 + theta4.scale(sign)).scale(Fraction(1, 2)) for sign in (1, -1))
     return even.truncate(truncation), shifted.truncate(truncation)
 
@@ -306,7 +318,7 @@ def eisenstein_e4(truncation: int) -> QSeries:
 
 def delta_series(truncation: int) -> QSeries:
     """The weight-12 cusp form eta(q)^24 = q - 24q^2 + 252q^3 - ..."""
-    return EtaQuotient(((1, Fraction(24)),)).expand(truncation).to_qseries().truncate(truncation)
+    return EtaQuotient(((1, Fraction(24)),)).expand(truncation).truncate(truncation)
 
 
 def j_series(truncation: int) -> QSeries:
@@ -331,9 +343,8 @@ def genus_one(name: str, order: int, scale: int, virasoro: QSeries) -> GenusOneR
     coefficient (-1/24) and a power series, with two certificates: its
     q d/dq (`-derivative`) and the model's genus-one Virasoro combination of
     its coefficient series (`-virasoro`) must both be f(q^scale)."""
-    eta = dedekind_eta(order, scale=scale)
-    linear = eta.offset * Fraction(-1, scale)
-    series = eta.unit.log_unit().scale(Fraction(-1, scale))
+    linear = Fraction(-1, 24)  # -(1/scale) times the q^(scale/24) of eta(q^scale)
+    series = eta_unit(scale, order).log_unit().scale(Fraction(-1, scale))
     f_scaled = f_series(-(-order // scale)).substitute_power(scale).truncate(order)
     derivative = QSeries.constant(linear, order) + series.qdq()
     report = combine(
@@ -383,22 +394,19 @@ def verify_eta_product_rotation(truncation: int) -> IdentityReport:
 
     where w = zeta_3 = exp(2 pi i/3) and each twist q -> q w^-k carries the
     branch zeta_72^-k for the 24th root in the prefactor.  The roots of unity
-    multiply to zeta_72^(3 - 1 - 2) = 1, so both prefactors are a rational
-    times q^(1/2), compared first.  The twist of the rational eta unit by
-    w^-k is its 3-dissection A_0 + w^-k A_1 + w^-2k A_2, a pair over
-    Q(zeta_3) (`OmegaSeries.twist`), so the left unit is one pair product
-    times a rational one, and it must come out rational.
+    multiply to zeta_72^(3 - 1 - 2) = 1, so both prefactors are q^(1/2),
+    compared first.  The twist of the rational eta unit by w^-k is its
+    3-dissection A_0 + w^-k A_1 + w^-2k A_2, a pair over Q(zeta_3)
+    (`OmegaSeries.twist`), so the left unit is one pair product times a
+    rational one, and it must come out rational.
     """
     name = "eta-product-rotation"
-    eta, eta_nine = dedekind_eta(truncation), dedekind_eta(truncation, scale=9)
-    rhs = EtaQuotient(((3, Fraction(4)),)).expand(truncation)
-    offset, scalar = 3 * eta.offset + eta_nine.offset, eta.scalar**3 * eta_nine.scalar
-    if offset != rhs.offset:
-        return failure_report(name, truncation, (), 0, f"offset {offset} != {rhs.offset}")
-    if scalar != rhs.scalar:
-        return failure_report(name, truncation, (), 0, f"scalar {scalar} != {rhs.scalar}")
-    twisted = OmegaSeries.twist(eta.unit, -1) * OmegaSeries.twist(eta.unit, -2)
-    return series_match(name, twisted * (eta.unit * eta_nine.unit), rhs.unit, truncation)
+    lhs, rhs = EtaQuotient(((1, Fraction(3)), (9, Fraction(1)))), EtaQuotient(((3, Fraction(4)),))
+    if lhs.offset != rhs.offset:
+        return failure_report(name, truncation, (), 0, f"offset {lhs.offset} != {rhs.offset}")
+    unit, unit_nine = eta_unit(1, truncation), eta_unit(9, truncation)
+    twisted = OmegaSeries.twist(unit, -1) * OmegaSeries.twist(unit, -2)
+    return series_match(name, twisted * (unit * unit_nine), rhs.unit(truncation), truncation)
 
 
 def verify_cusp_form_from_j(truncation: int, J: QSeries, discriminant: QSeries) -> IdentityReport:
@@ -413,7 +421,7 @@ def verify_cusp_form_from_j(truncation: int, J: QSeries, discriminant: QSeries) 
 
 def modular_reports(truncation: int) -> list[IdentityReport]:
     """The whole modular identity suite, every q-series check at one order."""
-    discriminant = EtaQuotient(((3, Fraction(24)),)).expand(truncation).to_qseries()
+    discriminant = EtaQuotient(((3, Fraction(24)),)).expand(truncation)
     return [
         verify_f_eta(truncation),
         verify_even_part(truncation),

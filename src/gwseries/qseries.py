@@ -1,4 +1,4 @@
-"""Truncated Laurent and Puiseux series in q with exact coefficients.
+"""Truncated Laurent series in q with exact coefficients.
 
 A QSeries stores finitely many exact coefficients together with a truncation
 order T: coefficients at exponents >= T are unknown, not zero.  Every
@@ -13,11 +13,6 @@ arithmetic with one denominator update and one gcd; products go through
 Fractions only enter and leave at the boundary: the constructor,
 `from_coefficient_map`, `coefficient`, `known_terms`, `leading`,
 `format_series` and `to_json_dict`.
-
-A PuiseuxSeries is a fractional-exponent prefactor around a QSeries unit:
-scalar * q^offset * unit(q), with the offset an exact rational.  That is
-enough for eta quotients and Jacobi theta constants, whose only
-non-integral behaviour sits in the prefactor.
 
 An OmegaSeries is a series over Q(zeta_3) as a pair of rational series,
 u + w v with w = zeta_3.  The twist q -> w^k q of a rational series is its
@@ -358,7 +353,9 @@ class QSeries(Frozen):
 
         The valuation times r must be an integer and the leading coefficient
         must admit an exact rational root; otherwise the result would leave
-        the Laurent model and belongs in PuiseuxSeries.
+        the Laurent model over Q.  A fractional q-power prefactor, such as
+        an eta quotient's, is kept by its owner beside the series
+        (`modular.EtaQuotient.offset`).
         """
         r = Fraction(r)
         if r.denominator == 1:
@@ -516,97 +513,6 @@ def format_series(s: QSeries) -> str:
             parts.append(f"{sign} {body}")
     parts.append(("+ " if parts else "") + f"O(q^{s.truncation})")
     return " ".join(parts)
-
-
-class PuiseuxSeries(Frozen):
-    """scalar * q^offset * unit(q), the offset an exact rational.
-
-    The unit is normalized to constant term exactly 1, with its leading
-    coefficient and valuation folded into the scalar and offset.
-
-    >>> u = PuiseuxSeries(1, Fraction(1, 24), QSeries([1, -1], 0, 6))
-    >>> (u * u).offset
-    Fraction(1, 12)
-    >>> u.logderiv().coefficient(0)
-    Fraction(1, 24)
-    """
-
-    __slots__ = ("scalar", "offset", "unit")
-
-    def __init__(self, scalar: Fraction | int, offset: Fraction, unit: QSeries):
-        # the normal form (unit constant term 1) makes equality field-wise
-        if unit.is_zero():
-            raise ZeroDivisor("Puiseux unit must have a nonzero leading term")
-        scalar = Fraction(scalar)
-        v, c = unit.leading()
-        if v != 0 or c != 1:
-            scalar = scalar * c
-            offset = Fraction(offset) + v
-            unit = unit.shift(-v).scale(1 / c)
-        self._freeze(scalar, Fraction(offset), unit)
-
-    def __mul__(self, other):
-        if isinstance(other, PuiseuxSeries):
-            return PuiseuxSeries(
-                self.scalar * other.scalar,
-                self.offset + other.offset,
-                self.unit * other.unit,
-            )
-        if isinstance(other, _SCALARS):
-            return PuiseuxSeries(self.scalar * other, self.offset, self.unit)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, PuiseuxSeries):
-            return PuiseuxSeries(
-                self.scalar / other.scalar,
-                self.offset - other.offset,
-                self.unit * other.unit.inv(),
-            )
-        return NotImplemented
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent == 0:
-            return PuiseuxSeries(1, Fraction(0), QSeries.one(self.unit.truncation))
-        unit = self.unit**exponent
-        return PuiseuxSeries(self.scalar**exponent, self.offset * exponent, unit)
-
-    def logderiv(self) -> QSeries:
-        """q d/dq of the logarithm: offset + q d/dq log(unit).
-
-        The scalar never matters here, which is why log-derivatives are the
-        right interface to eta quotients with awkward prefactors.
-        """
-        return self.unit.qdq() * self.unit.inv() + self.offset
-
-    def to_qseries(self) -> QSeries:
-        """Collapse to a Laurent series; requires an integral offset."""
-        if self.offset.denominator != 1:
-            raise ValuationNotDivisible(f"offset {self.offset} is not an integer")
-        return self.unit.scale(self.scalar).shift(int(self.offset))
-
-    def __eq__(self, other):
-        if isinstance(other, PuiseuxSeries):
-            return (
-                self.scalar == other.scalar
-                and self.offset == other.offset
-                and self.unit == other.unit
-            )
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        if self.offset == 0:
-            prefix = ""
-        else:
-            o = self.offset
-            prefix = f"q^{o}*" if o.denominator == 1 else f"q^({o})*"
-        return f"PuiseuxSeries({self.scalar}*{prefix}({format_series(self.unit)}))"
 
 
 def field_text(*terms: tuple[Fraction, str]) -> str:

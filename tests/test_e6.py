@@ -86,7 +86,7 @@ def test_first_order_system_holds_on_the_eta_side_series():
 def test_closed_form_is_shifted_eta_cube():
     order = 40
     closed = e6_h_analytic(order)
-    quotient = eta_expand("eta(1)^3 * eta(9)^-3", order + 1).to_qseries()
+    quotient = eta_expand("eta(1)^3 * eta(9)^-3", order + 1)
     rebuilt = QSeries.constant(Fraction(1), order) + quotient.scale(Fraction(1, 3))
     assert closed == rebuilt
     assert closed == e6_schwarzian_solve(order)
@@ -147,12 +147,13 @@ def test_first_order_system_reports_fail_where_f2_is_raised(monkeypatch):
 
 def test_derived_series_are_built_once(monkeypatch):
     """1 - a^3 is inverted once per report function, cubed for the
-    j-relation and the sextic, and eta(9)^-3 is expanded once for both
-    twisted rows."""
+    j-relation and the sextic, and eta(9)^-3 is expanded once per run, for
+    the closed form a = 1 + (1/3) eta(1)^3 / eta(9)^3: the twisted rows take
+    that quotient and invert nothing."""
     order = 60
     coeffs = e6_build_fi(order + 8)
     solved = e6_schwarzian_solve(order + 2)
-    a, f0 = coeffs.a.truncate(order + 2), coeffs.f[0]
+    a, f0, quotient = coeffs.a.truncate(order + 2), coeffs.f[0], (coeffs.a - 1).scale(3)
     modular._eta_logderiv_unit.cache_clear()
     count = 0
     inv = QSeries.inv
@@ -170,9 +171,9 @@ def test_derived_series_are_built_once(monkeypatch):
         run()
         return count
 
-    assert inversions(lambda: e6_suites(order)) == 28
-    assert inversions(lambda: e6_identity_suite(order, a, f0)) == 5
-    assert inversions(lambda: e6_twisted_pole_reports(order, a)) == 1
+    assert inversions(lambda: e6_suites(order)) == 27
+    assert inversions(lambda: e6_identity_suite(order, a, f0, quotient)) == 4
+    assert inversions(lambda: e6_twisted_pole_reports(order, a, quotient)) == 0
     assert inversions(lambda: e6_coefficient_reports(order, coeffs, solved)) == 10
 
 
@@ -180,8 +181,9 @@ def test_derived_series_are_built_once(monkeypatch):
 
 
 def test_identity_suite_names_and_verdicts():
-    f0 = eta_expand("eta(9)^3 * eta(3)^-1", 30).to_qseries()
-    reports = e6_identity_suite(30, e6_h_analytic(32), f0)
+    f0 = eta_expand("eta(9)^3 * eta(3)^-1", 30)
+    quotient = eta_expand("eta(1)^3 * eta(9)^-3", 31)
+    reports = e6_identity_suite(30, e6_h_analytic(32), f0, quotient)
     assert [r.name for r in reports] == [
         "e6-j-relation",
         "e6-cube-unit",
@@ -198,15 +200,17 @@ def test_identity_suite_names_and_verdicts():
 
 
 def test_twisted_pole_expressions_run_in_the_cyclotomic_field():
-    for report in e6_twisted_pole_reports(15, e6_h_analytic(15)):
+    a = e6_h_analytic(15)
+    for report in e6_twisted_pole_reports(15, a, (a - 1).scale(3)):
         assert report.passed
         assert report.order_certified >= 15
 
 
 def test_twisted_pole_reports_fail_where_the_pole_series_is_raised():
     a = e6_h_analytic(20)
+    quotient = (a - 1).scale(3)
     a = a + QSeries.monomial(Fraction(1, 7), 10, a.truncation)
-    reports = e6_twisted_pole_reports(20, a)
+    reports = e6_twisted_pole_reports(20, a, quotient)
     assert [r.name for r in reports] == ["e6-pole-twist-square", "e6-pole-twist-linear"]
     for report, index in zip(reports, (-48, -24)):
         assert not report.passed
@@ -221,7 +225,9 @@ def test_twisted_pole_reports_have_teeth(monkeypatch, exponent):
     suite: both twisted reports fail at q^e, whatever the class of e mod 3."""
     order, suite = 30, e6.e6_identity_suite
     bump = QSeries.monomial(Fraction(1, 7), exponent, order + 2)
-    monkeypatch.setattr(e6, "e6_identity_suite", lambda order, a, f0: suite(order, a + bump, f0))
+    monkeypatch.setattr(
+        e6, "e6_identity_suite", lambda order, a, f0, quotient: suite(order, a + bump, f0, quotient)
+    )
     reports = {r.name: r for _, batch in e6.e6_suites(order) for r in batch}
     for name in ("e6-pole-twist-square", "e6-pole-twist-linear"):
         failure = reports[name].first_failure
@@ -248,7 +254,7 @@ def test_gw_dual_route_rejects_f0_off_its_support(monkeypatch, exponent):
     stray = QSeries.monomial(Fraction(1, 7), exponent, order)
     sqrt_route = e6._sqrt_route_f0
     monkeypatch.setattr(e6, "_sqrt_route_f0", lambda slope: sqrt_route(slope) + stray)
-    f0 = eta_expand("eta(9)^3 * eta(3)^-1", order).to_qseries() + stray
+    f0 = eta_expand("eta(9)^3 * eta(3)^-1", order) + stray
     report = _gw_dual_route(order, e6_schwarzian_solve(order + 2), f0)
     assert report.name == "e6-gw-dual-route"
     assert not report.passed

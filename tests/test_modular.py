@@ -13,7 +13,6 @@ from gwseries.e6 import E6Coefficients, e6_build_fi, e6_genus_one
 from gwseries.modular import (
     EtaQuotient,
     J_series,
-    dedekind_eta,
     delta_series,
     eisenstein_e4,
     eta_expand,
@@ -34,7 +33,7 @@ from gwseries.modular import (
     verify_f_eta,
     verify_sigma_doubling,
 )
-from gwseries.qseries import PuiseuxSeries, QSeries, QSeriesError, ZeroDivisor
+from gwseries.qseries import QSeries, QSeriesError, ValuationNotDivisible, ZeroDivisor
 
 
 def _sigma_brute(n: int, power: int = 1) -> int:
@@ -149,10 +148,12 @@ def test_eta_unit_rescales_exponents():
 
 
 def test_dedekind_eta_prefactor():
-    eta = dedekind_eta(10, scale=5)
-    assert eta.scalar == 1
+    """eta(q^5) = q^(5/24) prod (1 - q^(5n)): the offset is the quotient's,
+    the unit is `eta_unit` and starts with 1."""
+    eta = EtaQuotient(((5, Fraction(1)),))
     assert eta.offset == Fraction(5, 24)
-    assert eta.unit.coefficient(0) == 1
+    assert eta.unit(10) == eta_unit(5, 10)
+    assert eta.unit(10).leading() == (0, 1)
 
 
 def test_f_is_minus_logderiv_of_eta():
@@ -188,23 +189,43 @@ def _stored(s: QSeries) -> tuple:
     return s.den, s.valuation, s.coeffs, s.truncation
 
 
+def _expanded_logderiv(quotient: EtaQuotient, truncation: int) -> QSeries:
+    """offset + (q du/dq) / u for the expanded unit u of the quotient."""
+    u = quotient.unit(truncation)
+    return u.qdq() * u.inv() + quotient.offset
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(eta_quotients(), st.integers(1, 150))
 def test_eta_quotient_logderiv_equals_the_expanded_route(quotient, truncation):
     """Additivity of the log-derivative gives what expanding the quotient
     (fractional powers through log and exp) and then differentiating gives,
     down to the stored numerators and denominator."""
-    assert _stored(quotient.logderiv(truncation)) == _stored(quotient.expand(truncation).logderiv())
+    assert _stored(quotient.logderiv(truncation)) == _stored(_expanded_logderiv(quotient, truncation))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
 @given(eta_quotients(), st.integers(-3, 0))
 def test_eta_quotient_logderiv_fails_like_the_expanded_route(quotient, truncation):
     with pytest.raises(QSeriesError) as expanded:
-        quotient.expand(truncation).logderiv()
+        _expanded_logderiv(quotient, truncation)
     with pytest.raises(QSeriesError) as direct:
         quotient.logderiv(truncation)
     assert type(direct.value) is type(expanded.value) is ZeroDivisor
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(eta_quotients(), st.integers(1, 150))
+def test_eta_quotient_expands_to_its_shifted_unit(quotient, truncation):
+    """The unit starts with 1, so q^offset times it is the whole quotient:
+    a Laurent series for an integral offset, and an error otherwise."""
+    unit = quotient.unit(truncation)
+    assert unit.leading() == (0, 1)
+    if quotient.offset.denominator == 1:
+        assert _stored(quotient.expand(truncation)) == _stored(unit.shift(int(quotient.offset)))
+    else:
+        with pytest.raises(ValuationNotDivisible):
+            quotient.expand(truncation)
 
 
 def test_eta_logderivs_take_no_fractional_power(monkeypatch):
@@ -240,12 +261,12 @@ def test_eta_expand_accepts_text():
     direct = eta_expand("eta(9)^3 * eta(3)^-1", 12)
     built = EtaQuotient(((9, Fraction(3)), (3, Fraction(-1)))).expand(12)
     assert direct == built
-    assert direct.offset == Fraction(1)
+    assert direct.leading() == (1, 1)
 
 
 def test_fractional_eta_exponent_squares_back():
-    half = eta_expand("eta(2)^1/2", 20)
-    assert half * half == eta_expand("eta(2)", 20)
+    half = EtaQuotient.parse("eta(2)^1/2").unit(20)
+    assert half * half == eta_unit(2, 20)
 
 
 # -- cusp forms and j ------------------------------------------------------------------
@@ -296,7 +317,7 @@ def test_J_series_is_rescaled_j_of_q_cubed():
 
 
 def test_cusp_form_recovered_from_j():
-    discriminant = eta_expand("eta(3)^24", 40).to_qseries()
+    discriminant = eta_expand("eta(3)^24", 40)
     report = verify_cusp_form_from_j(40, J_series(40), discriminant)
     assert report.passed
     assert report.name == "cusp-form-weight12"
@@ -311,8 +332,7 @@ def test_theta3_and_theta4_by_direct_summation():
     truncation = 30
     t3 = theta_jacobi(3, truncation)
     t4 = theta_jacobi(4, truncation)
-    assert t3.scalar == 1 and t3.offset == 0
-    for series, signed in ((t3.unit, False), (t4.unit, True)):
+    for series, signed in ((t3, False), (t4, True)):
         expected = {0: 1}
         m = 1
         while m * m < truncation:
@@ -323,10 +343,11 @@ def test_theta3_and_theta4_by_direct_summation():
 
 
 def test_theta2_prefactor_and_support():
+    """theta_2 = 2 q^(1/4) (1 + q^2 + q^6 + ...): the lattice sum is the
+    bracket, and the q^(1/4) is the constant 1/4 of its log-derivative."""
     t2 = theta_jacobi(2, 14)
-    assert t2.scalar == 2
-    assert t2.offset == Fraction(1, 4)
-    assert list(t2.unit.known_terms()) == [(0, 1), (2, 1), (6, 1), (12, 1)]
+    assert list(t2.known_terms()) == [(0, 1), (2, 1), (6, 1), (12, 1)]
+    assert theta_logderiv(2, 14) == t2.qdq() * t2.inv() + Fraction(1, 4)
 
 
 def test_theta_index_is_checked():
@@ -339,7 +360,7 @@ def test_theta_constants_need_a_known_constant_term():
         for truncation in (0, -3):
             with pytest.raises(ValueError, match="truncation >= 1"):
                 theta_jacobi(which, truncation)
-    assert theta_jacobi(2, 1).unit == QSeries.one(1)
+    assert theta_jacobi(2, 1) == QSeries.one(1)
 
 
 def test_halphen_variable_constants():
@@ -417,23 +438,22 @@ def test_rotated_eta_product_over_cyclotomic_field():
 
 @pytest.mark.parametrize("exponent", [0, 3, 12, 27])
 def test_rotated_eta_product_has_teeth(monkeypatch, exponent):
-    """(1/7) q^e added to the eta unit the rotation reads.  It enters the
-    three factors eta(q w^-k), k = 0, 1, 2, with weight 1 + w^e + w^2e, which
-    is 3 for 3 | e and 0 otherwise, so for 3 | e the report fails at q^e (at
-    q^0 the unit's new constant term moves into the prefactor)."""
-    original = modular.dedekind_eta
+    """(1/7) q^e added to the eta unit the rotation reads at scale 1.  It
+    enters the three factors eta(q w^-k), k = 0, 1, 2, with weight
+    1 + w^e + w^2e, which is 3 for 3 | e, so the report fails at exactly
+    q^e; at q^0 too, where the bump stays in the unit's constant term."""
+    original = modular.eta_unit
 
-    def perturbed(truncation, scale=1):
-        eta = original(truncation, scale)
+    def perturbed(scale, truncation):
+        unit = original(scale, truncation)
         if scale != 1:
-            return eta
-        bump = QSeries.monomial(Fraction(1, 7), exponent, truncation)
-        return PuiseuxSeries(eta.scalar, eta.offset, eta.unit + bump)
+            return unit
+        return unit + QSeries.monomial(Fraction(1, 7), exponent, truncation)
 
-    monkeypatch.setattr(modular, "dedekind_eta", perturbed)
+    monkeypatch.setattr(modular, "eta_unit", perturbed)
     report = verify_eta_product_rotation(40)
     assert not report.passed
-    assert report.first_failure.exponent <= exponent
+    assert report.first_failure.exponent == exponent
 
 
 def test_modular_reports_all_pass():

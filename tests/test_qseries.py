@@ -18,7 +18,6 @@ from gwseries.qseries import (
     NotUnit,
     OmegaSeries,
     PrecisionError,
-    PuiseuxSeries,
     QSeries,
     ValuationNotDivisible,
     ZeroDivisor,
@@ -606,9 +605,6 @@ def test_product_across_cyclotomic_orders_raises():
     # a 72nd root of unity outside Q(zeta_3) has no pair to multiply by
     with pytest.raises(ValueError):
         twisted * OmegaSeries.root_of_unity(72, 3, 8)
-    # and a pair does not multiply a Puiseux series
-    with pytest.raises(TypeError):
-        twisted * PuiseuxSeries(1, Fraction(1, 24), eta_unit(1, 8))
 
 
 # -- serialization ---------------------------------------------------------------------
@@ -639,32 +635,3 @@ def test_format_series_examples():
     assert format_series(QSeries([Fraction(-1, 24)], 0, 2)) == "-1/24 + O(q^2)"
     assert format_series(QSeries.zero(5)) == "O(q^5)"
     assert format_series(QSeries([Fraction(1, 3)], -1, 1)) == "1/3q^-1 + O(q^1)"
-
-
-# -- Puiseux layer ---------------------------------------------------------------------
-
-
-def test_puiseux_product_collects_offsets_and_scalars():
-    unit = QSeries([1, 1], 0, 6)
-    a = PuiseuxSeries(2, Fraction(1, 4), unit)
-    b = PuiseuxSeries(Fraction(1, 2), Fraction(3, 4), unit)
-    prod = a * b
-    assert prod.scalar == 1
-    assert prod.offset == 1
-    assert prod.unit == unit * unit
-
-
-def test_puiseux_logderiv_reports_offset():
-    unit = QSeries([1, 1], 0, 6)  # 1 + q
-    s = PuiseuxSeries(7, Fraction(1, 4), unit)
-    ld = s.logderiv()
-    assert ld.coefficient(0) == Fraction(1, 4)
-    assert ld.coefficient(1) == 1  # q d/dq log(1+q) = q - q^2 + ...
-    assert ld.coefficient(2) == -1
-
-
-def test_puiseux_to_qseries_requires_integral_offset():
-    unit = QSeries([1], 0, 4)
-    with pytest.raises(ValuationNotDivisible):
-        PuiseuxSeries(1, Fraction(1, 2), unit).to_qseries()
-    assert PuiseuxSeries(3, Fraction(2), unit).to_qseries() == QSeries([3], 2, 6)
