@@ -420,6 +420,18 @@ PINNED_STDOUT = [
     # theta_2's q^(1/4) enters the Halphen checks through theta_logderiv
     (dict(command="verify", model="halphen", order=60, format="json"),
      "628043b7b7c52f3eb0ad80f32845c2e9bbecf22b590728a06ba2478ce19c8573"),
+    # fractional and negative exponents of eta units
+    (dict(command="expand", expression="eta(1)^-5/24 * eta(3)^7/3", order=90),
+     "ef69fb5c679136cf80b4a2bb4f572de8e4e9d167e9e465808f741dd9d3477070"),
+    (dict(command="expand", expression="eta(1)^1/24", order=120, format="json"),
+     "4eba02f7985f44cdfb7240edb4c15420eade7b45d629c91c31edc343a01cd92f"),
+    # both square-root routes to f_0, log_unit through the series inverse, the d4 WDVV scan
+    (dict(command="gw-table", kmax=40),
+     "a7f8944f7f3b377bd4919198d1f96e8d8472efcf023c0eeebd6c75b9ad2c2c08"),
+    (dict(command="genus-one", model="e6", order=90),
+     "16119b10090f174782c25e1260ab0b479c521d11a9d6a2833a6257e2821619f5"),
+    (dict(command="verify", model="d4", order=125, format="json"),
+     "329de73e8a1a87820ca703d4e370674325256a8fd8d0317e629a18eb5869e082"),
 ]
 
 
