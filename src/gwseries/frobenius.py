@@ -9,9 +9,17 @@ The classical part is lowered in all three slots; quantum keys never contain
 t, so there each t in the triple acts as q d/dq on the coefficient series.
 The metric eta_ab = d_0 d_a d_b F sees the classical part only.
 
-The WDVV residual is checked for every coordinate quadruple (a,b,c,d):
+The WDVV residual of a coordinate quadruple (a,b,c,d),
 
-    sum_{e,f} F_abe eta^{ef} F_fcd  -  F_ade eta^{ef} F_fbc  =  0.
+    sum_{e,f} F_abe eta^{ef} F_fcd  -  F_ade eta^{ef} F_fbc,
+
+is checked on one quadruple per orbit.  A coordinate permutation under which
+both parts are exactly invariant maps a residual to that of the image
+quadruple, monomials renamed; a<->c and b<->d negate it, (b,a,d,c) and
+(c,d,a,b) fix it.  So a representative decides its whole orbit, and the
+first failing quadruple in lexicographic order, failing with its orbit, is
+the least of it: the scan, which meets each orbit first at its least,
+reports what a full scan would.
 
 Internally each coefficient series is interned up to a rational scalar and
 packed once into a single int (Kronecker substitution, in the slot format of
@@ -29,8 +37,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
-from operator import and_
+from itertools import combinations_with_replacement
+from operator import and_, itemgetter, mul
 from typing import NamedTuple
 
 from .exact_arith import Frozen, _first_slot, _pack_slots, _slot_width, _unpack_slots
@@ -59,9 +67,11 @@ class FrobeniusPotential(Frozen):
                metric_from_potential can reject a bad polynomial honestly.
     quantum:   multi-index (zero in the t0 and t slots) -> QSeries; the series
                carries the full coefficient including any rational prefactor.
+    symmetries: permutations i -> perm[i] of the coordinates, fixing t0 and t,
+               that F should be invariant under; wdvv_residual verifies them.
     """
 
-    __slots__ = ("coords", "degrees", "classical", "quantum")
+    __slots__ = ("coords", "degrees", "classical", "quantum", "symmetries")
 
     def __init__(
         self,
@@ -69,6 +79,7 @@ class FrobeniusPotential(Frozen):
         degrees: tuple[Fraction, ...],
         classical: dict[tuple[int, ...], Fraction],
         quantum: dict[tuple[int, ...], QSeries],
+        symmetries: tuple[tuple[int, ...], ...] = (),
     ):
         n = len(coords)
         if n < 2:
@@ -89,7 +100,9 @@ class FrobeniusPotential(Frozen):
                 raise ValueError("quantum part may not involve t0 or the log coordinate")
             if not isinstance(value, QSeries):
                 raise ValueError("quantum coefficients must be QSeries")
-        self._freeze(coords, degrees, classical, quantum)
+        if any(sorted(p) != list(range(n)) or p[0] or p[-1] != n - 1 for p in symmetries):
+            raise ValueError("symmetries must be permutations fixing t0 and t")
+        self._freeze(coords, degrees, classical, quantum, tuple(map(tuple, symmetries)))
 
     @property
     def truncation(self) -> int:
@@ -109,29 +122,25 @@ class FrobeniusPotential(Frozen):
         bumped = series + QSeries.monomial(delta, exponent, series.truncation)
         quantum = dict(self.quantum)
         quantum[key] = bumped
-        return FrobeniusPotential(self.coords, self.degrees, self.classical, quantum)
+        return FrobeniusPotential(self.coords, self.degrees, self.classical, quantum, self.symmetries)
 
 
-def _orbit(representative: tuple[int, ...], blocks) -> list[tuple[int, ...]]:
-    """The distinct images of a multi-index under every permutation of the
-    equal-length slot tuples `blocks`, in the order first met."""
-    images: dict[tuple[int, ...], None] = {}
-    for perm in permutations(blocks):
-        image = list(representative)
-        for source, target in zip(blocks, perm):
-            for s, t in zip(source, target):
-                image[t] = representative[s]
-        images[tuple(image)] = None
-    return list(images)
+def _closure(start, moves) -> set:
+    """Everything that the functions `moves` reach from `start`."""
+    found = frontier = {start}
+    while frontier:
+        frontier = {move(x) for x in frontier for move in moves} - found
+        found = found | frontier
+    return found
 
 
 def orbit_potential(coords, degrees, blocks, classical_rows, quantum_rows) -> FrobeniusPotential:
     """A potential written as one row per orbit of the permutations of `blocks`.
 
     A row is (representative multi-index, prefactor), plus the QSeries for a
-    quantum row.  Each distinct image of the representative is a key, the
-    keys of a quantum row share one scaled series, and a key two rows reach
-    carries their sum.  The (2,2,2,2) rows t1^4 and t1^2 t2^2:
+    quantum row.  The symmetries are the adjacent swaps of the blocks; each
+    image of a representative under them is a key, the keys of a quantum row
+    share one scaled series, and a key two rows reach carries their sum:
 
     >>> one, rows = QSeries.one(4), [((0, 4, 0, 0, 0, 0), 4), ((0, 2, 2, 0, 0, 0), 6)]
     >>> F = orbit_potential("t0 t1 t2 t3 t4 t".split(), [0] * 6, ((1,), (2,), (3,), (4,)),
@@ -139,16 +148,18 @@ def orbit_potential(coords, degrees, blocks, classical_rows, quantum_rows) -> Fr
     >>> sorted(Counter(map(id, F.quantum.values())).values())  # keys per shared series
     [4, 6]
     """
+    swaps = [[dict(zip(a + b, b + a)).get(i, i) for i in range(len(coords))] for a, b in zip(blocks, blocks[1:])]
+    moves = [itemgetter(*s) for s in swaps]  # a swap is its own inverse
     classical: dict[tuple[int, ...], Fraction] = {}
     for representative, prefactor in classical_rows:
-        for key in _orbit(representative, blocks):
+        for key in sorted(_closure(representative, moves)):
             classical[key] = classical.get(key, _F0) + prefactor
     quantum: dict[tuple[int, ...], QSeries] = {}
     for representative, prefactor, series in quantum_rows:
         scaled = series.scale(prefactor)
-        for key in _orbit(representative, blocks):
+        for key in sorted(_closure(representative, moves)):
             quantum[key] = quantum[key] + scaled if key in quantum else scaled
-    return FrobeniusPotential(tuple(coords), tuple(degrees), classical, quantum)
+    return FrobeniusPotential(tuple(coords), tuple(degrees), classical, quantum, swaps)
 
 
 # -- derivatives ------------------------------------------------------------------
@@ -284,15 +295,16 @@ def metric_from_potential(potential: FrobeniusPotential) -> MetricMatrix:
 def euler_residual(potential: FrobeniusPotential) -> IdentityReport:
     """E F = 2F with E = sum deg(t_i) t_i d_i: every monomial has weight 2.
 
-    The q-direction is weightless for these elliptic orbifolds, so the check
-    is a pure degree count; the series factors never enter.
+    The q-direction is weightless for these elliptic orbifolds, so the check is
+    a degree count, in integers over the lcm of the degree denominators.
     """
     order = max(potential.truncation, 1)
+    scale = math.lcm(*(d.denominator for d in potential.degrees))
+    degrees = [d.numerator * (scale // d.denominator) for d in potential.degrees]
     for part in (potential.classical, potential.quantum):
         for key in part:
-            weight = sum((d * e for d, e in zip(potential.degrees, key)), _F0)
-            if weight != 2:
-                return failure_report("euler-grading", order, key, 0, weight - 2)
+            if (weight := sum(map(mul, degrees, key))) != 2 * scale:
+                return failure_report("euler-grading", order, key, 0, Fraction(weight, scale) - 2)
     return pass_report("euler-grading", order)
 
 
@@ -442,21 +454,45 @@ def _contraction_keys(a: int, b: int, c: int, d: int) -> list[tuple]:
     return [tuple(sorted((tuple(sorted(x)), tuple(sorted(y))))) for x, y in sides]
 
 
-def wdvv_residual(potential: FrobeniusPotential, truncation: int) -> IdentityReport:
-    """Associativity residual over the coordinate quadruples, in
-    lexicographic order; PrecisionError if a quantum series stops below
-    `truncation`.
+def _invariant(potential: FrobeniusPotential, perm: tuple[int, ...]) -> bool:
+    """Whether renaming coordinate i to perm[i] maps each part onto itself:
+    equal Fractions, and QSeries equal field by field, not up to truncation."""
+    rename = itemgetter(*sorted(range(len(perm)), key=perm.__getitem__))
+    parts = ((potential.classical, Fraction), (potential.quantum, QSeries._fields))
+    return all({rename(k): f(x) for k, x in part.items()} == {k: f(x) for k, x in part.items()} for part, f in parts)
 
-    Swapping a<->c or b<->d negates the residual, and a == c or b == d makes
-    it vanish identically (the contraction is symmetric in its two pairs), so
-    only a < c and b < d is checked: the least quadruple of its orbit, which
-    is where the first failure lies.  Any quadruple with the unit index 0 is
-    skipped too: quantum keys have no t0 and metric_from_potential rejects a
-    non-constant metric, so F_0xy = eta_xy exactly and both contractions
-    reduce to the same third derivative.
-    """
+
+# the residual's own symmetries, as maps of the slots of (a,b,c,d): a<->c and b<->d negate
+# it, (b,a,d,c) and (c,d,a,b) fix it
+_RESIDUAL_SYMMETRIES = ((2, 1, 0, 3), (0, 3, 2, 1), (1, 0, 3, 2), (2, 3, 0, 1))
+
+
+def _orbit_representatives(dim: int, symmetries) -> list[tuple[int, ...]]:
+    """The least quadruple over 1..dim-1 of each orbit under the coordinate
+    permutations `symmetries` and the residual's own, in lexicographic order,
+    but for a == c or b == d, which vanish as the contraction is symmetric."""
+    # itemgetter(*s)(g) is the composite g o s, and itemgetter(*quad)(perm) renames quad's entries
+    slots = [itemgetter(*s) for s in _closure((0, 1, 2, 3), [itemgetter(*s) for s in _RESIDUAL_SYMMETRIES])]
+    renames = _closure(tuple(range(dim)), [itemgetter(*s) for s in symmetries])
+    seen, out, span = set(), [], range(1, dim)
+    # the least of an orbit has a <= c and b <= d, since a<->c and b<->d act
+    for quad in ((a, b, c, d) for a in span for b in span for c in span[a:] for d in span[b:]):
+        if quad not in seen:
+            pick = itemgetter(*quad)
+            seen.update(slot(pick(perm)) for perm in renames for slot in slots)
+            out.append(quad)
+    return out
+
+
+def wdvv_residual(potential: FrobeniusPotential, truncation: int) -> IdentityReport:
+    """Associativity residual over one quadruple per orbit (module docstring)
+    of the recorded symmetries that `_invariant` verifies, in lexicographic
+    order; PrecisionError if a quantum series stops below `truncation`.  The
+    unit index 0 is skipped: quantum keys have no t0 and metric_from_potential
+    rejects a non-constant metric, so F_0xy = eta_xy and both contractions
+    reduce to the same third derivative."""
     engine = _WdvvEngine(potential, truncation)
-    quads = [q for q in product(range(1, engine.dim), repeat=4) if q[0] < q[2] and q[1] < q[3]]
+    quads = _orbit_representatives(engine.dim, [p for p in potential.symmetries if _invariant(potential, p)])
     engine.reads = Counter(key for quad in quads for key in _contraction_keys(*quad))
     for quad in quads:
         if (failure := engine.residual_failure(*quad)) is not None:

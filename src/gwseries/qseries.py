@@ -9,10 +9,10 @@ Coefficients lie in Q and are stored as in FLINT's fmpq_poly: integer
 numerators `coeffs`, one per exponent, over one positive `den`, in canonical
 form (gcd(den, *coeffs) == 1, no zero at either end).  Arithmetic is integer
 arithmetic with one denominator update and one gcd; products go through
-`int_convolve`, and inverse, log and exp are Newton iterations over them.
-Fractions only enter and leave at the boundary: the constructor,
-`from_coefficient_map`, `coefficient`, `known_terms`, `leading`,
-`format_series` and `to_json_dict`.
+`int_convolve`, inverses and powers that are not nonnegative integers through
+one recurrence (`_power`).  Fractions only enter and leave at the boundary:
+the constructor, `from_coefficient_map`, `coefficient`, `known_terms`,
+`leading`, `format_series` and `to_json_dict`.
 
 An OmegaSeries is a series over Q(zeta_3) as a pair of rational series,
 u + w v with w = zeta_3.  The twist q -> w^k q of a rational series is its
@@ -247,17 +247,7 @@ class QSeries(Frozen):
         >>> list(c for _, c in g.known_terms()) == [Fraction(1)] * 8
         True
         """
-        v, c = self.leading()  # raises ZeroDivisor on a series zero to O(q^T)
-        rel = self.truncation - v  # number of known coefficients
-        cinv = 1 / c
-        w = self.shift(-v).scale(cinv)
-        # Newton: x <- x (2 - w x) doubles the number of correct terms.
-        x = QSeries.one(1)
-        while x.truncation < rel:
-            m = min(2 * x.truncation, rel)
-            xp = x._replace(truncation=m)
-            x = xp + xp * (1 - w.truncate(m) * xp)
-        return x.scale(cinv).shift(-v)
+        return self._power(-_ONE)
 
     def __truediv__(self, other):
         if isinstance(other, QSeries):
@@ -270,7 +260,7 @@ class QSeries(Frozen):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return self.inv() ** (-exponent)
+            return self._power(Fraction(exponent))
         if exponent == 0:
             return QSeries.one(self.truncation - self.valuation + max(self.valuation, 0))
         if exponent == 1:
@@ -319,8 +309,8 @@ class QSeries(Frozen):
     def log_unit(self) -> "QSeries":
         """Logarithm of a unit with constant term exactly 1.
 
-        From q dL/dq = (q du/dq) / u, with the inverse taken by Newton; the
-        division by n is one denominator update by lcm(1, ..., T-1).
+        From q dL/dq = (q du/dq) / u; the division by n is one denominator
+        update by lcm(1, ..., T-1).
 
         >>> u = QSeries([1, 1], 0, 6)          # 1 + q
         >>> (u.log_unit() - QSeries([1, Fraction(-1,2), Fraction(1,3), Fraction(-1,4), Fraction(1,5)], 1, 6)).is_zero()
@@ -333,23 +323,8 @@ class QSeries(Frozen):
         cs = [x * (lcm // (d.valuation + i)) for i, x in enumerate(d.coeffs)]
         return QSeries._make(d.den * lcm, d.valuation, cs, self.truncation)
 
-    def exp_positive(self) -> "QSeries":
-        """Exponential of a series with valuation >= 1.
-
-        Newton: e <- e (1 + w - log e) doubles the number of correct terms.
-        """
-        if not self.is_zero() and self.valuation < 1:
-            raise NotUnit("exp requires positive valuation")
-        t = self.truncation
-        e = QSeries.one(min(t, 1))
-        while e.truncation < t:
-            m = min(2 * e.truncation, t)
-            ep = e._replace(truncation=m)
-            e = ep * (1 + self.truncate(m) - ep.log_unit())
-        return e
-
     def pow_rational(self, r: Fraction) -> "QSeries":
-        """Raise to an exact rational power via exp(r log(unit)).
+        """Raise to an exact rational power.
 
         The valuation times r must be an integer and the leading coefficient
         must admit an exact rational root; otherwise the result would leave
@@ -358,18 +333,40 @@ class QSeries(Frozen):
         (`modular.EtaQuotient.offset`).
         """
         r = Fraction(r)
-        if r.denominator == 1:
-            return self ** int(r)
-        v, _ = self.leading()
+        return self ** int(r) if r.denominator == 1 and r >= 0 else self._power(r)
+
+    def _power(self, r: Fraction) -> "QSeries":
+        """self^r for r = p/d, relative precision kept: self = c q^v u with
+        u = 1 + u_1 q + ..., and y = u^r solves u q y' = r y q u', which is
+        J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7)
+        n y_n = sum_{k >= 1} ((r + 1) k - n) u_k y_(n-k) over the nonzero u_k,
+        on integer numerators over one running denominator, lifted when the
+        pivot n d U_0 (U the numerators of self) does not divide."""
+        v, c = self.leading()  # raises ZeroDivisor on a series zero to O(q^T)
         if (v * r).denominator != 1:
             raise ValuationNotDivisible(f"valuation {v} times exponent {r} is fractional")
-        c = Fraction(self.coeffs[0], self.den)
-        root = rational_nth_root(c, r.denominator)
+        p, d = r.numerator, r.denominator
+        root = rational_nth_root(c, d)
         if root is None:
-            raise LeadingCoefficientNotPower(f"{c} has no exact {r.denominator}-th root")
-        unit = self.shift(-v).scale(1 / c)
-        powered = (unit.log_unit().scale(r)).exp_positive()
-        return powered.scale(root ** r.numerator).shift(int(v * r))
+            raise LeadingCoefficientNotPower(f"{c} has no exact {d}-th root")
+        rel = self.truncation - v  # number of known coefficients
+        ks = [k for k in range(1, min(len(self.coeffs), rel)) if self.coeffs[k]]
+        us = [self.coeffs[k] for k in ks]
+        kus = [k * x for k, x in zip(ks, us)]
+        ys, den, j = [1], 1, 0
+        for n in range(1, rel):
+            j += j < len(ks) and ks[j] == n  # ks[:j] are the k <= n
+            lower = [ys[n - k] for k in ks[:j]]
+            acc = -n * d * sum(map(mul, us[:j], lower))
+            if p + d:
+                acc += (p + d) * sum(map(mul, kus[:j], lower))
+            pivot = n * d * self.coeffs[0]
+            lift = abs(pivot) // math.gcd(acc, pivot)
+            if lift > 1:
+                den *= lift
+                ys = [y * lift for y in ys]
+            ys.append(acc * lift // pivot)
+        return QSeries._make(den, int(v * r), ys, rel + int(v * r)).scale(root**p)
 
     def nth_root(self, n: int) -> "QSeries":
         """Exact n-th root (positive branch for rational leading coefficients).

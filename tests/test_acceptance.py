@@ -206,7 +206,7 @@ def test_criterion_10_property_suites():
         x, y, z = (rand_series(order) for _ in range(3))
         ok = ok and (x + y) + z == x + (y + z) and x * y == y * x
         ok = ok and (x * y) * z == x * (y * z) and x * (y + z) == x * y + x * z
-    # then relative precisions on either side of the Newton doublings
+    # then relative precisions at the small end and on either side of a power of two
     for truncation in (24,) * cases + (1, 2, 3, 63, 64, 65):
         u = rand_unit(truncation)
         ok = ok and u * u.inv() == QSeries.one(truncation)

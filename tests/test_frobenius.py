@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+import gwseries.e6 as e6_module
 import gwseries.frobenius as frobenius
 from gwseries.d4 import d4_analytic, d4_build_potential
 from gwseries.e6 import e6_build_fi, e6_build_potential
@@ -213,7 +214,15 @@ def test_euler_grading_flags_degree_breaking_monomials():
     assert not report.passed
     assert report.name == "euler-grading"
     assert report.first_failure.indices == (0, 1, 1, 0)
-    assert Fraction(report.first_failure.residual) == -1
+    assert report.first_failure.residual == "-1"
+    # the residual prints as the Fraction weight - 2, degrees of any denominators
+    e6_like = FrobeniusPotential(
+        ("t0", "x", "y", "t"),
+        (Fraction(1), Fraction(2, 3), Fraction(1, 3), Fraction(0)),
+        {(2, 0, 0, 1): Fraction(1, 2)},
+        {(0, 1, 4, 0): QSeries([1], 1, 4), (0, 1, 3, 0): QSeries([1], 1, 4)},
+    )
+    assert euler_residual(e6_like).first_failure[::2] == ((0, 1, 3, 0), "-1/3")
 
 
 # -- WDVV --------------------------------------------------------------------------
@@ -438,12 +447,16 @@ def scanned(monkeypatch):
     class Recording(_WdvvEngine):
         def __init__(self, *args):
             super().__init__(*args)
-            self.quads = []
+            self.quads, self.keys = [], set()
             engines.append(self)
 
         def residual_failure(self, *quad):
             self.quads.append(quad)
             return super().residual_failure(*quad)
+
+        def contraction(self, key):
+            self.keys.add(key)
+            return super().contraction(key)
 
     monkeypatch.setattr(frobenius, "_WdvvEngine", Recording)
     return engines
@@ -467,6 +480,83 @@ def test_scan_skips_every_quadruple_with_the_unit_index(scanned):
                 assert engine.residual_failure(*quad) is None, quad
     assert len(scanned) == len(_wdvv_cases())
     assert all(engine.quads and 0 not in quad for engine in scanned for quad in engine.quads)
+
+
+def _without_symmetries(F: FrobeniusPotential) -> FrobeniusPotential:
+    return FrobeniusPotential(F.coords, F.degrees, F.classical, F.quantum)
+
+
+def _bump_shared(F: FrobeniusPotential, key, exponent: int, delta: Fraction) -> FrobeniusPotential:
+    """F with the series at `key` bumped at every key that shares it, which
+    keeps an orbit table invariant."""
+    old = F.quantum[key]
+    new = old + QSeries.monomial(delta, exponent, old.truncation)
+    quantum = {k: new if v is old else v for k, v in F.quantum.items()}
+    return FrobeniusPotential(F.coords, F.degrees, F.classical, quantum, F.symmetries)
+
+
+def test_orbit_scan_counts(scanned):
+    """One quadruple per orbit: e6 at T = 60 scans 50 quadruples (441 with
+    every a < c, b < d scanned) and computes 92 contractions (357); d4 at
+    T = 125 scans 7 (100) and computes 14 (95)."""
+    assert wdvv_residual(e6_build_potential(e6_build_fi(60)), 60).passed
+    assert wdvv_residual(d4_build_potential(d4_analytic(125)), 125).passed
+    assert [(len(e.quads), len(e.keys)) for e in scanned] == [(50, 92), (7, 14)]
+
+
+def test_recorded_symmetries_are_the_adjacent_block_swaps():
+    d4 = d4_build_potential(d4_analytic(12))
+    assert d4.symmetries == ((0, 2, 1, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 4, 3, 5))
+    e6 = e6_build_potential(e6_build_fi(12))
+    assert e6.symmetries == ((0, 2, 1, 3, 4, 6, 5, 7), (0, 1, 3, 2, 5, 4, 6, 7))
+    assert all(frobenius._invariant(F, perm) for F in (d4, e6) for perm in F.symmetries)
+    raw = e6_build_potential(e6_build_fi(12), raw_f11_block=True)
+    assert [frobenius._invariant(raw, perm) for perm in raw.symmetries] == [False, False]
+    with pytest.raises(ValueError):
+        FrobeniusPotential(d4.coords, d4.degrees, d4.classical, d4.quantum, [(0, 1, 2, 3, 5, 4)])
+
+
+def test_orbit_scan_reports_what_the_full_scan_reports(monkeypatch, scanned):
+    """On potentials that keep their symmetries (a row prefactor, a shared
+    series bumped at every key) and ones that break them (one key bumped,
+    the raw f_11 block), the report equals the one without symmetries."""
+    coeffs = e6_build_fi(12)
+    rows = list(e6_module._E6_QUANTUM_ROWS)
+    rows[5] = (rows[5][0], Fraction(1, 3), rows[5][2])
+    with monkeypatch.context() as patch:
+        patch.setattr(e6_module, "_E6_QUANTUM_ROWS", tuple(rows))
+        prefactor = e6_build_potential(coeffs)
+    e6, d4 = e6_build_potential(coeffs), d4_build_potential(d4_analytic(12))
+    cases = [
+        prefactor,
+        _bump_shared(e6, E6_PROBE_KEY, 4, Fraction(-2, 5)),
+        _bump_shared(d4, (0, 2, 2, 0, 0, 0), 4, Fraction(1, 3)),
+        e6.with_mutated_quantum((0, 3, 0, 0, 0, 0, 0, 0), 4, Fraction(-2, 5)),
+        d4.with_mutated_quantum((0, 0, 0, 2, 2, 0), 6, Fraction(1, 3)),
+        e6_build_potential(coeffs, raw_f11_block=True),
+    ]
+    kept = [all(frobenius._invariant(F, perm) for perm in F.symmetries) for F in cases]
+    assert kept == [True] * 3 + [False] * 3
+    for F in cases:
+        report = wdvv_residual(F, 10)
+        assert not report.passed
+        assert report == wdvv_residual(_without_symmetries(F), 10)
+
+
+def test_a_symmetry_that_fails_verification_is_never_used(scanned):
+    """d4 bumped at t3^2 t4^2 only: the swaps t1<->t2 and t3<->t4 still
+    hold, t2<->t3 does not.  Trusting all three would report (1, 1, 5, 5)
+    rather than the first failure, (1, 1, 3, 3)."""
+    F = d4_build_potential(d4_analytic(12)).with_mutated_quantum((0, 0, 0, 2, 2, 0), 6, Fraction(1, 3))
+    assert [frobenius._invariant(F, perm) for perm in F.symmetries] == [True, False, True]
+    report = wdvv_residual(F, 10)
+    assert not report.passed and report == wdvv_residual(_without_symmetries(F), 10)
+    quads = scanned[0].quads  # the scan stops at the failure
+    assert quads == frobenius._orbit_representatives(6, F.symmetries[0::2])[: len(quads)]
+    assert report.first_failure.indices == (1, 1, 3, 3)
+    engine = _WdvvEngine(F, 10)
+    trusted = frobenius._orbit_representatives(6, F.symmetries)
+    assert next(quad for quad in trusted if engine.residual_failure(*quad)) == (1, 1, 5, 5)
 
 
 def test_mutation_helper_changes_one_coefficient():

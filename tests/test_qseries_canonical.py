@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gwseries.qseries import OmegaSeries, QSeries
+from gwseries.qseries import LeadingCoefficientNotPower, OmegaSeries, QSeries, ValuationNotDivisible
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -194,6 +194,41 @@ def test_inverse_matches_schoolbook(case):
     s, ref = case
     assume(not s.is_zero())
     _assert_matches(s.inv(), _ref_inv(ref))
+
+
+@st.composite
+def sparse_powers(draw):
+    """(s, r, root): s = root^d q^v (1 + a few terms) with d | v, so that s^r
+    exists over Q for r = p/d; r is never a nonnegative integer."""
+    r = draw(st.fractions(-6, 6, max_denominator=5).filter(lambda r: r < 0 or r.denominator > 1))
+    d = r.denominator
+    root = Fraction(draw(rationals(nonzero=True)))
+    valuation = d * draw(st.integers(-2, 2))
+    length = draw(st.integers(1, 16))
+    terms = draw(st.dictionaries(st.integers(1, length + 2), rationals(nonzero=True), max_size=4))
+    unit = [1] + [terms.get(k, 0) for k in range(1, length)]
+    return QSeries(unit, valuation, valuation + length).scale(root**d), r, root
+
+
+@PROPERTY_SETTINGS
+@given(sparse_powers())
+def test_rational_powers_are_exact_roots_of_integer_powers(case):
+    """s^(p/d) to the d equals s^p field by field, on the positive branch
+    for even d, with the relative precision kept: truncation T - v + v r."""
+    s, r, root = case
+    v, p, d = s.valuation, r.numerator, r.denominator
+    y = s.pow_rational(r)
+    _assert_canonical(y)
+    assert y.truncation == s.truncation - v + v * r
+    assert y.leading() == (v * r, (abs(root) if d % 2 == 0 else root) ** p)
+    assert (y**d)._fields() == (s**p)._fields()
+    assert (s.inv() * s)._fields() == QSeries.one(s.truncation - v)._fields()
+    if d % 2 == 0:
+        with pytest.raises(LeadingCoefficientNotPower):
+            (-s).pow_rational(r)
+    if d > 1:
+        with pytest.raises(ValuationNotDivisible):
+            s.shift(1).pow_rational(r)
 
 
 @PROPERTY_SETTINGS
