@@ -516,7 +516,7 @@ def test_recorded_symmetries_are_the_adjacent_block_swaps():
         FrobeniusPotential(d4.coords, d4.degrees, d4.classical, d4.quantum, [(0, 1, 2, 3, 5, 4)])
 
 
-def test_orbit_scan_reports_what_the_full_scan_reports(monkeypatch, scanned):
+def test_orbit_scan_reports_what_the_full_scan_reports(monkeypatch):
     """On potentials that keep their symmetries (a row prefactor, a shared
     series bumped at every key) and ones that break them (one key bumped,
     the raw f_11 block), the report equals the one without symmetries."""
