@@ -23,9 +23,8 @@ it to the report functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .frobenius import FrobeniusPotential, euler_residual, orbit_potential, wdvv_residual
 from .modular import (  # noqa: F401  (eta_expand: perfbench's tracer test reads d4's binding)
     EtaQuotient,
     eta_expand,
@@ -37,6 +36,9 @@ from .modular import (  # noqa: F401  (eta_expand: perfbench's tracer test reads
 )
 from .qseries import QSeries, solve_qdq_system
 from .reporting import GenusOneResult, IdentityReport, series_match
+
+if TYPE_CHECKING:
+    from .frobenius import FrobeniusPotential
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -177,6 +179,8 @@ def d4_construction_reports(
 def d4_build_potential(coeffs: D4Coefficients) -> FrobeniusPotential:
     """Genus-zero potential on coordinates (t0, t1..t4, t), t acting as log q:
     one row per orbit of the permutations of t1..t4."""
+    from .frobenius import orbit_potential
+
     return orbit_potential(
         ("t0", "t1", "t2", "t3", "t4", "t"),
         (Fraction(1), _HALF, _HALF, _HALF, _HALF, Fraction(0)),
@@ -225,6 +229,8 @@ def d4_suites(order: int) -> list[tuple[str, list[IdentityReport]]]:
     The closed forms are built at `order`, and the potential built from them
     is certified by WDVV through that order.
     """
+    from .frobenius import euler_residual, wdvv_residual
+
     s = d4_analytic(order)
     potential = d4_build_potential(s)
     return [

@@ -27,9 +27,8 @@ roots of unity only in their scalars.  The builders only build;
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .frobenius import FrobeniusPotential, euler_residual, orbit_potential, wdvv_residual
 from .modular import (
     J_series,
     eta_expand,
@@ -39,6 +38,9 @@ from .modular import (
 )
 from .qseries import OmegaSeries, QSeries, field_text, solve_qdq_system
 from .reporting import GenusOneResult, IdentityReport, failure_report, series_match
+
+if TYPE_CHECKING:
+    from .frobenius import FrobeniusPotential
 
 _THIRD = Fraction(1, 3)
 
@@ -355,8 +357,11 @@ def e6_build_potential(coeffs: E6Coefficients, raw_f11_block: bool = False) -> F
     raw_f11_block keeps the f_11 monomials exactly as printed in the source
     the potential was transcribed from, where t4 t5 t6^4 appears twice and
     t4^4 t5 t6 not at all; the default completes the orbit symmetrically,
-    which is what associativity requires.
+    which is what associativity requires.  The transcribed block breaks both
+    block swaps, so that potential records no symmetries.
     """
+    from .frobenius import FrobeniusPotential, orbit_potential
+
     potential = orbit_potential(
         ("t0", "t1", "t2", "t3", "t4", "t5", "t6", "t"),
         (Fraction(1), *[Fraction(2, 3)] * 3, *[_THIRD] * 3, Fraction(0)),
@@ -364,11 +369,12 @@ def e6_build_potential(coeffs: E6Coefficients, raw_f11_block: bool = False) -> F
         [((2, 0, 0, 0, 0, 0, 0, 1), Fraction(1, 2)), ((1, 1, 0, 0, 0, 0, 1, 0), _THIRD)],
         [(rep, prefactor, f) for (_, prefactor, rep), f in zip(_E6_QUANTUM_ROWS, coeffs.f)],
     )
-    if raw_f11_block:
-        quantum, doubled = potential.quantum, (0, 0, 0, 0, 1, 1, 4, 0)
-        del quantum[(0, 0, 0, 0, 4, 1, 1, 0)]
-        quantum[doubled] = quantum[doubled].scale(2)
-    return potential
+    if not raw_f11_block:
+        return potential
+    quantum, doubled = dict(potential.quantum), (0, 0, 0, 0, 1, 1, 4, 0)
+    del quantum[(0, 0, 0, 0, 4, 1, 1, 0)]
+    quantum[doubled] = quantum[doubled].scale(2)
+    return FrobeniusPotential(potential.coords, potential.degrees, potential.classical, quantum)
 
 
 def e6_genus_one(order: int, coeffs: E6Coefficients) -> GenusOneResult:
@@ -396,6 +402,8 @@ def e6_suites(order: int, raw_f11_block: bool = False) -> list[tuple[str, list[I
     The potential is built from the coefficients truncated to `order`, and
     WDVV is certified through that order.
     """
+    from .frobenius import euler_residual, wdvv_residual
+
     coeffs = e6_build_fi(order + 8)
     solved = e6_schwarzian_solve(order + 2)
     f0, quotient = coeffs.f[0], (coeffs.a - 1).scale(3)

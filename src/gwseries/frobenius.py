@@ -23,22 +23,32 @@ reports what a full scan would.
 
 Internally each coefficient series is interned up to a rational scalar and
 packed once into a single int (Kronecker substitution, in the slot format of
-exact_arith), so the scan is integer arithmetic only: a product of two
-series is one multiplication, a residual is a difference of packed ints,
-and its first nonzero coefficient is read from the lowest set bit.  Only the
-residue class each series occupies is packed: the stride g is the gcd of the
-exponent offsets within every series (3 for e6, 2 for d4), read from the
-numerators, so a perturbation off the class only lowers g and stays seen.  A
-contraction is kept only until the scan's last read of it.
+exact_arith), so the scan is integer arithmetic only.  The derivative terms
+are enumerated from each key's own support, their monomials packed and
+lowered by subtracting slot units, their scalars integers over one common
+denominator.  Only the residue class each series occupies is packed: the
+stride g is the gcd of the exponent offsets within every series (3 for e6, 2
+for d4), read from the numerators, so a perturbation off the class only
+lowers g and stays seen.  A pair product is memoized in its final class, so a
+contraction is one dict keyed by packed monomial * g + class, and a residual
+is a difference of packed ints, first nonzero at the lowest set bit.  The
+slots are wide enough by Cauchy-Schwarz, |(b b')_k| <= |b|_2 |b'|_2: with w
+the inverse-metric weights and s_t, b_t the scalar and base series of a term
+t, every residual coefficient is at most
+
+    2 sum_{e,f} |w_ef| max_T (sum_{t in T} |s_t| |b_t|_2)^2
+
+over the triples T.  A contraction is kept only until the scan's last read
+of it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from operator import and_, itemgetter, mul
+from itertools import chain, combinations_with_replacement, compress, count
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .exact_arith import Frozen, _first_slot, _pack_slots, _slot_width, _unpack_slots
@@ -165,50 +175,42 @@ def orbit_potential(coords, degrees, blocks, classical_rows, quantum_rows) -> Fr
 # -- derivatives ------------------------------------------------------------------
 
 
-def _lower(key: tuple[int, ...], slots) -> tuple[tuple[int, ...], int] | None:
-    """d/dt_s once for each s in `slots` on the monomial t^key: the lowered
-    multi-index and the product of the falling factorials, or None when an
-    exponent runs out."""
-    lowered = list(key)
-    scalar = 1
-    for slot in slots:
-        if not lowered[slot]:
-            return None
-        scalar *= lowered[slot]
-        lowered[slot] -= 1
-    return tuple(lowered), scalar
+def _lowerings(key: tuple[int, ...], counts) -> list[tuple[tuple[int, ...], int]]:
+    """d/dt_s once for each s in `slots` on the monomial t^key, for every
+    ascending `slots` of a length in `counts` (at most 3) that the exponents
+    allow: (slots, product of the falling factorials)."""
+    found = [((), 1)]
+    for i, e in enumerate(key):
+        if e:
+            found = [
+                (slots + (i,) * j, falling * math.perm(e, j))
+                for slots, falling in found
+                for j in range(min(e, 3 - len(slots)) + 1)
+            ]
+    return [(slots, falling) for slots, falling in found if len(slots) in counts]
 
 
 def _derivative_terms(potential: FrobeniusPotential, truncation: int):
-    """The rule of the module docstring as triple -> [(multi-index, scalar,
-    series)] for d_a d_b d_c F: quantum terms first, in the potential's order,
-    then classical ones.  Series stop at `truncation`, which no quantum series
-    may stop below; there is one per (quantum series object, number of t
-    slots), so keys sharing a series share its q d/dq tower, plus one constant
-    series shared by the classical part.
-    """
+    """The rule of the module docstring, enumerated from each key: (triple,
+    key, slots, scalar, series) for every term of d_a d_b d_c F, `slots` the
+    entries of the triple that lower `key`, the rest t; quantum terms first,
+    in the potential's order.  Series stop at `truncation`, which no quantum
+    series may stop below; keys sharing a series object share its q d/dq
+    tower, and the classical part shares one constant series."""
     log = len(potential.coords) - 1
-    one = QSeries.one(truncation)
     towers: dict[int, list[QSeries]] = {}
-    for series in potential.quantum.values():
+    for key, series in potential.quantum.items():
         if id(series) not in towers:
             tower = towers[id(series)] = [series.truncate(truncation)]
             for _ in range(3):
                 tower.append(tower[-1].qdq())
-
-    def terms(triple: tuple[int, int, int]) -> list:
-        slots = [s for s in triple if s != log]
-        out = [
-            (*lowered, towers[id(series)][3 - len(slots)])
-            for key, series in potential.quantum.items()
-            if (lowered := _lower(key, slots)) is not None
-        ]
-        for key, value in potential.classical.items():
-            if value and (lowered := _lower(key, triple)) is not None:
-                out.append((lowered[0], value * lowered[1], one))
-        return out
-
-    return terms
+        for slots, falling in _lowerings(key, range(4)):
+            yield (*slots, *[log] * (3 - len(slots))), key, slots, falling, towers[id(series)][3 - len(slots)]
+    one = QSeries.one(truncation)
+    for key, value in potential.classical.items():
+        if value:
+            for slots, falling in _lowerings(key, (3,)):
+                yield slots, key, slots, value * falling, one
 
 
 def third_derivative(
@@ -226,11 +228,12 @@ def third_derivative(
     >>> third_derivative(F, "t1", "t1", "t")
     {(0, 0, 0): QSeries(2q + 4q^2 + O(q^5))}
     """
-    slots = tuple(potential.coordinate_index(x) for x in (a, b, c))
+    triple = tuple(sorted(potential.coordinate_index(x) for x in (a, b, c)))
     out: dict[tuple[int, ...], QSeries] = {}
-    for key, scalar, series in _derivative_terms(potential, potential.truncation)(slots):
-        piece = series.scale(scalar)
-        out[key] = out[key] + piece if key in out else piece
+    for t, key, slots, scalar, series in _derivative_terms(potential, potential.truncation):
+        if t == triple:
+            piece, key = series.scale(scalar), tuple(e - slots.count(i) for i, e in enumerate(key))
+            out[key] = out[key] + piece if key in out else piece
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
@@ -271,22 +274,19 @@ def metric_from_potential(potential: FrobeniusPotential) -> MetricMatrix:
     classical polynomial reaches the metric.
     """
     n = len(potential.coords)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            value = _F0
-            for key, coeff in potential.classical.items():
-                if coeff and (lowered := _lower(key, (0, i, j))) is not None:
-                    if any(lowered[0]):
-                        raise NonConstantMetric(
-                            f"entry ({potential.coords[i]},{potential.coords[j]}) "
-                            f"depends on coordinates: monomial {lowered[0]}"
-                        )
-                    value += coeff * lowered[1]
-            row.append(value)
-        rows.append(tuple(row))
-    return MetricMatrix(potential.coords, tuple(rows))
+    rows = [[_F0] * n for _ in range(n)]
+    for key, coeff in potential.classical.items():
+        for slots, falling in _lowerings(key, (3,)) if coeff else ():
+            if slots[0] == 0:  # slots are ascending
+                i, j = slots[1:]
+                if any(lowered := tuple(e - slots.count(i) for i, e in enumerate(key))):
+                    raise NonConstantMetric(
+                        f"entry ({potential.coords[i]},{potential.coords[j]}) "
+                        f"depends on coordinates: monomial {lowered}"
+                    )
+                rows[i][j] += coeff * falling
+                rows[j][i] = rows[i][j]
+    return MetricMatrix(potential.coords, tuple(map(tuple, rows)))
 
 
 # -- Euler grading -----------------------------------------------------------------
@@ -312,21 +312,13 @@ def euler_residual(potential: FrobeniusPotential) -> IdentityReport:
 
 
 class _WdvvEngine:
-    """Exact associativity residuals in packed-integer arithmetic.
-
-    Each derivative-term series object is interned once, by its valuation
-    and primitive numerators (`_intern`); the rest of it joins the scalar of
-    every term that holds it.  Scalars and inverse-metric weights are integers
-    over one common denominator each.  A base of class c = valuation mod g
-    keeps one slot per exponent c + g k below T (`slots` at most), wide enough
-    for any residual coefficient plus a sign bit.  A pair product is one
-    memoized multiplication, in class s mod g for the class sum s, one slot up
-    per carry, masked to the exponents below T so that later ones drop out.  A
-    contraction, an integer combination of pair products per monomial and
-    class, is memoized while `reads` counts reads left for it.  A residual is
-    a difference of packed ints, first nonzero at the lowest set bit.
-    Monomials are packed one slot per coordinate, so multiplying two of them
-    is one addition.
+    """Exact associativity residuals in packed-integer arithmetic (module
+    docstring).  A base of class c = valuation mod g keeps one slot per
+    exponent c + g k below T, `width` bytes wide.  A term is (key, scalar,
+    base), key = packed monomial * g + class; the right-hand terms of a
+    contraction come in one list per left class, their keys less g where the
+    class sum s reaches g, since such a pair product sits one slot up in
+    class s - g, so the sum of two keys is always the product's key.
     """
 
     def __init__(self, potential: FrobeniusPotential, truncation: int):
@@ -334,118 +326,116 @@ class _WdvvEngine:
             raise PrecisionError(f"wdvv: need order {truncation}, have {potential.truncation}")
         inverse = metric_from_potential(potential).inverse_rows()
         self.dim = dim = len(potential.coords)
-        derivative_terms = _derivative_terms(potential, truncation)
         ref_of: dict[tuple[int, tuple[int, ...]], int] = {}
-        interned: dict[int, tuple[Fraction, int] | None] = {}  # by id of a term's series
-        triples: dict[tuple[int, int, int], list] = {}
-        for triple in combinations_with_replacement(range(dim), 3):
-            triples[triple] = []
-            for key, scalar, series in derivative_terms(triple):
-                if id(series) not in interned:
-                    interned[id(series)] = _intern(series, ref_of)
-                if (entry := interned[id(series)]) is not None:
-                    triples[triple].append((key, scalar * entry[0], entry[1]))
+        interned: dict[int, tuple[int, int, int] | None] = {}  # by id of a term's series
+        terms = []  # (triple, key, slots, numerator, denominator, base)
+        for triple, key, slots, scalar, series in _derivative_terms(potential, truncation):
+            if id(series) not in interned:
+                interned[id(series)] = _intern(series, ref_of)
+            if (entry := interned[id(series)]) is not None:
+                content, den, ref = entry
+                num, den = scalar.numerator * content, scalar.denominator * den
+                common = math.gcd(num, den)
+                terms.append((triple, key, slots, num // common, den // common, ref))
         eta = [(e, f, w) for e in range(dim) for f in range(dim) if (w := inverse[e][f])]
-        d_scalar = math.lcm(*(s.denominator for terms in triples.values() for _, s, _ in terms))
+        d_scalar = math.lcm(*(den for *_, den, _ in terms))
         d_weight = math.lcm(*(w.denominator for _, _, w in eta))
         self.denominator = d_scalar**2 * d_weight
         self.eta_pairs = [(e, f, w.numerator * (d_weight // w.denominator)) for e, f, w in eta]
-        g = self.stride = math.gcd(*(i for _, nums in ref_of for i, x in enumerate(nums) if x)) or 1
+        g = self.stride = math.gcd(*chain.from_iterable(compress(count(), nums) for _, nums in ref_of)) or 1
         classes = self._classes = [valuation % g for valuation, _ in ref_of]
         arrays = [[0] * (valuation // g) + list(nums[::g]) for valuation, nums in ref_of]
-        self.slots = len(range(0, truncation, g))
-        degree = max((max(key) for terms in triples.values() for key, _, _ in terms), default=0)
-        self.monomial_width = mw = _slot_width(2 * degree)
-        # a term's key is its packed monomial * (2g - 1) + its base's class, so the sum
-        # of two keys holds the class sum s < 2g - 1 of their pair product
-        spread = 2 * g - 1
-        self._terms = {
-            triple: [
-                (_pack_slots(key, mw) * spread + classes[r], s.numerator * (d_scalar // s.denominator), r)
-                for key, s, r in terms
-            ]
-            for triple, terms in triples.items()
-        }
-        # a residual coefficient is a difference of two sums of
-        # weight * scalar * scalar * (pair-product coefficient of at most `slots` terms)
+        keys = [*potential.quantum, *potential.classical]
+        self.monomial_width = mw = _slot_width(2 * max(map(max, keys), default=0))
+        units = [g << 8 * mw * i for i in range(dim)]
+        packed_keys = {key: sum(map(mul, key, units)) for key in keys}
+        self._terms: dict[tuple[int, int, int], list] = {t: [] for t in combinations_with_replacement(range(dim), 3)}
+        # by Cauchy-Schwarz a pair-product coefficient is at most the product of the
+        # two bases' l2 norms, so a contraction's is at most sum |w| * reach^2, with
+        # reach the largest sum of |scalar| * norm over the terms of one triple
+        norms = [math.isqrt(n - 1) + 1 if (n := sum(map(mul, array, array))) else 0 for array in arrays]
+        reach = dict.fromkeys(self._terms, 0)
+        for triple, key, slots, num, den, ref in terms:
+            scalar = num * (d_scalar // den)
+            monomial = packed_keys[key] - sum(map(units.__getitem__, slots))
+            self._terms[triple].append((monomial + classes[ref], scalar, ref))
+            reach[triple] += abs(scalar) * norms[ref]
         weights = sum(abs(w) for _, _, w in self.eta_pairs)
-        scalars = max((sum(abs(s) for _, s, _ in terms) for terms in self._terms.values()), default=0)
-        largest = max((abs(v) for array in arrays for v in array), default=0)
-        self.width = _slot_width(2 * weights * scalars**2 * self.slots * largest**2)
-        # class sum s keeps the slots of its exponents s, s + g, ... below T
-        self.masks = [(1 << 8 * self.width * len(range(s, truncation, g))) - 1 for s in range(2 * g - 1)]
+        # a residual coefficient is a difference of two contraction coefficients
+        self.width = _slot_width(2 * weights * max(reach.values()) ** 2)
+        # class 0 never carries
+        self._right = {
+            triple: [line] + [[(m - g * (c + classes[r] >= g), s, r) for m, s, r in line] for c in range(1, g)]
+            for triple, line in self._terms.items()
+            if line
+        }
+        self.masks = [(1 << 8 * self.width * len(range(c, truncation, g))) - 1 for c in range(g)]
         self._packed = [_pack_slots(array, self.width) for array in arrays]
         self._pair_products: list[list[int | None]] = [[None] * len(arrays) for _ in arrays]
-        self._contractions: dict[tuple, dict[int, tuple[int, ...]]] = {}
-        self.reads: Counter = Counter()  # reads left in the scan, per contraction
+        self._contractions: dict[tuple, dict[int, int]] = {}
+        self.seen: set[tuple] = set()  # the squares of the orbits the scan has reached
 
-    def contraction(self, key: tuple) -> dict[int, tuple[int, ...]]:
+    def _pair_product(self, r1: int, r2: int) -> int:
+        s, product = self._classes[r1] + self._classes[r2], self._packed[r1] * self._packed[r2]
+        if s >= self.stride:  # exponent s + g k is slot k + 1 of class s - g
+            s, product = s - self.stride, product << 8 * self.width
+        return product & self.masks[s]
+
+    def contraction(self, key: tuple) -> dict[int, int]:
         """(xy|zw) = sum_{e,f} F_xye eta^{ef} F_fzw for key ((x,y),(z,w)) as
-        {packed monomial: packed coefficients of each class}, nonzero ones
-        only, in units of 1/denominator."""
+        {packed monomial * g + class: packed coefficients}, nonzero ones
+        only, in units of 1/denominator.  It is kept for one more read."""
         poly = self._contractions.pop(key, None)
         if poly is None:
             p1, p2 = key
-            acc: dict[int, int] = {}
+            acc: defaultdict[int, int] = defaultdict(int)
             products, classes = self._pair_products, self._classes
             for e, f, w in self.eta_pairs:
-                t1 = self._terms[tuple(sorted((*p1, e)))]
-                if not t1:
+                t1, t2 = self._terms[tuple(sorted((*p1, e)))], self._right.get(tuple(sorted((*p2, f))))
+                if not t1 or t2 is None:
                     continue
-                t2 = self._terms[tuple(sorted((*p2, f)))]
                 for m1, s1, r1 in t1:
                     s1w = s1 * w
                     row = products[r1]
-                    for m2, s2, r2 in t2:
+                    for m2, s2, r2 in t2[classes[r1]]:
                         product = row[r2]
                         if product is None:
-                            mask = self.masks[classes[r1] + classes[r2]]
-                            product = (self._packed[r1] * self._packed[r2]) & mask
-                            row[r2] = products[r2][r1] = product
-                        acc[m1 + m2] = acc.get(m1 + m2, 0) + s1w * s2 * product
-            # class sum s is class s mod g, shifted one slot per carry s // g
-            g, split = self.stride, {}
-            for m, total in acc.items():
-                monomial, s = divmod(m, 2 * g - 1)
-                split.setdefault(monomial, [0] * g)[s % g] += total << (8 * self.width * (s // g))
-            masked = ((m, tuple(map(and_, totals, self.masks))) for m, totals in split.items())
-            poly = {m: totals for m, totals in masked if any(totals)}
-        if (remaining := self.reads.pop(key, 0) - 1) > 0:
-            self.reads[key], self._contractions[key] = remaining, poly
+                            product = row[r2] = products[r2][r1] = self._pair_product(r1, r2)
+                        acc[m1 + m2] += s1w * s2 * product
+            g, masks = self.stride, self.masks
+            poly = self._contractions[key] = {m: v for m, total in acc.items() if (v := total & masks[m % g])}
         return poly
 
     def residual_failure(self, a: int, b: int, c: int, d: int):
-        """First nonzero coefficient of the (a,b,c,d) residual as
-        (exponent, residual), or None."""
+        """First nonzero coefficient of the (a,b,c,d) residual as (exponent,
+        residual), or None; of a tied exponent, the least monomial's."""
         p1, p2 = (self.contraction(key) for key in _contraction_keys(a, b, c, d))
+        # a contraction is read by at most two representatives, one per square it bounds
+        seen = self.seen
+        self._contractions = {k: v for k, v in self._contractions.items() if not seen.issuperset(_squares(k))}
         if p1 == p2:
             return None
-        # slot k of class c is exponent c + g k; a tie in the exponent goes to the first monomial
-        # met in a set of monomial tuples, so the failure reported does not depend on packing
-        p1, p2 = (
-            {tuple(_unpack_slots(m, self.monomial_width, self.dim)): v for m, v in p.items()}
-            for p in (p1, p2)
-        )
-        g, zero, best = self.stride, (0,) * self.stride, None
-        for midx in set(p1) | set(p2):
-            for c, x, y, mask in zip(range(g), p1.get(midx, zero), p2.get(midx, zero), self.masks):
-                slot = _first_slot((x - y) & mask, self.width)
-                if slot is not None and (best is None or c + g * slot[0] < best[0]):
-                    best = c + g * slot[0], slot[1]
-        return best[0], Fraction(best[1], self.denominator)
+        g, failures = self.stride, []
+        for m in p1.keys() | p2.keys():
+            monomial, klass = divmod(m, g)
+            # slot k of class c is exponent c + g k
+            if (slot := _first_slot((p1.get(m, 0) - p2.get(m, 0)) & self.masks[klass], self.width)) is not None:
+                failures.append((klass + g * slot[0], _unpack_slots(monomial, self.monomial_width, self.dim), slot[1]))
+        exponent, _, value = min(failures)
+        return exponent, Fraction(value, self.denominator)
 
 
-def _intern(series: QSeries, ref_of: dict) -> tuple[Fraction, int] | None:
-    """(factor, ref) with series = factor * (base series number ref), the base
-    its valuation and primitive numerators, first one positive, numbered in
-    `ref_of` as first met; None for a zero series."""
+def _intern(series: QSeries, ref_of: dict) -> tuple[int, int, int] | None:
+    """(content, den, ref) with series = content/den * (base series number
+    ref), the base its valuation and primitive numerators, first one
+    positive, numbered in `ref_of` as first met; None for a zero series."""
     if series.valuation < 0:
         raise ValueError("WDVV engine expects power-series coefficients")
     if not series.coeffs:
         return None
     g = math.gcd(*series.coeffs) * (1 if series.coeffs[0] > 0 else -1)
-    base = (series.valuation, tuple(x // g for x in series.coeffs))
-    return Fraction(g, series.den), ref_of.setdefault(base, len(ref_of))
+    base = (series.valuation, tuple(map(g.__rfloordiv__, series.coeffs)))
+    return g, series.den, ref_of.setdefault(base, len(ref_of))
 
 
 def _contraction_keys(a: int, b: int, c: int, d: int) -> list[tuple]:
@@ -462,26 +452,35 @@ def _invariant(potential: FrobeniusPotential, perm: tuple[int, ...]) -> bool:
     return all({rename(k): f(x) for k, x in part.items()} == {k: f(x) for k, x in part.items()} for part, f in parts)
 
 
-# the residual's own symmetries, as maps of the slots of (a,b,c,d): a<->c and b<->d negate
-# it, (b,a,d,c) and (c,d,a,b) fix it
-_RESIDUAL_SYMMETRIES = ((2, 1, 0, 3), (0, 3, 2, 1), (1, 0, 3, 2), (2, 3, 0, 1))
+def _square(a: int, b: int, c: int, d: int) -> tuple:
+    """(a,b,c,d) up to the residual's own symmetries: a<->c and b<->d negate
+    it, (b,a,d,c) and (c,d,a,b) fix it, and together they are the symmetries
+    of a square with corners a, b, c, d in turn.  So the orbit is the square's
+    pair of diagonals, each sorted, sorted."""
+    one, two = (a, c) if a < c else (c, a), (b, d) if b < d else (d, b)
+    return (one, two) if one < two else (two, one)
 
 
-def _orbit_representatives(dim: int, symmetries) -> list[tuple[int, ...]]:
+def _squares(key: tuple) -> list[tuple]:
+    """The squares with opposite sides (x,y) and (z,w) of `key`, joined either
+    way, but for those with a diagonal's ends equal, which no scan meets."""
+    (x, y), (z, w) = key
+    return [_square(*q) for q in ((x, y, z, w), (x, y, w, z)) if q[0] != q[2] and q[1] != q[3]]
+
+
+def _orbit_representatives(dim: int, symmetries, seen: set):
     """The least quadruple over 1..dim-1 of each orbit under the coordinate
     permutations `symmetries` and the residual's own, in lexicographic order,
-    but for a == c or b == d, which vanish as the contraction is symmetric."""
-    # itemgetter(*s)(g) is the composite g o s, and itemgetter(*quad)(perm) renames quad's entries
-    slots = [itemgetter(*s) for s in _closure((0, 1, 2, 3), [itemgetter(*s) for s in _RESIDUAL_SYMMETRIES])]
+    but for a == c or b == d, which vanish as the contraction is symmetric;
+    each is yielded once the squares of its orbit have joined `seen`."""
+    # itemgetter(*quad)(perm) renames quad's entries
     renames = _closure(tuple(range(dim)), [itemgetter(*s) for s in symmetries])
-    seen, out, span = set(), [], range(1, dim)
-    # the least of an orbit has a <= c and b <= d, since a<->c and b<->d act
+    span = range(1, dim)
+    # the least of an orbit has a < c and b < d, since a<->c and b<->d act
     for quad in ((a, b, c, d) for a in span for b in span for c in span[a:] for d in span[b:]):
-        if quad not in seen:
-            pick = itemgetter(*quad)
-            seen.update(slot(pick(perm)) for perm in renames for slot in slots)
-            out.append(quad)
-    return out
+        if _square(*quad) not in seen:
+            seen.update(_square(*itemgetter(*quad)(perm)) for perm in renames)
+            yield quad
 
 
 def wdvv_residual(potential: FrobeniusPotential, truncation: int) -> IdentityReport:
@@ -492,9 +491,8 @@ def wdvv_residual(potential: FrobeniusPotential, truncation: int) -> IdentityRep
     rejects a non-constant metric, so F_0xy = eta_xy and both contractions
     reduce to the same third derivative."""
     engine = _WdvvEngine(potential, truncation)
-    quads = _orbit_representatives(engine.dim, [p for p in potential.symmetries if _invariant(potential, p)])
-    engine.reads = Counter(key for quad in quads for key in _contraction_keys(*quad))
-    for quad in quads:
+    verified = [p for p in potential.symmetries if _invariant(potential, p)]
+    for quad in _orbit_representatives(engine.dim, verified, engine.seen):
         if (failure := engine.residual_failure(*quad)) is not None:
             return failure_report("wdvv", truncation, quad, *failure)
     return pass_report("wdvv", truncation)

@@ -78,3 +78,15 @@ def test_import_footprint():
     for target in ("d4", "halphen"):
         assert "gwseries.e6" not in _loaded_modules(["verify", target, "--order", "8"])
     assert "gwseries.d4" not in _loaded_modules(["verify", "e6", "--order", "8"])
+    # frobenius loads only where a potential is built or checked
+    for argv in (
+        ["verify", "halphen", "--order", "8"],
+        ["solve", "d4", "--order", "8"],
+        ["solve", "e6", "--order", "8"],
+        ["gw-table", "--kmax", "4"],
+        ["genus-one", "d4", "--order", "8"],
+        ["genus-one", "e6", "--order", "8"],
+    ):
+        assert "gwseries.frobenius" not in _loaded_modules(argv), argv
+    for model in ("d4", "e6"):
+        assert "gwseries.frobenius" in _loaded_modules(["verify", model, "--order", "8"])

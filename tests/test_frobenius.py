@@ -273,9 +273,9 @@ def test_engine_reads_the_stride_from_the_numerators():
     strides = [_WdvvEngine(potential, truncation).stride for potential, truncation in _wdvv_cases()]
     assert strides == [1, 1, 1, 1, 2, 1, 3, 3, 1]
     e6 = _WdvvEngine(e6_build_potential(e6_build_fi(60)), 60)
-    assert (e6.stride, e6.slots, len(e6._packed)) == (3, 20, 57)
+    assert (e6.stride, [mask.bit_length() // (8 * e6.width) for mask in e6.masks]) == (3, [20, 20, 20])
     d4 = _WdvvEngine(d4_build_potential(d4_analytic(60)), 60)
-    assert (d4.stride, d4.slots) == (2, 30)
+    assert (d4.stride, [mask.bit_length() // (8 * d4.width) for mask in d4.masks]) == (2, [30, 30])
 
 
 def test_every_stride_case_has_teeth():
@@ -398,9 +398,8 @@ def test_engine_interns_each_series_once(monkeypatch):
     # one gcd and primitive tuple per series object, not one per derivative
     # term: the 446 nonzero terms of the e6 triples hold 57 series objects
     potential = e6_build_potential(e6_build_fi(20))
-    terms = frobenius._derivative_terms(potential, 20)
-    triples = combinations_with_replacement(range(len(potential.coords)), 3)
-    assert sum(1 for t in triples for _, _, s in terms(t) if not s.is_zero()) == 446
+    terms = list(frobenius._derivative_terms(potential, 20))
+    assert sum(1 for *_, series in terms if not series.is_zero()) == 446
     calls = []
     intern = frobenius._intern
 
@@ -468,7 +467,7 @@ def test_a_full_scan_leaves_the_contraction_memo_empty(scanned):
     assert wdvv_residual(e6_build_potential(e6_build_fi(10)), 8).passed
     assert len(scanned) == 3
     for engine in scanned:
-        assert engine.quads and engine._contractions == {} and engine.reads == {}
+        assert engine.quads and engine._contractions == {}
 
 
 def test_scan_skips_every_quadruple_with_the_unit_index(scanned):
@@ -504,22 +503,87 @@ def test_orbit_scan_counts(scanned):
     assert [(len(e.quads), len(e.keys)) for e in scanned] == [(50, 92), (7, 14)]
 
 
+def test_engine_work_counters(scanned):
+    """The deterministic work of a scan: lowerings enumerated from the keys
+    (probing every key for every triple took 5400 for e6 at T = 60), nonzero
+    terms, bases, quadruples, contractions, pair multiply-adds, distinct pair
+    products, slot bytes, and the squares met.  The transcribed e6 block
+    fails at its 12th quadruple, and the scan has met only those 12 orbits,
+    one square each, of the 231 it would list in full."""
+    cases = [
+        (e6_build_potential(e6_build_fi(60)), 60),
+        (e6_build_potential(e6_build_fi(60), raw_f11_block=True), 60),
+        (d4_build_potential(d4_analytic(125)), 125),
+    ]
+    counts = []
+    for potential, truncation in cases:
+        wdvv_residual(potential, truncation)
+        engine = scanned[-1]
+        adds = sum(
+            len(engine._terms[tuple(sorted((*p1, e)))]) * len(engine._terms[tuple(sorted((*p2, f)))])
+            for p1, p2 in engine.keys
+            for e, f, _ in engine.eta_pairs
+        )
+        products = sum(v is not None for i, row in enumerate(engine._pair_products) for v in row[i:])
+        counts.append((
+            sum(1 for _ in frobenius._derivative_terms(potential, truncation)),
+            sum(map(len, engine._terms.values())),
+            len(engine._packed),
+            len(engine.quads),
+            len(engine.keys),
+            adds,
+            products,
+            engine.width,
+            len(engine.seen),
+        ))
+    assert counts == [
+        (446, 446, 57, 50, 92, 7218, 572, 11, 231),
+        (434, 434, 57, 12, 24, 188, 70, 11, 12),
+        (84, 84, 13, 7, 14, 182, 37, 9, 55),
+    ]
+
+
+def test_a_residual_at_half_the_proven_bound_reads_back_exactly():
+    """t0^2 x/2 + t0 t^2/(2N) + x q, with N = 1100: the (x,x,t,t) residual is
+    -N q^2, all of it through the inverse-metric weight N of (t,t).  In units
+    of 1/N^2 that is N^3, N/(2(N+2)) of the proven bound 2 sum|w| reach^2 =
+    2(N+2) N^2, whose 32 bits take 5 bytes with the sign; the bound without
+    its factor 2 would take 4."""
+    n = 1100
+    F = FrobeniusPotential(
+        ("t0", "x", "t"),
+        (Fraction(1), Fraction(1), Fraction(0)),
+        {(2, 1, 0): Fraction(1, 2), (1, 0, 2): Fraction(1, 2 * n)},
+        {(0, 1, 0): QSeries([1], 1, 4)},
+    )
+    engine = _WdvvEngine(F, 4)
+    bound = 2 * (n + 2) * n**2
+    assert (engine.denominator, bound.bit_length(), engine.width) == (n**2, 32, 5)
+    assert 2 * n**3 > 0.99 * bound
+    assert engine.residual_failure(1, 1, 2, 2) == (2, Fraction(-n))
+    failure = wdvv_residual(F, 4).first_failure
+    assert (failure.indices, failure.exponent, failure.residual) == ((1, 1, 2, 2), 2, str(-n))
+
+
 def test_recorded_symmetries_are_the_adjacent_block_swaps():
     d4 = d4_build_potential(d4_analytic(12))
     assert d4.symmetries == ((0, 2, 1, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 4, 3, 5))
     e6 = e6_build_potential(e6_build_fi(12))
     assert e6.symmetries == ((0, 2, 1, 3, 4, 6, 5, 7), (0, 1, 3, 2, 5, 4, 6, 7))
     assert all(frobenius._invariant(F, perm) for F in (d4, e6) for perm in F.symmetries)
+    # the transcribed block breaks both swaps, so it is built with none recorded
     raw = e6_build_potential(e6_build_fi(12), raw_f11_block=True)
-    assert [frobenius._invariant(raw, perm) for perm in raw.symmetries] == [False, False]
+    assert raw.symmetries == ()
+    assert [frobenius._invariant(raw, perm) for perm in e6.symmetries] == [False, False]
     with pytest.raises(ValueError):
         FrobeniusPotential(d4.coords, d4.degrees, d4.classical, d4.quantum, [(0, 1, 2, 3, 5, 4)])
 
 
 def test_orbit_scan_reports_what_the_full_scan_reports(monkeypatch):
     """On potentials that keep their symmetries (a row prefactor, a shared
-    series bumped at every key) and ones that break them (one key bumped,
-    the raw f_11 block), the report equals the one without symmetries."""
+    series bumped at every key), ones that break them (one key bumped) and
+    the raw f_11 block, which records none, the report equals the one
+    without symmetries."""
     coeffs = e6_build_fi(12)
     rows = list(e6_module._E6_QUANTUM_ROWS)
     rows[5] = (rows[5][0], Fraction(1, 3), rows[5][2])
@@ -536,7 +600,7 @@ def test_orbit_scan_reports_what_the_full_scan_reports(monkeypatch):
         e6_build_potential(coeffs, raw_f11_block=True),
     ]
     kept = [all(frobenius._invariant(F, perm) for perm in F.symmetries) for F in cases]
-    assert kept == [True] * 3 + [False] * 3
+    assert kept == [True] * 3 + [False] * 2 + [True]
     for F in cases:
         report = wdvv_residual(F, 10)
         assert not report.passed
@@ -552,10 +616,10 @@ def test_a_symmetry_that_fails_verification_is_never_used(scanned):
     report = wdvv_residual(F, 10)
     assert not report.passed and report == wdvv_residual(_without_symmetries(F), 10)
     quads = scanned[0].quads  # the scan stops at the failure
-    assert quads == frobenius._orbit_representatives(6, F.symmetries[0::2])[: len(quads)]
+    assert quads == list(frobenius._orbit_representatives(6, F.symmetries[0::2], set()))[: len(quads)]
     assert report.first_failure.indices == (1, 1, 3, 3)
     engine = _WdvvEngine(F, 10)
-    trusted = frobenius._orbit_representatives(6, F.symmetries)
+    trusted = frobenius._orbit_representatives(6, F.symmetries, set())
     assert next(quad for quad in trusted if engine.residual_failure(*quad)) == (1, 1, 5, 5)
 
 
