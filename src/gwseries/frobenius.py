@@ -36,7 +36,7 @@ slots are wide enough by Cauchy-Schwarz, |(b b')_k| <= |b|_2 |b'|_2: with w
 the inverse-metric weights and s_t, b_t the scalar and base series of a term
 t, every residual coefficient is at most
 
-    2 sum_{e,f} |w_ef| max_T (sum_{t in T} |s_t| |b_t|_2)^2
+    2 sum_{e,f} |w_ef| top(e) top(f),  top(x) = max_{T holding x} sum_{t in T} |s_t| |b_t|_2
 
 over the triples T.  A contraction is kept only until the scan's last read
 of it.
@@ -350,9 +350,9 @@ class _WdvvEngine:
         units = [g << 8 * mw * i for i in range(dim)]
         packed_keys = {key: sum(map(mul, key, units)) for key in keys}
         self._terms: dict[tuple[int, int, int], list] = {t: [] for t in combinations_with_replacement(range(dim), 3)}
-        # by Cauchy-Schwarz a pair-product coefficient is at most the product of the
-        # two bases' l2 norms, so a contraction's is at most sum |w| * reach^2, with
-        # reach the largest sum of |scalar| * norm over the terms of one triple
+        # by Cauchy-Schwarz a pair-product coefficient is at most the product of the two
+        # bases' l2 norms, so a contraction's is at most sum_ef |w_ef| top(e) top(f), top(x)
+        # the largest sum of |scalar| * norm over the terms of a triple holding x
         norms = [math.isqrt(n - 1) + 1 if (n := sum(map(mul, array, array))) else 0 for array in arrays]
         reach = dict.fromkeys(self._terms, 0)
         for triple, key, slots, num, den, ref in terms:
@@ -360,9 +360,9 @@ class _WdvvEngine:
             monomial = packed_keys[key] - sum(map(units.__getitem__, slots))
             self._terms[triple].append((monomial + classes[ref], scalar, ref))
             reach[triple] += abs(scalar) * norms[ref]
-        weights = sum(abs(w) for _, _, w in self.eta_pairs)
+        top = [max(r for triple, r in reach.items() if x in triple) for x in range(dim)]
         # a residual coefficient is a difference of two contraction coefficients
-        self.width = _slot_width(2 * weights * max(reach.values()) ** 2)
+        self.width = _slot_width(2 * sum(abs(w) * top[e] * top[f] for e, f, w in self.eta_pairs))
         # class 0 never carries
         self._right = {
             triple: [line] + [[(m - g * (c + classes[r] >= g), s, r) for m, s, r in line] for c in range(1, g)]

@@ -537,18 +537,19 @@ def test_engine_work_counters(scanned):
             len(engine.seen),
         ))
     assert counts == [
-        (446, 446, 57, 50, 92, 7218, 572, 11, 231),
-        (434, 434, 57, 12, 24, 188, 70, 11, 12),
-        (84, 84, 13, 7, 14, 182, 37, 9, 55),
+        (446, 446, 57, 50, 92, 7218, 572, 9, 231),
+        (434, 434, 57, 12, 24, 188, 70, 9, 12),
+        (84, 84, 13, 7, 14, 182, 37, 8, 55),
     ]
 
 
 def test_a_residual_at_half_the_proven_bound_reads_back_exactly():
     """t0^2 x/2 + t0 t^2/(2N) + x q, with N = 1100: the (x,x,t,t) residual is
     -N q^2, all of it through the inverse-metric weight N of (t,t).  In units
-    of 1/N^2 that is N^3, N/(2(N+2)) of the proven bound 2 sum|w| reach^2 =
-    2(N+2) N^2, whose 32 bits take 5 bytes with the sign; the bound without
-    its factor 2 would take 4."""
+    of 1/N^2 that is N^3, N/(2(N+2)) of the proven bound (module docstring)
+    2 sum_ef |w_ef| top(e) top(f) = 2 (N+2) N^2, every top being N; its 32
+    bits take 5 bytes with the sign, and without its factor 2 they would
+    take 4."""
     n = 1100
     F = FrobeniusPotential(
         ("t0", "x", "t"),
