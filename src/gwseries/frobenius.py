@@ -45,7 +45,7 @@ of it.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, compress, count
 from operator import itemgetter, mul
@@ -155,6 +155,7 @@ def orbit_potential(coords, degrees, blocks, classical_rows, quantum_rows) -> Fr
     >>> one, rows = QSeries.one(4), [((0, 4, 0, 0, 0, 0), 4), ((0, 2, 2, 0, 0, 0), 6)]
     >>> F = orbit_potential("t0 t1 t2 t3 t4 t".split(), [0] * 6, ((1,), (2,), (3,), (4,)),
     ...                     [], [(key, Fraction(1, n), one) for key, n in rows])
+    >>> from collections import Counter
     >>> sorted(Counter(map(id, F.quantum.values())).values())  # keys per shared series
     [4, 6]
     """
