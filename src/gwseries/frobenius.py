@@ -260,11 +260,11 @@ class MetricMatrix(NamedTuple):
                 raise NonConstantMetric("metric is degenerate")
             work[col], work[pivot] = work[pivot], work[col]
             inv = _F1 / work[col][col]
-            work[col] = [x * inv for x in work[col]]
+            work[col] = [x * inv if x else x for x in work[col]]
             for r in range(n):
                 if r != col and work[r][col]:
                     factor = work[r][col]
-                    work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+                    work[r] = [x - factor * y if y else x for x, y in zip(work[r], work[col])]
         return tuple(tuple(row[n:]) for row in work)
 
 
