@@ -177,9 +177,8 @@ def orbit_potential(coords, degrees, blocks, classical_rows, quantum_rows) -> Fr
 
 
 def _lowerings(key: tuple[int, ...], counts) -> list[tuple[tuple[int, ...], int]]:
-    """d/dt_s once for each s in `slots` on the monomial t^key, for every
-    ascending `slots` of a length in `counts` (at most 3) that the exponents
-    allow: (slots, product of the falling factorials)."""
+    """d/dt_s for each s in `slots` on t^key, for every ascending `slots` of a
+    length in `counts` (at most 3) allowed: (slots, product of falling factorials)."""
     found = [((), 1)]
     for i, e in enumerate(key):
         if e:
@@ -202,7 +201,7 @@ def _derivative_terms(potential: FrobeniusPotential, truncation: int):
     towers: dict[int, list[QSeries]] = {}
     for key, series in potential.quantum.items():
         if id(series) not in towers:
-            tower = towers[id(series)] = [series.truncate(truncation)]
+            tower = towers[id(series)] = [series if series.truncation == truncation else series.truncate(truncation)]
             for _ in range(3):
                 tower.append(tower[-1].qdq())
         for slots, falling in _lowerings(key, range(4)):
@@ -450,7 +449,8 @@ def _invariant(potential: FrobeniusPotential, perm: tuple[int, ...]) -> bool:
     equal Fractions, and QSeries equal field by field, not up to truncation."""
     rename = itemgetter(*sorted(range(len(perm)), key=perm.__getitem__))
     parts = ((potential.classical, Fraction), (potential.quantum, QSeries._fields))
-    return all({rename(k): f(x) for k, x in part.items()} == {k: f(x) for k, x in part.items()} for part, f in parts)
+    images = ((part, f, {rename(k): x for k, x in part.items()}) for part, f in parts)
+    return all(i.keys() == p.keys() and all(x is p[k] or f(x) == f(p[k]) for k, x in i.items()) for p, f, i in images)
 
 
 def _square(a: int, b: int, c: int, d: int) -> tuple:
