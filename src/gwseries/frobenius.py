@@ -24,13 +24,13 @@ reports what a full scan would.
 Internally each coefficient series is interned up to a rational scalar and
 packed once into a single int (Kronecker substitution, in the slot format of
 exact_arith), so the scan is integer arithmetic only.  The derivative terms
-are enumerated from each key's own support, their monomials packed and
-lowered by subtracting slot units, their scalars integers over one common
-denominator.  Only the residue class each series occupies is packed: the
+are enumerated from each key's own support, their monomials mixed-radix
+ints lowered by subtracting digit units, their scalars integers over one
+common denominator.  Only the residue class each series occupies is packed: the
 stride g is the gcd of the exponent offsets within every series (3 for e6, 2
 for d4), read from the numerators, so a perturbation off the class only
 lowers g and stays seen.  A pair product is memoized in its final class, so a
-contraction is one dict keyed by packed monomial * g + class, and a residual
+contraction is one dict keyed by monomial * g + class, and a residual
 is a difference of packed ints, first nonzero at the lowest set bit.  The
 slots are wide enough by Cauchy-Schwarz, |(b b')_k| <= |b|_2 |b'|_2: with w
 the inverse-metric weights and s_t, b_t the scalar and base series of a term
@@ -45,13 +45,12 @@ of it.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, compress, count
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from .exact_arith import Frozen, _first_slot, _pack_slots, _slot_width, _unpack_slots
+from .exact_arith import Frozen, _first_slot, _pack_slots, _slot_width
 from .qseries import PrecisionError, QSeries
 from .reporting import IdentityReport, failure_report, pass_report
 
@@ -279,7 +278,7 @@ def metric_from_potential(potential: FrobeniusPotential) -> MetricMatrix:
         for slots, falling in _lowerings(key, (3,)) if coeff else ():
             if slots[0] == 0:  # slots are ascending
                 i, j = slots[1:]
-                if any(lowered := tuple(e - slots.count(i) for i, e in enumerate(key))):
+                if any(lowered := tuple(e - slots.count(s) for s, e in enumerate(key))):
                     raise NonConstantMetric(
                         f"entry ({potential.coords[i]},{potential.coords[j]}) "
                         f"depends on coordinates: monomial {lowered}"
@@ -315,7 +314,7 @@ class _WdvvEngine:
     """Exact associativity residuals in packed-integer arithmetic (module
     docstring).  A base of class c = valuation mod g keeps one slot per
     exponent c + g k below T, `width` bytes wide.  A term is (key, scalar,
-    base), key = packed monomial * g + class; the right-hand terms of a
+    base), key = monomial * g + class; the right-hand terms of a
     contraction come in one list per left class, their keys less g where the
     class sum s reaches g, since such a pair product sits one slot up in
     class s - g, so the sum of two keys is always the product's key.
@@ -346,9 +345,11 @@ class _WdvvEngine:
         classes = self._classes = [valuation % g for valuation, _ in ref_of]
         arrays = [[0] * (valuation // g) + list(nums[::g]) for valuation, nums in ref_of]
         keys = [*potential.quantum, *potential.classical]
-        self.monomial_width = mw = _slot_width(2 * max(map(max, keys), default=0))
-        units = [g << 8 * mw * i for i in range(dim)]
-        packed_keys = {key: sum(map(mul, key, units)) for key in keys}
+        # a monomial is a mixed-radix number, coordinate 0 its leading digit, each digit
+        # wide enough for a product's exponents: so keys add, and order as exponent tuples
+        radices = [2 * max(column) + 1 for column in zip(*keys)]
+        units = [g * math.prod(radices[i + 1 :]) for i in range(dim)]
+        numbers = {key: sum(map(mul, key, units)) for key in keys}
         self._terms: dict[tuple[int, int, int], list] = {t: [] for t in combinations_with_replacement(range(dim), 3)}
         # by Cauchy-Schwarz a pair-product coefficient is at most the product of the two
         # bases' l2 norms, so a contraction's is at most sum_ef |w_ef| top(e) top(f), top(x)
@@ -357,7 +358,7 @@ class _WdvvEngine:
         reach = dict.fromkeys(self._terms, 0)
         for triple, key, slots, num, den, ref in terms:
             scalar = num * (d_scalar // den)
-            monomial = packed_keys[key] - sum(map(units.__getitem__, slots))
+            monomial = numbers[key] - sum(map(units.__getitem__, slots))
             self._terms[triple].append((monomial + classes[ref], scalar, ref))
             reach[triple] += abs(scalar) * norms[ref]
         top = [max(r for triple, r in reach.items() if x in triple) for x in range(dim)]
@@ -383,13 +384,13 @@ class _WdvvEngine:
 
     def contraction(self, key: tuple) -> dict[int, int]:
         """(xy|zw) = sum_{e,f} F_xye eta^{ef} F_fzw for key ((x,y),(z,w)) as
-        {packed monomial * g + class: packed coefficients}, nonzero ones
+        {monomial * g + class: packed coefficients}, nonzero ones
         only, in units of 1/denominator.  It is kept for one more read."""
         poly = self._contractions.pop(key, None)
         if poly is None:
             p1, p2 = key
-            acc: defaultdict[int, int] = defaultdict(int)
-            products, classes = self._pair_products, self._classes
+            acc: dict[int, int] = {}
+            get, products, classes = acc.get, self._pair_products, self._classes
             for e, f, w in self.eta_pairs:
                 t1, t2 = self._terms[tuple(sorted((*p1, e)))], self._right.get(tuple(sorted((*p2, f))))
                 if not t1 or t2 is None:
@@ -401,7 +402,8 @@ class _WdvvEngine:
                         product = row[r2]
                         if product is None:
                             product = row[r2] = products[r2][r1] = self._pair_product(r1, r2)
-                        acc[m1 + m2] += s1w * s2 * product
+                        m = m1 + m2
+                        acc[m] = get(m, 0) + s1w * s2 * product
             g, masks = self.stride, self.masks
             poly = self._contractions[key] = {m: v for m, total in acc.items() if (v := total & masks[m % g])}
         return poly
@@ -417,10 +419,9 @@ class _WdvvEngine:
             return None
         g, failures = self.stride, []
         for m in p1.keys() | p2.keys():
-            monomial, klass = divmod(m, g)
-            # slot k of class c is exponent c + g k
+            klass = m % g  # slot k of class c is exponent c + g k
             if (slot := _first_slot((p1.get(m, 0) - p2.get(m, 0)) & self.masks[klass], self.width)) is not None:
-                failures.append((klass + g * slot[0], _unpack_slots(monomial, self.monomial_width, self.dim), slot[1]))
+                failures.append((klass + g * slot[0], m, slot[1]))
         exponent, _, value = min(failures)
         return exponent, Fraction(value, self.denominator)
 

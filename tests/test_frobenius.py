@@ -11,6 +11,7 @@ import gwseries.e6 as e6_module
 import gwseries.frobenius as frobenius
 from gwseries.d4 import d4_analytic, d4_build_potential
 from gwseries.e6 import e6_build_fi, e6_build_potential
+from gwseries.exact_arith import _unpack_slots as unpack
 from gwseries.frobenius import (
     FrobeniusPotential,
     MetricMatrix,
@@ -311,6 +312,22 @@ def test_engine_matches_the_fraction_reference_on_every_quadruple(wdvv_reference
             reference.assert_first_failure(quad, engine.residual_failure(*quad))
 
 
+def test_a_contraction_keeps_every_monomial_apart(wdvv_reference):
+    """(t t | t t) multiplies whole quantum keys, so its exponents are the
+    largest a product reaches: the engine keeps one entry per monomial and
+    residue class, each with the reference's coefficients."""
+    potential = e6_build_potential(e6_build_fi(10))
+    engine = _WdvvEngine(potential, 10)
+    g, t = engine.stride, engine.dim - 1
+    got = sorted(
+        (m % g, tuple(Fraction(x, engine.denominator) for x in unpack(v, engine.width, len(range(m % g, 10, g)))))
+        for m, v in engine.contraction(((t, t), (t, t))).items()
+    )
+    reference = wdvv_reference(potential, 10).contraction(t, t, t, t)
+    want = sorted((c, tuple(coeffs[c::g])) for coeffs in reference.values() for c in range(g) if any(coeffs[c::g]))
+    assert len(got) == 146 and got == want
+
+
 def test_wdvv_rejects_laurent_coefficients():
     plane = _projective_plane()
     laurent = FrobeniusPotential(
@@ -504,12 +521,11 @@ def test_orbit_scan_counts(scanned):
 
 
 def test_engine_work_counters(scanned):
-    """The deterministic work of a scan: lowerings enumerated from the keys
-    (probing every key for every triple took 5400 for e6 at T = 60), nonzero
-    terms, bases, quadruples, contractions, pair multiply-adds, distinct pair
-    products, slot bytes, and the squares met.  The transcribed e6 block
-    fails at its 12th quadruple, and the scan has met only those 12 orbits,
-    one square each, of the 231 it would list in full."""
+    """The deterministic work of a scan: lowerings enumerated from the keys,
+    nonzero terms, bases, quadruples, contractions, pair multiply-adds,
+    distinct pair products, slot bytes, and the squares met.  The transcribed
+    e6 block fails at its 12th quadruple, and the scan has met only those 12
+    orbits, one square each, of the 231 it would list in full."""
     cases = [
         (e6_build_potential(e6_build_fi(60)), 60),
         (e6_build_potential(e6_build_fi(60), raw_f11_block=True), 60),
