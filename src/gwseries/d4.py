@@ -91,7 +91,7 @@ def d4_analytic(order: int) -> D4Coefficients:
     `d4_construction_reports`.
     """
     f = f_series(order)
-    a = (f - f.twist(Fraction(-1))).scale(_HALF)
+    a = f.dissect(2, 1)
     quarter_order = -(-order // 4)
     b = f_series(quarter_order).substitute_power(4).truncate(order)
     return D4Coefficients(a, b, f - a - b)

@@ -19,8 +19,8 @@ closed form, f_0 against the square root (1/3) (a'/(1 - a^3))^(1/2), the
 generators against their system, each derived series against an independent
 formula, and a suite
 of modular identities tying a to the j-invariant, cusp forms, and twisted eta
-products, series over Q(zeta_3) held as pairs of rational series, with 72nd
-roots of unity only in their scalars.  The builders only build;
+products, read off the 3-dissection of rational series with the roots of
+unity kept as exponents.  The builders only build;
 `e6_suites` builds each series once and hands it to the report functions.
 """
 
@@ -36,8 +36,8 @@ from .modular import (
     verify_cusp_form_from_j,
     verify_eta_product_rotation,
 )
-from .qseries import OmegaSeries, QSeries, field_text, solve_qdq_system
-from .reporting import GenusOneResult, IdentityReport, failure_report, series_match
+from .qseries import QSeries, field_text, solve_qdq_system
+from .reporting import GenusOneResult, IdentityReport, failure_report, pass_report, series_match
 
 if TYPE_CHECKING:
     from .frobenius import FrobeniusPotential
@@ -244,7 +244,7 @@ def e6_identity_suite(
     order: int, a: QSeries, f0: QSeries, quotient: QSeries
 ) -> list[IdentityReport]:
     """The j-invariant relation, the cusp-form identities, and the twisted
-    eta expressions for the pole series `a` (the last over Q(zeta_3)), all
+    eta expressions for the pole series `a` (the last with roots of unity), all
     certified through the same order.  `a` must reach order + 2 and the eta
     quotients `f0` = eta(9)^3 / eta(3) and `quotient` = eta(1)^3 / eta(9)^3
     must reach order."""
@@ -284,6 +284,8 @@ _TWISTED_POLE_ROWS = (
     ("e6-pole-twist-square", 1, -2, -2, 6),
     ("e6-pole-twist-linear", 2, -1, -1, 3),
 )
+# omega^0, omega^1, omega^2 = -1 - omega as (x, y) for x + y omega
+_OMEGA_POWERS = ((1, 0), (0, 1), (-1, -1))
 
 
 def e6_twisted_pole_reports(order: int, a: QSeries, quotient: QSeries) -> list[IdentityReport]:
@@ -293,28 +295,36 @@ def e6_twisted_pole_reports(order: int, a: QSeries, quotient: QSeries) -> list[I
     Twisting eta's q^(1/24) prefactor needs a 72nd root of unity branch;
     the branch taken is the literal one, zeta_72^b read off the row,
     matching the product identity for eta(q^3)^4.  The prefactor is kept as
-    zeta_72^e times a rational, e = 3b + p mod 72.  It lies in Q(zeta_3)
-    exactly when 12 | e and in Q exactly when 36 | e; outside Q(zeta_3) it
-    fails the report at the pole, where it first enters.  The series part
-    needs no root of unity but w = zeta_3: eta(q^9) is a series in q^9,
-    which the twist fixes, so the twisted unit is the twist of the one
-    rational unit of `quotient` = eta(q)^3 / eta(q^9)^3 = q^-1 + ..., its
-    3-dissection A_0 + w^k A_1 + w^2k A_2 (`OmegaSeries.twist`), a pair over
-    Q(zeta_3).  `quotient` must reach order.
+    zeta_72^e times a rational, e = 3b + p mod 72.  Outside Q(zeta_3), when
+    12 does not divide e, it fails the report at the pole, where it first
+    enters.  Otherwise it is zeta_6^m = (-1)^m omega^2m for m = e/12.  The
+    series part needs no other root of unity: eta(q^9) is a series in q^9,
+    which the twist fixes, so the twist multiplies the q^n term of the unit
+    of `quotient` = eta(q)^3 / eta(q^9)^3 = q^pole + ... by omega^kn.  So
+    the terms of `quotient` with exponent r mod 3 (`dissect`) pick up
+    omega^(2m + k(r - pole)), and the residual is x + y omega for two
+    rational series x and y, printed x + y*z3^1 at its first nonzero term.
+    `a` and `quotient` must reach order.
     """
     pole = quotient.valuation
-    unit = quotient.truncate(order).shift(-pole)
+    parts = [quotient.truncate(order).dissect(3, r) for r in range(3)]
     reports = []
     for name, omega_power, k, branch_power, phase_power in _TWISTED_POLE_ROWS:
         phase = (3 * branch_power + phase_power) % 72
         if phase % 12:
-            residual = field_text((a.coefficient(pole), ""), (-_THIRD, f"*z72^{phase}"))
-            reports.append(failure_report(name, order, (24 * k,), pole, residual))
-            continue
-        root = OmegaSeries.root_of_unity(72, phase, unit.truncation)
-        twisted = (OmegaSeries.twist(unit, k) * root * _THIRD).shift(pole)
-        rhs = OmegaSeries.root_of_unity(3, omega_power, order) + twisted
-        reports.append(series_match(name, a, rhs, order, indices=(24 * k,)))
+            failure = pole, field_text((a.coefficient(pole), ""), (-_THIRD, f"*z72^{phase}"))
+        else:
+            m = phase // 12
+            sign, (x, y) = _THIRD * (-1) ** m, _OMEGA_POWERS[omega_power % 3]
+            res_x, res_y = a.truncate(order) - x, QSeries.constant(-y, order)
+            for r, part in enumerate(parts):
+                x, y = _OMEGA_POWERS[(2 * m + k * (r - pole)) % 3]
+                res_x, res_y = res_x - part.scale(sign * x), res_y - part.scale(sign * y)
+            failure = None
+            if (e := min(res_x.valuation, res_y.valuation)) < order:
+                failure = e, field_text((res_x.coefficient(e), ""), (res_y.coefficient(e), "*z3^1"))
+        report = pass_report(name, order) if failure is None else failure_report(name, order, (24 * k,), *failure)
+        reports.append(report)
     return reports
 
 

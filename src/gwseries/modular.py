@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 from .exact_arith import Frozen
-from .qseries import OmegaSeries, QSeries, ValuationNotDivisible
+from .qseries import QSeries, ValuationNotDivisible
 from .reporting import (
     GenusOneResult,
     IdentityReport,
@@ -368,9 +368,9 @@ def verify_f_eta(truncation: int) -> IdentityReport:
 
 
 def verify_even_part(truncation: int) -> IdentityReport:
-    """(f(q) + f(-q))/2 = 3 f(q^2) - 2 f(q^4)."""
+    """(f(q) + f(-q))/2 = 3 f(q^2) - 2 f(q^4): the even part of f."""
     f = f_series(truncation)
-    lhs = (f + f.twist(-1)).scale(Fraction(1, 2))
+    lhs = f.dissect(2, 0)
     base = f_series(truncation // 2 + 1)
     rhs = base.substitute_power(2).scale(3) - f_series(truncation // 4 + 1).substitute_power(4).scale(2)
     return series_match("even-part-halving", lhs, rhs, truncation)
@@ -395,18 +395,22 @@ def verify_eta_product_rotation(truncation: int) -> IdentityReport:
     where w = zeta_3 = exp(2 pi i/3) and each twist q -> q w^-k carries the
     branch zeta_72^-k for the 24th root in the prefactor.  The roots of unity
     multiply to zeta_72^(3 - 1 - 2) = 1, so both prefactors are q^(1/2),
-    compared first.  The twist of the rational eta unit by w^-k is its
-    3-dissection A_0 + w^-k A_1 + w^-2k A_2, a pair over Q(zeta_3)
-    (`OmegaSeries.twist`), so the left unit is one pair product times a
-    rational one, and it must come out rational.
+    compared first.  With A_r the terms of the rational eta unit u with
+    exponent r mod 3 (`dissect`), u(w^-1 q) = A_0 + w^2 A_1 + w A_2 = x + w y
+    for x = A_0 - A_1 and y = A_2 - A_1, since w^2 = -1 - w.  Its twist by
+    w^-2 is the conjugate x + w^2 y, so the two multiply to the norm
+    x^2 - xy + y^2 = (x - y)^2 + xy, a rational series: the left unit is
+    four rational products.
     """
     name = "eta-product-rotation"
     lhs, rhs = EtaQuotient(((1, Fraction(3)), (9, Fraction(1)))), EtaQuotient(((3, Fraction(4)),))
     if lhs.offset != rhs.offset:
         return failure_report(name, truncation, (), 0, f"offset {lhs.offset} != {rhs.offset}")
     unit, unit_nine = eta_unit(1, truncation), eta_unit(9, truncation)
-    twisted = OmegaSeries.twist(unit, -1) * OmegaSeries.twist(unit, -2)
-    return series_match(name, twisted * (unit * unit_nine), rhs.unit(truncation), truncation)
+    a0, a1, a2 = (unit.dissect(3, r) for r in range(3))
+    x, y = a0 - a1, a2 - a1
+    norm = (x - y) ** 2 + x * y
+    return series_match(name, norm * (unit * unit_nine), rhs.unit(truncation), truncation)
 
 
 def verify_cusp_form_from_j(truncation: int, J: QSeries, discriminant: QSeries) -> IdentityReport:

@@ -14,9 +14,10 @@ one recurrence (`_power`).  Fractions only enter and leave at the boundary:
 the constructor, `from_coefficient_map`, `coefficient`, `known_terms`,
 `leading`, `format_series` and `to_json_dict`.
 
-An OmegaSeries is a series over Q(zeta_3) as a pair of rational series,
-u + w v with w = zeta_3.  The twist q -> w^k q of a rational series is its
-3-dissection, so twisted eta products need no other field.
+There is no other coefficient field.  A twist q -> w q by a root of unity w
+of order m multiplies the terms with exponent r mod m (`dissect`) by w^r, so
+an identity of twisted series is a statement about the m parts of rational
+series, with the powers of w kept as exponents by the caller.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exact_arith import Frozen, int_convolve, rational_nth_root
 
@@ -284,27 +285,16 @@ class QSeries(Frozen):
         flat[::m] = self.coeffs
         return self._replace(valuation=self.valuation * m, coeffs=flat, truncation=self.truncation * m)
 
-    def twist(self, c: Fraction | int) -> "QSeries":
-        """Substitute q -> c*q for a rational c: the q^n coefficient picks up
-        a factor c^n.  A twist by a power of zeta_3 is `OmegaSeries.twist`.
+    def dissect(self, m: int, r: int) -> "QSeries":
+        """The terms whose exponent is r mod m; a series is the sum of its m parts.
 
-        With c = p/d, c^v = p_v/d_v and n exponents known, the numerator at
-        exponent v + i is multiplied by the integer p_v p^i d^(n-1-i), and the
-        one denominator by d_v d^(n-1).
+        >>> QSeries([1, 2, 3, 4, 5], -1, 6).dissect(3, 2)
+        QSeries(q^-1 + 4q^2 + O(q^6))
         """
-        c = Fraction(c)
-        if c == 1:
-            return self
-        if not c:
-            raise ZeroDivisionError("twist scalar must be invertible")
-        start = c**self.valuation
-        p, d = c.numerator, c.denominator
-        lift = d ** max(len(self.coeffs) - 1, 0)
-        k, out = start.numerator * lift, []
-        for x in self.coeffs:
-            out.append(x * k)
-            k = k * p // d  # exact until unused
-        return self._replace(den=self.den * start.denominator * lift, coeffs=out)
+        start = (r - self.valuation) % m
+        out = [0] * len(self.coeffs)
+        out[start::m] = self.coeffs[start::m]
+        return self._replace(coeffs=out)
 
     def log_unit(self) -> "QSeries":
         """Logarithm of a unit with constant term exactly 1.
@@ -389,8 +379,7 @@ class QSeries(Frozen):
     __hash__ = None  # equality only holds up to min truncation
 
     def first_difference(self, other):
-        """Smallest exponent where the two series disagree, with the residual;
-        `other` may be an OmegaSeries, and then the residual is its text."""
+        """Smallest exponent where the two series disagree, with the residual."""
         diff = self - other
         return None if diff.is_zero() else diff.leading()
 
@@ -521,109 +510,3 @@ def field_text(*terms: tuple[Fraction, str]) -> str:
     """
     return " + ".join(f"{c}{label}" for c, label in terms if c) or "0"
 
-
-class OmegaSeries(NamedTuple):
-    """u + w v over Q(zeta_3), w = exp(2 pi i/3), as two rational series.
-
-    With w^2 = -1 - w a product of two pairs is three rational products:
-    for P = u1 u2, Q = v1 v2 and R = (u1 + v1)(u2 + v2),
-
-        (u1 + w v1)(u2 + w v2) = (P - Q) + w (R - P - 2Q).
-
-    A rational series or scalar multiplies u and v separately.  The pair is
-    known through the smaller of the two truncations.
-
-    >>> one, w = QSeries.one(4), OmegaSeries.root_of_unity(3, 1, 4)
-    >>> (w * w * w - one).is_zero(), (w * w + w + one).is_zero()
-    (True, True)
-    """
-
-    u: QSeries
-    v: QSeries
-
-    @classmethod
-    def twist(cls, s: QSeries, k: int) -> "OmegaSeries":
-        """s(w^k q) from the 3-dissection s = A_0 + A_1 + A_2, A_r the terms
-        with exponent r mod 3: s(w^k q) = A_0 + w^k A_1 + w^2k A_2, one pass
-        over the numerators and no product.
-
-        >>> OmegaSeries.twist(QSeries([1, 1, 1, 1], 0, 4), 1)  # 1 + w q + w^2 q^2 + q^3
-        OmegaSeries(u=QSeries(1 - q^2 + q^3 + O(q^4)), v=QSeries(q - q^2 + O(q^4)))
-        """
-        us, vs = list(s.coeffs), [0] * len(s.coeffs)
-        if k % 3:
-            # k^2 = 1 mod 3: exponents k mod 3 pick up w, exponents 2k mod 3 pick up w^2 = -1 - w
-            at_w, at_w2 = (k - s.valuation) % 3, (2 * k - s.valuation) % 3
-            vs[at_w::3] = s.coeffs[at_w::3]
-            us[at_w::3] = [0] * len(vs[at_w::3])
-            us[at_w2::3] = vs[at_w2::3] = [-x for x in s.coeffs[at_w2::3]]
-        return cls(s._replace(coeffs=us), s._replace(coeffs=vs))
-
-    @classmethod
-    def root_of_unity(cls, n: int, e: int, truncation: int) -> "OmegaSeries":
-        """The constant zeta_n^e.  It lies in Q(zeta_3) exactly when it is a
-        sixth root of unity, n | 6e, and then zeta_n^e = zeta_6^m = (-1)^m w^2m
-        for m = 6e/n; it is rational exactly when n | 2e.  For n = 72 these
-        read 12 | e and 36 | e."""
-        m, rest = divmod(6 * e, n)
-        if rest:
-            raise ValueError(f"zeta_{n}^{e} is not in Q(zeta_3)")
-        sign = -1 if m % 2 else 1
-        x, y = ((1, 0), (0, 1), (-1, -1))[2 * m % 3]  # w^0, w^1, w^2 = -1 - w
-        return cls(QSeries.constant(sign * x, truncation), QSeries.constant(sign * y, truncation))
-
-    @property
-    def truncation(self) -> int:
-        return min(self.u.truncation, self.v.truncation)
-
-    def truncate(self, truncation: int) -> "OmegaSeries":
-        return OmegaSeries(self.u.truncate(truncation), self.v.truncate(truncation))
-
-    def shift(self, k: int) -> "OmegaSeries":
-        return OmegaSeries(self.u.shift(k), self.v.shift(k))
-
-    def __add__(self, other):
-        if isinstance(other, QSeries):
-            return OmegaSeries(self.u + other, self.v)
-        if isinstance(other, OmegaSeries):
-            return OmegaSeries(self.u + other.u, self.v + other.v)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return OmegaSeries(-self.u, -self.v)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, OmegaSeries):
-            p, q = self.u * other.u, self.v * other.v
-            r = (self.u + self.v) * (other.u + other.v)
-            return OmegaSeries(p - q, r - p - q * 2)
-        if isinstance(other, (QSeries, *_SCALARS)):
-            return OmegaSeries(self.u * other, self.v * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        """True when u and v both vanish through O(q^truncation)."""
-        return min(self.u.valuation, self.v.valuation) >= self.truncation
-
-    def leading(self) -> tuple[int, str]:
-        """The lowest known term, its coefficient x + y w printed 'x + y*z3^1'."""
-        if self.is_zero():
-            raise ZeroDivisor("series is zero to its truncation order")
-        e = min(self.u.valuation, self.v.valuation)
-        return e, field_text((self.u.coefficient(e), ""), (self.v.coefficient(e), "*z3^1"))
-
-    def first_difference(self, other) -> tuple[int, str] | None:
-        """Smallest exponent where self and a QSeries or OmegaSeries disagree,
-        with the residual's text."""
-        diff = self - other
-        return None if diff.is_zero() else diff.leading()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .qseries import OmegaSeries, PrecisionError, QSeries
+from .qseries import PrecisionError, QSeries
 
 
 class FirstFailure(NamedTuple):
@@ -62,13 +62,13 @@ def pass_report(name: str, order: int) -> IdentityReport:
 
 def series_match(
     name: str,
-    lhs: QSeries | OmegaSeries,
-    rhs: QSeries | OmegaSeries,
+    lhs: QSeries,
+    rhs: QSeries,
     order: int,
     indices: tuple[int, ...] = (),
 ) -> IdentityReport:
-    """Certify lhs == rhs for all exponents below `order`; either side may be
-    a series over Q(zeta_3), and then so is the residual.
+    """Certify lhs == rhs for all exponents below `order`, two rational
+    series; the residual is the first nonzero coefficient of lhs - rhs.
 
     Both sides must actually know their coefficients that far; asking for more
     precision than was computed is a caller bug, not a failed identity.

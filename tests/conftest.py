@@ -2,25 +2,39 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 
 from gwseries.frobenius import FrobeniusPotential, metric_from_potential, third_derivative
 
+_ZERO = Fraction(0)
+
+
+def _total(slot: dict[int, int]) -> Fraction:
+    """The exact sum of the p/d in {d: p}."""
+    if not slot:
+        return _ZERO
+    common = math.lcm(*slot)
+    return Fraction(sum(p * (common // d) for d, p in slot.items()), common)
+
 
 class WdvvReference:
     """The residual sum_{e,f} F_abe eta^{ef} F_fcd - F_ade eta^{ef} F_fbc
     through q^(T-1), term by term from the public third derivatives and the
-    inverse metric, with schoolbook Fraction products: nothing is cleared to
-    integers or packed."""
+    inverse metric, by schoolbook products of exact rationals: each term is
+    its own numerator over its own denominator, summed per denominator, and
+    nothing is cleared to a common denominator or packed."""
 
     def __init__(self, potential: FrobeniusPotential, truncation: int):
         self.potential = potential
         self.T = truncation
         self.inverse = metric_from_potential(potential).inverse_rows()
         self._thirds: dict[tuple[int, ...], dict] = {}
+        self._splits: dict[tuple[int, ...], list] = {}
         self._contractions: dict[tuple, dict] = {}
 
     def third(self, *slots: int) -> dict[tuple[int, ...], list[tuple[int, Fraction]]]:
@@ -34,34 +48,53 @@ class WdvvReference:
             }
         return self._thirds[key]
 
-    def contraction(self, x: int, y: int, z: int, w: int) -> dict[tuple[int, ...], list[Fraction]]:
-        key = (min(x, y), max(x, y), min(z, w), max(z, w))
+    def _split(self, *slots: int) -> list[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
+        """`third` as (monomial, [(exponent, numerator, denominator)])."""
+        key = tuple(sorted(slots))
+        if key not in self._splits:
+            third = self.third(*key).items()
+            self._splits[key] = [(m, [(e, c.numerator, c.denominator) for e, c in u]) for m, u in third]
+        return self._splits[key]
+
+    def contraction(self, x: int, y: int, z: int, w: int) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
+        """(xy|zw) = sum_{e,f} F_xye eta^{ef} F_fzw as {monomial: T coefficients};
+        eta is symmetric, so (xy|zw) = (zw|xy) and one is kept for both."""
+        key = tuple(sorted(((min(x, y), max(x, y)), (min(z, w), max(z, w)))))
         if key in self._contractions:
             return self._contractions[key]
-        out = self._contractions[key] = {}
-        dim = len(self.inverse)
+        sums: dict[tuple[int, ...], list[dict[int, int]]] = {}
+        dim, T = len(self.inverse), self.T
         for e, f in product(range(dim), repeat=2):
             weight = self.inverse[e][f]
             if not weight:
                 continue
-            for m1, u in self.third(x, y, e).items():
-                weighted = [(i, weight * ui) for i, ui in u]
-                for m2, v in self.third(f, z, w).items():
-                    monomial = tuple(i + j for i, j in zip(m1, m2))
-                    acc = out.setdefault(monomial, [Fraction(0)] * self.T)
-                    for i, ui in weighted:
-                        for j, vj in v:
-                            if i + j >= self.T:
+            right = self._split(f, z, w)
+            for m1, u in self._split(x, y, e):
+                p, d = weight.numerator, weight.denominator
+                weighted = [(i, p * n, d * den) for i, n, den in u]
+                for m2, v in right:
+                    if (acc := sums.get(monomial := tuple(map(add, m1, m2)))) is None:
+                        acc = sums[monomial] = [{} for _ in range(T)]
+                    for i, p, d in weighted:
+                        for j, n, den in v:
+                            if i + j >= T:
                                 break
-                            acc[i + j] += ui * vj
+                            slot, den = acc[i + j], d * den
+                            slot[den] = slot.get(den, 0) + p * n
+        out = self._contractions[key] = {
+            monomial: tuple(_total(slot) for slot in acc)
+            for monomial, acc in sums.items()
+        }
         return out
 
     def residual(self, a: int, b: int, c: int, d: int) -> dict[tuple[int, ...], list[Fraction]]:
         """{monomial: T coefficients} of the (a,b,c,d) residual, zero monomials dropped."""
         left = self.contraction(a, b, c, d)
         right = self.contraction(a, d, b, c)
-        zeros = [Fraction(0)] * self.T
+        zeros = (_ZERO,) * self.T
         out = {}
+        if left is right:
+            return out
         for monomial in set(left) | set(right):
             u, v = left.get(monomial, zeros), right.get(monomial, zeros)
             if u != v:

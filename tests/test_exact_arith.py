@@ -1,6 +1,8 @@
-"""Exact scalars: the rational root helpers, and Q(zeta_3) as pairs x + y w
-of rationals, the constant OmegaSeries, which is all the field arithmetic
-the package keeps."""
+"""Exact scalars: the rational root helpers, and the roots of unity of the
+twisted pole rows, which are kept as exponents.  A row's prefactor
+zeta_72^e lies in Q(zeta_3) exactly when 12 | e, and is then
+zeta_6^m = (-1)^m w^2m for m = e/12 and w = zeta_3, printed x + y*z3^1.
+`_root` reads that value back from a report."""
 
 from __future__ import annotations
 
@@ -9,33 +11,49 @@ from fractions import Fraction
 
 import pytest
 
+import gwseries.e6 as e6
+from gwseries.e6 import e6_twisted_pole_reports
 from gwseries.exact_arith import integer_nth_root, rational_nth_root
-from gwseries.qseries import OmegaSeries, QSeries, ZeroDivisor
-
-CASES = 100
+from gwseries.qseries import QSeries, ZeroDivisor
 
 
-def _number(x, y=0) -> OmegaSeries:
-    """x + y w as a constant pair, known through q^0."""
-    return OmegaSeries(QSeries.constant(x, 1), QSeries.constant(y, 1))
+def _root(e: int, pole_coefficient: Fraction | int = 0) -> str | None:
+    """pole_coefficient + zeta_72^e as the rows print it, None for 0: the
+    residual at q^-1 of a = pole_coefficient q^-1 + O(q^0) against a row with
+    prefactor zeta_72^e and the quotient -3 q^-1 + O(q^0)."""
+    rows = (("root", 0, 1, 0, e),)  # branch 0, so 3b + p = e
+    a, quotient = QSeries([pole_coefficient], -1, 0), QSeries([-3], -1, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(e6, "_TWISTED_POLE_ROWS", rows)
+        (report,) = e6_twisted_pole_reports(0, a, quotient)
+    if report.passed:
+        return None
+    assert report.first_failure.exponent == -1
+    return report.first_failure.residual
 
 
-def _root(n: int, e: int) -> OmegaSeries:
-    return OmegaSeries.root_of_unity(n, e, 1)
+def _times(first: tuple, second: tuple) -> tuple:
+    """The product of x + y w given as (x, y), with w^2 = -1 - w."""
+    (a, b), (c, d) = first, second
+    return a * c - b * d, a * d + b * c - b * d
 
 
-def _same(a, b) -> bool:
-    return (a - b).is_zero()
+def _power(base: tuple, n: int) -> tuple:
+    value = (1, 0)
+    for _ in range(n):
+        value = _times(value, base)
+    return value
 
 
-def _random_number(rng: random.Random) -> OmegaSeries:
-    return _number(*(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2)))
+def _text(x, y) -> str:
+    return " + ".join(f"{c}{label}" for c, label in ((x, ""), (y, "*z3^1")) if c) or "0"
 
 
-def _random_series(rng: random.Random, truncation: int) -> QSeries:
-    valuation = rng.randint(-3, 3)
-    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(truncation - valuation)]
-    return QSeries(coeffs, valuation, truncation)
+def _first_failure(rows: tuple, order: int, a: QSeries, quotient: QSeries) -> tuple[int, str]:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(e6, "_TWISTED_POLE_ROWS", rows)
+        (report,) = e6_twisted_pole_reports(order, a, quotient)
+    return report.first_failure.exponent, report.first_failure.residual
 
 
 def test_integer_nth_root_exact_and_missing():
@@ -63,147 +81,86 @@ def test_rational_nth_root():
 
 
 def test_cyclotomic_polynomial_known_values():
-    # the pair product reduces by Phi_3 = x^2 + x + 1: w^2 = -1 - w
-    w, one = _root(3, 1), _number(1)
-    assert _same(w * w, _number(-1, -1))
-    assert (w * w + w + one).is_zero()
-    assert not _same(w, one)  # w is no root of Phi_1 = x - 1
-    # zeta_72^12 = zeta_6 = 1 + w is a root of Phi_6 = x^2 - x + 1
-    z6 = _root(72, 12)
-    assert _same(z6, _number(1, 1))
-    assert (z6 * z6 - z6 + one).is_zero()
+    # the omega table reduces by Phi_3 = x^2 + x + 1: w^2 = -1 - w, 1 + w + w^2 = 0
+    assert e6._OMEGA_POWERS == ((1, 0), (0, 1), (-1, -1))
+    assert [sum(column) for column in zip(*e6._OMEGA_POWERS)] == [0, 0]
+    assert _root(48) == "-1 + -1*z3^1"
+    # zeta_72^12 = zeta_6 = 1 + w, and zeta_6^2 = w
+    assert _root(12) == _text(1, 1)
+    assert _root(24) == _text(*_power((1, 1), 2)) == "1*z3^1"
 
 
 def test_root_of_unity_basics():
-    assert _same(_root(1, 0), _number(1))
-    assert _same(_root(72, 36), _number(-1))
-    w = _root(3, 1)
-    assert (_number(1) + w + w * w).is_zero()
-    assert _same(_root(72, 24) * _root(72, 48), _number(1))
+    assert _root(0) == "1"
+    assert _root(36) == "-1"
+    assert _root(24) == "1*z3^1"
+    assert _root(72) == _root(0)
 
 
 def test_root_of_unity_has_multiplicative_order():
-    for n in (1, 2, 3, 6):
-        z = _root(n, 1)
-        power = _number(1)
-        for k in range(1, n):
-            power = power * z
-            assert _same(power, _root(n, k))
-        assert _same(power * z, _number(1))
+    # zeta_72^(12 m) runs through the six powers of zeta_6 = 1 + w, period 6
+    texts = [_root(12 * m) for m in range(12)]
+    assert texts == [_text(*_power((1, 1), m % 6)) for m in range(12)]
+    assert len(set(texts)) == 6
 
 
 def test_negative_powers_reduce_mod_order():
-    assert _same(_root(72, -48), _root(72, 24))
-    assert _same(_root(3, -1), _root(3, 2))
-    s = _random_series(random.Random(5), 12)
-    assert _same(OmegaSeries.twist(s, -1), OmegaSeries.twist(s, 2))
-    assert _same(OmegaSeries.twist(s, -3), OmegaSeries(s, QSeries.zero(12)))
+    assert _root(-48) == _root(24)
+    assert _root(-12) == _root(60)
+    # the twist by w^-1 is the twist by w^2 and w^-4: the q^0 term, one class
+    # above the pole, picks up the same w^k; the twist by w differs
+    rng = random.Random(5)
+    a = QSeries([Fraction(1, 3)] + [Fraction(rng.randint(-9, 9), 7) for _ in range(12)], -1, 12)
+    quotient = QSeries([1] + [Fraction(rng.randint(1, 9), 5) for _ in range(12)], -1, 12)
+    failures = {k: _first_failure((("twist", 0, k, 0, 0),), 12, a, quotient) for k in (-1, 2, -4, 1)}
+    assert failures[-1] == failures[2] == failures[-4] != failures[1]
+    assert failures[1][0] == 0
 
 
-def test_field_axioms_randomized():
-    rng = random.Random(20260818)
-    for _ in range(CASES):
-        x, y, z = (_random_number(rng) for _ in range(3))
-        assert _same((x + y) + z, x + (y + z))
-        assert _same((x * y) * z, x * (y * z))
-        assert _same(x * (y + z), x * y + x * z)
-        assert _same(x + y, y + x)
-        assert _same(x * y, y * x)
-        assert (x - x).is_zero()
+def test_known_inverse_in_third_roots():
+    # 1 + w = -w^2, so its inverse is -w: zeta_6 = zeta_72^12 and zeta_6^-1 = zeta_72^-12
+    assert _root(12) == _text(1, 1)
+    assert _root(-12) == _text(0, -1)
+    assert _times((1, 1), (0, -1)) == (1, 0)
 
 
-def _inverse(x: OmegaSeries) -> OmegaSeries:
-    """1/x = conj(x) / N(x): conj(u + v w) = u + v w^2 = (u - v) - v w, and
-    N = x conj(x) = u^2 - u v + v^2 is rational."""
-    u, v = x.u.coefficient(0), x.v.coefficient(0)
-    return _number(u - v, -v) * (1 / (u * u - u * v + v * v))
+def test_embed_into_larger_field():
+    # Q(zeta_3) = Q(zeta_6) sits in Q(zeta_72) as the powers zeta_72^(12 m):
+    # the constant omega^j of a row is the prefactor zeta_72^(24 j)
+    for j in range(3):
+        exponent, residual = _first_failure((("constant", j, 0, 0, 0),), 1, QSeries.zero(1), QSeries.zero(1))
+        assert (exponent, residual) == (0, _root(24 * j + 36))  # a - omega^j = -omega^j
 
 
-def test_inverse_round_trip_randomized():
-    rng = random.Random(97)
-    done = 0
-    while done < CASES:
-        x = _random_number(rng)
-        if x.is_zero():
-            continue
-        assert _same(x * _inverse(x), _number(1))
-        done += 1
-    assert _same(_inverse(_number(Fraction(-2, 3))), _number(Fraction(-3, 2)))
+def test_order_mismatch_fails_at_the_pole():
+    # zeta_24, zeta_9 and zeta_72^9 are not in Q(zeta_3): the rows do not
+    # reduce them, they fail at the pole and print the power unreduced
+    for e in (3, 8, 9, -3):
+        assert _root(e) == f"-1/3*z72^{e % 72}"
+
+
+def test_equality_against_fractions_and_ints():
+    # a residual prints its rational part as a Fraction and its w part as
+    # *z3^1, each only when nonzero; a residual of 0 is a pass
+    assert _root(36, pole_coefficient=1) is None
+    assert _root(36, pole_coefficient=Fraction(3, 2)) == "1/2"
+    assert _root(36, pole_coefficient=-1) == "-2"
+    assert _root(48, pole_coefficient=1) == "-1*z3^1"
+    assert _root(48, pole_coefficient=-1) == "-2 + -1*z3^1"
+    assert _root(24, pole_coefficient=1) == "1 + 1*z3^1"
 
 
 def test_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        _inverse(_number(0))  # the norm of 0 is 0
     with pytest.raises(ZeroDivisor):
         QSeries.zero(4).inv()
 
 
-def test_known_inverse_in_third_roots():
-    w = _root(3, 1)
-    x = _number(1) + w
-    assert _same(x * _inverse(x), _number(1))
-    # 1 + w = -w^2, so its inverse is -w
-    assert _same(_inverse(x), -w)
-    assert _same(x * -w, _number(1))
-
-
-def test_rational_embedding_and_mixed_arithmetic():
-    rng = random.Random(24)
-    s, r = _random_series(rng, 10), _random_series(rng, 10)
-    embedded = OmegaSeries(s, QSeries.zero(10))
-    pair = OmegaSeries.twist(r, 1)
-    assert _same(embedded + pair, s + pair)
-    assert _same(pair - embedded, pair - s)
-    assert _same(s - pair, -(pair - s))
-    assert _same(embedded * pair, s * pair)
-    assert _same(pair * s, s * pair)
-    assert _same(pair * Fraction(1, 2) * 2, pair)
-    assert (pair * 0).is_zero()
-    assert not (pair.v.truncate(9)).is_zero()  # r has a term off the multiples of 3
-
-
-def test_embed_into_larger_field():
-    # Q(zeta_3) = Q(zeta_6) sits in Q(zeta_72) as the powers zeta_72^(12 m)
-    assert _same(_root(72, 24), _root(3, 1))
-    assert _same(_root(72, 12), _number(1, 1))
-    assert _same(_root(6, 1), _root(72, 12))
-    assert _same(_root(24, 8), _root(3, 1))
-
-
-def test_order_mismatch_raises():
-    # zeta_9, zeta_24 and zeta_72^9 are not in Q(zeta_3)
-    for n, e in ((9, 1), (24, 1), (72, 9), (72, -3)):
-        with pytest.raises(ValueError):
-            _root(n, e)
-
-
-def test_real_subfield_identity():
-    # the real subfield of Q(zeta_3) is Q: w + 1/w = w + w^2 = -1,
-    # and zeta_6 + 1/zeta_6 = 1
-    w, z6 = _root(3, 1), _root(6, 1)
-    assert _same(w + w * w, _number(-1))
-    assert _same(z6 + _inverse(z6), _number(1))
-
-
 def test_power_arithmetic_matches_repeated_multiplication():
-    # the twist commutes with products: s^e twisted is the twist multiplied e times
+    # the twist q -> -q, the even part minus the odd part, commutes with
+    # products: s^e twisted is the twist multiplied e times
     rng = random.Random(11)
     for _ in range(20):
-        s, k, e = _random_series(rng, 12), rng.randint(-4, 4), rng.randint(1, 4)
-        twisted = OmegaSeries.twist(s, k)
-        expected = twisted
-        for _ in range(e - 1):
-            expected = expected * twisted
-        assert _same(OmegaSeries.twist(s**e, k), expected)
-
-
-def test_equality_against_fractions_and_ints():
-    one = QSeries.one(3)
-    assert _root(72, 72).first_difference(one) is None
-    assert _root(72, 36).first_difference(-one) is None
-    assert _root(72, 0).first_difference(QSeries.constant(Fraction(1, 2), 3)) == (0, "1/2")
-    assert _root(3, 2).first_difference(one) == (0, "-2 + -1*z3^1")
-    assert one.first_difference(_root(3, 1)) == (0, "1 + -1*z3^1")
-    # the residual's first term may sit in either part
-    assert _root(3, 1).first_difference(QSeries.zero(3)) == (0, "1*z3^1")
-    assert OmegaSeries.twist(QSeries([1, 1], 1, 4), 1).leading() == (1, "1*z3^1")
+        s = QSeries([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(12)], rng.randint(-3, 3))
+        e = rng.randint(1, 4)
+        twisted = s.dissect(2, 0) - s.dissect(2, 1)
+        assert (s**e).dissect(2, 0) - (s**e).dissect(2, 1) == twisted**e

@@ -18,6 +18,7 @@ from gwseries.frobenius import (
     NonConstantMetric,
     UnknownCoordinate,
     _WdvvEngine,
+    _contraction_keys,
     euler_residual,
     metric_from_potential,
     third_derivative,
@@ -304,11 +305,41 @@ def test_reduced_quadruple_scan_finds_the_same_failure():
             assert (failure.indices, (failure.exponent, Fraction(failure.residual))) == first
 
 
+def _engine_entries(engine: _WdvvEngine, poly: dict, truncation: int) -> list:
+    """(class, coefficients) per entry of an engine contraction, in units of
+    1/engine.denominator, in the order of its keys, which is the order of
+    the monomials' exponent tuples."""
+    g = engine.stride
+    return [(m % g, unpack(v, engine.width, len(range(m % g, truncation, g)))) for m, v in sorted(poly.items())]
+
+
+def _reference_entries(poly: dict, g: int, denominator: int) -> list:
+    """(class, coefficients) per monomial and nonzero residue class mod g, in
+    units of 1/denominator where that is an integer."""
+
+    def scaled(c: Fraction):
+        return c.numerator * (denominator // c.denominator) if denominator % c.denominator == 0 else c
+
+    entries = ((c, coeffs[c::g]) for _, coeffs in sorted(poly.items()) for c in range(g))
+    return [(c, [scaled(x) for x in part]) for c, part in entries if any(part)]
+
+
 def test_engine_matches_the_fraction_reference_on_every_quadruple(wdvv_reference):
+    """Every contraction a residual reads, entry by entry, and the first
+    failure of every quadruple; quadruples that read the same two
+    contractions share it, so one of them stands for all."""
     for potential, truncation in _wdvv_cases():
         engine = _WdvvEngine(potential, truncation)
         reference = wdvv_reference(potential, truncation)
+        sides = {}
         for quad in product(range(engine.dim), repeat=4):
+            sides.setdefault(tuple(_contraction_keys(*quad)), quad)
+        for key in {key for pair in sides for key in pair}:
+            got = _engine_entries(engine, engine.contraction(key), truncation)
+            want = _reference_entries(reference.contraction(*key[0], *key[1]), engine.stride, engine.denominator)
+            assert got == want, key
+        for quad in sides.values():
+            engine._contractions.clear()  # the memo is sized for the scan's order, not for a sweep
             reference.assert_first_failure(quad, engine.residual_failure(*quad))
 
 
@@ -318,14 +349,11 @@ def test_a_contraction_keeps_every_monomial_apart(wdvv_reference):
     residue class, each with the reference's coefficients."""
     potential = e6_build_potential(e6_build_fi(10))
     engine = _WdvvEngine(potential, 10)
-    g, t = engine.stride, engine.dim - 1
-    got = sorted(
-        (m % g, tuple(Fraction(x, engine.denominator) for x in unpack(v, engine.width, len(range(m % g, 10, g)))))
-        for m, v in engine.contraction(((t, t), (t, t))).items()
-    )
-    reference = wdvv_reference(potential, 10).contraction(t, t, t, t)
-    want = sorted((c, tuple(coeffs[c::g])) for coeffs in reference.values() for c in range(g) if any(coeffs[c::g]))
-    assert len(got) == 146 and got == want
+    t = engine.dim - 1
+    got = _engine_entries(engine, engine.contraction(((t, t), (t, t))), 10)
+    assert len(got) == 146
+    want = _reference_entries(wdvv_reference(potential, 10).contraction(t, t, t, t), engine.stride, engine.denominator)
+    assert got == want
 
 
 def test_wdvv_rejects_laurent_coefficients():

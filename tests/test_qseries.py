@@ -16,7 +16,6 @@ from gwseries.modular import eta_unit
 from gwseries.qseries import (
     LeadingCoefficientNotPower,
     NotUnit,
-    OmegaSeries,
     PrecisionError,
     QSeries,
     ValuationNotDivisible,
@@ -193,10 +192,10 @@ def test_doubling_solver_calls_the_system_logarithmically_often(system, order, e
 
 
 def test_qdq_system_is_solved_over_the_rationals_only():
-    # y = 1/(1-q) solves q y' = y^2 - y; the same system handed back as a
-    # series over Q(zeta_3) passes the seeds check and is then refused
+    # y = 1/(1-q) solves q y' = y^2 - y; the same system handed back as its
+    # coefficients, not as a series, is refused before any step
     with pytest.raises(TypeError):
-        solve_qdq_system(lambda y: (OmegaSeries.twist(y * y - y, 0),), [(1, 1)], 10)
+        solve_qdq_system(lambda y: (dict((y * y - y).known_terms()),), [(1, 1)], 10)
 
 
 def test_qdq_system_stops_at_a_resonance():
@@ -349,27 +348,42 @@ def test_partition_oracle_in_qcubed():
 # -- twist, log, exp -------------------------------------------------------------------
 
 
+def _twist(s: QSeries, k: int) -> tuple[QSeries, QSeries]:
+    """s(w^k q) = x + w y, w = zeta_3, from the 3-dissection: the terms with
+    exponent r mod 3 times w^(kr), with w^2 = -1 - w."""
+    x = y = QSeries.zero(s.truncation)
+    for r in range(3):
+        part, (cx, cy) = s.dissect(3, r), ((1, 0), (0, 1), (-1, -1))[k * r % 3]
+        x, y = x + part.scale(cx), y + part.scale(cy)
+    return x, y
+
+
+def _pair_product(a: tuple, b: tuple) -> tuple[QSeries, QSeries]:
+    (x1, y1), (x2, y2) = a, b
+    return x1 * x2 - y1 * y2, x1 * y2 + y1 * x2 - y1 * y2
+
+
 def test_twist_multiplies_coefficients_termwise():
     rng = random.Random(72)
-    z = Fraction(-5, 3)
     s = _random_series(rng, 12)
-    twisted = s.twist(z)
+    # by -1 the q^e coefficient picks up (-1)^e: the even part minus the odd part
+    flipped = s.dissect(2, 0) - s.dissect(2, 1)
     for e, c in s.known_terms():
-        assert twisted.coefficient(e) == c * z**e
+        assert flipped.coefficient(e) == (-c if e % 2 else c)
     # by w = zeta_3 the factor w^e is 1, w or w^2 = -1 - w as e = 0, 1, 2 mod 3
-    twisted = OmegaSeries.twist(s, 1)
+    x, y = _twist(s, 1)
     for e, c in s.known_terms():
-        x, y = ((c, 0), (0, c), (-c, -c))[e % 3]
-        assert (twisted.u.coefficient(e), twisted.v.coefficient(e)) == (x, y)
+        assert (x.coefficient(e), y.coefficient(e)) == ((c, 0), (0, c), (-c, -c))[e % 3]
 
 
 def test_twist_by_minus_one_flips_odd_part():
     rng = random.Random(73)
     s = _random_series(rng, 20, valuation_low=0)
-    flipped = s.twist(Fraction(-1))
+    flipped = s.dissect(2, 0) - s.dissect(2, 1)
     even = (s + flipped).scale(Fraction(1, 2))
     for e, c in even.known_terms():
         assert e % 2 == 0 or c == 0
+    assert even._fields() == s.dissect(2, 0)._fields()
 
 
 def test_log_exp_round_trip():
@@ -550,61 +564,21 @@ def _scalar_product(a: QSeries, b: QSeries) -> tuple[dict, int]:
     return out, truncation
 
 
-def _pair_product(a: OmegaSeries, b: OmegaSeries) -> tuple[dict, int]:
-    """Coefficients (x, y) = x + y w of a*b below its truncation, by scalar
-    arithmetic alone, w^2 = -1 - w."""
-    va = min(a.u.valuation, a.v.valuation)
-    vb = min(b.u.valuation, b.v.valuation)
-    truncation = min(a.truncation + vb, b.truncation + va)
-    out: dict = {}
-    for ea in range(va, a.truncation):
-        x1, y1 = a.u.coefficient(ea), a.v.coefficient(ea)
-        for eb in range(vb, min(b.truncation, truncation - ea)):
-            x2, y2 = b.u.coefficient(eb), b.v.coefficient(eb)
-            x, y = out.get(ea + eb, (0, 0))
-            out[ea + eb] = (x + x1 * x2 - y1 * y2, y + x1 * y2 + y1 * x2 - y1 * y2)
-    return out, truncation
-
-
-def test_cyclotomic_series_products_match_scalar_schoolbook():
-    rng = random.Random(80)
-    for _ in range(12):
-        pairs = []
-        for _ in range(2):
-            truncation = rng.randint(1, 30)
-            parts = [_random_series(rng, truncation, valuation_low=-4) for _ in range(2)]
-            if rng.randrange(3) == 0:
-                parts[rng.randrange(2)] = QSeries.zero(truncation)  # one part zero
-            pairs.append(OmegaSeries(*parts))
-        a, b = pairs
-        expected, truncation = _pair_product(a, b)
-        prod = a * b
-        assert prod.truncation == truncation
-        for e in range(-9, truncation):  # every part has valuation >= -4
-            assert (prod.u.coefficient(e), prod.v.coefficient(e)) == expected.get(e, (0, 0))
-
-
 def test_twisted_eta_unit_inverse_log_and_exp():
-    # the twist by w^k commutes with inverse, log and exp
+    # the twist by w^k, read off the 3-dissection, commutes with inverse, log and exp
     u = eta_unit(1, 40)
+    one = (QSeries.one(40), QSeries.zero(40))
     for k in (1, 2):
-        twisted = OmegaSeries.twist(u, k)
-        assert (twisted * OmegaSeries.twist(u.inv(), k) - QSeries.one(40)).is_zero()
+        twisted = _twist(u, k)
+        assert _pair_product(twisted, _twist(u.inv(), k)) == one
         log = u.log_unit()
-        assert (OmegaSeries.twist(_recurrence_exp(log), k) - twisted).is_zero()
+        assert _twist(_recurrence_exp(log), k) == twisted
         # q d/dq log u = (q du/dq) / u, twisted term by term
-        lhs = OmegaSeries.twist(log.qdq(), k) * twisted
-        assert (lhs - OmegaSeries.twist(u.qdq(), k)).is_zero()
-        # with a scalar in Q(zeta_3) riding along: zeta_72^12 = 1 + w
-        zeta = OmegaSeries.root_of_unity(72, 12, 40)
-        assert (twisted * zeta * OmegaSeries.twist(u.inv(), k) - zeta).is_zero()
-
-
-def test_product_across_cyclotomic_orders_raises():
-    twisted = OmegaSeries.twist(eta_unit(1, 8), 1)
-    # a 72nd root of unity outside Q(zeta_3) has no pair to multiply by
-    with pytest.raises(ValueError):
-        twisted * OmegaSeries.root_of_unity(72, 3, 8)
+        assert _pair_product(_twist(log.qdq(), k), twisted) == _twist(u.qdq(), k)
+    # the twists by w^2 = w^-1 and by w are conjugate: their product is the
+    # rational norm (x - y)^2 + xy of x + w y = u(w^-1 q), which the rotation reads
+    x, y = _twist(u, 2)
+    assert _pair_product(_twist(u, 1), (x, y)) == ((x - y) ** 2 + x * y, QSeries.zero(40))
 
 
 # -- serialization ---------------------------------------------------------------------

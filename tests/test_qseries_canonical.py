@@ -1,5 +1,6 @@
 """Property tests for the stored form of QSeries, integer numerators over one
-denominator, and for OmegaSeries, series over Q(zeta_3) as pairs of them.
+denominator, and for its m-dissection, from which the twisted identities
+build their series over Q(zeta_3) as pairs x + y w of rational series.
 
 Every result must be canonical (gcd(den, *coeffs) == 1, no zero at either
 end) and agree, coefficient by coefficient, with schoolbook arithmetic on
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gwseries.qseries import LeadingCoefficientNotPower, OmegaSeries, QSeries, ValuationNotDivisible
+import gwseries.e6 as e6
+from gwseries.qseries import LeadingCoefficientNotPower, QSeries, ValuationNotDivisible
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -42,17 +44,6 @@ def series_with_reference(draw, valuation_low: int = -4):
     truncation = valuation + len(coeffs) + draw(st.integers(0, 4))
     terms = {valuation + i: c for i, c in enumerate(coeffs) if c}
     return QSeries(coeffs, valuation, truncation), (terms, truncation)
-
-
-@st.composite
-def pairs_with_reference(draw):
-    """(OmegaSeries, reference); the reference maps exponents to (x, y), the
-    number x + y w, below the pair's truncation, which both parts share."""
-    u, (us, tu) = draw(series_with_reference())
-    v, (vs, tv) = draw(series_with_reference())
-    t = min(tu, tv)
-    terms = {e: (us.get(e, 0), vs.get(e, 0)) for e in {*us, *vs} if e < t}
-    return OmegaSeries(u.truncate(t), v.truncate(t)), (_nonzero(terms), t)
 
 
 # -- the schoolbook reference ---------------------------------------------------------
@@ -147,13 +138,11 @@ def _assert_matches(s: QSeries, ref) -> None:
     assert list(s.known_terms()) == sorted(terms.items())
 
 
-def _assert_pair_matches(p: OmegaSeries, ref) -> None:
+def _assert_pair_matches(x: QSeries, y: QSeries, ref) -> None:
+    """x + y w against a reference of pairs."""
     terms, t = ref
-    _assert_canonical(p.u)
-    _assert_canonical(p.v)
-    assert p.truncation == t
-    for e in range(min([*terms, t]) - 2, t):
-        assert (p.u.coefficient(e), p.v.coefficient(e)) == terms.get(e, (0, 0))
+    for part, i in ((x, 0), (y, 1)):
+        _assert_matches(part, (_nonzero({e: c[i] for e, c in terms.items()}), t))
 
 
 # -- properties -------------------------------------------------------------------------
@@ -178,14 +167,27 @@ def test_sums_and_products_match_schoolbook(first, second):
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_scale_qdq_twist_and_truncate_match_schoolbook(data):
+    """The twist q -> -q is the even part minus the odd part."""
     s, ref = data.draw(series_with_reference())
     k = data.draw(rationals())
-    c = Fraction(data.draw(rationals(nonzero=True)))
     cut = data.draw(st.integers(ref[1] - 6, ref[1]))
     _assert_matches(s.scale(k), _ref_termwise(ref, lambda e: k))
     _assert_matches(s.qdq(), _ref_termwise(ref, lambda e: e))
-    _assert_matches(s.twist(c), _ref_termwise(ref, lambda e: c**e))
+    _assert_matches(s.dissect(2, 0) - s.dissect(2, 1), _ref_termwise(ref, lambda e: -1 if e % 2 else 1))
     _assert_matches(s.truncate(cut), _ref_truncate(ref, cut))
+
+
+@PROPERTY_SETTINGS
+@given(series_with_reference(valuation_low=-7), st.integers(1, 5), st.integers(-7, 7))
+def test_dissection_parts_sum_to_the_series(case, m, r):
+    """s.dissect(m, r) keeps the terms with exponent r mod m, and the m
+    parts add up to s field by field."""
+    s, ref = case
+    _assert_matches(s.dissect(m, r), ({e: c for e, c in ref[0].items() if (e - r) % m == 0}, ref[1]))
+    total = QSeries.zero(s.truncation)
+    for part in (s.dissect(m, c) for c in range(m)):
+        total += part
+    assert total._fields() == s._fields()
 
 
 @PROPERTY_SETTINGS
@@ -235,32 +237,31 @@ def test_rational_powers_are_exact_roots_of_integer_powers(case):
 @given(st.integers(-200, 200))
 def test_two_cyclotomic_orders_do_not_mix(e):
     """zeta_72^e enters Q(zeta_3) exactly when 12 | e, as the power
-    zeta_6^(e/12) of zeta_6 = 1 + w; any other e is refused."""
+    zeta_6^(e/12) of zeta_6 = 1 + w; any other e fails a twisted row at the
+    pole, printed unreduced.  Read from the residual -(1/3) zeta_72^e of a
+    row with that prefactor against a = 0 and the quotient q^-1."""
+    rows = (("root", 0, 1, 0, e),)  # branch 0, so 3b + p = e
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(e6, "_TWISTED_POLE_ROWS", rows)
+        (report,) = e6.e6_twisted_pole_reports(0, QSeries.zero(0), QSeries([1], -1, 0))
+    assert report.first_failure.exponent == -1
     if e % 12:
-        with pytest.raises(ValueError):
-            OmegaSeries.root_of_unity(72, e, 3)
+        assert report.first_failure.residual == f"-1/3*z72^{e % 72}"
         return
-    expected = (1, 0)
+    expected = (Fraction(-1, 3), 0)
     for _ in range(e // 12 % 6):
         expected = _times(expected, (1, 1))
-    _assert_pair_matches(OmegaSeries.root_of_unity(72, e, 3), ({0: expected}, 3))
-
-
-@PROPERTY_SETTINGS
-@given(pairs_with_reference(), pairs_with_reference(), series_with_reference(), rationals())
-def test_pair_arithmetic_matches_schoolbook(first, second, rational, c):
-    (a, ra), (b, rb), (s, rs) = first, second, rational
-    _assert_pair_matches(a + b, _ref_add(ra, rb))
-    _assert_pair_matches(a - b, _ref_add(ra, rb, -1))
-    _assert_pair_matches(a * b, _ref_mul(ra, rb))
-    _assert_pair_matches(a * s, _ref_mul(ra, rs))
-    _assert_pair_matches(s * a, _ref_mul(rs, ra))
-    _assert_pair_matches(a * c, _ref_termwise(ra, lambda e: c))
+    assert report.first_failure.residual == " + ".join(f"{c}{b}" for c, b in zip(expected, ("", "*z3^1")) if c)
 
 
 @PROPERTY_SETTINGS
 @given(series_with_reference(valuation_low=-7), st.integers(-7, 7))
 def test_dissection_twist_matches_schoolbook(case, k):
-    """OmegaSeries.twist(s, k) is s(w^k q): the q^e coefficient times w^(ke)."""
+    """s(w^k q) = sum_r w^(kr) A_r for the 3-dissection A_r = s.dissect(3, r):
+    the q^e coefficient times w^(ke)."""
     s, ref = case
-    _assert_pair_matches(OmegaSeries.twist(s, k), _ref_termwise(ref, lambda e: OMEGA_POWERS[k * e % 3]))
+    x, y = QSeries.zero(s.truncation), QSeries.zero(s.truncation)
+    for r in range(3):
+        part, (cx, cy) = s.dissect(3, r), OMEGA_POWERS[k * r % 3]
+        x, y = x + part.scale(cx), y + part.scale(cy)
+    _assert_pair_matches(x, y, _ref_termwise(ref, lambda e: OMEGA_POWERS[k * e % 3]))
