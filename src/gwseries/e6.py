@@ -312,7 +312,8 @@ def e6_twisted_pole_reports(order: int, a: QSeries, quotient: QSeries) -> list[I
     for name, omega_power, k, branch_power, phase_power in _TWISTED_POLE_ROWS:
         phase = (3 * branch_power + phase_power) % 72
         if phase % 12:
-            failure = pole, field_text((a.coefficient(pole), ""), (-_THIRD, f"*z72^{phase}"))
+            prefactor = (-_THIRD * quotient.coefficient(pole), f"*z72^{phase}")
+            failure = pole, field_text((a.coefficient(pole), ""), prefactor)
         else:
             m = phase // 12
             sign, (x, y) = _THIRD * (-1) ** m, _OMEGA_POWERS[omega_power % 3]

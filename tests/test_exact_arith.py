@@ -22,14 +22,11 @@ def _root(e: int, pole_coefficient: Fraction | int = 0) -> str | None:
     residual at q^-1 of a = pole_coefficient q^-1 + O(q^0) against a row with
     prefactor zeta_72^e and the quotient -3 q^-1 + O(q^0)."""
     rows = (("root", 0, 1, 0, e),)  # branch 0, so 3b + p = e
-    a, quotient = QSeries([pole_coefficient], -1, 0), QSeries([-3], -1, 0)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(e6, "_TWISTED_POLE_ROWS", rows)
-        (report,) = e6_twisted_pole_reports(0, a, quotient)
-    if report.passed:
+    failure = _first_failure(rows, 0, QSeries([pole_coefficient], -1, 0), QSeries([-3], -1, 0))
+    if failure is None:
         return None
-    assert report.first_failure.exponent == -1
-    return report.first_failure.residual
+    assert failure[0] == -1
+    return failure[1]
 
 
 def _times(first: tuple, second: tuple) -> tuple:
@@ -49,11 +46,12 @@ def _text(x, y) -> str:
     return " + ".join(f"{c}{label}" for c, label in ((x, ""), (y, "*z3^1")) if c) or "0"
 
 
-def _first_failure(rows: tuple, order: int, a: QSeries, quotient: QSeries) -> tuple[int, str]:
+def _first_failure(rows: tuple, order: int, a: QSeries, quotient: QSeries) -> tuple[int, str] | None:
+    """(exponent, residual) of the one report of `rows`, None for a pass."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(e6, "_TWISTED_POLE_ROWS", rows)
         (report,) = e6_twisted_pole_reports(order, a, quotient)
-    return report.first_failure.exponent, report.first_failure.residual
+    return None if report.passed else (report.first_failure.exponent, report.first_failure.residual)
 
 
 def test_integer_nth_root_exact_and_missing():
@@ -90,14 +88,14 @@ def test_cyclotomic_polynomial_known_values():
     assert _root(24) == _text(*_power((1, 1), 2)) == "1*z3^1"
 
 
-def test_root_of_unity_basics():
+def test_roots_of_unity_basics():
     assert _root(0) == "1"
     assert _root(36) == "-1"
     assert _root(24) == "1*z3^1"
     assert _root(72) == _root(0)
 
 
-def test_root_of_unity_has_multiplicative_order():
+def test_roots_of_unity_have_multiplicative_order():
     # zeta_72^(12 m) runs through the six powers of zeta_6 = 1 + w, period 6
     texts = [_root(12 * m) for m in range(12)]
     assert texts == [_text(*_power((1, 1), m % 6)) for m in range(12)]
@@ -136,7 +134,8 @@ def test_order_mismatch_fails_at_the_pole():
     # zeta_24, zeta_9 and zeta_72^9 are not in Q(zeta_3): the rows do not
     # reduce them, they fail at the pole and print the power unreduced
     for e in (3, 8, 9, -3):
-        assert _root(e) == f"-1/3*z72^{e % 72}"
+        assert _root(e) == f"1*z72^{e % 72}"
+        assert _root(e, pole_coefficient=Fraction(1, 2)) == f"1/2 + 1*z72^{e % 72}"
 
 
 def test_equality_against_fractions_and_ints():
