@@ -33,28 +33,20 @@ class WdvvReference:
         self.potential = potential
         self.T = truncation
         self.inverse = metric_from_potential(potential).inverse_rows()
-        self._thirds: dict[tuple[int, ...], dict] = {}
-        self._splits: dict[tuple[int, ...], list] = {}
+        self._thirds: dict[tuple[int, ...], list] = {}
         self._contractions: dict[tuple, dict] = {}
 
-    def third(self, *slots: int) -> dict[tuple[int, ...], list[tuple[int, Fraction]]]:
-        """d_a d_b d_c F as {monomial: its nonzero (exponent, coefficient) pairs below T}."""
+    def third(self, *slots: int) -> list[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
+        """d_a d_b d_c F as [(monomial, [(exponent, numerator, denominator)])],
+        the nonzero coefficients below T."""
         key = tuple(sorted(slots))
         if key not in self._thirds:
             names = [self.potential.coords[i] for i in key]
-            self._thirds[key] = {
-                monomial: [(e, c) for e in range(self.T) if (c := series.coefficient(e))]
+            self._thirds[key] = [
+                (monomial, [(e, c.numerator, c.denominator) for e in range(self.T) if (c := series.coefficient(e))])
                 for monomial, series in third_derivative(self.potential, *names).items()
-            }
+            ]
         return self._thirds[key]
-
-    def _split(self, *slots: int) -> list[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
-        """`third` as (monomial, [(exponent, numerator, denominator)])."""
-        key = tuple(sorted(slots))
-        if key not in self._splits:
-            third = self.third(*key).items()
-            self._splits[key] = [(m, [(e, c.numerator, c.denominator) for e, c in u]) for m, u in third]
-        return self._splits[key]
 
     def contraction(self, x: int, y: int, z: int, w: int) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
         """(xy|zw) = sum_{e,f} F_xye eta^{ef} F_fzw as {monomial: T coefficients};
@@ -62,16 +54,15 @@ class WdvvReference:
         key = tuple(sorted(((min(x, y), max(x, y)), (min(z, w), max(z, w)))))
         if key in self._contractions:
             return self._contractions[key]
-        sums: dict[tuple[int, ...], list[dict[int, int]]] = {}
+        sums: dict[tuple[int, ...], list[dict[int, int]]] = {}  # per exponent {denominator: numerator}
         dim, T = len(self.inverse), self.T
         for e, f in product(range(dim), repeat=2):
             weight = self.inverse[e][f]
             if not weight:
                 continue
-            right = self._split(f, z, w)
-            for m1, u in self._split(x, y, e):
-                p, d = weight.numerator, weight.denominator
-                weighted = [(i, p * n, d * den) for i, n, den in u]
+            right = self.third(f, z, w)
+            for m1, u in self.third(x, y, e):
+                weighted = [(i, weight.numerator * n, weight.denominator * d) for i, n, d in u]
                 for m2, v in right:
                     if (acc := sums.get(monomial := tuple(map(add, m1, m2)))) is None:
                         acc = sums[monomial] = [{} for _ in range(T)]
@@ -79,22 +70,19 @@ class WdvvReference:
                         for j, n, den in v:
                             if i + j >= T:
                                 break
-                            slot, den = acc[i + j], d * den
-                            slot[den] = slot.get(den, 0) + p * n
-        out = self._contractions[key] = {
-            monomial: tuple(_total(slot) for slot in acc)
-            for monomial, acc in sums.items()
-        }
+                            slot = acc[i + j]
+                            slot[d * den] = slot.get(d * den, 0) + p * n
+        out = self._contractions[key] = {monomial: tuple(map(_total, acc)) for monomial, acc in sums.items()}
         return out
 
     def residual(self, a: int, b: int, c: int, d: int) -> dict[tuple[int, ...], list[Fraction]]:
         """{monomial: T coefficients} of the (a,b,c,d) residual, zero monomials dropped."""
         left = self.contraction(a, b, c, d)
         right = self.contraction(a, d, b, c)
+        if left is right:  # (ab|cd) and (ad|bc) are one contraction
+            return {}
         zeros = (_ZERO,) * self.T
         out = {}
-        if left is right:
-            return out
         for monomial in set(left) | set(right):
             u, v = left.get(monomial, zeros), right.get(monomial, zeros)
             if u != v:
