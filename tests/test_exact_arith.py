@@ -115,6 +115,16 @@ def test_negative_powers_reduce_mod_order():
     assert failures[1][0] == 0
 
 
+def test_inverse_round_trip_randomized():
+    # zeta_72^-e is read as the inverse of zeta_72^e, for e = 12 m far outside [0, 72)
+    rng = random.Random(97)
+    for _ in range(40):
+        m = rng.randint(-60, 60)
+        inverse = _power((1, 1), -m % 6)
+        assert _times(_power((1, 1), m % 6), inverse) == (1, 0)
+        assert _root(-12 * m) == _text(*inverse)
+
+
 def test_known_inverse_in_third_roots():
     # 1 + w = -w^2, so its inverse is -w: zeta_6 = zeta_72^12 and zeta_6^-1 = zeta_72^-12
     assert _root(12) == _text(1, 1)
