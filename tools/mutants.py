@@ -194,8 +194,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"stale mutants (old text not found exactly once): {', '.join(stale)}")
         return 1
     start, bad = time.perf_counter(), 0
-    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
-        base = Path(scratch) / "base"
+    with tempfile.TemporaryDirectory(prefix="mutants-") as workdir:
+        base = Path(workdir) / "base"
         copy_tree(base)
         tests = tuple(sorted({t for m in chosen for t in m.tests}))
         passed, detail = run_tests(base, tests)
@@ -203,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"the unmutated tree fails its tests ({detail}); no mutant is run")
             return 1
         for m in chosen:
-            tree = Path(scratch) / m.name
+            tree = Path(workdir) / m.name
             copy_tree(tree)
             mutate(tree, m)
             began = time.perf_counter()
