@@ -38,8 +38,7 @@ t, every residual coefficient is at most
 
     2 sum_{e,f} |w_ef| top(e) top(f),  top(x) = max_{T holding x} sum_{t in T} |s_t| |b_t|_2
 
-over the triples T.  A contraction is kept only until the scan's last read
-of it.
+over the triples T.
 """
 
 from __future__ import annotations
@@ -373,8 +372,6 @@ class _WdvvEngine:
         self.masks = [(1 << 8 * self.width * len(range(c, truncation, g))) - 1 for c in range(g)]
         self._packed = [_pack_slots(array, self.width) for array in arrays]
         self._pair_products: list[list[int | None]] = [[None] * len(arrays) for _ in arrays]
-        self._contractions: dict[tuple, dict[int, int]] = {}
-        self.seen: set[tuple] = set()  # the squares of the orbits the scan has reached
 
     def _pair_product(self, r1: int, r2: int) -> int:
         s, product = self._classes[r1] + self._classes[r2], self._packed[r1] * self._packed[r2]
@@ -385,36 +382,30 @@ class _WdvvEngine:
     def contraction(self, key: tuple) -> dict[int, int]:
         """(xy|zw) = sum_{e,f} F_xye eta^{ef} F_fzw for key ((x,y),(z,w)) as
         {monomial * g + class: packed coefficients}, nonzero ones
-        only, in units of 1/denominator.  It is kept for one more read."""
-        poly = self._contractions.pop(key, None)
-        if poly is None:
-            p1, p2 = key
-            acc: dict[int, int] = {}
-            get, products, classes = acc.get, self._pair_products, self._classes
-            for e, f, w in self.eta_pairs:
-                t1, t2 = self._terms[tuple(sorted((*p1, e)))], self._right.get(tuple(sorted((*p2, f))))
-                if not t1 or t2 is None:
-                    continue
-                for m1, s1, r1 in t1:
-                    s1w = s1 * w
-                    row = products[r1]
-                    for m2, s2, r2 in t2[classes[r1]]:
-                        product = row[r2]
-                        if product is None:
-                            product = row[r2] = products[r2][r1] = self._pair_product(r1, r2)
-                        m = m1 + m2
-                        acc[m] = get(m, 0) + s1w * s2 * product
-            g, masks = self.stride, self.masks
-            poly = self._contractions[key] = {m: v for m, total in acc.items() if (v := total & masks[m % g])}
-        return poly
+        only, in units of 1/denominator."""
+        p1, p2 = key
+        acc: dict[int, int] = {}
+        get, products, classes = acc.get, self._pair_products, self._classes
+        for e, f, w in self.eta_pairs:
+            t1, t2 = self._terms[tuple(sorted((*p1, e)))], self._right.get(tuple(sorted((*p2, f))))
+            if not t1 or t2 is None:
+                continue
+            for m1, s1, r1 in t1:
+                s1w = s1 * w
+                row = products[r1]
+                for m2, s2, r2 in t2[classes[r1]]:
+                    product = row[r2]
+                    if product is None:
+                        product = row[r2] = products[r2][r1] = self._pair_product(r1, r2)
+                    m = m1 + m2
+                    acc[m] = get(m, 0) + s1w * s2 * product
+        g, masks = self.stride, self.masks
+        return {m: v for m, total in acc.items() if (v := total & masks[m % g])}
 
     def residual_failure(self, a: int, b: int, c: int, d: int):
         """First nonzero coefficient of the (a,b,c,d) residual as (exponent,
         residual), or None; of a tied exponent, the least monomial's."""
         p1, p2 = (self.contraction(key) for key in _contraction_keys(a, b, c, d))
-        # a contraction is read by at most two representatives, one per square it bounds
-        seen = self.seen
-        self._contractions = {k: v for k, v in self._contractions.items() if not seen.issuperset(_squares(k))}
         if p1 == p2:
             return None
         g, failures = self.stride, []
@@ -440,7 +431,7 @@ def _intern(series: QSeries, ref_of: dict) -> tuple[int, int, int] | None:
 
 
 def _contraction_keys(a: int, b: int, c: int, d: int) -> list[tuple]:
-    """Memo keys of (ab|cd) and (ad|bc), the two sides of the (a,b,c,d) residual."""
+    """Keys of (ab|cd) and (ad|bc), the two sides of the (a,b,c,d) residual."""
     sides = (((a, b), (c, d)), ((a, d), (b, c)))
     return [tuple(sorted((tuple(sorted(x)), tuple(sorted(y))))) for x, y in sides]
 
@@ -463,18 +454,11 @@ def _square(a: int, b: int, c: int, d: int) -> tuple:
     return (one, two) if one < two else (two, one)
 
 
-def _squares(key: tuple) -> list[tuple]:
-    """The squares with opposite sides (x,y) and (z,w) of `key`, joined either
-    way, but for those with a diagonal's ends equal, which no scan meets."""
-    (x, y), (z, w) = key
-    return [_square(*q) for q in ((x, y, z, w), (x, y, w, z)) if q[0] != q[2] and q[1] != q[3]]
-
-
 def _orbit_representatives(dim: int, symmetries, seen: set):
     """The least quadruple over 1..dim-1 of each orbit under the coordinate
     permutations `symmetries` and the residual's own, in lexicographic order,
-    but for a == c or b == d, which vanish as the contraction is symmetric;
-    each is yielded once the squares of its orbit have joined `seen`."""
+    but for a == c or b == d, which vanish as the contraction is symmetric.
+    `seen` holds the squares of the orbits met, each added as it is met."""
     # itemgetter(*quad)(perm) renames quad's entries
     renames = _closure(tuple(range(dim)), [itemgetter(*s) for s in symmetries])
     span = range(1, dim)
@@ -494,7 +478,7 @@ def wdvv_residual(potential: FrobeniusPotential, truncation: int) -> IdentityRep
     reduce to the same third derivative."""
     engine = _WdvvEngine(potential, truncation)
     verified = [p for p in potential.symmetries if _invariant(potential, p)]
-    for quad in _orbit_representatives(engine.dim, verified, engine.seen):
+    for quad in _orbit_representatives(engine.dim, verified, set()):
         if (failure := engine.residual_failure(*quad)) is not None:
             return failure_report("wdvv", truncation, quad, *failure)
     return pass_report("wdvv", truncation)

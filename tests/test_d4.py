@@ -3,9 +3,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwseries.d4 import (
     D4Coefficients,
+    _d4_rhs,
     d4_analytic,
     d4_build_potential,
     d4_construction_reports,
@@ -138,6 +141,44 @@ def test_theta_bridges_pass():
     assert [r.name for r in reports] == ["d4-bridge-x2", "d4-bridge-x3", "d4-bridge-x4"]
     for report in reports:
         assert report.passed
+
+
+def _halphen_pulled_back(a: QSeries, b: QSeries, c: QSeries) -> tuple[QSeries, QSeries, QSeries]:
+    """Halphen's system X_i' = 2(X_i X_j + X_i X_k - X_j X_k) at the bridge
+    point X_2 = -6b + 2c/3, X_3 = 2a - 4c/3, X_4 = -2a - 4c/3, pulled back
+    through a = (X_3 - X_4)/4, c = -3(X_3 + X_4)/8, b = (2c/3 - X_2)/6."""
+    x2 = b.scale(-6) + c.scale(Fraction(2, 3))
+    x3 = a.scale(2) - c.scale(Fraction(4, 3))
+    x4 = a.scale(-2) - c.scale(Fraction(4, 3))
+    d2, d3, d4 = ((x * y + x * z - y * z).scale(2) for x, y, z in ((x2, x3, x4), (x3, x4, x2), (x4, x2, x3)))
+    da, dc = (d3 - d4).scale(Fraction(1, 4)), (d3 + d4).scale(Fraction(-3, 8))
+    return da, (dc.scale(Fraction(2, 3)) - d2).scale(Fraction(1, 6)), dc
+
+
+@st.composite
+def _series_triples(draw):
+    """Three power series known through a common q^(T-1), T in 3..40, each
+    with integer numerators over its own denominator."""
+    truncation = draw(st.integers(3, 40))
+    numerators = st.lists(st.integers(-9, 9), min_size=truncation, max_size=truncation)
+    return tuple(
+        QSeries([Fraction(n, den) for n in draw(numerators)], 0, truncation)
+        for den in draw(st.lists(st.integers(1, 12), min_size=3, max_size=3))
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(_series_triples())
+def test_the_d4_system_is_halphens_system_in_the_bridge_coordinates(triple):
+    """`_d4_rhs`'s seven coefficients are Halphen's system seen through the
+    map that the d4-bridge reports certify, field by field on any series; a
+    coefficient off by 1/3 (8/3 -> 7/3 in a') breaks it."""
+    a, _, c = triple
+    pulled = _halphen_pulled_back(*triple)
+    rhs = _d4_rhs(*triple)
+    assert [s._fields() for s in rhs] == [s._fields() for s in pulled]
+    tampered = rhs[0] - (a * c).scale(Fraction(1, 3))
+    assert (a * c).is_zero() or tampered._fields() != pulled[0]._fields()
 
 
 def test_tampered_coefficients_fail_the_odes():

@@ -339,8 +339,21 @@ def test_engine_matches_the_fraction_reference_on_every_quadruple(wdvv_reference
             want = _reference_entries(reference.contraction(*key[0], *key[1]), engine.stride, engine.denominator)
             assert got == want, key
         for quad in sides.values():
-            engine._contractions.clear()  # the memo is sized for the scan's order, not for a sweep
             reference.assert_first_failure(quad, engine.residual_failure(*quad))
+
+
+def test_residuals_do_not_depend_on_the_order_they_are_asked_in():
+    """The engine stores pair products only, which do not depend on the order
+    they are met in: a fresh engine swept over every quadruple in a shuffled
+    order answers as one swept in lexicographic order."""
+    rng = random.Random(23)
+    for potential, truncation in _wdvv_cases():
+        engine = _WdvvEngine(potential, truncation)
+        quads = list(product(range(engine.dim), repeat=4))
+        lexicographic = {quad: engine.residual_failure(*quad) for quad in quads}
+        rng.shuffle(quads)
+        engine = _WdvvEngine(potential, truncation)
+        assert {quad: engine.residual_failure(*quad) for quad in quads} == lexicographic
 
 
 def test_a_contraction_keeps_every_monomial_apart(wdvv_reference):
@@ -485,13 +498,15 @@ def test_potentials_are_invariant_under_their_block_permutations(build, blocks, 
 
 @pytest.fixture
 def scanned(monkeypatch):
-    """The engines wdvv_residual builds, each recording the quadruples it scans."""
+    """The engines wdvv_residual builds, each recording the quadruples it scans,
+    the contractions it computes in call order, and the set of squares that
+    the scan (`_orbit_representatives`) fills as it meets orbits."""
     engines = []
 
     class Recording(_WdvvEngine):
         def __init__(self, *args):
             super().__init__(*args)
-            self.quads, self.keys = [], set()
+            self.quads, self.computed, self.squares = [], [], None
             engines.append(self)
 
         def residual_failure(self, *quad):
@@ -499,20 +514,18 @@ def scanned(monkeypatch):
             return super().residual_failure(*quad)
 
         def contraction(self, key):
-            self.keys.add(key)
+            self.computed.append(key)
             return super().contraction(key)
 
+    scan = frobenius._orbit_representatives
+
+    def recording_scan(dim, symmetries, seen):
+        engines[-1].squares = seen
+        return scan(dim, symmetries, seen)
+
     monkeypatch.setattr(frobenius, "_WdvvEngine", Recording)
+    monkeypatch.setattr(frobenius, "_orbit_representatives", recording_scan)
     return engines
-
-
-def test_a_full_scan_leaves_the_contraction_memo_empty(scanned):
-    assert wdvv_residual(_projective_plane(), 6).passed
-    assert wdvv_residual(d4_build_potential(d4_analytic(20)), 20).passed
-    assert wdvv_residual(e6_build_potential(e6_build_fi(10)), 8).passed
-    assert len(scanned) == 3
-    for engine in scanned:
-        assert engine.quads and engine._contractions == {}
 
 
 def test_scan_skips_every_quadruple_with_the_unit_index(scanned):
@@ -541,19 +554,21 @@ def _bump_shared(F: FrobeniusPotential, key, exponent: int, delta: Fraction) -> 
 
 def test_orbit_scan_counts(scanned):
     """One quadruple per orbit: e6 at T = 60 scans 50 quadruples (441 with
-    every a < c, b < d scanned) and computes 92 contractions (357); d4 at
-    T = 125 scans 7 (100) and computes 14 (95)."""
+    every a < c, b < d scanned) and reads 92 distinct contractions (357); d4
+    at T = 125 scans 7 (100) and reads 14 (95)."""
     assert wdvv_residual(e6_build_potential(e6_build_fi(60)), 60).passed
     assert wdvv_residual(d4_build_potential(d4_analytic(125)), 125).passed
-    assert [(len(e.quads), len(e.keys)) for e in scanned] == [(50, 92), (7, 14)]
+    assert [(len(e.quads), len(set(e.computed))) for e in scanned] == [(50, 92), (7, 14)]
 
 
 def test_engine_work_counters(scanned):
     """The deterministic work of a scan: lowerings enumerated from the keys,
-    nonzero terms, bases, quadruples, contractions, pair multiply-adds,
-    distinct pair products, slot bytes, and the squares met.  The transcribed
-    e6 block fails at its 12th quadruple, and the scan has met only those 12
-    orbits, one square each, of the 231 it would list in full."""
+    nonzero terms, bases, quadruples, distinct contractions, contractions
+    computed (two per quadruple: none is stored), pair multiply-adds per
+    distinct contraction, distinct pair products, slot bytes, and the squares
+    the scan met.  The transcribed e6 block fails at its 12th quadruple, and
+    the scan has met only those 12 orbits, one square each, of the 231 it
+    would list in full."""
     cases = [
         (e6_build_potential(e6_build_fi(60)), 60),
         (e6_build_potential(e6_build_fi(60), raw_f11_block=True), 60),
@@ -565,7 +580,7 @@ def test_engine_work_counters(scanned):
         engine = scanned[-1]
         adds = sum(
             len(engine._terms[tuple(sorted((*p1, e)))]) * len(engine._terms[tuple(sorted((*p2, f)))])
-            for p1, p2 in engine.keys
+            for p1, p2 in set(engine.computed)
             for e, f, _ in engine.eta_pairs
         )
         products = sum(v is not None for i, row in enumerate(engine._pair_products) for v in row[i:])
@@ -574,16 +589,17 @@ def test_engine_work_counters(scanned):
             sum(map(len, engine._terms.values())),
             len(engine._packed),
             len(engine.quads),
-            len(engine.keys),
+            len(set(engine.computed)),
+            len(engine.computed),
             adds,
             products,
             engine.width,
-            len(engine.seen),
+            len(engine.squares),
         ))
     assert counts == [
-        (446, 446, 57, 50, 92, 7218, 572, 9, 231),
-        (434, 434, 57, 12, 24, 188, 70, 9, 12),
-        (84, 84, 13, 7, 14, 182, 37, 8, 55),
+        (446, 446, 57, 50, 92, 100, 7218, 572, 9, 231),
+        (434, 434, 57, 12, 24, 24, 188, 70, 9, 12),
+        (84, 84, 13, 7, 14, 14, 182, 37, 8, 55),
     ]
 
 

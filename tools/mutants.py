@@ -15,7 +15,8 @@ A mutant flagged equivalent changes no value the tests can see; its reason
 is printed, and it may survive.  The tool exits 1 when a mutant that is not
 flagged equivalent survives, when an equivalent one is killed (its flag is
 wrong), or when a mutant's old text does not occur exactly once in its file
-(the list is stale).  Stdlib only; it is not part of the tier-1 tests.
+(the list is stale).  Stdlib only; it is not part of the tier-1 tests,
+but tests/test_mutants.py checks there that every old text still applies.
 """
 
 from __future__ import annotations
@@ -137,6 +138,44 @@ MUTANTS = (
         "radices = [2 * max(column) + 1 for column in zip(*keys)]",
         "radices = [max(column) + 1 for column in zip(*keys)]",
         ("tests/test_frobenius.py",),
+    ),
+    Mutant(
+        "wdvv-right-carry-strict",
+        "src/gwseries/frobenius.py",
+        "(m - g * (c + classes[r] >= g), s, r)",
+        "(m - g * (c + classes[r] > g), s, r)",
+        ("tests/test_frobenius.py",),
+    ),
+    Mutant(
+        "wdvv-scan-skips-adjacent-c",
+        "src/gwseries/frobenius.py",
+        "for c in span[a:] for d in span[b:]",
+        "for c in span[a + 1 :] for d in span[b:]",
+        ("tests/test_frobenius.py",),
+    ),
+    Mutant(
+        "wdvv-last-failure-reported",
+        "src/gwseries/frobenius.py",
+        "exponent, _, value = min(failures)",
+        "exponent, _, value = max(failures)",
+        ("tests/test_frobenius.py",),
+    ),
+    Mutant(
+        "wdvv-pair-product-unmasked",
+        "src/gwseries/frobenius.py",
+        "return product & self.masks[s]",
+        "return product",
+        ("tests/test_frobenius.py",),
+        equivalent="masking is reduction mod 2^bits, which commutes with the contraction's sum, and the "
+        "contraction masks its total by the same class",
+    ),
+    # -- the d4 first-order system, against Halphen's through the bridge ------------------
+    Mutant(
+        "d4-rhs-ac-coefficient",
+        "src/gwseries/d4.py",
+        "(a * c).scale(Fraction(8, 3)) - (a * b).scale(24)",
+        "(a * c).scale(Fraction(7, 3)) - (a * b).scale(24)",
+        ("tests/test_d4.py",),
     ),
     Mutant(
         "int-convolve-stride-one",
