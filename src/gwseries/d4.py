@@ -34,7 +34,7 @@ from .modular import (  # noqa: F401  (eta_expand: perfbench's tracer test reads
     halphen_variables,
     lattice_theta,
 )
-from .qseries import QSeries, solve_qdq_system
+from .qseries import QSeries, evaluate, solve_qdq_system
 from .reporting import GenusOneResult, IdentityReport, series_match
 
 if TYPE_CHECKING:
@@ -50,23 +50,21 @@ class D4Coefficients(NamedTuple):
     c: QSeries
 
 
-def _d4_rhs(a: QSeries, b: QSeries, c: QSeries) -> tuple[QSeries, QSeries, QSeries]:
-    """The first-order quadratic system associativity forces, ' = q d/dq:
-
-        a' =  (8/3) a c - 24 a b
-        b' = -(2/3) a^2 - (16/3) b c + (8/9) c^2
-        c' =   6 a^2 - (8/3) c^2
-    """
-    aa, cc = a * a, c * c
-    return (
-        (a * c).scale(Fraction(8, 3)) - (a * b).scale(24),
-        aa.scale(Fraction(-2, 3)) - (b * c).scale(Fraction(16, 3)) + cc.scale(Fraction(8, 9)),
-        aa.scale(6) - cc.scale(Fraction(8, 3)),
-    )
+# The first-order quadratic system associativity forces, ' = q d/dq, one
+# polynomial in (a, b, c) per component (see `qseries.evaluate`):
+#
+#     a' =  (8/3) a c - 24 a b
+#     b' = -(2/3) a^2 - (16/3) b c + (8/9) c^2
+#     c' =   6 a^2 - (8/3) c^2
+_D4_SYSTEM = (
+    {(1, 0, 1): Fraction(8, 3), (1, 1, 0): -24},
+    {(2, 0, 0): Fraction(-2, 3), (0, 1, 1): Fraction(-16, 3), (0, 0, 2): Fraction(8, 9)},
+    {(2, 0, 0): 6, (0, 0, 2): Fraction(-8, 3)},
+)
 
 
 def d4_recursion_solve(order: int) -> D4Coefficients:
-    """Solve the system `_d4_rhs` equivalent to associativity.
+    """Solve the system `_D4_SYSTEM` equivalent to associativity.
 
     Its q^0 part forces c_0 = 0 and its q^1 part b_0 = -1/24 (using
     a_1 = 1); from those seeds `solve_qdq_system` isolates every later
@@ -81,7 +79,7 @@ def d4_recursion_solve(order: int) -> D4Coefficients:
     if order < 2:
         raise ValueError("need at least two coefficients to apply a_1 = 1")
     seeds = ((0, 1), (Fraction(-1, 24), 0), (0, 0))
-    return D4Coefficients(*solve_qdq_system(_d4_rhs, seeds, order))
+    return D4Coefficients(*solve_qdq_system(_D4_SYSTEM, seeds, order))
 
 
 def d4_analytic(order: int) -> D4Coefficients:
@@ -119,7 +117,7 @@ def d4_ode_reports(order: int, coeffs: D4Coefficients) -> list[IdentityReport]:
     series = (coeffs.a, coeffs.b, coeffs.c)
     return [
         series_match(f"d4-ode-{name}", s.qdq(), rhs, order)
-        for name, s, rhs in zip("abc", series, _d4_rhs(*series))
+        for name, s, rhs in zip("abc", series, evaluate(_D4_SYSTEM, series))
     ]
 
 

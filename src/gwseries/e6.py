@@ -10,17 +10,16 @@ unique solution with leading coefficient 1/3 of the Schwarzian-type equation
     a'''/a' - (3/2)(a''/a')^2 = -(1/2) (8 + a^3)/(1 - a^3)^2 * a * (a')^2,
 
 with ' = q d/dq.  The solver does not step through this third-order
-equation: `_e6_rhs` rewrites it as a first-order system for f_0, f_1 = a f_0
-and f_2, which the shared `solve_qdq_system` solves, and a = f_1/f_0.
-Fourteen power series f_0..f_13, polynomials in the three generators
-(one table, `_E6_QUANTUM_ROWS`), populate the genus-zero potential on eight
-coordinates.  Everything is certified twice: the solver against the eta
-closed form, f_0 against the square root (1/3) (a'/(1 - a^3))^(1/2), the
+equation: the shared `solve_qdq_system` solves the first-order system
+`_E6_SYSTEM` for f_0, f_1 = a f_0 and f_2, and a = f_1/f_0.  Fourteen power
+series f_0..f_13, polynomials in these generators (`_E6_QUANTUM_ROWS`, data
+for `qseries.evaluate` like the system), populate the genus-zero potential
+on eight coordinates.  Everything is certified twice: the solver against the
+eta closed form, f_0 against the square root (1/3) (a'/(1 - a^3))^(1/2), the
 generators against their system, each derived series against an independent
-formula, and a suite
-of modular identities tying a to the j-invariant, cusp forms, and twisted eta
-products, read off the 3-dissection of rational series with the roots of
-unity kept as exponents.  The builders only build;
+formula, and a suite of modular identities tying a to the j-invariant, cusp
+forms, and twisted eta products, read off the 3-dissection of rational
+series with the roots of unity kept as exponents.  The builders only build;
 `e6_suites` builds each series once and hands it to the report functions.
 """
 
@@ -36,7 +35,7 @@ from .modular import (
     verify_cusp_form_from_j,
     verify_eta_product_rotation,
 )
-from .qseries import QSeries, field_text, solve_qdq_system
+from .qseries import QSeries, evaluate, field_text, solve_qdq_system
 from .reporting import GenusOneResult, IdentityReport, failure_report, pass_report, series_match
 
 if TYPE_CHECKING:
@@ -70,34 +69,31 @@ def _schwarzian_combination(a: QSeries) -> QSeries:
     return (1 - cube) ** 2 * wronskian + ((8 + cube) * a * d1**4).scale(Fraction(1, 2))
 
 
-def _e6_rhs(f0: QSeries, f1: QSeries, f2: QSeries) -> tuple[QSeries, QSeries, QSeries]:
-    """The first-order system of (f_0, f_1, f_2), ' = q d/dq:
-
-        f_0' = 9 f_0 (f_1^2 - f_2)
-        f_1' = 9 (f_0^3 - f_1 f_2)
-        f_2' = 9 (f_0^3 f_1 - f_2^2)
-
-    It follows from the definitions `e6_build_fi` uses,
-
-        f_0^2 = a'/(9 (1 - a^3)),   f_1 = a f_0,   f_2 = f_1^2 - f_0'/(9 f_0).
-
-    The first line is the definition of f_2 solved for f_0'.  The second is
-    f_1' = a' f_0 + a f_0' with a' = 9 (1 - a^3) f_0^2.  The third is the
-    Schwarzian equation rewritten: f_2' = 2 f_1 f_1' - (f_0'/f_0)'/9 holds
-    a''' only in (a''/a')' = S + (1/2)(a''/a')^2, with S the Schwarzian
-    a'''/a' - (3/2)(a''/a')^2, and the equation replaces S by its right side.
-    """
-    f0sq, f1sq = f0 * f0, f1 * f1
-    f0cb = f0sq * f0
-    return (
-        (f0 * (f1sq - f2)).scale(9),
-        (f0cb - f1 * f2).scale(9),
-        (f0cb * f1 - f2 * f2).scale(9),
-    )
+# The first-order system of (f_0, f_1, f_2), ' = q d/dq, one polynomial per
+# component (see `qseries.evaluate`):
+#
+#     f_0' = 9 f_0 (f_1^2 - f_2)
+#     f_1' = 9 (f_0^3 - f_1 f_2)
+#     f_2' = 9 (f_0^3 f_1 - f_2^2)
+#
+# It follows from the definitions `e6_build_fi` uses,
+#
+#     f_0^2 = a'/(9 (1 - a^3)),   f_1 = a f_0,   f_2 = f_1^2 - f_0'/(9 f_0).
+#
+# The first line is the definition of f_2 solved for f_0'.  The second is
+# f_1' = a' f_0 + a f_0' with a' = 9 (1 - a^3) f_0^2.  The third is the
+# Schwarzian equation rewritten: f_2' = 2 f_1 f_1' - (f_0'/f_0)'/9 holds
+# a''' only in (a''/a')' = S + (1/2)(a''/a')^2, with S the Schwarzian
+# a'''/a' - (3/2)(a''/a')^2, and the equation replaces S by its right side.
+_E6_SYSTEM = (
+    {(1, 2, 0): 9, (1, 0, 1): -9},
+    {(3, 0, 0): 9, (0, 1, 1): -9},
+    {(3, 1, 0): 9, (0, 0, 2): -9},
+)
 
 
 def e6_schwarzian_solve(order: int) -> QSeries:
-    """The pole series a = f_1/f_0 from the first-order system `_e6_rhs`.
+    """The pole series a = f_1/f_0 from the first-order system `_E6_SYSTEM`.
 
     The seeds are f_0 = q + O(q^2), f_1 = 1/3 + O(q^2), f_2 = O(q^2), which
     `solve_qdq_system` checks against the system.  The system is solved two
@@ -109,7 +105,7 @@ def e6_schwarzian_solve(order: int) -> QSeries:
     if order < 0:
         raise ValueError("order must be at least 0")
     seeds = ((0, 1), (_THIRD, 0), (0, 0))
-    f0, f1, _ = solve_qdq_system(_e6_rhs, seeds, order + 2)
+    f0, f1, _ = solve_qdq_system(_E6_SYSTEM, seeds, order + 2)
     return (f1 * f0.inv()).truncate(order)
 
 
@@ -147,7 +143,8 @@ def _sqrt_route_f0(slope: QSeries) -> QSeries:
 
 # One row per orbit of the permutations of the pairs (t1,t6), (t2,t5), (t3,t4),
 # row i for the series f_i: f_i as a polynomial {(i, j, k): c, ...} meaning the
-# sum of c f_0^i f_1^j f_2^k, its prefactor, and a representative monomial.
+# sum of c f_0^i f_1^j f_2^k (see `qseries.evaluate`), its prefactor, and a
+# representative monomial.
 _E6_QUANTUM_ROWS = (
     ({(1, 0, 0): 1}, Fraction(1), (0, 1, 1, 1, 0, 0, 0, 0)),
     ({(0, 1, 0): 1}, Fraction(1, 6), (0, 3, 0, 0, 0, 0, 0, 0)),
@@ -171,28 +168,16 @@ def e6_build_fi(order: int) -> E6Coefficients:
 
     The generators are f_0 = eta(9)^3/eta(3), f_1 = a f_0 and
     f_2 = f_1^2 - f_0'/(9 f_0); every f_i is its `_E6_QUANTUM_ROWS`
-    polynomial in them, with each monomial multiplied out once.  Builds only;
+    polynomial in them, through `qseries.evaluate`.  Builds only;
     the independent routes to the same series are `e6_coefficient_reports`.
     """
     slack = order + 2
     a = e6_h_analytic(slack)
     f0 = eta_expand("eta(9)^3 * eta(3)^-1", slack + 1)
     f1 = a * f0
-    f1sq = f1 * f1
-    generators = (f0, f1, f1sq - (f0.qdq() * f0.inv()).scale(Fraction(1, 9)))
-    built = {(1, 0, 0): f0, (0, 1, 0): f1, (0, 0, 1): generators[2], (0, 2, 0): f1sq}
-
-    def monomial(e: tuple[int, int, int]) -> QSeries:
-        if e not in built:
-            i = next(i for i, n in enumerate(e) if n)
-            built[e] = monomial((*e[:i], e[i] - 1, *e[i + 1 :])) * generators[i]
-        return built[e]
-
-    f = []
-    for polynomial, _, _ in _E6_QUANTUM_ROWS:
-        first, *rest = (monomial(e).scale(c) for e, c in polynomial.items())
-        f.append(sum(rest, first).truncate(order))
-    return E6Coefficients(a.truncate(order), tuple(f))
+    generators = (f0, f1, f1 * f1 - (f0.qdq() * f0.inv()).scale(Fraction(1, 9)))
+    f = evaluate([polynomial for polynomial, _, _ in _E6_QUANTUM_ROWS], generators)
+    return E6Coefficients(a.truncate(order), tuple(s.truncate(order) for s in f))
 
 
 def e6_coefficient_reports(
@@ -200,7 +185,7 @@ def e6_coefficient_reports(
 ) -> list[IdentityReport]:
     """Independent routes to the same series: square root, eta quotient, the
     derivative-based closed forms coming from the flatness calculation, the
-    first-order system `_e6_rhs` on the eta-side generators f_0, f_1, f_2,
+    first-order system `_E6_SYSTEM` on the eta-side generators f_0, f_1, f_2,
     and the equation solver's `solved` pole series.
 
     `coeffs` must reach order + 8, which the defining equation's residual
@@ -230,7 +215,7 @@ def e6_coefficient_reports(
     ]
     reports.extend(
         series_match(f"e6-ode-f{i}", s.qdq(), rhs, order)
-        for i, (s, rhs) in enumerate(zip(f[:3], _e6_rhs(*f[:3])))
+        for i, (s, rhs) in enumerate(zip(f[:3], evaluate(_E6_SYSTEM, f[:3])))
     )
     reports.append(series_match("e6-solver-matches-eta", solved, a, order))
     reports.append(e6_schwarzian_residual_report(order, a))

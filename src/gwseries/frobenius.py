@@ -405,8 +405,8 @@ class _WdvvEngine:
     def residual_failure(self, a: int, b: int, c: int, d: int):
         """First nonzero coefficient of the (a,b,c,d) residual as (exponent,
         residual), or None; of a tied exponent, the least monomial's."""
-        p1, p2 = (self.contraction(key) for key in _contraction_keys(a, b, c, d))
-        if p1 == p2:
+        k1, k2 = _contraction_keys(a, b, c, d)  # equal when a == c or b == d
+        if k1 == k2 or (p1 := self.contraction(k1)) == (p2 := self.contraction(k2)):
             return None
         g, failures = self.stride, []
         for m in p1.keys() | p2.keys():

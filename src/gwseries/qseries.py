@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact_arith import Frozen, int_convolve, rational_nth_root
 
@@ -406,57 +406,74 @@ class QSeries(Frozen):
         return f"QSeries({format_series(self)})"
 
 
-def solve_qdq_system(
-    rhs: Callable[..., Sequence[QSeries]], seeds: Sequence[Sequence[Fraction | int]], order: int
-) -> tuple[QSeries, ...]:
-    """The power series Y with q dY/dq = rhs(*Y), known through O(q^order).
+def evaluate(polynomials: Iterable[Mapping], ys: Sequence[QSeries]) -> list[QSeries]:
+    """The values at the series ys of polynomials over Q, each {(e_0, ...,
+    e_(k-1)): c} meaning the sum of c y_0^e_0 ... y_(k-1)^e_(k-1).  Each
+    monomial is built once, as the monomial with its last nonzero exponent
+    one less, times that series.  A value keeps the truncation of its own
+    terms; the constant 1, and a polynomial with no terms, are known
+    through the least truncation of ys.
 
+    >>> evaluate([{(2,): 1, (1,): -1}, {}], [QSeries([1, 1], 0, 4)])   # y^2 - y and 0
+    [QSeries(q + q^2 + O(q^4)), QSeries(O(q^4))]
+    """
+    least = min(y.truncation for y in ys)
+    built = {tuple(int(i == j) for i in range(len(ys))): y for j, y in enumerate(ys)}
+    built[(0,) * len(ys)] = QSeries.one(least)
+
+    def monomial(e: tuple[int, ...]) -> QSeries:
+        if e not in built:
+            j = max(i for i, n in enumerate(e) if n)
+            built[e] = monomial((*e[:j], e[j] - 1, *e[j + 1 :])) * ys[j]
+        return built[e]
+
+    terms = [[monomial(e).scale(c) for e, c in polynomial.items()] for polynomial in polynomials]
+    return [sum(t[1:], t[0]) if t else QSeries.zero(least) for t in terms]
+
+
+def solve_qdq_system(
+    system: Sequence[Mapping], seeds: Sequence[Sequence[Fraction | int]], order: int
+) -> tuple[QSeries, ...]:
+    """The power series Y with q dY/dq = F(Y), known through O(q^order), for
+    F the polynomials `system` over Q, one per component (see `evaluate`).
     `seeds` holds the q^0 and q^1 coefficients of each component, which must
     satisfy the system through q^1.
 
     The rest comes in doubling blocks.  With Y known through q^(m-1), the
     correction E = O(q^m) on [m, hi), hi = min(2m, order), w = hi - m, has
-    F(Y + E) = F(Y) + J(Y) E + O(q^2m) for F = rhs, so below q^hi the block
-    is linear:
+    F(Y + E) = F(Y) + J(Y) E + O(q^2m), so below q^hi the block is linear:
 
         (n - J0) E_n = R_n + sum_{m <= l < n} J_(n-l) E_l,    m <= n < hi,
 
     with J(Y) = sum_d J_d q^d, needed mod q^w, and R = F(Y) - q dY/dq, which
-    is O(q^m) and costs one rhs call at truncation hi.  Column j of J comes
-    from rhs(Y + q^w e_j) - rhs(Y) = q^w J(Y) e_j + O(q^2w), read at
-    truncation 2w, so a block costs 1 + k rhs calls for k components, and a
-    solve one more for the seeds (29 calls for three components at order
-    242).  J0, the Jacobian at the constant terms, is the q^0 part of the
-    block's J and must be upper triangular; that is checked before any
-    coefficient of the block is solved, so for order <= 2, with no block,
-    J0 is never read.  Each block is back-substituted whole against n - J0,
-    every value an integer numerator over one running denominator that is
-    multiplied up when a pivot n - J0_ii does not divide, which is why the
-    system must be over Q.
+    is O(q^m).  The polynomials dF_i/dy_j are derived once, so a block
+    evaluates F once at truncation hi and J once at Y mod q^w, after one
+    evaluation of F for the seeds (15 evaluations at order 242).  J0, the
+    Jacobian at the constant terms, must be upper triangular; that is
+    checked before any coefficient of the block is solved, so for order <= 2,
+    with no block, J0 is never read.  Each block is back-substituted whole
+    against n - J0, every value an integer numerator over one running
+    denominator that is multiplied up when a pivot n - J0_ii does not divide.
 
-    >>> solve_qdq_system(lambda y: (y * y - y,), [(1, 1)], 6)   # 1/(1-q)
+    >>> solve_qdq_system([{(2,): 1, (1,): -1}], [(1, 1)], 6)   # q y' = y^2 - y: 1/(1-q)
     (QSeries(1 + q + q^2 + q^3 + q^4 + q^5 + O(q^6)),)
     """
     ys = [QSeries(seed, 0, 2) for seed in seeds]
-    start = rhs(*ys)
-    if not all(isinstance(r, QSeries) for r in start):
-        raise TypeError("solve_qdq_system solves systems over Q")
-    if not all((r - y.qdq()).is_zero() for r, y in zip(start, ys)):
+    if not all((r - y.qdq()).is_zero() for r, y in zip(evaluate(system, ys), ys)):
         raise ArithmeticError("the seeds do not satisfy the system through q^1")
     k, m = len(ys), 2
+    jacobian = [{(*e[:j], e[j] - 1, *e[j + 1 :]): c * e[j] for e, c in f.items() if e[j]}
+                for f in system for j in range(k)]  # dF_i/dy_j at i k + j
     while m < order:
         hi = min(2 * m, order)
         w = hi - m
         ys = [y._replace(truncation=hi) for y in ys]  # provisionally 0 from q^m on
-        base = rhs(*ys)
-        low, bump = [y.truncate(2 * w) for y in ys], QSeries.monomial(1, w, 2 * w)
-        cols = [rhs(*(y + bump if i == j else y for i, y in enumerate(low))) for j in range(k)]
-        jac = [[(c[i] - base[i]).truncate(2 * w) for c in cols] for i in range(k)]  # q^w J(Y)
-        dj = math.lcm(*(s.den for row in jac for s in row))
-        js = [[_numerators(s, w, 2 * w, dj) for s in row] for row in jac]
+        jac = evaluate(jacobian, [y.truncate(w) for y in ys])  # J(Y) mod q^w
+        dj = math.lcm(*(s.den for s in jac))
+        js = [[_numerators(s, 0, w, dj) for s in jac[i * k : (i + 1) * k]] for i in range(k)]
         if any(js[i][j][0] for i in range(k) for j in range(i)):
             raise ArithmeticError("J0 is not upper triangular")
-        forcing = [r - y.qdq() for r, y in zip(base, ys)]
+        forcing = [r - y.qdq() for r, y in zip(evaluate(system, ys), ys)]
         den = math.lcm(*(r.den for r in forcing))
         rs = [_numerators(r, m, hi, den) for r in forcing]
         es = [[0] * w for _ in range(k)]

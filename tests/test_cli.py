@@ -248,14 +248,9 @@ def test_wrong_normalization_is_a_localized_failure(capsys, monkeypatch, module,
 
 
 def test_wrong_first_order_system_is_a_localized_failure(capsys, monkeypatch):
-    original = e6._e6_rhs
-
-    def perturbed(f0, f1, f2):
-        # 9 f2^2 -> 8 f2^2: f2 = O(q^2), so the seeds and J0 stay as they were
-        d0, d1, d2 = original(f0, f1, f2)
-        return d0, d1, d2 + f2 * f2
-
-    monkeypatch.setattr(e6, "_e6_rhs", perturbed)
+    # 9 f2^2 -> 8 f2^2 in f2': f2 = O(q^2), so the seeds and J0 stay as they were
+    d0, d1, d2 = e6._E6_SYSTEM
+    monkeypatch.setattr(e6, "_E6_SYSTEM", (d0, d1, {**d2, (0, 0, 2): -8}))
     status, out, _ = _run(capsys, command="verify", model="e6", order=12)
     assert status == 10
     assert "FAIL  e6-solver-matches-eta (order 12; first failure at q^5, residual 1/36)" in out

@@ -3,12 +3,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwseries.d4 import (
+    _D4_SYSTEM,
     D4Coefficients,
-    _d4_rhs,
     d4_analytic,
     d4_build_potential,
     d4_construction_reports,
@@ -21,7 +21,7 @@ from gwseries.d4 import (
 )
 from gwseries.frobenius import euler_residual, metric_from_potential, wdvv_residual
 from gwseries.modular import f_series, halphen_variables, sigma
-from gwseries.qseries import QSeries
+from gwseries.qseries import QSeries, evaluate
 
 
 # -- the three coefficient series --------------------------------------------------
@@ -169,16 +169,37 @@ def _series_triples(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
 @given(_series_triples())
+# (0, q^2, 0) at T = 3: c' = 6 a^2 - (8/3) c^2 is zero through O(q^6), the pullback through O(q^5)
+@example((QSeries.zero(3), QSeries([0, 0, 1], 0, 3), QSeries.zero(3)))
 def test_the_d4_system_is_halphens_system_in_the_bridge_coordinates(triple):
-    """`_d4_rhs`'s seven coefficients are Halphen's system seen through the
-    map that the d4-bridge reports certify, field by field on any series; a
-    coefficient off by 1/3 (8/3 -> 7/3 in a') breaks it."""
+    """`_D4_SYSTEM`'s seven coefficients are Halphen's system seen through
+    the map that the d4-bridge reports certify, field by field on any series
+    through their common truncation T (a zero tail is known to an order that
+    depends on how the expression is written); a coefficient off by 1/3
+    (8/3 -> 7/3 in a') breaks it."""
     a, _, c = triple
-    pulled = _halphen_pulled_back(*triple)
-    rhs = _d4_rhs(*triple)
+    t = min(s.truncation for s in triple)
+    pulled = [s.truncate(t) for s in _halphen_pulled_back(*triple)]
+    rhs = [s.truncate(t) for s in evaluate(_D4_SYSTEM, triple)]
     assert [s._fields() for s in rhs] == [s._fields() for s in pulled]
-    tampered = rhs[0] - (a * c).scale(Fraction(1, 3))
-    assert (a * c).is_zero() or tampered._fields() != pulled[0]._fields()
+    ac = (a * c).truncate(t)
+    assert ac.is_zero() or (rhs[0] - ac.scale(Fraction(1, 3)))._fields() != pulled[0]._fields()
+
+
+def _weight(polynomial, weights):
+    """The one weight of a homogeneous {exponent tuple: c} polynomial, or None."""
+    found = {sum(n * w for n, w in zip(e, weights)) for e in polynomial}
+    return found.pop() if len(found) == 1 else None
+
+
+def test_the_d4_system_raises_the_quasimodular_weight_by_two():
+    """a, b and c have weight 2, and each component of `_D4_SYSTEM` is
+    homogeneous of weight 4; one added monomial of another weight fails."""
+    weights = (2, 2, 2)
+    assert [_weight(f, weights) for f in _D4_SYSTEM] == [4, 4, 4]
+    for f in _D4_SYSTEM:
+        for wrong in ((1, 0, 0), (1, 2, 0), (0, 0, 3)):
+            assert _weight({**f, wrong: 1}, weights) is None
 
 
 def test_tampered_coefficients_fail_the_odes():

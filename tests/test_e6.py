@@ -7,8 +7,9 @@ import pytest
 import gwseries.e6 as e6
 from gwseries import modular
 from gwseries.e6 import (
+    _E6_QUANTUM_ROWS,
+    _E6_SYSTEM,
     E6Coefficients,
-    _e6_rhs,
     _gw_dual_route,
     _schwarzian_combination,
     e6_build_fi,
@@ -25,7 +26,7 @@ from gwseries.e6 import (
 )
 from gwseries.frobenius import euler_residual, metric_from_potential, wdvv_residual
 from gwseries.modular import eta_expand, f_series
-from gwseries.qseries import QSeries
+from gwseries.qseries import QSeries, evaluate
 
 DEGREE_ONE_COUNTS = [1, 1, 2, 0, 2, 1, 2, 0, 1, 2, 2]
 
@@ -78,9 +79,31 @@ def test_solver_matches_the_schwarzian_step_loop():
 
 def test_first_order_system_holds_on_the_eta_side_series():
     f = e6_build_fi(60).f[:3]
-    for name, series, rhs in zip(("f0", "f1", "f2"), f, _e6_rhs(*f)):
+    for name, series, rhs in zip(("f0", "f1", "f2"), f, evaluate(_E6_SYSTEM, f)):
         residual = series.qdq() - rhs
         assert residual.is_zero() and residual.truncation == 60, name
+
+
+def _weight(polynomial, weights):
+    """The one weight of a homogeneous {exponent tuple: c} polynomial, or None."""
+    found = {sum(n * w for n, w in zip(e, weights)) for e in polynomial}
+    return found.pop() if len(found) == 1 else None
+
+
+def test_rows_and_system_are_graded_by_the_quasimodular_weight():
+    """f_0 and f_1 have weight 1 and f_2 weight 2 (the quasi-modular weight,
+    Milanov-Ruan, arXiv:1106.2321).  Row i's polynomial is homogeneous of
+    weight 1 + k/2, k the degree of its representative monomial in t4, t5
+    and t6, and each component of `_E6_SYSTEM` has weight 2 more than the
+    generator it differentiates.  One added monomial of another weight, here
+    the first monomial times f_1, fails."""
+    weights = (1, 1, 2)
+    polynomials = [f for f, _, _ in _E6_QUANTUM_ROWS] + list(_E6_SYSTEM)
+    expected = [1 + Fraction(sum(rep[4:7]), 2) for _, _, rep in _E6_QUANTUM_ROWS] + [w + 2 for w in weights]
+    assert [_weight(f, weights) for f in polynomials] == expected
+    for f in polynomials:
+        i, j, k = next(iter(f))
+        assert _weight({**f, (i, j + 1, k): 1}, weights) is None
 
 
 def test_closed_form_is_shifted_eta_cube():

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gwseries.d4 import _d4_rhs
-from gwseries.e6 import _e6_rhs
+import gwseries.qseries as qseries
+from gwseries.d4 import _D4_SYSTEM, d4_recursion_solve
+from gwseries.e6 import _E6_SYSTEM, e6_schwarzian_solve
 from gwseries.exact_arith import int_convolve
 from gwseries.modular import eta_unit
 from gwseries.qseries import (
@@ -20,6 +21,7 @@ from gwseries.qseries import (
     QSeries,
     ValuationNotDivisible,
     ZeroDivisor,
+    evaluate,
     format_series,
     solve_qdq_system,
 )
@@ -116,34 +118,64 @@ def test_geometric_series_product():
     assert one_minus_q * geometric == QSeries.one(40)
 
 
+def test_evaluate_keeps_each_values_own_truncation():
+    y, z = QSeries([1, 1], 0, 5), QSeries([2], 1, 3)
+    values = evaluate([{(1, 0): 1}, {(2, 0): 1, (1, 0): -1}, {(1, 1): 1}, {(0, 0): 2}, {}], [y, z])
+    assert [v._fields() for v in values] == [
+        y._fields(),  # y itself, through O(q^5), not the least truncation
+        QSeries([0, 1, 1], 0, 5)._fields(),  # y^2 - y = q + q^2
+        QSeries([2, 2], 1, 3)._fields(),  # y z, which O(q^3) in z bounds
+        QSeries.constant(2, 3)._fields(),  # a constant is known through the least truncation
+        QSeries.zero(3)._fields(),  # and so is a polynomial with no terms
+    ]
+
+
+def test_evaluate_builds_each_monomial_once_from_its_last_exponent(monkeypatch):
+    # e6's f0 f1^2, f0 f2, f0^3, f1 f2, f0^3 f1, f2^2: f0 f1 and f0^2 are built
+    # on the way and shared, 8 products in all; reducing the first nonzero
+    # exponent builds f1^2 and f0^2 f1 instead, 10 products
+    ys = [QSeries([1, 2], 1, 9), QSeries([1, 1], 0, 9), QSeries([2, 5], 2, 9)]
+    products = []
+    monkeypatch.setattr(qseries, "int_convolve", lambda *args: products.append(args) or int_convolve(*args))
+    evaluate(_E6_SYSTEM, ys)
+    assert len(products) == 8
+
+
+_GEOMETRIC = ({(2,): 1, (1,): -1},)  # q y' = y^2 - y
+
+
 def test_qdq_system_solves_the_geometric_series():
     # q dy/dq = y^2 - y with y = 1 + q + ... is solved by 1/(1 - q)
     for order in (0, 1, 2, 3, 40):
-        (y,) = solve_qdq_system(lambda y: (y * y - y,), [(1, 1)], order)
+        (y,) = solve_qdq_system(_GEOMETRIC, [(1, 1)], order)
         assert y == QSeries([1] * order, 0, order) and y.truncation == order
 
 
 def test_qdq_system_rejects_seeds_off_the_system():
     with pytest.raises(ArithmeticError, match="seeds"):
-        solve_qdq_system(lambda y: (y * y - y,), [(2, 1)], 10)  # q^0: 0 != 2^2 - 2
+        solve_qdq_system(_GEOMETRIC, [(2, 1)], 10)  # q^0: 0 != 2^2 - 2
     with pytest.raises(ArithmeticError, match="seeds"):
-        solve_qdq_system(lambda y: (y * y,), [(0, 1)], 10)  # q^1: 1 != 2 * 0 * 1
+        solve_qdq_system([{(2,): 1}], [(0, 1)], 10)  # q^1: 1 != 2 * 0 * 1
 
 
 def test_qdq_system_needs_an_upper_triangular_jacobian():
     # q y' = y, q z' = y: J0 = [[1, 0], [1, 0]] has an entry below the diagonal
     for order in (3, 10):  # at order 3 the only block is one coefficient wide
         with pytest.raises(ArithmeticError, match="upper triangular"):
-            solve_qdq_system(lambda y, z: (y, y), [(0, 1), (0, 1)], order)
+            solve_qdq_system([{(1, 0): 1}, {(1, 0): 1}], [(0, 1), (0, 1)], order)
     # the same system with z listed first is upper triangular and solvable
-    z, y = solve_qdq_system(lambda z, y: (y, y), [(0, 1), (0, 1)], 10)
+    z, y = solve_qdq_system([{(0, 1): 1}, {(0, 1): 1}], [(0, 1), (0, 1)], 10)
     assert z == y == QSeries.monomial(1, 1, 10)
 
 
-def _step_solve(rhs, seeds, order: int) -> tuple[QSeries, ...]:
-    """Reference: the solver one coefficient per step.  Step n evaluates rhs
-    with Y_n provisionally 0 and solves (n - J0) Y_n = [rhs]_n by back
-    substitution, one full evaluation of the system per coefficient."""
+def _step_solve(system, seeds, order: int) -> tuple[QSeries, ...]:
+    """Reference: the solver one coefficient per step.  Step n evaluates the
+    system with Y_n provisionally 0 and solves (n - J0) Y_n = [F(Y)]_n by back
+    substitution, one full evaluation of the system per coefficient.  J0 comes
+    from bumping each seed by q, numerically, not from the system's data."""
+    def rhs(*ys):
+        return evaluate(system, ys)
+
     ys = [QSeries(seed, 0, 2) for seed in seeds]
     k, q = len(ys), QSeries.monomial(1, 1, 2)
     bumped = [rhs(*(y + q if i == j else y for i, y in enumerate(ys))) for j in range(k)]
@@ -159,49 +191,60 @@ def _step_solve(rhs, seeds, order: int) -> tuple[QSeries, ...]:
 
 
 _SYSTEMS = {
-    "geometric": (lambda y: (y * y - y,), [(1, 1)]),
-    "d4": (_d4_rhs, ((0, 1), (Fraction(-1, 24), 0), (0, 0))),
-    "e6": (_e6_rhs, ((0, 1), (Fraction(1, 3), 0), (0, 0))),
+    "geometric": (_GEOMETRIC, [(1, 1)]),
+    "d4": (_D4_SYSTEM, ((0, 1), (Fraction(-1, 24), 0), (0, 0))),
+    "e6": (_E6_SYSTEM, ((0, 1), (Fraction(1, 3), 0), (0, 0))),
 }
 
 
 @pytest.mark.parametrize("system", sorted(_SYSTEMS))
 def test_doubling_solver_matches_the_step_loop(system):
-    rhs, seeds = _SYSTEMS[system]
+    data, seeds = _SYSTEMS[system]
     for order in [*range(41), 125, 242]:
-        reference = _step_solve(rhs, seeds, order)
-        solved = solve_qdq_system(rhs, seeds, order)
+        reference = _step_solve(data, seeds, order)
+        solved = solve_qdq_system(data, seeds, order)
         for s, r in zip(solved, reference, strict=True):
             assert s == r and s.truncation == r.truncation == order, order
 
 
-@pytest.mark.parametrize("system, order, expected", [("e6", 242, 29), ("e6", 62, 21), ("d4", 125, 25)])
-def test_doubling_solver_calls_the_system_logarithmically_often(system, order, expected):
-    rhs, seeds = _SYSTEMS[system]
-    calls = []
+@pytest.mark.parametrize("solve, order, evaluations, products", [
+    (e6_schwarzian_solve, 240, 15, 94),  # the system solved through order 242
+    (e6_schwarzian_solve, 62, 11, 68),
+    (d4_recursion_solve, 125, 13, 29),  # d4's Jacobian is linear, so evaluating it multiplies nothing
+], ids=["e6-240", "e6-62", "d4-125"])
+def test_doubling_solver_calls_the_system_logarithmically_often(monkeypatch, solve, order, evaluations, products):
+    truncations, convolutions = [], []
 
-    def counted(*ys):
-        calls.append(max(y.truncation for y in ys))
-        return rhs(*ys)
+    def counted_evaluate(polynomials, ys):
+        truncations.append(max(y.truncation for y in ys))
+        return evaluate(polynomials, ys)
 
-    solve_qdq_system(counted, seeds, order)
-    # the seeds check, then 1 + k calls per doubling block [m, min(2m, order)), m = 2, 4, ...
-    blocks = math.ceil(math.log2(order)) - 1
-    assert len(calls) == 1 + (1 + len(seeds)) * blocks == expected
-    assert max(calls) == order
+    def counted_convolve(*args):
+        convolutions.append(args)
+        return int_convolve(*args)
+
+    monkeypatch.setattr(qseries, "evaluate", counted_evaluate)
+    monkeypatch.setattr(qseries, "int_convolve", counted_convolve)
+    solve(order)
+    # the seeds check, then F at truncation hi and J mod q^w per doubling block [m, hi), m = 2, 4, ...
+    solved_to = order + 2 if solve is e6_schwarzian_solve else order
+    blocks = math.ceil(math.log2(solved_to)) - 1
+    assert len(truncations) == 1 + 2 * blocks == evaluations
+    assert max(truncations) == solved_to
+    assert len(convolutions) == products
 
 
 def test_qdq_system_is_solved_over_the_rationals_only():
-    # y = 1/(1-q) solves q y' = y^2 - y; the same system handed back as its
-    # coefficients, not as a series, is refused before any step
+    # y = 1/(1-q) solves q y' = y^2 - y; the same system with a coefficient
+    # outside Q is refused before any step
     with pytest.raises(TypeError):
-        solve_qdq_system(lambda y: (dict((y * y - y).known_terms()),), [(1, 1)], 10)
+        solve_qdq_system([{(2,): 1j, (1,): -1}], [(1, 1)], 10)
 
 
 def test_qdq_system_stops_at_a_resonance():
     # q y' = 2 y: n - J0 vanishes at n = 2, where y_2 is not determined
     with pytest.raises(ZeroDivisionError):
-        solve_qdq_system(lambda y: (y.scale(2),), [(0, 0)], 10)
+        solve_qdq_system([{(1,): 2}], [(0, 0)], 10)
 
 
 def test_inverse_round_trips_randomized():

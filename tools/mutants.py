@@ -169,13 +169,51 @@ MUTANTS = (
         equivalent="masking is reduction mod 2^bits, which commutes with the contraction's sum, and the "
         "contraction masks its total by the same class",
     ),
+    Mutant(
+        "wdvv-equal-keys-computed",
+        "src/gwseries/frobenius.py",
+        "if k1 == k2 or (p1 := self.contraction(k1))",
+        "if (p1 := self.contraction(k1))",
+        ("tests/test_frobenius.py",),
+        equivalent="equal keys give one contraction twice, so the residual is None either way; "
+        "only a count of contractions computed could see it",
+    ),
     # -- the d4 first-order system, against Halphen's through the bridge ------------------
     Mutant(
         "d4-rhs-ac-coefficient",
         "src/gwseries/d4.py",
-        "(a * c).scale(Fraction(8, 3)) - (a * b).scale(24)",
-        "(a * c).scale(Fraction(7, 3)) - (a * b).scale(24)",
+        "{(1, 0, 1): Fraction(8, 3), (1, 1, 0): -24}",
+        "{(1, 0, 1): Fraction(7, 3), (1, 1, 0): -24}",
         ("tests/test_d4.py",),
+    ),
+    # -- first-order systems as polynomial data: the evaluator and the exact Jacobian --------
+    Mutant(
+        "jacobian-drops-the-exponent-factor",
+        "src/gwseries/qseries.py",
+        "c * e[j] for e, c in f.items() if e[j]",
+        "c for e, c in f.items() if e[j]",
+        ("tests/test_qseries.py",),
+    ),
+    Mutant(
+        "jacobian-read-transposed",
+        "src/gwseries/qseries.py",
+        "for s in jac[i * k : (i + 1) * k]]",
+        "for s in jac[i::k]]",
+        ("tests/test_qseries.py",),
+    ),
+    Mutant(
+        "evaluate-reduces-the-first-exponent",
+        "src/gwseries/qseries.py",
+        "j = max(i for i, n in enumerate(e) if n)",
+        "j = min(i for i, n in enumerate(e) if n)",
+        ("tests/test_qseries.py",),
+    ),
+    Mutant(
+        "evaluate-constant-at-the-largest-truncation",
+        "src/gwseries/qseries.py",
+        "least = min(y.truncation for y in ys)",
+        "least = max(y.truncation for y in ys)",
+        ("tests/test_qseries.py",),
     ),
     Mutant(
         "int-convolve-stride-one",
