@@ -209,7 +209,7 @@ MUTANTS = (
         ("tests/test_qseries.py",),
     ),
     Mutant(
-        "evaluate-constant-at-the-largest-truncation",
+        "evaluate-one-at-largest-truncation",
         "src/gwseries/qseries.py",
         "least = min(y.truncation for y in ys)",
         "least = max(y.truncation for y in ys)",
