@@ -427,6 +427,28 @@ PINNED_STDOUT = [
      "16119b10090f174782c25e1260ab0b479c521d11a9d6a2833a6257e2821619f5"),
     (dict(command="verify", model="d4", order=125, format="json"),
      "329de73e8a1a87820ca703d4e370674325256a8fd8d0317e629a18eb5869e082"),
+    # every command x format pair no digest above covers, recorded before the
+    # formats shared one output function
+    (dict(command="solve", model="d4", order=60),
+     "56ae8a99de56e09358e7b4f79a24464dad6c6a743a3d3494146080374f017e29"),
+    (dict(command="solve", model="d4", order=60, format="csv"),
+     "7d0f12be4f42d9acadcb6ae4416864b6b4eafdb3158eb79372299f6f46cc8abf"),
+    (dict(command="solve", model="e6", order=60, format="json"),
+     "1759285b7438c6a0fdf8b189e31afa23553de4d9686e638edab0f9bd3dbea99f"),
+    (dict(command="verify", model="halphen", order=60, format="csv"),
+     "9afe2415ada98e30a32ce9b6ad4370f3164829b6a5060e530fc78f2e93029d40"),
+    (dict(command="verify", model="e6", order=60, strict_typo_mode=True, format="csv"),
+     "a99c1074f9c3ac8a0c9d6cd9e39be6cf901deb1913100c234ad06a4d2b1c7801"),
+    (dict(command="gw-table", kmax=30, format="json"),
+     "6475781e8368f718adabd867500a474bbfee16464e17bfb0b9d51249b49bf995"),
+    (dict(command="gw-table", kmax=30, format="csv"),
+     "dacb501ce3e96ab10c1745ddd8371bcc7455d77187849e6b136b0c54f17c9e59"),
+    (dict(command="genus-one", model="d4", order=60),
+     "2026ad0214f03cb3e37ab8c88547f5582f4233a882b7ff67cb27a445679f6dc5"),
+    (dict(command="genus-one", model="d4", order=60, format="csv"),
+     "8a7f496f3f6591738cd404983c7657b3074396df9e3b96b1d3aad08ede4bb46b"),
+    (dict(command="genus-one", model="e6", order=60, format="csv"),
+     "c454d1ad933eba3a8dcb72cc0aad92bad7e761ee3ba399c0846ece57d10f80db"),
 ]
 
 
