@@ -70,46 +70,36 @@ def _verify_suites(config: RunConfig) -> list[tuple[str, list[IdentityReport]]]:
     return [("modular-suite", modular_reports(config.order))]
 
 
-# -- output helpers ------------------------------------------------------------------
+# -- output --------------------------------------------------------------------------
 
 
-def _report_line(report: IdentityReport) -> str:
-    if report.passed:
-        return f"pass  {report.name} (order {report.order_certified})"
-    f = report.first_failure
-    where = f", indices {f.indices}" if f.indices else ""
-    return (
-        f"FAIL  {report.name} (order {report.order_certified};"
-        f" first failure at q^{f.exponent}{where}, residual {f.residual})"
-    )
+def _emit(config: RunConfig, groups: list[tuple[str, list[IdentityReport]]],
+          as_json, as_csv, as_text) -> int:
+    """Print one command's result in config.format; returns the exit status.
+
+    as_json (the payload), as_csv (header and rows) and as_text (the lines)
+    take no arguments, and only the one for the requested format is called;
+    json and csv are imported only for their own format.  The status is 0, or
+    10 plus the index of the first of `groups` (name, reports) that fails.
+    """
+    if config.format == "json":
+        import json
+
+        print(json.dumps(as_json(), indent=2))
+    elif config.format == "csv":
+        import csv
+
+        header, rows = as_csv()
+        csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
+    else:
+        print(*as_text(), sep="\n")
+    failing = [i for i, (_, reports) in enumerate(groups) if not all(r.passed for r in reports)]
+    return 10 + failing[0] if failing else 0
 
 
-def _print_json(payload: dict) -> None:
-    import json
-
-    print(json.dumps(payload, indent=2))
-
-
-def _print_csv(header: list[str], rows: list[list[str]]) -> None:
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
-
-
-def _series_csv_rows(label: str, series: QSeries) -> list[list[str]]:
-    return [[label, str(e), str(c)] for e, c in series.known_terms()]
-
-
-def _exit_status(groups: list[tuple[str, list[IdentityReport]]]) -> int:
-    for index, (_, reports) in enumerate(groups):
-        if any(not r.passed for r in reports):
-            return 10 + index
-    return 0
+def _series_table(named: list[tuple[str, QSeries]]) -> tuple[list[str], list[list[str]]]:
+    return ["series", "exponent", "coefficient"], [
+        [name, str(e), str(c)] for name, s in named for e, c in s.known_terms()]
 
 
 # -- command implementations ----------------------------------------------------------
@@ -131,19 +121,16 @@ def _run_expand(config: RunConfig) -> int:
               f"exponent {quotient.offset}", file=sys.stderr)
         return 2
     series = quotient.expand(unit_order) if integral else quotient.unit(unit_order)
-    if config.format == "json":
-        # "scalar" is always 1: an eta quotient's leading coefficient is 1
-        fields = ({"series": series.to_json_dict()} if integral else
-                  {"scalar": "1", "offset": str(quotient.offset),
-                   "unit": series.to_json_dict()})
-        _print_json({"command": "expand", "expression": str(quotient), **fields})
-    elif config.format == "csv":
-        _print_csv(["series", "exponent", "coefficient"], _series_csv_rows(str(quotient), series))
-    elif integral:
-        print(format_series(series))
-    else:
-        print(f"q^({quotient.offset}) * ({format_series(series)})")
-    return 0
+    # "scalar" is always 1: an eta quotient's leading coefficient is 1
+    return _emit(
+        config, [],
+        lambda: {"command": "expand", "expression": str(quotient), **(
+            {"series": series.to_json_dict()} if integral else
+            {"scalar": "1", "offset": str(quotient.offset), "unit": series.to_json_dict()})},
+        lambda: _series_table([(str(quotient), series)]),
+        lambda: [format_series(series) if integral else
+                 f"q^({quotient.offset}) * ({format_series(series)})"],
+    )
 
 
 def _run_solve(config: RunConfig) -> int:
@@ -156,65 +143,40 @@ def _run_solve(config: RunConfig) -> int:
         from .e6 import e6_schwarzian_solve
 
         named = [("a", e6_schwarzian_solve(config.order))]
-    if config.format == "json":
-        _print_json({
-            "command": "solve",
-            "model": config.model,
-            "order": config.order,
-            "series": {name: s.to_json_dict() for name, s in named},
-        })
-    elif config.format == "csv":
-        rows = []
-        for name, s in named:
-            rows.extend(_series_csv_rows(name, s))
-        _print_csv(["series", "exponent", "coefficient"], rows)
-    else:
-        for name, s in named:
-            print(f"{name} = {format_series(s)}")
-    return 0
+    return _emit(
+        config, [],
+        lambda: {"command": "solve", "model": config.model, "order": config.order,
+                 "series": {name: s.to_json_dict() for name, s in named}},
+        lambda: _series_table(named),
+        lambda: [f"{name} = {format_series(s)}" for name, s in named],
+    )
 
 
 def _run_verify(config: RunConfig) -> int:
     groups = _verify_suites(config)
-    if config.format == "json":
-        _print_json({
-            "command": "verify",
-            "target": config.model,
-            "order": config.order,
-            "suites": [
-                {"name": name, "reports": [r.to_json_dict() for r in reports]}
-                for name, reports in groups
-            ],
-        })
-    elif config.format == "csv":
-        rows = [r.csv_row() for _, reports in groups for r in reports]
-        _print_csv(["name", "order", "status", "failure_exponent"], rows)
-    else:
-        for name, reports in groups:
-            print(f"[{name}]")
-            for report in reports:
-                print(f"  {_report_line(report)}")
-    return _exit_status(groups)
+    return _emit(
+        config, groups,
+        lambda: {"command": "verify", "target": config.model, "order": config.order,
+                 "suites": [{"name": name, "reports": [r.to_json_dict() for r in reports]}
+                            for name, reports in groups]},
+        lambda: (IdentityReport.CSV_HEADER, [r.csv_row() for _, reports in groups for r in reports]),
+        lambda: [line for name, reports in groups
+                 for line in (f"[{name}]", *(f"  {r.text_line()}" for r in reports))],
+    )
 
 
 def _run_gw_table(config: RunConfig) -> int:
     from .e6 import e6_gw_table
 
     table, report = e6_gw_table(config.kmax)
-    if config.format == "json":
-        _print_json({
-            "command": "gw-table",
-            "kmax": config.kmax,
-            "table": [{"k": k, "c_k": str(c)} for k, c in table],
-            "report": report.to_json_dict(),
-        })
-    elif config.format == "csv":
-        _print_csv(["k", "c_k"], [[str(k), str(c)] for k, c in table])
-    else:
-        for k, c in table:
-            print(f"c_{k} = {c}")
-        print(_report_line(report))
-    return _exit_status([("gw-table", [report])])
+    return _emit(
+        config, [("gw-table", [report])],
+        lambda: {"command": "gw-table", "kmax": config.kmax,
+                 "table": [{"k": k, "c_k": str(c)} for k, c in table],
+                 "report": report.to_json_dict()},
+        lambda: (["k", "c_k"], [[str(k), str(c)] for k, c in table]),
+        lambda: [*(f"c_{k} = {c}" for k, c in table), report.text_line()],
+    )
 
 
 def _run_genus_one(config: RunConfig) -> int:
@@ -226,23 +188,16 @@ def _run_genus_one(config: RunConfig) -> int:
         from .e6 import e6_build_fi, e6_genus_one
 
         result = e6_genus_one(config.order, e6_build_fi(config.order))
-    if config.format == "json":
-        _print_json({
-            "command": "genus-one",
-            "model": config.model,
-            "order": config.order,
-            "linear_log_q_coefficient": str(result.linear_coefficient),
-            "series": result.series.to_json_dict(),
-            "report": result.report.to_json_dict(),
-        })
-    elif config.format == "csv":
-        _print_csv(["name", "order", "status", "failure_exponent"],
-                   [result.report.csv_row()])
-    else:
-        print(f"linear log q coefficient: {result.linear_coefficient}")
-        print(f"series: {format_series(result.series)}")
-        print(_report_line(result.report))
-    return _exit_status([("genus-one", [result.report])])
+    report = result.report
+    return _emit(
+        config, [("genus-one", [report])],
+        lambda: {"command": "genus-one", "model": config.model, "order": config.order,
+                 "linear_log_q_coefficient": str(result.linear_coefficient),
+                 "series": result.series.to_json_dict(), "report": report.to_json_dict()},
+        lambda: (IdentityReport.CSV_HEADER, [report.csv_row()]),
+        lambda: [f"linear log q coefficient: {result.linear_coefficient}",
+                 f"series: {format_series(result.series)}", report.text_line()],
+    )
 
 
 def run(config: RunConfig) -> int:
@@ -342,23 +297,15 @@ def _resolve_order(parser: argparse.ArgumentParser, flag_value: int | None) -> i
 
 def parse_args(argv: list[str] | None = None) -> RunConfig:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    order = DEFAULT_ORDER
-    if hasattr(args, "order"):
-        order = _resolve_order(parser, args.order)
-    kmax = getattr(args, "kmax", DEFAULT_KMAX)
-    if kmax < 0:
-        parser.error(f"kmax must be nonnegative, got {kmax}")
-    model = getattr(args, "model", None) or getattr(args, "target", None)
-    return RunConfig(
-        command=args.command,
-        order=order,
-        format=args.format,
-        model=model,
-        strict_typo_mode=getattr(args, "strict_typo_mode", False),
-        expression=getattr(args, "expression", None),
-        kmax=kmax,
-    )
+    fields = vars(parser.parse_args(argv))
+    if "target" in fields:  # verify's positional keeps the name its usage errors print
+        fields["model"] = fields.pop("target")
+    if "order" in fields:
+        fields["order"] = _resolve_order(parser, fields["order"])
+    config = RunConfig(**fields)
+    if config.kmax < 0:
+        parser.error(f"kmax must be nonnegative, got {config.kmax}")
+    return config
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -46,25 +46,6 @@ def _sigma_sieve(n_max: int, power: int = 1) -> list[int]:
     return sums
 
 
-def sigma(n: int, power: int = 1) -> int:
-    """Sum of the `power`-th powers of the positive divisors of n.
-
-    >>> sigma(6)
-    12
-    >>> sigma(10) == 3 * sigma(5)
-    True
-    """
-    if n < 1:
-        raise ValueError("sigma is defined for positive integers")
-    total = 0
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            total += d**power
-            if d * d != n:
-                total += (n // d) ** power
-    return total
-
-
 def f_series(truncation: int) -> QSeries:
     """The logarithmic eta derivative -1/24 + sum sigma(n) q^n.
 

@@ -250,13 +250,6 @@ class QSeries(Frozen):
         """
         return self._power(-_ONE)
 
-    def __truediv__(self, other):
-        if isinstance(other, QSeries):
-            return self * other.inv()
-        if isinstance(other, _SCALARS):
-            return self.scale(_ONE / other)  # raises ZeroDivisionError on zero
-        return NotImplemented
-
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented

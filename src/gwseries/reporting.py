@@ -27,6 +27,8 @@ class IdentityReport(NamedTuple):
     order_certified: int
     first_failure: FirstFailure | None = None
 
+    CSV_HEADER = ("name", "order", "status", "failure_exponent")
+
     @property
     def passed(self) -> bool:
         return self.first_failure is None
@@ -48,6 +50,16 @@ class IdentityReport(NamedTuple):
     def csv_row(self) -> list[str]:
         exponent = "" if self.first_failure is None else str(self.first_failure.exponent)
         return [self.name, str(self.order_certified), self.status, exponent]
+
+    def text_line(self) -> str:
+        if self.first_failure is None:
+            return f"pass  {self.name} (order {self.order_certified})"
+        f = self.first_failure
+        where = f", indices {f.indices}" if f.indices else ""
+        return (
+            f"FAIL  {self.name} (order {self.order_certified};"
+            f" first failure at q^{f.exponent}{where}, residual {f.residual})"
+        )
 
 
 def failure_report(

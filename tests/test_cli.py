@@ -277,6 +277,17 @@ def test_wrong_twisted_row_is_a_localized_failure(capsys, monkeypatch, row, expo
     assert "  pass  e6-pole-twist-linear (order 20)\n" in out
 
 
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_exit_status_names_the_first_failing_suite_in_every_format(capsys, monkeypatch, fmt):
+    # suite 1 fails on a wrong twisted row, suite 4 on the transcribed f11 block
+    row = ("e6-pole-twist-square", 2, -2, -2, 6)
+    monkeypatch.setattr(e6, "_TWISTED_POLE_ROWS", (row, e6._TWISTED_POLE_ROWS[1]))
+    status, out, _ = _run(capsys, command="verify", model="e6", order=20,
+                          strict_typo_mode=True, format=fmt)
+    assert status == 11
+    assert "e6-pole-twist-square" in out and "wdvv" in out
+
 @pytest.mark.parametrize("model, order, key, exponent", [
     ("e6", 40, (0, 1, 1, 1, 0, 0, 0, 0), 30),  # t1 t2 t3
     ("d4", 100, (0, 1, 1, 1, 1, 0), 90),  # t1 t2 t3 t4
@@ -533,6 +544,7 @@ def test_parse_args_flags():
                          "--order", "8", "--format", "csv"])
     assert config.strict_typo_mode is True
     assert config.format == "csv"
+    assert config.model == "e6"
     assert parse_args(["verify", "e6", "--order", "8"]).strict_typo_mode is False
 
 

@@ -90,3 +90,14 @@ def test_import_footprint():
         assert "gwseries.frobenius" not in _loaded_modules(argv), argv
     for model in ("d4", "e6"):
         assert "gwseries.frobenius" in _loaded_modules(["verify", model, "--order", "8"])
+    # json and csv load only for their own output format
+    for argv in (
+        ["expand", "eta(1)^24", "--order", "12"],
+        ["solve", "d4", "--order", "8"],
+        ["verify", "halphen", "--order", "8"],
+        ["gw-table", "--kmax", "4"],
+        ["genus-one", "d4", "--order", "8"],
+    ):
+        assert not _loaded_modules(argv) & {"json", "csv"}, argv
+        assert "csv" not in _loaded_modules([*argv, "--format", "json"]), argv
+        assert "json" not in _loaded_modules([*argv, "--format", "csv"]), argv

@@ -215,6 +215,42 @@ MUTANTS = (
         "least = max(y.truncation for y in ys)",
         ("tests/test_qseries.py",),
     ),
+    # -- the CLI: one output path, config straight from argparse --------------------------
+    Mutant(
+        "emit-status-from-last-failure",
+        "src/gwseries/cli.py",
+        "return 10 + failing[0] if failing else 0",
+        "return 10 + failing[-1] if failing else 0",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "emit-csv-header-dropped",
+        "src/gwseries/cli.py",
+        ".writerows([header, *rows])",
+        ".writerows(rows)",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "kmax-bound-moved",
+        "src/gwseries/cli.py",
+        "if config.kmax < 0:",
+        "if config.kmax < -1:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "verify-target-dropped",
+        "src/gwseries/cli.py",
+        'fields["model"] = fields.pop("target")',
+        'fields.pop("target")',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "text-line-drops-indices",
+        "src/gwseries/reporting.py",
+        'where = f", indices {f.indices}" if f.indices else ""',
+        'where = ""',
+        ("tests/test_cli.py",),
+    ),
     Mutant(
         "int-convolve-stride-one",
         "src/gwseries/exact_arith.py",
