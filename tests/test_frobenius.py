@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -690,6 +691,41 @@ def test_mutation_helper_changes_one_coefficient():
     assert bumped.quantum[(0, 5, 0)].coefficient(2) == F.quantum[(0, 5, 0)].coefficient(2) + Fraction(1, 720)
     assert bumped.quantum[(0, 8, 0)] == F.quantum[(0, 8, 0)]
     assert F.quantum[(0, 5, 0)].coefficient(2) == Fraction(1, 120)
+
+
+# -- the two orbit tables --------------------------------------------------------------
+
+# sha256 of `_potential_text`, recorded when every row still carried its
+# prefactor by hand: (case, truncation, digest, classical keys, quantum keys,
+# distinct quantum series)
+PINNED_POTENTIALS = [
+    ("d4", 12, "b9360ef7ba443a693b7bc6bc845a256dc133f04ca6111109f8f1a00736ee0435", 5, 11, 3),
+    ("d4", 125, "999a8913c6db2bb866736d789a89acdba3efaca20510636eb6d309bb1df751fe", 5, 11, 3),
+    ("e6", 12, "55016a0060f3e4e916a35db777b9413867185aec4e5fec539ac1a38050a6bb3f", 4, 41, 14),
+    ("e6", 60, "15f60ede1b5801639cab210dcc42f0c8db779d2a7622f1d5cbe76fd0add21b94", 4, 41, 14),
+    ("e6-raw-f11", 12, "252bde500e6face22f7d62ac3e071e2e967ae9bd8295f913f713798173696097", 4, 40, 15),
+]
+
+
+def _potential_text(F: FrobeniusPotential) -> tuple[str, int]:
+    """Every field of F in its own order: coordinates, degrees, each classical
+    key with its Fraction, each quantum key with its series' fields and the
+    index of the first key sharing that series object, and the symmetries;
+    with the number of distinct series."""
+    shared: dict[int, int] = {}
+    quantum = [(key, s._fields(), shared.setdefault(id(s), len(shared))) for key, s in F.quantum.items()]
+    return repr((F.coords, F.degrees, list(F.classical.items()), quantum, F.symmetries)), len(shared)
+
+
+@pytest.mark.parametrize("case, order, digest, n_classical, n_quantum, n_series", PINNED_POTENTIALS)
+def test_both_potentials_are_pinned_field_by_field(case, order, digest, n_classical, n_quantum, n_series):
+    if case == "d4":
+        F = d4_build_potential(d4_analytic(order))
+    else:
+        F = e6_build_potential(e6_build_fi(order), raw_f11_block=case == "e6-raw-f11")
+    text, distinct = _potential_text(F)
+    assert (len(F.classical), len(F.quantum), distinct) == (n_classical, n_quantum, n_series)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- constructor validation ----------------------------------------------------------
