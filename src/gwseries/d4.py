@@ -41,7 +41,6 @@ if TYPE_CHECKING:
     from .frobenius import FrobeniusPotential
 
 _HALF = Fraction(1, 2)
-_QUARTER = Fraction(1, 4)
 
 
 class D4Coefficients(NamedTuple):
@@ -99,7 +98,7 @@ def d4_analytic(order: int) -> D4Coefficients:
 # eta(4)^1/4 and eta(2)^3/2 * eta(4)^-3/4
 _D4_ETA_FORMS = {
     "a": EtaQuotient(((1, Fraction(1)), (2, Fraction(-3, 2)), (4, _HALF))),
-    "b": EtaQuotient(((4, _QUARTER),)),
+    "b": EtaQuotient(((4, Fraction(1, 4)),)),
     "c": EtaQuotient(((2, Fraction(3, 2)), (4, Fraction(-3, 4)))),
 }
 
@@ -121,20 +120,24 @@ def d4_ode_reports(order: int, coeffs: D4Coefficients) -> list[IdentityReport]:
     ]
 
 
+# The theta bridge: X_i = q d/dq log theta_i as linear polynomials in (a, b, c)
+# (see `qseries.evaluate`),
+#
+#     X_2 = -6 b + (2/3) c,   X_3 = 2 a - (4/3) c,   X_4 = -2 a - (4/3) c
+_BRIDGE = (
+    {(0, 1, 0): -6, (0, 0, 1): Fraction(2, 3)},
+    {(1, 0, 0): 2, (0, 0, 1): Fraction(-4, 3)},
+    {(1, 0, 0): -2, (0, 0, 1): Fraction(-4, 3)},
+)
+
+
 def d4_theta_bridge_reports(
     order: int, coeffs: D4Coefficients, x: dict[int, QSeries]
 ) -> list[IdentityReport]:
-    """Null-value log-derivatives X_i = q d/dq log theta_i against a, b, c."""
+    """Null-value log-derivatives X_i = q d/dq log theta_i against `_BRIDGE`."""
     return [
-        series_match(
-            "d4-bridge-x2", x[2], coeffs.b.scale(-6) + coeffs.c.scale(Fraction(2, 3)), order
-        ),
-        series_match(
-            "d4-bridge-x3", x[3], coeffs.a.scale(2) - coeffs.c.scale(Fraction(4, 3)), order
-        ),
-        series_match(
-            "d4-bridge-x4", x[4], coeffs.a.scale(-2) - coeffs.c.scale(Fraction(4, 3)), order
-        ),
+        series_match(f"d4-bridge-x{i}", x[i], rhs, order)
+        for i, rhs in zip((2, 3, 4), evaluate(_BRIDGE, coeffs))
     ]
 
 
@@ -174,21 +177,28 @@ def d4_construction_reports(
     return out
 
 
+# One row per orbit of the permutations of t1..t4: the correlator d^k F as a
+# polynomial in (a, b, c) (see `qseries.evaluate`), and a representative
+# monomial t^k.  `orbit_potential` divides by k!, so the terms are a t1 t2 t3 t4,
+# b t_i^4 / 4 and c t_i^2 t_j^2 / 6.
+_D4_QUANTUM_ROWS = (
+    ({(1, 0, 0): 1}, (0, 1, 1, 1, 1, 0)),
+    ({(0, 1, 0): 6}, (0, 4, 0, 0, 0, 0)),
+    ({(0, 0, 1): Fraction(2, 3)}, (0, 2, 2, 0, 0, 0)),
+)
+
+
 def d4_build_potential(coeffs: D4Coefficients) -> FrobeniusPotential:
-    """Genus-zero potential on coordinates (t0, t1..t4, t), t acting as log q:
-    one row per orbit of the permutations of t1..t4."""
+    """Genus-zero potential on coordinates (t0, t1..t4, t), t acting as log q."""
     from .frobenius import orbit_potential
 
+    correlators = evaluate([polynomial for polynomial, _ in _D4_QUANTUM_ROWS], coeffs)
     return orbit_potential(
         ("t0", "t1", "t2", "t3", "t4", "t"),
         (Fraction(1), _HALF, _HALF, _HALF, _HALF, Fraction(0)),
         ((1,), (2,), (3,), (4,)),
-        [((2, 0, 0, 0, 0, 1), _HALF), ((1, 2, 0, 0, 0, 0), _QUARTER)],
-        [
-            ((0, 1, 1, 1, 1, 0), Fraction(1), coeffs.a),
-            ((0, 4, 0, 0, 0, 0), _QUARTER, coeffs.b),
-            ((0, 2, 2, 0, 0, 0), Fraction(1, 6), coeffs.c),
-        ],
+        [((2, 0, 0, 0, 0, 1), Fraction(1)), ((1, 2, 0, 0, 0, 0), _HALF)],
+        [(rep, s) for (_, rep), s in zip(_D4_QUANTUM_ROWS, correlators)],
     )
 
 

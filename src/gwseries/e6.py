@@ -13,8 +13,8 @@ with ' = q d/dq.  The solver does not step through this third-order
 equation: the shared `solve_qdq_system` solves the first-order system
 `_E6_SYSTEM` for f_0, f_1 = a f_0 and f_2, and a = f_1/f_0.  Fourteen power
 series f_0..f_13, polynomials in these generators (`_E6_QUANTUM_ROWS`, data
-for `qseries.evaluate` like the system), populate the genus-zero potential
-on eight coordinates.  Everything is certified twice: the solver against the
+for `qseries.evaluate` like the system), are the genus-zero correlators on
+eight coordinates.  Everything is certified twice: the solver against the
 eta closed form, f_0 against the square root (1/3) (a'/(1 - a^3))^(1/2), the
 generators against their system, each derived series against an independent
 formula, and a suite of modular identities tying a to the j-invariant, cusp
@@ -142,24 +142,25 @@ def _sqrt_route_f0(slope: QSeries) -> QSeries:
 
 
 # One row per orbit of the permutations of the pairs (t1,t6), (t2,t5), (t3,t4),
-# row i for the series f_i: f_i as a polynomial {(i, j, k): c, ...} meaning the
-# sum of c f_0^i f_1^j f_2^k (see `qseries.evaluate`), its prefactor, and a
-# representative monomial.
+# row i for the series f_i: the correlator d^k F as a polynomial
+# {(i, j, k): c, ...} meaning the sum of c f_0^i f_1^j f_2^k (see
+# `qseries.evaluate`), and a representative monomial t^k; `orbit_potential`
+# divides by k!.
 _E6_QUANTUM_ROWS = (
-    ({(1, 0, 0): 1}, Fraction(1), (0, 1, 1, 1, 0, 0, 0, 0)),
-    ({(0, 1, 0): 1}, Fraction(1, 6), (0, 3, 0, 0, 0, 0, 0, 0)),
-    ({(0, 0, 1): 1}, Fraction(1), (0, 1, 1, 0, 0, 1, 1, 0)),
-    ({(2, 0, 0): 1}, Fraction(1, 2), (0, 2, 0, 0, 1, 1, 0, 0)),
-    ({(1, 1, 0): 1}, Fraction(1, 2), (0, 1, 1, 0, 2, 0, 0, 0)),
-    ({(0, 0, 1): 2, (0, 2, 0): -1}, Fraction(1, 4), (0, 2, 0, 0, 0, 0, 2, 0)),
-    ({(3, 0, 0): 1}, Fraction(1, 6), (0, 1, 0, 0, 3, 0, 1, 0)),
-    ({(2, 1, 0): 1}, Fraction(1, 2), (0, 1, 0, 0, 1, 1, 2, 0)),
-    ({(1, 2, 0): 1}, Fraction(1, 4), (0, 1, 0, 0, 2, 2, 0, 0)),
-    ({(0, 3, 0): 1}, Fraction(1, 24), (0, 1, 0, 0, 0, 0, 4, 0)),
-    ({(3, 1, 0): 3}, Fraction(1, 36), (0, 0, 0, 0, 3, 3, 0, 0)),
-    ({(2, 2, 0): 3}, Fraction(1, 24), (0, 0, 0, 0, 4, 1, 1, 0)),
-    ({(4, 0, 0): 2, (1, 3, 0): 1}, Fraction(1, 8), (0, 0, 0, 0, 2, 2, 2, 0)),
-    ({(3, 1, 0): 6, (0, 4, 0): -3}, Fraction(1, 720), (0, 0, 0, 0, 6, 0, 0, 0)),
+    ({(1, 0, 0): 1}, (0, 1, 1, 1, 0, 0, 0, 0)),
+    ({(0, 1, 0): 1}, (0, 3, 0, 0, 0, 0, 0, 0)),
+    ({(0, 0, 1): 1}, (0, 1, 1, 0, 0, 1, 1, 0)),
+    ({(2, 0, 0): 1}, (0, 2, 0, 0, 1, 1, 0, 0)),
+    ({(1, 1, 0): 1}, (0, 1, 1, 0, 2, 0, 0, 0)),
+    ({(0, 0, 1): 2, (0, 2, 0): -1}, (0, 2, 0, 0, 0, 0, 2, 0)),
+    ({(3, 0, 0): 1}, (0, 1, 0, 0, 3, 0, 1, 0)),
+    ({(2, 1, 0): 1}, (0, 1, 0, 0, 1, 1, 2, 0)),
+    ({(1, 2, 0): 1}, (0, 1, 0, 0, 2, 2, 0, 0)),
+    ({(0, 3, 0): 1}, (0, 1, 0, 0, 0, 0, 4, 0)),
+    ({(3, 1, 0): 3}, (0, 0, 0, 0, 3, 3, 0, 0)),
+    ({(2, 2, 0): 3}, (0, 0, 0, 0, 4, 1, 1, 0)),
+    ({(4, 0, 0): 2, (1, 3, 0): 1}, (0, 0, 0, 0, 2, 2, 2, 0)),
+    ({(3, 1, 0): 6, (0, 4, 0): -3}, (0, 0, 0, 0, 6, 0, 0, 0)),
 )
 
 
@@ -176,7 +177,7 @@ def e6_build_fi(order: int) -> E6Coefficients:
     f0 = eta_expand("eta(9)^3 * eta(3)^-1", slack + 1)
     f1 = a * f0
     generators = (f0, f1, f1 * f1 - (f0.qdq() * f0.inv()).scale(Fraction(1, 9)))
-    f = evaluate([polynomial for polynomial, _, _ in _E6_QUANTUM_ROWS], generators)
+    f = evaluate([polynomial for polynomial, _ in _E6_QUANTUM_ROWS], generators)
     return E6Coefficients(a.truncate(order), tuple(s.truncate(order) for s in f))
 
 
@@ -362,8 +363,8 @@ def e6_build_potential(coeffs: E6Coefficients, raw_f11_block: bool = False) -> F
         ("t0", "t1", "t2", "t3", "t4", "t5", "t6", "t"),
         (Fraction(1), *[Fraction(2, 3)] * 3, *[_THIRD] * 3, Fraction(0)),
         ((1, 6), (2, 5), (3, 4)),
-        [((2, 0, 0, 0, 0, 0, 0, 1), Fraction(1, 2)), ((1, 1, 0, 0, 0, 0, 1, 0), _THIRD)],
-        [(rep, prefactor, f) for (_, prefactor, rep), f in zip(_E6_QUANTUM_ROWS, coeffs.f)],
+        [((2, 0, 0, 0, 0, 0, 0, 1), Fraction(1)), ((1, 1, 0, 0, 0, 0, 1, 0), _THIRD)],
+        [(rep, s) for (_, rep), s in zip(_E6_QUANTUM_ROWS, coeffs.f)],
     )
     if not raw_f11_block:
         return potential

@@ -145,29 +145,31 @@ def _closure(start, moves) -> set:
 def orbit_potential(coords, degrees, blocks, classical_rows, quantum_rows) -> FrobeniusPotential:
     """A potential written as one row per orbit of the permutations of `blocks`.
 
-    A row is (representative multi-index, prefactor), plus the QSeries for a
-    quantum row.  The symmetries are the adjacent swaps of the blocks; each
-    image of a representative under them is a key, the keys of a quantum row
-    share one scaled series, and a key two rows reach carries their sum:
+    A row is (representative multi-index k, correlator d^k F): a Fraction for
+    a classical row, a QSeries for a quantum row.  Its term of F is the
+    correlator over k! = prod k_i!, divided here and nowhere else.  The
+    symmetries are the adjacent swaps of the blocks; each image of a
+    representative under them is a key, the keys of a row share one term,
+    and a key two rows reach carries their sum:
 
-    >>> one, rows = QSeries.one(4), [((0, 4, 0, 0, 0, 0), 4), ((0, 2, 2, 0, 0, 0), 6)]
+    >>> one, rows = QSeries.one(4), [(0, 4, 0, 0, 0, 0), (0, 2, 2, 0, 0, 0)]
     >>> F = orbit_potential("t0 t1 t2 t3 t4 t".split(), [0] * 6, ((1,), (2,), (3,), (4,)),
-    ...                     [], [(key, Fraction(1, n), one) for key, n in rows])
+    ...                     [], [(key, one) for key in rows])
     >>> from collections import Counter
     >>> sorted(Counter(map(id, F.quantum.values())).values())  # keys per shared series
     [4, 6]
+    >>> F.quantum[(0, 0, 4, 0, 0, 0)], F.quantum[(0, 0, 2, 0, 2, 0)]  # 1/4! and 1/(2! 2!)
+    (QSeries(1/24 + O(q^4)), QSeries(1/4 + O(q^4)))
     """
     swaps = [[dict(zip(a + b, b + a)).get(i, i) for i in range(len(coords))] for a, b in zip(blocks, blocks[1:])]
     moves = [itemgetter(*s) for s in swaps]  # a swap is its own inverse
     classical: dict[tuple[int, ...], Fraction] = {}
-    for representative, prefactor in classical_rows:
-        for key in sorted(_closure(representative, moves)):
-            classical[key] = classical.get(key, _F0) + prefactor
     quantum: dict[tuple[int, ...], QSeries] = {}
-    for representative, prefactor, series in quantum_rows:
-        scaled = series.scale(prefactor)
-        for key in sorted(_closure(representative, moves)):
-            quantum[key] = quantum[key] + scaled if key in quantum else scaled
+    for part, rows in ((classical, classical_rows), (quantum, quantum_rows)):
+        for representative, correlator in rows:
+            term = correlator * Fraction(1, math.prod(map(math.factorial, representative)))
+            for key in sorted(_closure(representative, moves)):
+                part[key] = part[key] + term if key in part else term
     return FrobeniusPotential(tuple(coords), tuple(degrees), classical, quantum, swaps)
 
 

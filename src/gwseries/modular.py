@@ -102,13 +102,11 @@ class EtaQuotient(Frozen):
 
     def __init__(self, factors: tuple[tuple[int, Fraction], ...]):
         factors = tuple((int(m), Fraction(r)) for m, r in factors)
-        # these validate input: the command line reaches them through `parse`
-        for m, r in factors:
+        # this validates input: the command line reaches it through `parse`
+        for m, _ in factors:
             if m < 1:
                 raise ValueError(f"eta scale must be positive, got {m}")
-            if r == 0:
-                raise ValueError("zero exponents are not stored")
-        self._freeze(factors)
+        self._freeze(tuple((m, r) for m, r in factors if r))  # eta(q^m)^0 = 1 is not stored
 
     @property
     def offset(self) -> Fraction:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwseries.d4 import (
+    _BRIDGE,
     _D4_SYSTEM,
     D4Coefficients,
     d4_analytic,
@@ -145,11 +146,9 @@ def test_theta_bridges_pass():
 
 def _halphen_pulled_back(a: QSeries, b: QSeries, c: QSeries) -> tuple[QSeries, QSeries, QSeries]:
     """Halphen's system X_i' = 2(X_i X_j + X_i X_k - X_j X_k) at the bridge
-    point X_2 = -6b + 2c/3, X_3 = 2a - 4c/3, X_4 = -2a - 4c/3, pulled back
-    through a = (X_3 - X_4)/4, c = -3(X_3 + X_4)/8, b = (2c/3 - X_2)/6."""
-    x2 = b.scale(-6) + c.scale(Fraction(2, 3))
-    x3 = a.scale(2) - c.scale(Fraction(4, 3))
-    x4 = a.scale(-2) - c.scale(Fraction(4, 3))
+    point `_BRIDGE`, pulled back through a = (X_3 - X_4)/4,
+    c = -3(X_3 + X_4)/8, b = (2c/3 - X_2)/6."""
+    x2, x3, x4 = evaluate(_BRIDGE, (a, b, c))
     d2, d3, d4 = ((x * y + x * z - y * z).scale(2) for x, y, z in ((x2, x3, x4), (x3, x4, x2), (x4, x2, x3)))
     da, dc = (d3 - d4).scale(Fraction(1, 4)), (d3 + d4).scale(Fraction(-3, 8))
     return da, (dc.scale(Fraction(2, 3)) - d2).scale(Fraction(1, 6)), dc

@@ -98,8 +98,8 @@ def test_rows_and_system_are_graded_by_the_quasimodular_weight():
     generator it differentiates.  One added monomial of another weight, here
     the first monomial times f_1, fails."""
     weights = (1, 1, 2)
-    polynomials = [f for f, _, _ in _E6_QUANTUM_ROWS] + list(_E6_SYSTEM)
-    expected = [1 + Fraction(sum(rep[4:7]), 2) for _, _, rep in _E6_QUANTUM_ROWS] + [w + 2 for w in weights]
+    polynomials = [f for f, _ in _E6_QUANTUM_ROWS] + list(_E6_SYSTEM)
+    expected = [1 + Fraction(sum(rep[4:7]), 2) for _, rep in _E6_QUANTUM_ROWS] + [w + 2 for w in weights]
     assert [_weight(f, weights) for f in polynomials] == expected
     for f in polynomials:
         i, j, k = next(iter(f))

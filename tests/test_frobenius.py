@@ -642,19 +642,19 @@ def test_recorded_symmetries_are_the_adjacent_block_swaps():
 
 
 def test_orbit_scan_reports_what_the_full_scan_reports(monkeypatch):
-    """On potentials that keep their symmetries (a row prefactor, a shared
-    series bumped at every key), ones that break them (one key bumped) and
-    the raw f_11 block, which records none, the report equals the one
-    without symmetries."""
-    coeffs = e6_build_fi(12)
+    """On potentials that keep their symmetries (a row's correlator scaled,
+    a shared series bumped at every key), ones that break them (one key
+    bumped) and the raw f_11 block, which records none, the report equals
+    the one without symmetries."""
     rows = list(e6_module._E6_QUANTUM_ROWS)
-    rows[5] = (rows[5][0], Fraction(1, 3), rows[5][2])
+    rows[5] = ({e: c * Fraction(4, 3) for e, c in rows[5][0].items()}, rows[5][1])
     with monkeypatch.context() as patch:
         patch.setattr(e6_module, "_E6_QUANTUM_ROWS", tuple(rows))
-        prefactor = e6_build_potential(coeffs)
+        scaled = e6_build_potential(e6_build_fi(12))
+    coeffs = e6_build_fi(12)
     e6, d4 = e6_build_potential(coeffs), d4_build_potential(d4_analytic(12))
     cases = [
-        prefactor,
+        scaled,
         _bump_shared(e6, E6_PROBE_KEY, 4, Fraction(-2, 5)),
         _bump_shared(d4, (0, 2, 2, 0, 0, 0), 4, Fraction(1, 3)),
         e6.with_mutated_quantum((0, 3, 0, 0, 0, 0, 0, 0), 4, Fraction(-2, 5)),

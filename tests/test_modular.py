@@ -172,8 +172,10 @@ def test_eta_quotient_rejects_garbage():
     for bad in ("", "theta(2)", "eta(-1)", "eta(2)^", "eta(2)^^2", "eta(x)", "eta(1)^1/0"):
         with pytest.raises(ValueError):
             EtaQuotient.parse(bad)
-    with pytest.raises(ValueError):
-        EtaQuotient(((2, Fraction(0)),))
+    # a zero exponent is the factor 1: dropped, never stored
+    assert EtaQuotient(((2, Fraction(0)),)).factors == ()
+    dropped = EtaQuotient.parse("eta(1)^0 * eta(2)")
+    assert dropped == EtaQuotient.parse("eta(2)") and str(dropped) == "eta(2)"
 
 
 @st.composite

@@ -186,6 +186,35 @@ MUTANTS = (
         "{(1, 0, 1): Fraction(7, 3), (1, 1, 0): -24}",
         ("tests/test_d4.py",),
     ),
+    Mutant(
+        "d4-bridge-coefficient",
+        "src/gwseries/d4.py",
+        "{(0, 1, 0): -6, (0, 0, 1): Fraction(2, 3)}",
+        "{(0, 1, 0): -5, (0, 0, 1): Fraction(2, 3)}",
+        ("tests/test_d4.py",),
+    ),
+    # -- both potentials as correlator rows: orbit_potential divides by k! ----------------
+    Mutant(
+        "orbit-classical-without-factorial",
+        "src/gwseries/frobenius.py",
+        "term = correlator * Fraction(1, math.prod(map(math.factorial, representative)))",
+        "term = correlator if part is classical else correlator * Fraction(1, math.prod(map(math.factorial, representative)))",
+        ("tests/test_frobenius.py",),
+    ),
+    Mutant(
+        "orbit-quantum-without-factorial",
+        "src/gwseries/frobenius.py",
+        "term = correlator * Fraction(1, math.prod(map(math.factorial, representative)))",
+        "term = correlator if part is quantum else correlator * Fraction(1, math.prod(map(math.factorial, representative)))",
+        ("tests/test_frobenius.py",),
+    ),
+    Mutant(
+        "d4-row-correlator",
+        "src/gwseries/d4.py",
+        "({(0, 1, 0): 6}, (0, 4, 0, 0, 0, 0))",
+        "({(0, 1, 0): 4}, (0, 4, 0, 0, 0, 0))",
+        ("tests/test_d4.py",),
+    ),
     # -- first-order systems as polynomial data: the evaluator and the exact Jacobian --------
     Mutant(
         "jacobian-drops-the-exponent-factor",
