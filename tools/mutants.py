@@ -197,15 +197,15 @@ MUTANTS = (
     Mutant(
         "orbit-classical-without-factorial",
         "src/gwseries/frobenius.py",
-        "term = correlator * Fraction(1, math.prod(map(math.factorial, representative)))",
-        "term = correlator if part is classical else correlator * Fraction(1, math.prod(map(math.factorial, representative)))",
+        "Fraction(1, math.prod(map(math.factorial, representative)))",
+        "Fraction(1, math.prod(map(math.factorial, representative)) if part is quantum else 1)",
         ("tests/test_frobenius.py",),
     ),
     Mutant(
         "orbit-quantum-without-factorial",
         "src/gwseries/frobenius.py",
-        "term = correlator * Fraction(1, math.prod(map(math.factorial, representative)))",
-        "term = correlator if part is quantum else correlator * Fraction(1, math.prod(map(math.factorial, representative)))",
+        "Fraction(1, math.prod(map(math.factorial, representative)))",
+        "Fraction(1, math.prod(map(math.factorial, representative)) if part is classical else 1)",
         ("tests/test_frobenius.py",),
     ),
     Mutant(
