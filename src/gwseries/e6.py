@@ -36,7 +36,7 @@ from .modular import (
     verify_eta_product_rotation,
 )
 from .qseries import QSeries, evaluate, field_text, solve_qdq_system
-from .reporting import GenusOneResult, IdentityReport, failure_report, pass_report, series_match
+from .reporting import GenusOneResult, IdentityReport, failure_report, series_match
 
 if TYPE_CHECKING:
     from .frobenius import FrobeniusPotential
@@ -176,8 +176,9 @@ def e6_build_fi(order: int) -> E6Coefficients:
     a = e6_h_analytic(slack)
     f0 = eta_expand("eta(9)^3 * eta(3)^-1", slack + 1)
     f1 = a * f0
-    generators = (f0, f1, f1 * f1 - (f0.qdq() * f0.inv()).scale(Fraction(1, 9)))
-    f = evaluate([polynomial for polynomial, _ in _E6_QUANTUM_ROWS], generators)
+    f1_squared = f1 * f1
+    generators = (f0, f1, f1_squared - (f0.qdq() * f0.inv()).scale(Fraction(1, 9)))
+    f = evaluate([polynomial for polynomial, _ in _E6_QUANTUM_ROWS], generators, {(0, 2, 0): f1_squared})
     return E6Coefficients(a.truncate(order), tuple(s.truncate(order) for s in f))
 
 
@@ -310,7 +311,7 @@ def e6_twisted_pole_reports(order: int, a: QSeries, quotient: QSeries) -> list[I
             failure = None
             if (e := min(res_x.valuation, res_y.valuation)) < order:
                 failure = e, field_text((res_x.coefficient(e), ""), (res_y.coefficient(e), "*z3^1"))
-        report = pass_report(name, order) if failure is None else failure_report(name, order, (24 * k,), *failure)
+        report = IdentityReport(name, order) if failure is None else failure_report(name, order, (24 * k,), *failure)
         reports.append(report)
     return reports
 

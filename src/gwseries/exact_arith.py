@@ -104,7 +104,7 @@ def _pack_slots(values: Sequence[int], width: int) -> int:
     of magnitude below 2^(8 width - 1): pack them biased, then subtract the
     biases."""
     bias = 1 << (8 * width - 1)
-    packed = b"".join((v + bias).to_bytes(width, "little") for v in values)
+    packed = b"".join([(v + bias).to_bytes(width, "little") for v in values])
     return int.from_bytes(packed, "little") - _biases(width, len(values))
 
 
@@ -158,7 +158,7 @@ def int_convolve(xs: Sequence[int], ys: Sequence[int], n: int | None = None) -> 
     """
     if n is None:
         n = len(xs) + len(ys) - 1 if xs and ys else 0
-    xs, ys = xs[:n], ys[:n]
+    square, xs, ys = xs is ys, xs[:n], ys[:n]
     xs_at, ys_at = list(compress(range(len(xs)), xs)), list(compress(range(len(ys)), ys))
     if not xs_at or not ys_at or xs_at[0] + ys_at[0] >= n:
         return [0] * n
@@ -168,6 +168,6 @@ def int_convolve(xs: Sequence[int], ys: Sequence[int], n: int | None = None) -> 
     width = _slot_width(max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys)))
     out, count = [0] * n, len(range(a + b, n, g))
     size = min(count, len(xs) + len(ys) - 1)
-    product = _pack_slots(xs, width) * _pack_slots(ys, width)
+    product = (packed := _pack_slots(xs, width)) * (packed if square else _pack_slots(ys, width))
     out[a + b :: g] = _unpack_slots(product, width, size) + [0] * (count - size)
     return out

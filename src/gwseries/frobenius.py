@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from .exact_arith import Frozen, _first_slot, _pack_slots, _slot_width
 from .qseries import PrecisionError, QSeries
-from .reporting import IdentityReport, failure_report, pass_report
+from .reporting import IdentityReport, failure_report
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -190,27 +190,48 @@ def _lowerings(key: tuple[int, ...], counts) -> list[tuple[tuple[int, ...], int]
     return [(slots, falling) for slots, falling in found if len(slots) in counts]
 
 
-def _derivative_terms(potential: FrobeniusPotential, truncation: int):
-    """The rule of the module docstring, enumerated from each key: (triple,
-    key, slots, scalar, series) for every term of d_a d_b d_c F, `slots` the
-    entries of the triple that lower `key`, the rest t; quantum terms first,
-    in the potential's order.  Series stop at `truncation`, which no quantum
-    series may stop below; keys sharing a series object share its q d/dq
-    tower, and the classical part shares one constant series."""
+def _derivative_keys(potential: FrobeniusPotential, truncation: int):
+    """The rule of the module docstring per key, quantum keys first, each part
+    in the potential's order: (key, scalar, tower, places, lowerings).  Each
+    (get, n, falling) in `lowerings` is one term of d_a d_b d_c F, scalar *
+    falling * tower[3 - n], with triple (a, b, c) = get(places), whose first n
+    entries lower `key` and the rest are t.  Series stop at `truncation`,
+    which no quantum series may stop below; keys sharing a series object
+    share its q d/dq tower, and the classical part has only n = 3 and one
+    constant series.  Lowerings are enumerated once per sequence of nonzero
+    exponents, which the images of a key under a block swap mostly share,
+    on its positions, places holding the key's support and then t."""
     log = len(potential.coords) - 1
+    patterns: dict[tuple, list] = {}
+
+    def lowered(key: tuple[int, ...], counts) -> tuple:
+        support = [i for i, e in enumerate(key) if e]
+        if (pattern := (tuple(key[i] for i in support), counts)) not in patterns:
+            # position len(support) of places is t, which fills a triple
+            patterns[pattern] = [(itemgetter(*slots, *[len(support)] * (3 - len(slots))), len(slots), falling)
+                                 for slots, falling in _lowerings(pattern[0], counts)]
+        return (*support, log), patterns[pattern]
+
     towers: dict[int, list[QSeries]] = {}
     for key, series in potential.quantum.items():
         if id(series) not in towers:
             tower = towers[id(series)] = [series if series.truncation == truncation else series.truncate(truncation)]
             for _ in range(3):
                 tower.append(tower[-1].qdq())
-        for slots, falling in _lowerings(key, range(4)):
-            yield (*slots, *[log] * (3 - len(slots))), key, slots, falling, towers[id(series)][3 - len(slots)]
-    one = QSeries.one(truncation)
+        yield key, 1, towers[id(series)], *lowered(key, range(4))
+    constant = [QSeries.one(truncation)]
     for key, value in potential.classical.items():
         if value:
-            for slots, falling in _lowerings(key, (3,)):
-                yield slots, key, slots, value * falling, one
+            yield key, value, constant, *lowered(key, (3,))
+
+
+def _derivative_terms(potential: FrobeniusPotential, truncation: int):
+    """`_derivative_keys` term by term: (triple, key, slots, scalar, series),
+    `slots` the entries of the triple that lower `key`."""
+    for key, scalar, tower, places, lowerings in _derivative_keys(potential, truncation):
+        for get, n, falling in lowerings:
+            triple = get(places)
+            yield triple, key, triple[:n], scalar * falling, tower[3 - n]
 
 
 def third_derivative(
@@ -305,7 +326,7 @@ def euler_residual(potential: FrobeniusPotential) -> IdentityReport:
         for key in part:
             if (weight := sum(map(mul, degrees, key))) != 2 * scale:
                 return failure_report("euler-grading", order, key, 0, Fraction(weight, scale) - 2)
-    return pass_report("euler-grading", order)
+    return IdentityReport("euler-grading", order)
 
 
 # -- WDVV --------------------------------------------------------------------------
@@ -326,48 +347,61 @@ class _WdvvEngine:
             raise PrecisionError(f"wdvv: need order {truncation}, have {potential.truncation}")
         inverse = metric_from_potential(potential).inverse_rows()
         self.dim = dim = len(potential.coords)
+        groups = list(_derivative_keys(potential, truncation))
         ref_of: dict[tuple[int, tuple[int, ...]], int] = {}
         interned: dict[int, tuple[int, int, int] | None] = {}  # by id of a term's series
-        terms = []  # (triple, key, slots, numerator, denominator, base)
-        for triple, key, slots, scalar, series in _derivative_terms(potential, truncation):
+
+        def reduced(series: QSeries, scalar) -> tuple[int, int, int] | None:
+            """(numerator, denominator, base) of the term scalar * series; None if it is zero."""
             if id(series) not in interned:
                 interned[id(series)] = _intern(series, ref_of)
-            if (entry := interned[id(series)]) is not None:
-                content, den, ref = entry
-                num, den = scalar.numerator * content, scalar.denominator * den
-                common = math.gcd(num, den)
-                terms.append((triple, key, slots, num // common, den // common, ref))
+            if (entry := interned[id(series)]) is None:
+                return None
+            content, den, ref = entry
+            num, den = scalar.numerator * content, scalar.denominator * den
+            common = math.gcd(num, den)
+            return num // common, den // common, ref
+
+        # keys with one series and one pattern of lowerings have their scalars and bases in common
+        shared: dict[tuple, list] = {}
+        for _, scalar, tower, _, lowerings in groups:
+            if (id(tower), scalar, id(lowerings)) not in shared:
+                shared[id(tower), scalar, id(lowerings)] = [reduced(tower[3 - n], scalar * f) for _, n, f in lowerings]
         eta = [(e, f, w) for e in range(dim) for f in range(dim) if (w := inverse[e][f])]
-        d_scalar = math.lcm(*(den for *_, den, _ in terms))
+        d_scalar = math.lcm(*(entry[1] for line in shared.values() for entry in line if entry))
         d_weight = math.lcm(*(w.denominator for _, _, w in eta))
         self.denominator = d_scalar**2 * d_weight
         self.eta_pairs = [(e, f, w.numerator * (d_weight // w.denominator)) for e, f, w in eta]
         g = self.stride = math.gcd(*chain.from_iterable(compress(count(), nums) for _, nums in ref_of)) or 1
         classes = self._classes = [valuation % g for valuation, _ in ref_of]
         arrays = [[0] * (valuation // g) + list(nums[::g]) for valuation, nums in ref_of]
+        for line in shared.values():
+            line[:] = [entry and (entry[0] * (d_scalar // entry[1]), entry[2], classes[entry[2]]) for entry in line]
         keys = [*potential.quantum, *potential.classical]
         # a monomial is a mixed-radix number, coordinate 0 its leading digit, each digit
         # wide enough for a product's exponents: so keys add, and order as exponent tuples
         radices = [2 * max(column) + 1 for column in zip(*keys)]
         units = [g * math.prod(radices[i + 1 :]) for i in range(dim)]
-        numbers = {key: sum(map(mul, key, units)) for key in keys}
         self._terms: dict[tuple[int, int, int], list] = {t: [] for t in combinations_with_replacement(range(dim), 3)}
+        for key, scalar, tower, places, lowerings in groups:
+            # get(drops) holds the units a lowering takes off the monomial, 0 for each t
+            number, drops = sum(map(mul, key, units)), (*map(units.__getitem__, places[:-1]), 0)
+            for (get, _, _), entry in zip(lowerings, shared[id(tower), scalar, id(lowerings)]):
+                if entry:
+                    term_scalar, ref, klass = entry
+                    self._terms[get(places)].append((number - sum(get(drops)) + klass, term_scalar, ref))
         # by Cauchy-Schwarz a pair-product coefficient is at most the product of the two
         # bases' l2 norms, so a contraction's is at most sum_ef |w_ef| top(e) top(f), top(x)
         # the largest sum of |scalar| * norm over the terms of a triple holding x
         norms = [math.isqrt(n - 1) + 1 if (n := sum(map(mul, array, array))) else 0 for array in arrays]
-        reach = dict.fromkeys(self._terms, 0)
-        for triple, key, slots, num, den, ref in terms:
-            scalar = num * (d_scalar // den)
-            monomial = numbers[key] - sum(map(units.__getitem__, slots))
-            self._terms[triple].append((monomial + classes[ref], scalar, ref))
-            reach[triple] += abs(scalar) * norms[ref]
+        reach = {t: sum([abs(scalar) * norms[ref] for _, scalar, ref in line]) for t, line in self._terms.items()}
         top = [max(r for triple, r in reach.items() if x in triple) for x in range(dim)]
         # a residual coefficient is a difference of two contraction coefficients
         self.width = _slot_width(2 * sum(abs(w) * top[e] * top[f] for e, f, w in self.eta_pairs))
         # class 0 never carries
         self._right = {
-            triple: [line] + [[(m - g * (c + classes[r] >= g), s, r) for m, s, r in line] for c in range(1, g)]
+            triple: [line] + [[t if c + classes[t[2]] < g else (t[0] - g, t[1], t[2]) for t in line]
+                              for c in range(1, g)]
             for triple, line in self._terms.items()
             if line
         }
@@ -428,7 +462,7 @@ def _intern(series: QSeries, ref_of: dict) -> tuple[int, int, int] | None:
     if not series.coeffs:
         return None
     g = math.gcd(*series.coeffs) * (1 if series.coeffs[0] > 0 else -1)
-    base = (series.valuation, tuple(map(g.__rfloordiv__, series.coeffs)))
+    base = (series.valuation, series.coeffs if g == 1 else tuple([x // g for x in series.coeffs]))
     return g, series.den, ref_of.setdefault(base, len(ref_of))
 
 
@@ -483,4 +517,4 @@ def wdvv_residual(potential: FrobeniusPotential, truncation: int) -> IdentityRep
     for quad in _orbit_representatives(engine.dim, verified, set()):
         if (failure := engine.residual_failure(*quad)) is not None:
             return failure_report("wdvv", truncation, quad, *failure)
-    return pass_report("wdvv", truncation)
+    return IdentityReport("wdvv", truncation)

@@ -18,14 +18,7 @@ from fractions import Fraction
 
 from .exact_arith import Frozen
 from .qseries import QSeries, ValuationNotDivisible
-from .reporting import (
-    GenusOneResult,
-    IdentityReport,
-    combine,
-    failure_report,
-    pass_report,
-    series_match,
-)
+from .reporting import GenusOneResult, IdentityReport, combine, failure_report, series_match
 
 # -- divisor sums -------------------------------------------------------------
 
@@ -178,9 +171,8 @@ class EtaQuotient(Frozen):
         return cls(tuple(factors))
 
     def __str__(self):
-        return " * ".join(
-            f"eta({m})" if r == 1 else f"eta({m})^{r}" for m, r in self.factors
-        )
+        """The factors joined by ' * '; the empty quotient is '1'."""
+        return " * ".join(f"eta({m})" if r == 1 else f"eta({m})^{r}" for m, r in self.factors) or "1"
 
 
 # a thin wrapper, but perfbench's tracer counts its calls (modular.eta_expand.*)
@@ -363,7 +355,7 @@ def verify_sigma_doubling() -> IdentityReport:
         residual = sums[4 * n] - 3 * sums[2 * n] + 2 * sums[n]
         if residual:
             return failure_report("sigma-doubling", n_max, (n,), n, Fraction(residual))
-    return pass_report("sigma-doubling", n_max)
+    return IdentityReport("sigma-doubling", n_max)
 
 
 def verify_eta_product_rotation(truncation: int) -> IdentityReport:

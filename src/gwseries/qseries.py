@@ -10,7 +10,9 @@ numerators `coeffs`, one per exponent, over one positive `den`, in canonical
 form (gcd(den, *coeffs) == 1, no zero at either end).  Arithmetic is integer
 arithmetic with one denominator update and one gcd; products go through
 `int_convolve`, inverses and powers that are not nonnegative integers through
-one recurrence (`_power`).  Fractions only enter and leave at the boundary:
+one recurrence (`_power`), and both step only through the residue class that
+the nonzero coefficients occupy, every g-th exponent, g read from the
+numerators.  Fractions only enter and leave at the boundary:
 the constructor, `from_coefficient_map`, `coefficient`, `known_terms`,
 `leading`, `format_series` and `to_json_dict`.
 
@@ -24,7 +26,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from itertools import compress
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact_arith import Frozen, int_convolve, rational_nth_root
@@ -101,18 +104,22 @@ class QSeries(Frozen):
             valuation, den = truncation, 1
         elif valuation + hi - lo > truncation:
             raise ValueError("coefficients extend past the truncation order")
-        coeffs = coeffs[lo:hi]
-        g = math.gcd(den, *coeffs)
-        if g > 1:
+        coeffs = tuple(coeffs[lo:hi])
+        if den > 1 and (g := math.gcd(den, *coeffs)) > 1:
             den //= g
-            coeffs = [x // g for x in coeffs]
+            coeffs = tuple([x // g for x in coeffs])
         series = object.__new__(cls)
-        series._freeze(den, valuation, tuple(coeffs), truncation)
+        _set_den(series, den)
+        _set_valuation(series, valuation)
+        _set_coeffs(series, coeffs)
+        _set_truncation(series, truncation)
         return series
 
-    def _replace(self, **fields) -> "QSeries":
-        """A copy with some fields replaced, brought to canonical form."""
-        return QSeries._make(**{name: getattr(self, name) for name in self.__slots__} | fields)
+    def _replace(self, den=None, valuation=None, coeffs=None, truncation=None) -> "QSeries":
+        """A copy with the fields given replaced, brought to canonical form."""
+        return QSeries._make(
+            self.den if den is None else den, self.valuation if valuation is None else valuation,
+            self.coeffs if coeffs is None else coeffs, self.truncation if truncation is None else truncation)
 
     # -- constructors ------------------------------------------------------
 
@@ -136,9 +143,7 @@ class QSeries(Frozen):
         return cls((value,), exponent, truncation)
 
     @classmethod
-    def from_coefficient_map(
-        cls, entries: Mapping[int, Fraction | int], truncation: int
-    ) -> "QSeries":
+    def from_coefficient_map(cls, entries: Mapping[int, Fraction | int], truncation: int) -> "QSeries":
         if not entries:
             return cls.zero(truncation)
         lo = min(entries)
@@ -155,9 +160,7 @@ class QSeries(Frozen):
 
     def coefficient(self, exponent: int) -> Fraction:
         if exponent >= self.truncation:
-            raise PrecisionError(
-                f"coefficient of q^{exponent} unknown at truncation {self.truncation}"
-            )
+            raise PrecisionError(f"coefficient of q^{exponent} unknown at truncation {self.truncation}")
         i = exponent - self.valuation
         return Fraction(self.coeffs[i] if 0 <= i < len(self.coeffs) else 0, self.den)
 
@@ -175,9 +178,7 @@ class QSeries(Frozen):
     def truncate(self, truncation: int) -> "QSeries":
         """Forget coefficients at exponents >= truncation."""
         if truncation > self.truncation:
-            raise PrecisionError(
-                f"cannot extend truncation {self.truncation} to {truncation}"
-            )
+            raise PrecisionError(f"cannot extend truncation {self.truncation} to {truncation}")
         keep = max(0, truncation - self.valuation)
         return self._replace(coeffs=self.coeffs[:keep], truncation=truncation)
 
@@ -192,20 +193,22 @@ class QSeries(Frozen):
             other = QSeries.constant(other, self.truncation)
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = self, other
+        a, b = (self, other) if self.valuation <= other.valuation else (other, self)
         t = min(a.truncation, b.truncation)
         if a.is_zero():
             return b.truncate(t)
         if b.is_zero():
             return a.truncate(t)
-        lo = min(a.valuation, b.valuation)
-        hi = min(t, max(a.valuation + len(a.coeffs), b.valuation + len(b.coeffs)))
+        lo, hi = a.valuation, min(t, max(a.valuation + len(a.coeffs), b.valuation + len(b.coeffs)))
         den = math.lcm(a.den, b.den)
-        out = [0] * max(0, hi - lo)
-        for s in (a, b):
-            k = den // s.den
-            for i, x in enumerate(s.coeffs[: max(0, hi - s.valuation)], s.valuation - lo):
-                out[i] += x * k
+        xs, ys = (s.coeffs[: max(0, hi - s.valuation)] for s in (a, b))
+        if a.den < den:
+            xs = [x * (den // a.den) for x in xs]
+        if b.den < den:
+            ys = [y * (den // b.den) for y in ys]
+        # a starts at lo, so out is xs padded to hi, and ys adds in at its offset
+        i, out = b.valuation - lo, list(xs) + [0] * (hi - lo - len(xs))
+        out[i : i + len(ys)] = map(add, out[i : i + len(ys)], ys)
         return QSeries._make(den, lo, out, t)
 
     __radd__ = __add__
@@ -268,7 +271,7 @@ class QSeries(Frozen):
     def qdq(self) -> "QSeries":
         """The operator q d/dq, acting termwise as c_n -> n c_n."""
         v = self.valuation
-        return self._replace(coeffs=[x * (v + i) for i, x in enumerate(self.coeffs)])
+        return self._replace(coeffs=list(map(mul, self.coeffs, range(v, v + len(self.coeffs)))))
 
     def substitute_power(self, m: int) -> "QSeries":
         """Replace q by q^m (m >= 1); exponents and truncation scale by m."""
@@ -324,7 +327,10 @@ class QSeries(Frozen):
         J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7)
         n y_n = sum_{k >= 1} ((r + 1) k - n) u_k y_(n-k) over the nonzero u_k,
         on integer numerators over one running denominator, lifted when the
-        pivot n d U_0 (U the numerators of self) does not divide."""
+        pivot n d U_0 (U the numerators of self) does not divide.  Like
+        `int_convolve` it runs on the occupied residue class: with g the gcd
+        of the k of the nonzero u_k, u and y are series in Q = q^g, so n steps
+        through Q, and y_n is scattered to the coefficient of q^(g n)."""
         v, c = self.leading()  # raises ZeroDivisor on a series zero to O(q^T)
         if (v * r).denominator != 1:
             raise ValuationNotDivisible(f"valuation {v} times exponent {r} is fractional")
@@ -333,11 +339,13 @@ class QSeries(Frozen):
         if root is None:
             raise LeadingCoefficientNotPower(f"{c} has no exact {d}-th root")
         rel = self.truncation - v  # number of known coefficients
-        ks = [k for k in range(1, min(len(self.coeffs), rel)) if self.coeffs[k]]
+        ks = list(compress(range(1, rel), self.coeffs[1:rel]))
+        g = math.gcd(*ks) or rel  # u = U(q^g): the recurrence runs in Q = q^g
         us = [self.coeffs[k] for k in ks]
+        ks = [k // g for k in ks]
         kus = [k * x for k, x in zip(ks, us)]
         ys, den, j = [1], 1, 0
-        for n in range(1, rel):
+        for n in range(1, -(-rel // g)):
             j += j < len(ks) and ks[j] == n  # ks[:j] are the k <= n
             lower = [ys[n - k] for k in ks[:j]]
             acc = -n * d * sum(map(mul, us[:j], lower))
@@ -349,7 +357,9 @@ class QSeries(Frozen):
                 den *= lift
                 ys = [y * lift for y in ys]
             ys.append(acc * lift // pivot)
-        return QSeries._make(den, int(v * r), ys, rel + int(v * r)).scale(root**p)
+        out = [0] * rel
+        out[::g] = ys
+        return QSeries._make(den, int(v * r), out, rel + int(v * r)).scale(root**p)
 
     def nth_root(self, n: int) -> "QSeries":
         """Exact n-th root (positive branch for rational leading coefficients).
@@ -389,29 +399,31 @@ class QSeries(Frozen):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QSeries":
-        return cls(
-            [Fraction(c) for c in data["coeffs"]],
-            int(data["valuation"]),
-            int(data["truncation"]),
-        )
+        return cls([Fraction(c) for c in data["coeffs"]], int(data["valuation"]), int(data["truncation"]))
 
     def __repr__(self):
         return f"QSeries({format_series(self)})"
 
 
-def evaluate(polynomials: Iterable[Mapping], ys: Sequence[QSeries]) -> list[QSeries]:
+_set_den, _set_valuation, _set_coeffs, _set_truncation = (getattr(QSeries, name).__set__ for name in QSeries.__slots__)
+
+
+def evaluate(polynomials: Iterable[Mapping], ys: Sequence[QSeries], built: dict | None = None) -> list[QSeries]:
     """The values at the series ys of polynomials over Q, each {(e_0, ...,
     e_(k-1)): c} meaning the sum of c y_0^e_0 ... y_(k-1)^e_(k-1).  Each
     monomial is built once, as the monomial with its last nonzero exponent
-    one less, times that series.  A value keeps the truncation of its own
-    terms; the constant 1, and a polynomial with no terms, are known
-    through the least truncation of ys.
+    one less, times that series; a table {exponents: monomial} `built` of
+    monomials of ys built before is read first and receives every monomial
+    built here.  A value keeps the truncation of its own terms; the constant
+    1, and a polynomial with no terms, are known through the least
+    truncation of ys.
 
     >>> evaluate([{(2,): 1, (1,): -1}, {}], [QSeries([1, 1], 0, 4)])   # y^2 - y and 0
     [QSeries(q + q^2 + O(q^4)), QSeries(O(q^4))]
     """
     least = min(y.truncation for y in ys)
-    built = {tuple(int(i == j) for i in range(len(ys))): y for j, y in enumerate(ys)}
+    built = {} if built is None else built
+    built.update({tuple(int(i == j) for i in range(len(ys))): y for j, y in enumerate(ys)})
     built[(0,) * len(ys)] = QSeries.one(least)
 
     def monomial(e: tuple[int, ...]) -> QSeries:
@@ -424,9 +436,8 @@ def evaluate(polynomials: Iterable[Mapping], ys: Sequence[QSeries]) -> list[QSer
     return [sum(t[1:], t[0]) if t else QSeries.zero(least) for t in terms]
 
 
-def solve_qdq_system(
-    system: Sequence[Mapping], seeds: Sequence[Sequence[Fraction | int]], order: int
-) -> tuple[QSeries, ...]:
+def solve_qdq_system(system: Sequence[Mapping], seeds: Sequence[Sequence[Fraction | int]],
+                     order: int) -> tuple[QSeries, ...]:
     """The power series Y with q dY/dq = F(Y), known through O(q^order), for
     F the polynomials `system` over Q, one per component (see `evaluate`).
     `seeds` holds the q^0 and q^1 coefficients of each component, which must
@@ -440,8 +451,9 @@ def solve_qdq_system(
 
     with J(Y) = sum_d J_d q^d, needed mod q^w, and R = F(Y) - q dY/dq, which
     is O(q^m).  The polynomials dF_i/dy_j are derived once, so a block
-    evaluates F once at truncation hi and J once at Y mod q^w, after one
-    evaluation of F for the seeds (15 evaluations at order 242).  J0, the
+    evaluates F once at truncation hi and J once at Y mod q^w, reading the
+    monomials F's evaluation built, truncated, after one evaluation of F for
+    the seeds (15 evaluations at order 242).  J0, the
     Jacobian at the constant terms, must be upper triangular; that is
     checked before any coefficient of the block is solved, so for order <= 2,
     with no block, J0 is never read.  Each block is back-substituted whole
@@ -461,19 +473,20 @@ def solve_qdq_system(
         hi = min(2 * m, order)
         w = hi - m
         ys = [y._replace(truncation=hi) for y in ys]  # provisionally 0 from q^m on
-        jac = evaluate(jacobian, [y.truncate(w) for y in ys])  # J(Y) mod q^w
+        built: dict = {}
+        forcing = [r - y.qdq() for r, y in zip(evaluate(system, ys, built), ys)]
+        jac = evaluate(jacobian, [y.truncate(w) for y in ys], {e: s.truncate(w) for e, s in built.items()})
         dj = math.lcm(*(s.den for s in jac))
         js = [[_numerators(s, 0, w, dj) for s in jac[i * k : (i + 1) * k]] for i in range(k)]
         if any(js[i][j][0] for i in range(k) for j in range(i)):
             raise ArithmeticError("J0 is not upper triangular")
-        forcing = [r - y.qdq() for r, y in zip(evaluate(system, ys), ys)]
         den = math.lcm(*(r.den for r in forcing))
         rs = [_numerators(r, m, hi, den) for r in forcing]
         es = [[0] * w for _ in range(k)]
         for t in range(w):
             for i in reversed(range(k)):
                 # es[j][t] is still 0 for j <= i, and J0 has no entry below the diagonal
-                acc = dj * rs[i][t] + sum(sum(map(mul, js[i][j][: t + 1], es[j][t::-1])) for j in range(k))
+                acc = dj * rs[i][t] + sum([sum(map(mul, js[i][j][: t + 1], es[j][t::-1])) for j in range(k)])
                 pivot = (m + t) * dj - js[i][i][0]
                 if not pivot:
                     raise ZeroDivisionError(f"n - J0 is singular at n = {m + t}")

@@ -68,17 +68,7 @@ def failure_report(
     return IdentityReport(name, order, FirstFailure(indices, exponent, str(residual)))
 
 
-def pass_report(name: str, order: int) -> IdentityReport:
-    return IdentityReport(name, order)
-
-
-def series_match(
-    name: str,
-    lhs: QSeries,
-    rhs: QSeries,
-    order: int,
-    indices: tuple[int, ...] = (),
-) -> IdentityReport:
+def series_match(name: str, lhs: QSeries, rhs: QSeries, order: int, indices: tuple[int, ...] = ()) -> IdentityReport:
     """Certify lhs == rhs for all exponents below `order`, two rational
     series; the residual is the first nonzero coefficient of lhs - rhs.
 
@@ -87,13 +77,11 @@ def series_match(
     """
     known = min(lhs.truncation, rhs.truncation)
     if known < order:
-        raise PrecisionError(
-            f"{name}: need order {order} but operands only reach {known}"
-        )
-    diff = lhs.truncate(order).first_difference(rhs.truncate(order))
-    if diff is None:
-        return pass_report(name, order)
-    exponent, residual = diff
+        raise PrecisionError(f"{name}: need order {order} but operands only reach {known}")
+    a, b = lhs.truncate(order), rhs.truncate(order)
+    if a._fields() == b._fields():  # the canonical form is unique
+        return IdentityReport(name, order)
+    exponent, residual = a.first_difference(b)
     return failure_report(name, order, indices, exponent, residual)
 
 
@@ -107,7 +95,7 @@ def combine(name: str, reports: list[IdentityReport]) -> IdentityReport:
     for r in reports:
         if not r.passed:
             return IdentityReport(f"{name}[{r.name}]", order, r.first_failure)
-    return pass_report(name, order)
+    return IdentityReport(name, order)
 
 
 class GenusOneResult(NamedTuple):

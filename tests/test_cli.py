@@ -460,7 +460,7 @@ PINNED_STDOUT = [
      "8a7f496f3f6591738cd404983c7657b3074396df9e3b96b1d3aad08ede4bb46b"),
     (dict(command="genus-one", model="e6", order=60, format="csv"),
      "c454d1ad933eba3a8dcb72cc0aad92bad7e761ee3ba399c0846ece57d10f80db"),
-    # a zero exponent drops its factor: eta(2) alone, and the empty quotient 1
+    # a zero exponent drops its factor: eta(2) alone, and the empty quotient, printed 1
     (dict(command="expand", expression="eta(1)^0 * eta(2)", order=5),
      "4bea37796c5d56966e9c4242c8d473752fffc47f8c5785d1ae22404efa61025c"),
     (dict(command="expand", expression="eta(1)^0 * eta(2)", order=5, format="json"),
@@ -468,7 +468,9 @@ PINNED_STDOUT = [
     (dict(command="expand", expression="eta(1)^0", order=5),
      "4765e10cf8fd6da44049ece403642fa43de65780b9fdd2a0111c39de6c540928"),
     (dict(command="expand", expression="eta(1)^0", order=5, format="json"),
-     "bb2bba714353f6956d73dc1411c89ffd3a329891512167db7d76313f9f32d561"),
+     "e0216dd77b589837a84893051017649876f8e3b5bb5be1859de3b8c55cf930a5"),
+    (dict(command="expand", expression="eta(1)^0", order=5, format="csv"),
+     "f557e5acac9f2444dc2d0083874d429f3162f4c4ea79431717009dc5c1dc211e"),
 ]
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import gwseries.e6 as e6
-from gwseries import modular
+from gwseries import frobenius, modular, qseries
 from gwseries.e6 import (
     _E6_QUANTUM_ROWS,
     _E6_SYSTEM,
@@ -24,6 +24,7 @@ from gwseries.e6 import (
     e6_suites,
     e6_twisted_pole_reports,
 )
+from gwseries.exact_arith import int_convolve
 from gwseries.frobenius import euler_residual, metric_from_potential, wdvv_residual
 from gwseries.modular import eta_expand, f_series
 from gwseries.qseries import QSeries, evaluate
@@ -199,6 +200,50 @@ def test_derived_series_are_built_once(monkeypatch):
     assert inversions(lambda: e6_identity_suite(order, a, f0, quotient)) == 3
     assert inversions(lambda: e6_twisted_pole_reports(order, a, quotient)) == 0
     assert inversions(lambda: e6_coefficient_reports(order, coeffs, solved)) == 2
+
+
+def _counted_work(monkeypatch) -> dict[str, int]:
+    """Counts, from here on, the integer convolutions, the Miller recurrences
+    (`QSeries._power`) and the terms of each WDVV engine built."""
+    counts = {"int_convolve": 0, "_power": 0, "engine_terms": []}
+    power = QSeries._power
+
+    def convolve(*args):
+        counts["int_convolve"] += 1
+        return int_convolve(*args)
+
+    def counted_power(self, r):
+        counts["_power"] += 1
+        return power(self, r)
+
+    class CountedEngine(frobenius._WdvvEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            counts["engine_terms"].append(sum(map(len, self._terms.values())))
+
+    monkeypatch.setattr(qseries, "int_convolve", convolve)
+    monkeypatch.setattr(QSeries, "_power", counted_power)
+    monkeypatch.setattr(frobenius, "_WdvvEngine", CountedEngine)
+    return counts
+
+
+def test_build_fi_multiplies_f1_squared_once(monkeypatch):
+    # f_1^2 goes into the generator f_2 and into the rows: f_5 holds it, and f_9
+    # and f_13 are built on it; `evaluate` reads it from the table it is handed
+    counts = _counted_work(monkeypatch)
+    e6_build_fi(68)
+    assert (counts["int_convolve"], counts["_power"]) == (22, 3)
+
+
+@pytest.mark.parametrize("raw_f11_block, terms", [(False, 446), (True, 434)])
+def test_verify_e6_work_counters(monkeypatch, raw_f11_block, terms):
+    """The deterministic work of one `verify e6 --order 60`: series products,
+    Miller recurrences and the WDVV engine's derivative terms.  A change that
+    adds series work fails here, where a wall time would only be noisy."""
+    modular._eta_logderiv_unit.cache_clear()
+    counts = _counted_work(monkeypatch)
+    e6_suites(60, raw_f11_block=raw_f11_block)
+    assert (counts["int_convolve"], counts["_power"], counts["engine_terms"]) == (154, 14, [terms])
 
 
 # -- modular identities ----------------------------------------------------------------

@@ -176,6 +176,7 @@ def test_eta_quotient_rejects_garbage():
     assert EtaQuotient(((2, Fraction(0)),)).factors == ()
     dropped = EtaQuotient.parse("eta(1)^0 * eta(2)")
     assert dropped == EtaQuotient.parse("eta(2)") and str(dropped) == "eta(2)"
+    assert str(EtaQuotient.parse("eta(1)^0")) == "1"  # the empty quotient prints as its value
 
 
 @st.composite

@@ -142,8 +142,8 @@ MUTANTS = (
     Mutant(
         "wdvv-right-carry-strict",
         "src/gwseries/frobenius.py",
-        "(m - g * (c + classes[r] >= g), s, r)",
-        "(m - g * (c + classes[r] > g), s, r)",
+        "t if c + classes[t[2]] < g else",
+        "t if c + classes[t[2]] <= g else",
         ("tests/test_frobenius.py",),
     ),
     Mutant(
@@ -243,6 +243,35 @@ MUTANTS = (
         "least = min(y.truncation for y in ys)",
         "least = max(y.truncation for y in ys)",
         ("tests/test_qseries.py",),
+    ),
+    # -- the series kernels: Miller's recurrence on the residue class, sums, the match ----
+    Mutant(
+        "power-scatter-start",
+        "src/gwseries/qseries.py",
+        "out[::g] = ys",
+        "out[1::g] = ys",
+        ("tests/test_qseries_kernels.py",),
+    ),
+    Mutant(
+        "power-class-loop-bound",
+        "src/gwseries/qseries.py",
+        "for n in range(1, -(-rel // g)):",
+        "for n in range(1, rel // g):",
+        ("tests/test_qseries_kernels.py",),
+    ),
+    Mutant(
+        "add-slice-offset",
+        "src/gwseries/qseries.py",
+        "map(add, out[i : i + len(ys)], ys)",
+        "map(add, out[: len(ys)], ys)",
+        ("tests/test_qseries_kernels.py",),
+    ),
+    Mutant(
+        "match-fast-path-untruncated",
+        "src/gwseries/reporting.py",
+        "if a._fields() == b._fields():",
+        "if lhs._fields() == rhs._fields():",
+        ("tests/test_qseries_kernels.py",),
     ),
     # -- the CLI: one output path, config straight from argparse --------------------------
     Mutant(
