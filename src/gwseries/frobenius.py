@@ -205,8 +205,8 @@ def _derivative_keys(potential: FrobeniusPotential, truncation: int):
     patterns: dict[tuple, list] = {}
 
     def lowered(key: tuple[int, ...], counts) -> tuple:
-        support = [i for i, e in enumerate(key) if e]
-        if (pattern := (tuple(key[i] for i in support), counts)) not in patterns:
+        support = list(compress(range(len(key)), key))
+        if (pattern := (tuple(filter(None, key)), counts)) not in patterns:
             # position len(support) of places is t, which fills a triple
             patterns[pattern] = [(itemgetter(*slots, *[len(support)] * (3 - len(slots))), len(slots), falling)
                                  for slots, falling in _lowerings(pattern[0], counts)]

@@ -107,10 +107,8 @@ class EtaQuotient(Frozen):
 
     def unit(self, truncation: int) -> QSeries:
         """The quotient without its q^offset, through O(q^truncation)."""
-        unit = QSeries.one(truncation)
-        for m, r in self.factors:
-            unit = unit * eta_unit(m, truncation).pow_rational(r)
-        return unit
+        units = [eta_unit(m, truncation).pow_rational(r) for m, r in self.factors]
+        return functools.reduce(QSeries.__mul__, units) if units else QSeries.one(truncation)
 
     def expand(self, truncation: int) -> QSeries:
         """q^offset times `unit(truncation)`, known through

@@ -340,7 +340,7 @@ class QSeries(Frozen):
             raise LeadingCoefficientNotPower(f"{c} has no exact {d}-th root")
         rel = self.truncation - v  # number of known coefficients
         ks = list(compress(range(1, rel), self.coeffs[1:rel]))
-        g = math.gcd(*ks) or rel  # u = U(q^g): the recurrence runs in Q = q^g
+        g = math.gcd(*ks) or rel  # with no u_k, u = 1 and y is one term
         us = [self.coeffs[k] for k in ks]
         ks = [k // g for k in ks]
         kus = [k * x for k, x in zip(ks, us)]

@@ -229,10 +229,11 @@ def _counted_work(monkeypatch) -> dict[str, int]:
 
 def test_build_fi_multiplies_f1_squared_once(monkeypatch):
     # f_1^2 goes into the generator f_2 and into the rows: f_5 holds it, and f_9
-    # and f_13 are built on it; `evaluate` reads it from the table it is handed
+    # and f_13 are built on it; `evaluate` reads it from the table it is handed.
+    # Each eta quotient's unit starts from its first factor, not from 1 times it.
     counts = _counted_work(monkeypatch)
     e6_build_fi(68)
-    assert (counts["int_convolve"], counts["_power"]) == (22, 3)
+    assert (counts["int_convolve"], counts["_power"]) == (20, 3)
 
 
 @pytest.mark.parametrize("raw_f11_block, terms", [(False, 446), (True, 434)])
@@ -243,7 +244,7 @@ def test_verify_e6_work_counters(monkeypatch, raw_f11_block, terms):
     modular._eta_logderiv_unit.cache_clear()
     counts = _counted_work(monkeypatch)
     e6_suites(60, raw_f11_block=raw_f11_block)
-    assert (counts["int_convolve"], counts["_power"], counts["engine_terms"]) == (154, 14, [terms])
+    assert (counts["int_convolve"], counts["_power"], counts["engine_terms"]) == (148, 14, [terms])
 
 
 # -- modular identities ----------------------------------------------------------------

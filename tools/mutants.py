@@ -264,7 +264,7 @@ MUTANTS = (
         "src/gwseries/qseries.py",
         "map(add, out[i : i + len(ys)], ys)",
         "map(add, out[: len(ys)], ys)",
-        ("tests/test_qseries_kernels.py",),
+        ("tests/test_qseries_canonical.py",),
     ),
     Mutant(
         "match-fast-path-untruncated",
