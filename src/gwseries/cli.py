@@ -19,7 +19,11 @@ The default truncation order is 60 and can be overridden either with
 --order or the GWSERIES_ORDER environment variable.
 
 Each command imports the modules it runs when it runs, so a process pays
-only for the layers of its own command.
+only for the layers of its own command.  The command line (`console_main`,
+the `gwseries` script and `python -m gwseries.cli`) ends the process without
+interpreter teardown once its output is flushed: freeing every loaded module
+and object cost about 8 ms of a 100 ms `verify e6 --order 60`.  `main(argv)`,
+the in-process entry, still raises SystemExit.
 """
 
 from __future__ import annotations
@@ -312,5 +316,26 @@ def main(argv: list[str] | None = None) -> None:
     sys.exit(run(parse_args(argv)))
 
 
+def console_main() -> None:
+    """`main` for the command line, ending the process without teardown.
+
+    Once the command returns, stdout and stderr are flushed and os._exit
+    ends the process with the command's status, so the interpreter does not
+    free the modules and objects it loaded.  That is safe because the
+    package, and the stdlib modules it loads, register no atexit handler,
+    start no thread and write only to stdout and stderr.  If a flush raises,
+    as on a pipe whose reader has gone, sys.exit takes over and the
+    interpreter reports the error and sets the status as for `main`.  Usage
+    errors, --help and uncaught exceptions leave as they do from `main`.
+    """
+    status = run(parse_args())
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    main()
+    console_main()

@@ -20,13 +20,14 @@ generators against their system, each derived series against an independent
 formula, and a suite of modular identities tying a to the j-invariant, cusp
 forms, and twisted eta products, read off the 3-dissection of rational
 series with the roots of unity kept as exponents.  The builders only build;
-`e6_suites` builds each series once and hands it to the report functions.
+`e6_suites` builds each series once, a', a^3 and (1 - a^3)^-1 included
+(`pole_series`), and hands truncations to the report functions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .modular import (
     J_series,
@@ -55,16 +56,40 @@ class E6Coefficients(NamedTuple):
 # -- the pole series ---------------------------------------------------------------
 
 
-def _schwarzian_combination(a: QSeries) -> QSeries:
+class PoleSeries(NamedTuple):
+    """The pole series a and the series the checks derive from it, ' = q d/dq:
+    a', a^3, (1 - a^3)^-1 and the slope a'/(1 - a^3) = 9 f_0^2."""
+
+    a: QSeries
+    d1: QSeries
+    cube: QSeries
+    inverse: QSeries
+    slope: QSeries
+
+    def truncate(self, order: int) -> "PoleSeries":
+        """What `pole_series(a.truncate(order))` would build.  Through the pole
+        at q^-1, a^3 knows two orders less than a, (1 - a^3)^-1 four more and
+        the slope three more."""
+        offsets = (0, 0, -2, 4, 3)
+        return PoleSeries(*(s.truncate(order + k) for s, k in zip(self, offsets)))
+
+
+def pole_series(a: QSeries) -> PoleSeries:
+    """a with its derived series, each built once."""
+    d1, cube = a.qdq(), a * a * a
+    inverse = (1 - cube).inv()
+    return PoleSeries(a, d1, cube, inverse, d1 * inverse)
+
+
+def _schwarzian_combination(pole: PoleSeries) -> QSeries:
     """(1-a^3)^2 [a' a''' - (3/2)(a'')^2] + (1/2)(8+a^3) a (a')^4, ' = q d/dq.
 
     Vanishes identically on the solution; multiplying the equation through
     by (1-a^3)^2 (a')^2 keeps everything polynomial in known coefficients.
     """
-    d1 = a.qdq()
+    a, d1, cube = pole.a, pole.d1, pole.cube
     d2 = d1.qdq()
     d3 = d2.qdq()
-    cube = a * a * a
     wronskian = d1 * d3 - (d2 * d2).scale(Fraction(3, 2))
     return (1 - cube) ** 2 * wronskian + ((8 + cube) * a * d1**4).scale(Fraction(1, 2))
 
@@ -119,25 +144,20 @@ def e6_h_analytic(order: int) -> QSeries:
     return QSeries.constant(Fraction(1), order) + quotient.scale(_THIRD)
 
 
-def e6_schwarzian_residual_report(order: int, a: QSeries) -> IdentityReport:
-    """The defining equation holds for `a` through q^(order-1).
+def e6_schwarzian_residual_report(order: int, pole: PoleSeries) -> IdentityReport:
+    """The defining equation holds for the pole series through q^(order-1).
 
-    The residual loses eight orders to the pole, so `a` must reach order + 8.
+    The residual loses eight orders to the pole, so `pole` must reach order + 8.
     """
-    residual = _schwarzian_combination(a)
+    residual = _schwarzian_combination(pole)
     return series_match("e6-schwarzian-equation", residual, QSeries.zero(order), order)
 
 
 # -- the fourteen coefficient series ------------------------------------------------
 
 
-def _slope(a: QSeries) -> QSeries:
-    """a'/(1 - a^3) = 9 f_0^2, ' = q d/dq."""
-    return a.qdq() * (1 - a * a * a).inv()
-
-
 def _sqrt_route_f0(slope: QSeries) -> QSeries:
-    """f_0 = (1/3) (a'/(1 - a^3))^(1/2) from the `_slope` of a, the root q + ..."""
+    """f_0 = (1/3) (a'/(1 - a^3))^(1/2) from the slope of a, the root q + ..."""
     return slope.nth_root(2).scale(_THIRD)
 
 
@@ -183,21 +203,21 @@ def e6_build_fi(order: int) -> E6Coefficients:
 
 
 def e6_coefficient_reports(
-    order: int, coeffs: E6Coefficients, solved: QSeries
+    order: int, pole: PoleSeries, f: Sequence[QSeries], solved: QSeries
 ) -> list[IdentityReport]:
-    """Independent routes to the same series: square root, eta quotient, the
-    derivative-based closed forms coming from the flatness calculation, the
-    first-order system `_E6_SYSTEM` on the eta-side generators f_0, f_1, f_2,
-    and the equation solver's `solved` pole series.
+    """Independent routes to the fourteen series `f`: square root, eta
+    quotient, the derivative-based closed forms coming from the flatness
+    calculation, the first-order system `_E6_SYSTEM` on the eta-side
+    generators f_0, f_1, f_2, and the equation solver's `solved` pole series
+    against the closed form in `pole`.
 
-    `coeffs` must reach order + 8, which the defining equation's residual
-    needs; `solved` must reach order.
+    `pole` and `f` must reach order + 8, which the defining equation's
+    residual needs; `solved` must reach order.
     """
-    a, f = coeffs
-    d1 = a.qdq()
-    slope = _slope(a)
+    a, d1, slope = pole.a, pole.d1, pole.slope
     curvature = d1.qdq() * d1.inv()
-    asq_slope = a * a * slope
+    a_slope = a * slope
+    asq_slope = a * a_slope
     reports = [
         series_match("e6-f0-sqrt-route", _sqrt_route_f0(slope), f[0], order),
         series_match(
@@ -207,7 +227,7 @@ def e6_coefficient_reports(
             order,
         ),
         series_match("e6-f3-derivative-route", slope.scale(Fraction(1, 9)), f[3], order),
-        series_match("e6-f4-derivative-route", (a * slope).scale(Fraction(1, 9)), f[4], order),
+        series_match("e6-f4-derivative-route", a_slope.scale(Fraction(1, 9)), f[4], order),
         series_match(
             "e6-f5-derivative-route",
             (curvature + asq_slope.scale(2)).scale(Fraction(-1, 9)),
@@ -220,7 +240,7 @@ def e6_coefficient_reports(
         for i, (s, rhs) in enumerate(zip(f[:3], evaluate(_E6_SYSTEM, f[:3])))
     )
     reports.append(series_match("e6-solver-matches-eta", solved, a, order))
-    reports.append(e6_schwarzian_residual_report(order, a))
+    reports.append(e6_schwarzian_residual_report(order, pole))
     return reports
 
 
@@ -228,33 +248,29 @@ def e6_coefficient_reports(
 
 
 def e6_identity_suite(
-    order: int, a: QSeries, f0: QSeries, quotient: QSeries
+    order: int, pole: PoleSeries, f0: QSeries, quotient: QSeries
 ) -> list[IdentityReport]:
     """The j-invariant relation, the cusp-form identities, and the twisted
-    eta expressions for the pole series `a` (the last with roots of unity), all
-    certified through the same order.  `a` must reach order + 2 and the eta
-    quotients `f0` = eta(9)^3 / eta(3) and `quotient` = eta(1)^3 / eta(9)^3
-    must reach order."""
-    cube = a * a * a
-    one_minus = 1 - cube
-    inverse = one_minus.inv()
+    eta expressions for the pole series (the last with roots of unity), all
+    certified through the same order.  `pole` must reach order + 2, in the
+    sense of `PoleSeries.truncate`, and the eta quotients
+    `f0` = eta(9)^3 / eta(3) and `quotient` = eta(1)^3 / eta(9)^3 must
+    reach order."""
+    a, d1, cube, inverse, slope = pole
     inverse_cube = inverse**3
-    d1 = a.qdq()
 
     lhs_j = (cube * (8 + cube) ** 3 * inverse_cube).scale(Fraction(-1, 64))
     J = J_series(order)
     reports = [series_match("e6-j-relation", lhs_j, J, order)]
 
-    cube_minus_one = one_minus.scale(-1)
     # offset of this quotient is -3, so expand three orders deeper
     rhs_unit = eta_expand("eta(3)^12 * eta(9)^-12", order + 3).scale(Fraction(1, 27))
-    reports.append(series_match("e6-cube-unit", cube_minus_one, rhs_unit, order))
+    reports.append(series_match("e6-cube-unit", cube - 1, rhs_unit, order))
 
     sextic = (d1**6 * inverse_cube).scale(Fraction(-1, 27))  # (a^3 - 1)^-3 = -(1 - a^3)^-3
     discriminant = eta_expand("eta(3)^24", order)
     reports.append(series_match("e6-cusp-form-sextic", sextic, discriminant, order))
 
-    slope = d1 * inverse
     rhs_slope = (f0.truncate(order) ** 2).scale(9)
     reports.append(series_match("e6-slope-eta", slope, rhs_slope, order))
 
@@ -338,7 +354,7 @@ def _gw_dual_route(order: int, solved: QSeries, f0: QSeries) -> IdentityReport:
     formula.  The two must agree through q^(order-1), and f_0 must be
     supported on exponents 1 mod 3 there.  `solved` must reach order + 2.
     """
-    report = series_match("e6-gw-dual-route", _sqrt_route_f0(_slope(solved)), f0, order)
+    report = series_match("e6-gw-dual-route", _sqrt_route_f0(pole_series(solved).slope), f0, order)
     if report.passed:
         for exponent, coeff in f0.truncate(order).known_terms():
             if coeff and exponent % 3 != 1:
@@ -390,8 +406,9 @@ def e6_genus_one(order: int, coeffs: E6Coefficients) -> GenusOneResult:
 def e6_suites(order: int, raw_f11_block: bool = False) -> list[tuple[str, list[IdentityReport]]]:
     """The `verify e6` suites, every series built once.
 
-    The coefficient series are built eight orders deep, which the defining
-    equation's residual needs, and truncated down where a check needs less.
+    The coefficient series and the series derived from the pole series are
+    built eight orders deep, which the defining equation's residual needs,
+    and truncated down where a check needs less.
     The equation is solved once, two orders deep, for both the solver check
     and the second route of the degree table, and the eta quotients are
     expanded once, in `e6_build_fi`: f_0 for the coefficients, the slope
@@ -403,13 +420,14 @@ def e6_suites(order: int, raw_f11_block: bool = False) -> list[tuple[str, list[I
     from .frobenius import euler_residual, wdvv_residual
 
     coeffs = e6_build_fi(order + 8)
+    pole = pole_series(coeffs.a)
     solved = e6_schwarzian_solve(order + 2)
     f0, quotient = coeffs.f[0], (coeffs.a - 1).scale(3)
     at_order = coeffs.truncate(order)
     potential = e6_build_potential(at_order, raw_f11_block)
     return [
-        ("e6-coefficients", e6_coefficient_reports(order, coeffs, solved)),
-        ("e6-identities", e6_identity_suite(order, coeffs.a.truncate(order + 2), f0, quotient)),
+        ("e6-coefficients", e6_coefficient_reports(order, pole, coeffs.f, solved)),
+        ("e6-identities", e6_identity_suite(order, pole.truncate(order + 2), f0, quotient)),
         ("e6-gw-table", [_gw_dual_route(order, solved, f0)]),
         ("e6-genus-one", [e6_genus_one(order, at_order).report]),
         ("e6-potential", [wdvv_residual(potential, order), euler_residual(potential)]),

@@ -176,7 +176,10 @@ class QSeries(Frozen):
         return self.valuation, Fraction(self.coeffs[0], self.den)
 
     def truncate(self, truncation: int) -> "QSeries":
-        """Forget coefficients at exponents >= truncation."""
+        """Forget coefficients at exponents >= truncation; at its own
+        truncation the series is returned itself, as it is immutable."""
+        if truncation == self.truncation:
+            return self
         if truncation > self.truncation:
             raise PrecisionError(f"cannot extend truncation {self.truncation} to {truncation}")
         keep = max(0, truncation - self.valuation)
@@ -226,6 +229,8 @@ class QSeries(Frozen):
 
     def scale(self, scalar: Fraction | int) -> "QSeries":
         c = scalar if isinstance(scalar, _SCALARS) else Fraction(scalar)
+        if c == 1:
+            return self
         p = c.numerator
         return self._replace(den=self.den * c.denominator, coeffs=[x * p for x in self.coeffs])
 

@@ -9,7 +9,6 @@ from gwseries import frobenius, modular, qseries
 from gwseries.e6 import (
     _E6_QUANTUM_ROWS,
     _E6_SYSTEM,
-    E6Coefficients,
     _gw_dual_route,
     _schwarzian_combination,
     e6_build_fi,
@@ -23,6 +22,7 @@ from gwseries.e6 import (
     e6_schwarzian_solve,
     e6_suites,
     e6_twisted_pole_reports,
+    pole_series,
 )
 from gwseries.exact_arith import int_convolve
 from gwseries.frobenius import euler_residual, metric_from_potential, wdvv_residual
@@ -62,9 +62,9 @@ def _schwarzian_step_solve(order: int) -> QSeries:
     q^(n-8) coefficient of the Schwarzian combination is linear in a_(n-1)
     with slope -n^3 a_-1^7; the q^-8 coefficient carries no unknown."""
     coeffs = {-1: Fraction(1, 3)}
-    assert _schwarzian_combination(QSeries.from_coefficient_map(coeffs, 0)).coefficient(-8) == 0
+    assert _schwarzian_combination(pole_series(QSeries.from_coefficient_map(coeffs, 0))).coefficient(-8) == 0
     for n in range(1, order + 1):
-        s = _schwarzian_combination(QSeries.from_coefficient_map(coeffs, n)).coefficient(n - 8)
+        s = _schwarzian_combination(pole_series(QSeries.from_coefficient_map(coeffs, n))).coefficient(n - 8)
         if s:
             coeffs[n - 1] = s * Fraction(3) ** 7 / n**3
     return QSeries.from_coefficient_map(coeffs, order)
@@ -117,7 +117,7 @@ def test_closed_form_is_shifted_eta_cube():
 
 
 def test_defining_equation_residual_vanishes():
-    report = e6_schwarzian_residual_report(40, e6_h_analytic(48))
+    report = e6_schwarzian_residual_report(40, pole_series(e6_h_analytic(48)))
     assert report.passed
     assert report.name == "e6-schwarzian-equation"
     assert report.order_certified == 40
@@ -128,7 +128,7 @@ def test_defining_equation_residual_vanishes():
 
 def test_build_fi_passes_its_own_cross_checks():
     coeffs = e6_build_fi(32)
-    for report in e6_coefficient_reports(24, coeffs, e6_schwarzian_solve(24)):
+    for report in e6_coefficient_reports(24, pole_series(coeffs.a), coeffs.f, e6_schwarzian_solve(24)):
         assert report.passed, report.name
     coeffs = coeffs.truncate(24)
     assert len(coeffs.f) == 14
@@ -142,9 +142,8 @@ def test_coefficient_routes_reject_tampering():
     coeffs = e6_build_fi(28)
     f = list(coeffs.f)
     f[2] = f[2] + QSeries.monomial(Fraction(1, 5), 3, f[2].truncation)
-    tampered = E6Coefficients(coeffs.a, tuple(f))
     reports = {
-        r.name: r for r in e6_coefficient_reports(20, tampered, e6_schwarzian_solve(20))
+        r.name: r for r in e6_coefficient_reports(20, pole_series(coeffs.a), f, e6_schwarzian_solve(20))
     }
     assert not reports["e6-f2-derivative-route"].passed
     assert reports["e6-f3-derivative-route"].passed
@@ -170,14 +169,16 @@ def test_first_order_system_reports_fail_where_f2_is_raised(monkeypatch):
 
 
 def test_derived_series_are_built_once(monkeypatch):
-    """1 - a^3 is inverted once per report function, cubed for the
-    j-relation and the sextic, and eta(9)^-3 is expanded once per run, for
+    """1 - a^3 is inverted once per run, in `pole_series`, whose truncations
+    both report functions take; the identity suite cubes the inverse for the
+    j-relation and the sextic.  eta(9)^-3 is expanded once per run, for
     the closed form a = 1 + (1/3) eta(1)^3 / eta(9)^3: the twisted rows take
     that quotient and invert nothing.  Square roots and other rational
     powers call no inverse either: they are one recurrence each."""
     order = 60
     coeffs = e6_build_fi(order + 8)
     solved = e6_schwarzian_solve(order + 2)
+    pole = pole_series(coeffs.a)
     a, f0, quotient = coeffs.a.truncate(order + 2), coeffs.f[0], (coeffs.a - 1).scale(3)
     modular._eta_logderiv_unit.cache_clear()
     count = 0
@@ -196,10 +197,11 @@ def test_derived_series_are_built_once(monkeypatch):
         run()
         return count
 
-    assert inversions(lambda: e6_suites(order)) == 9
-    assert inversions(lambda: e6_identity_suite(order, a, f0, quotient)) == 3
+    assert inversions(lambda: e6_suites(order)) == 8
+    assert inversions(lambda: pole_series(coeffs.a)) == 1
+    assert inversions(lambda: e6_identity_suite(order, pole.truncate(order + 2), f0, quotient)) == 2
     assert inversions(lambda: e6_twisted_pole_reports(order, a, quotient)) == 0
-    assert inversions(lambda: e6_coefficient_reports(order, coeffs, solved)) == 2
+    assert inversions(lambda: e6_coefficient_reports(order, pole, coeffs.f, solved)) == 1
 
 
 def _counted_work(monkeypatch) -> dict[str, int]:
@@ -244,7 +246,7 @@ def test_verify_e6_work_counters(monkeypatch, raw_f11_block, terms):
     modular._eta_logderiv_unit.cache_clear()
     counts = _counted_work(monkeypatch)
     e6_suites(60, raw_f11_block=raw_f11_block)
-    assert (counts["int_convolve"], counts["_power"], counts["engine_terms"]) == (148, 14, [terms])
+    assert (counts["int_convolve"], counts["_power"], counts["engine_terms"]) == (142, 13, [terms])
 
 
 # -- modular identities ----------------------------------------------------------------
@@ -253,7 +255,7 @@ def test_verify_e6_work_counters(monkeypatch, raw_f11_block, terms):
 def test_identity_suite_names_and_verdicts():
     f0 = eta_expand("eta(9)^3 * eta(3)^-1", 30)
     quotient = eta_expand("eta(1)^3 * eta(9)^-3", 31)
-    reports = e6_identity_suite(30, e6_h_analytic(32), f0, quotient)
+    reports = e6_identity_suite(30, pole_series(e6_h_analytic(32)), f0, quotient)
     assert [r.name for r in reports] == [
         "e6-j-relation",
         "e6-cube-unit",
@@ -296,7 +298,8 @@ def test_twisted_pole_reports_have_teeth(monkeypatch, exponent):
     order, suite = 30, e6.e6_identity_suite
     bump = QSeries.monomial(Fraction(1, 7), exponent, order + 2)
     monkeypatch.setattr(
-        e6, "e6_identity_suite", lambda order, a, f0, quotient: suite(order, a + bump, f0, quotient)
+        e6, "e6_identity_suite",
+        lambda order, pole, f0, quotient: suite(order, pole._replace(a=pole.a + bump), f0, quotient),
     )
     reports = {r.name: r for _, batch in e6.e6_suites(order) for r in batch}
     for name in ("e6-pole-twist-square", "e6-pole-twist-linear"):

@@ -2,19 +2,29 @@
 
 In-process tests import every module before a command runs, so a broken
 per-command import would still pass there.  Each test here starts a new
-`python` with only the package's source on its path.
+`python` with only the package's source on its path.  The command line
+ends its process with os._exit once stdout and stderr are flushed, so the
+tests of that exit path compare a fresh process's output with `main`'s in
+process, with PYTHONUNBUFFERED set and unset.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from gwseries import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 MARKER = "\nMODULES "
 # runs one CLI command, then writes the names of every loaded module to stderr
 FOOTPRINT = (
@@ -28,11 +38,13 @@ FOOTPRINT = (
 MODEL_MODULES = {"gwseries.d4", "gwseries.e6", "gwseries.frobenius"}
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "GWSERIES_ORDER")}
+def _python(*args: str, unbuffered: bool = False, stdout=subprocess.PIPE, text: bool = True):
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "GWSERIES_ORDER", "PYTHONUNBUFFERED")}
     env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=text, env=env, timeout=300
     )
 
 
@@ -101,3 +113,92 @@ def test_import_footprint():
         assert not _loaded_modules(argv) & {"json", "csv"}, argv
         assert "csv" not in _loaded_modules([*argv, "--format", "json"]), argv
         assert "json" not in _loaded_modules([*argv, "--format", "csv"]), argv
+
+
+# -- the exit path: flush, then os._exit -------------------------------------------------
+
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+@functools.cache
+def _in_process(*argv: str) -> tuple[str, int]:
+    """`main`'s stdout and exit status for argv, run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exited:
+        cli.main(list(argv))
+    return out.getvalue(), exited.value.code
+
+
+@BUFFERING
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_output_longer_than_a_pipe_buffer_arrives_whole(fmt, unbuffered):
+    """About 76 KB of text, more in json and csv: what the process leaves in
+    its buffers at the end reaches the reader byte for byte."""
+    argv = ("expand", "eta(1)^24", "--order", "3000", "--format", fmt)
+    expected, status = _in_process(*argv)
+    done = _python("-m", "gwseries.cli", *argv, unbuffered=unbuffered, text=False)
+    assert (status, done.returncode, done.stderr) == (0, 0, b"")
+    assert len(done.stdout) > 65536
+    assert done.stdout == expected.encode()
+
+
+@BUFFERING
+def test_a_failing_suite_keeps_its_status(unbuffered):
+    argv = ("verify", "e6", "--order", "8", "--strict-typo-mode")
+    expected, status = _in_process(*argv)
+    done = _python("-m", "gwseries.cli", *argv, unbuffered=unbuffered)
+    assert (status, done.returncode, done.stderr) == (14, 14, "")
+    assert done.stdout == expected
+
+
+@BUFFERING
+def test_a_reader_gone_before_the_output(unbuffered):
+    """The pipe's read end is closed before the child writes.  Buffered, the
+    output first meets it in the exit path's flush, which hands over to the
+    interpreter: it reports the error as it does after `main` and exits 120.
+    Unbuffered, the first print raises and the traceback exits 1."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _python("-m", "gwseries.cli", "expand", "eta(1)^24", "--order", "12",
+                       unbuffered=unbuffered, stdout=write)
+    finally:
+        os.close(write)
+    lines = done.stderr.splitlines()
+    assert lines[-1] == "BrokenPipeError: [Errno 32] Broken pipe"
+    if unbuffered:
+        assert done.returncode == 1
+    else:
+        assert done.returncode == 120
+        assert len(lines) == 2
+        assert lines[0].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' ")
+
+
+# registers an atexit marker, then calls the entry point named by argv[1],
+# "module:function", with the rest of argv as the command line
+ENTRY = (
+    "import atexit, importlib, sys\n"
+    "atexit.register(sys.stderr.write, 'teardown')\n"
+    "module, _, name = sys.argv.pop(1).partition(':')\n"
+    "getattr(importlib.import_module(module), name)()\n"
+)
+# the same marker around `python -m gwseries.cli`
+MODULE = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(sys.stderr.write, 'teardown')\n"
+    "runpy.run_module('gwseries.cli', run_name='__main__')\n"
+)
+
+
+def test_the_command_line_ends_without_teardown():
+    """The console script and `python -m` take the exit path, which runs no
+    atexit handler; `main` still ends through SystemExit and teardown."""
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"gwseries": "gwseries.cli:console_main"}
+    argv = ["solve", "e6", "--order", "8"]
+    for probe in (["-c", ENTRY, scripts["gwseries"], *argv], ["-c", MODULE, *argv]):
+        done = _python(*probe)
+        assert (done.returncode, done.stderr) == (0, ""), probe
+        assert done.stdout.startswith("a = 1/3q^-1")
+    done = _python("-c", ENTRY, "gwseries.cli:main", *argv)
+    assert (done.returncode, done.stderr) == (0, "teardown")

@@ -5,7 +5,8 @@ the nonzero coefficients, and scatters the result to every g-th slot; the
 reference runs the recurrence densely, through every exponent, over
 Fraction values.  `series_match` is checked against the first difference of
 two Fraction coefficient maps; sums are checked against schoolbook sums in
-test_qseries_canonical.py.
+test_qseries_canonical.py.  A truncation or scaling that changes nothing
+returns the series itself.
 """
 
 from __future__ import annotations
@@ -131,3 +132,16 @@ def test_series_match_reports_the_first_difference(case, data):
     else:
         failure = report.first_failure
         assert (failure.indices, failure.exponent, failure.residual) == ((7,), difference[0], str(difference[1]))
+
+
+def test_no_op_truncate_and_scale_return_the_series_itself():
+    """A series is immutable, so truncating it at its own truncation and
+    scaling it by 1 return it unchanged; any other truncation or scalar
+    makes a new series."""
+    s = QSeries([Fraction(1, 3), 0, 5], -1, 4)
+    assert s.truncate(4) is s
+    assert s.scale(1) is s and s.scale(Fraction(1)) is s
+    for truncation, fields in ((3, (3, -1, (1, 0, 15), 3)), (0, (3, -1, (1,), 0))):
+        cut = s.truncate(truncation)
+        assert cut is not s and cut._fields() == fields
+    assert s.scale(-1) is not s and s.scale(-1)._fields() == (3, -1, (-1, 0, -15), 4)

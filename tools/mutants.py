@@ -303,6 +303,20 @@ MUTANTS = (
         ("tests/test_cli.py",),
     ),
     Mutant(
+        "hard-exit-without-flush",
+        "src/gwseries/cli.py",
+        "sys.stdout.flush()\n        sys.stderr.flush()",
+        "sys.stderr.flush()",
+        ("tests/test_fresh_process.py",),
+    ),
+    Mutant(
+        "hard-exit-status-zero",
+        "src/gwseries/cli.py",
+        "os._exit(status)",
+        "os._exit(0)",
+        ("tests/test_fresh_process.py",),
+    ),
+    Mutant(
         "text-line-drops-indices",
         "src/gwseries/reporting.py",
         'where = f", indices {f.indices}" if f.indices else ""',
