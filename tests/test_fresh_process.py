@@ -16,7 +16,6 @@ import io
 import os
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import pytest
@@ -193,6 +192,7 @@ MODULE = (
 def test_the_command_line_ends_without_teardown():
     """The console script and `python -m` take the exit path, which runs no
     atexit handler; `main` still ends through SystemExit and teardown."""
+    tomllib = pytest.importorskip("tomllib")  # in the stdlib from Python 3.11
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
     assert scripts == {"gwseries": "gwseries.cli:console_main"}
     argv = ["solve", "e6", "--order", "8"]
