@@ -13,7 +13,10 @@ or csv).  Exit status 0 means every report passed; a failing run exits with
 10 plus the index of the first failing suite in the stream, so scripts can
 tell which stage broke.  Usage problems exit 2, and an internal precondition
 violation (such as a PrecisionError) exits 3.  A wrong coefficient is never
-an internal error: it shows up as a failing report.
+an internal error: it shows up as a failing report.  When the reader of the
+output goes away first (`gwseries ... | head`), the command line exits 141,
+128 + SIGPIPE as a shell reports a writer the signal ends, and prints nothing
+more.
 
 The default truncation order is 60 and can be overridden either with
 --order or the GWSERIES_ORDER environment variable.
@@ -39,6 +42,7 @@ from .reporting import IdentityReport
 DEFAULT_ORDER = 60
 DEFAULT_KMAX = 10
 ORDER_ENV_VAR = "GWSERIES_ORDER"
+BROKEN_PIPE_STATUS = 141  # 128 + SIGPIPE
 
 
 class RunConfig(NamedTuple):
@@ -323,16 +327,23 @@ def console_main() -> None:
     ends the process with the command's status, so the interpreter does not
     free the modules and objects it loaded.  That is safe because the
     package, and the stdlib modules it loads, register no atexit handler,
-    start no thread and write only to stdout and stderr.  If a flush raises,
-    as on a pipe whose reader has gone, sys.exit takes over and the
-    interpreter reports the error and sets the status as for `main`.  Usage
-    errors, --help and uncaught exceptions leave as they do from `main`.
+    start no thread and write only to stdout and stderr.  A pipe whose
+    reader has gone, met by the command's output or by the flush, ends the
+    process with BROKEN_PIPE_STATUS and no message.  If a flush raises
+    anything else, sys.exit takes over and the interpreter reports the
+    error and sets the status as for `main`.  Usage errors, --help and
+    uncaught exceptions leave as they do from `main`.
     """
-    status = run(parse_args())
+    status = None
     try:
+        status = run(parse_args())
         sys.stdout.flush()
         sys.stderr.flush()
+    except BrokenPipeError:
+        os._exit(BROKEN_PIPE_STATUS)
     except Exception:
+        if status is None:  # raised by the command, not by a flush
+            raise
         sys.exit(status)
     os._exit(status)
 

@@ -145,15 +145,7 @@ def d4_eta_form_reports(
     order: int, analytic: D4Coefficients, quotients: D4Coefficients
 ) -> list[IdentityReport]:
     """Eta-quotient log-derivative forms against the divisor-sum forms."""
-    return [
-        series_match(
-            f"d4-eta-form-{field}",
-            getattr(quotients, field),
-            getattr(analytic, field),
-            order,
-        )
-        for field in ("a", "b", "c")
-    ]
+    return [series_match(f"d4-eta-form-{x}", q, a, order) for x, q, a in zip("abc", quotients, analytic)]
 
 
 def d4_construction_reports(
@@ -163,18 +155,8 @@ def d4_construction_reports(
     quotients: D4Coefficients,
 ) -> list[IdentityReport]:
     """Recursion, divisor-sum forms, and eta forms all agree."""
-    out = []
-    for field in ("a", "b", "c"):
-        out.append(
-            series_match(
-                f"d4-recursion-{field}",
-                getattr(recursive, field),
-                getattr(analytic, field),
-                order,
-            )
-        )
-    out.extend(d4_eta_form_reports(order, analytic, quotients))
-    return out
+    recursion = [series_match(f"d4-recursion-{x}", r, a, order) for x, r, a in zip("abc", recursive, analytic)]
+    return recursion + d4_eta_form_reports(order, analytic, quotients)
 
 
 # One row per orbit of the permutations of t1..t4: the correlator d^k F as a

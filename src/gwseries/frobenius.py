@@ -21,12 +21,13 @@ first failing quadruple in lexicographic order, failing with its orbit, is
 the least of it: the scan, which meets each orbit first at its least,
 reports what a full scan would.
 
-Internally each coefficient series is interned up to a rational scalar and
-packed once into a single int (Kronecker substitution, in the slot format of
-exact_arith), so the scan is integer arithmetic only.  The derivative terms
-are enumerated from each key's own support, their monomials mixed-radix
-ints lowered by subtracting digit units, their scalars integers over one
-common denominator.  Only the residue class each series occupies is packed: the
+Internally the numerators of each coefficient series object are packed
+once into a single int (Kronecker substitution, in the slot format of
+exact_arith), its denominator going into the scalars of its terms, so the
+scan is integer arithmetic only.  The derivative terms are enumerated from
+each key's own support in one walk, their monomials mixed-radix ints
+lowered by subtracting digit units, their scalars integers over one common
+denominator.  Only the residue class each series occupies is packed: the
 stride g is the gcd of the exponent offsets within every series (3 for e6, 2
 for d4), read from the numerators, so a perturbation off the class only
 lowers g and stays seen.  A pair product is memoized in its final class, so a
@@ -190,48 +191,27 @@ def _lowerings(key: tuple[int, ...], counts) -> list[tuple[tuple[int, ...], int]
     return [(slots, falling) for slots, falling in found if len(slots) in counts]
 
 
-def _derivative_keys(potential: FrobeniusPotential, truncation: int):
-    """The rule of the module docstring per key, quantum keys first, each part
-    in the potential's order: (key, scalar, tower, places, lowerings).  Each
-    (get, n, falling) in `lowerings` is one term of d_a d_b d_c F, scalar *
-    falling * tower[3 - n], with triple (a, b, c) = get(places), whose first n
-    entries lower `key` and the rest are t.  Series stop at `truncation`,
-    which no quantum series may stop below; keys sharing a series object
-    share its q d/dq tower, and the classical part has only n = 3 and one
-    constant series.  Lowerings are enumerated once per sequence of nonzero
-    exponents, which the images of a key under a block swap mostly share,
-    on its positions, places holding the key's support and then t."""
+def _derivative_terms(potential: FrobeniusPotential, truncation: int):
+    """The rule of the module docstring, enumerated from each key: (triple,
+    key, slots, scalar, series) for every term of d_a d_b d_c F, `slots` the
+    entries of the triple that lower `key`, the rest t; quantum terms first,
+    in the potential's order.  Series stop at `truncation`, which no quantum
+    series may stop below; keys sharing a series object share its q d/dq
+    tower, and the classical part shares one constant series."""
     log = len(potential.coords) - 1
-    patterns: dict[tuple, list] = {}
-
-    def lowered(key: tuple[int, ...], counts) -> tuple:
-        support = list(compress(range(len(key)), key))
-        if (pattern := (tuple(filter(None, key)), counts)) not in patterns:
-            # position len(support) of places is t, which fills a triple
-            patterns[pattern] = [(itemgetter(*slots, *[len(support)] * (3 - len(slots))), len(slots), falling)
-                                 for slots, falling in _lowerings(pattern[0], counts)]
-        return (*support, log), patterns[pattern]
-
     towers: dict[int, list[QSeries]] = {}
     for key, series in potential.quantum.items():
         if id(series) not in towers:
             tower = towers[id(series)] = [series if series.truncation == truncation else series.truncate(truncation)]
             for _ in range(3):
                 tower.append(tower[-1].qdq())
-        yield key, 1, towers[id(series)], *lowered(key, range(4))
-    constant = [QSeries.one(truncation)]
+        for slots, falling in _lowerings(key, range(4)):
+            yield (*slots, *[log] * (3 - len(slots))), key, slots, falling, towers[id(series)][3 - len(slots)]
+    one = QSeries.one(truncation)
     for key, value in potential.classical.items():
         if value:
-            yield key, value, constant, *lowered(key, (3,))
-
-
-def _derivative_terms(potential: FrobeniusPotential, truncation: int):
-    """`_derivative_keys` term by term: (triple, key, slots, scalar, series),
-    `slots` the entries of the triple that lower `key`."""
-    for key, scalar, tower, places, lowerings in _derivative_keys(potential, truncation):
-        for get, n, falling in lowerings:
-            triple = get(places)
-            yield triple, key, triple[:n], scalar * falling, tower[3 - n]
+            for slots, falling in _lowerings(key, (3,)):
+                yield slots, key, slots, value * falling, one
 
 
 def third_derivative(
@@ -347,54 +327,41 @@ class _WdvvEngine:
             raise PrecisionError(f"wdvv: need order {truncation}, have {potential.truncation}")
         inverse = metric_from_potential(potential).inverse_rows()
         self.dim = dim = len(potential.coords)
-        groups = list(_derivative_keys(potential, truncation))
-        ref_of: dict[tuple[int, tuple[int, ...]], int] = {}
-        interned: dict[int, tuple[int, int, int] | None] = {}  # by id of a term's series
-
-        def reduced(series: QSeries, scalar) -> tuple[int, int, int] | None:
-            """(numerator, denominator, base) of the term scalar * series; None if it is zero."""
-            if id(series) not in interned:
-                interned[id(series)] = _intern(series, ref_of)
-            if (entry := interned[id(series)]) is None:
-                return None
-            content, den, ref = entry
-            num, den = scalar.numerator * content, scalar.denominator * den
-            common = math.gcd(num, den)
-            return num // common, den // common, ref
-
-        # keys with one series and one pattern of lowerings have their scalars and bases in common
-        shared: dict[tuple, list] = {}
-        for _, scalar, tower, _, lowerings in groups:
-            if (id(tower), scalar, id(lowerings)) not in shared:
-                shared[id(tower), scalar, id(lowerings)] = [reduced(tower[3 - n], scalar * f) for _, n, f in lowerings]
+        bases: dict[int, tuple[int, QSeries]] = {}  # by id of a nonzero series: (number, series)
+        terms = []  # (triple, key, slots, numerator, denominator, base number)
+        for triple, key, slots, scalar, series in _derivative_terms(potential, truncation):
+            if series.valuation < 0:
+                raise ValueError("WDVV engine expects power-series coefficients")
+            if series.coeffs:
+                num, den = scalar.numerator, scalar.denominator * series.den
+                common = math.gcd(num, den)
+                ref = bases.setdefault(id(series), (len(bases), series))[0]
+                terms.append((triple, key, slots, num // common, den // common, ref))
+        series_of = [series for _, series in bases.values()]
         eta = [(e, f, w) for e in range(dim) for f in range(dim) if (w := inverse[e][f])]
-        d_scalar = math.lcm(*(entry[1] for line in shared.values() for entry in line if entry))
+        d_scalar = math.lcm(*(den for *_, den, _ in terms))
         d_weight = math.lcm(*(w.denominator for _, _, w in eta))
         self.denominator = d_scalar**2 * d_weight
         self.eta_pairs = [(e, f, w.numerator * (d_weight // w.denominator)) for e, f, w in eta]
-        g = self.stride = math.gcd(*chain.from_iterable(compress(count(), nums) for _, nums in ref_of)) or 1
-        classes = self._classes = [valuation % g for valuation, _ in ref_of]
-        arrays = [[0] * (valuation // g) + list(nums[::g]) for valuation, nums in ref_of]
-        for line in shared.values():
-            line[:] = [entry and (entry[0] * (d_scalar // entry[1]), entry[2], classes[entry[2]]) for entry in line]
+        g = self.stride = math.gcd(*chain.from_iterable(compress(count(), s.coeffs) for s in series_of)) or 1
+        classes = self._classes = [s.valuation % g for s in series_of]
+        arrays = [[0] * (s.valuation // g) + list(s.coeffs[::g]) for s in series_of]
         keys = [*potential.quantum, *potential.classical]
         # a monomial is a mixed-radix number, coordinate 0 its leading digit, each digit
         # wide enough for a product's exponents: so keys add, and order as exponent tuples
         radices = [2 * max(column) + 1 for column in zip(*keys)]
         units = [g * math.prod(radices[i + 1 :]) for i in range(dim)]
+        numbers = {key: sum(map(mul, key, units)) for key in keys}
         self._terms: dict[tuple[int, int, int], list] = {t: [] for t in combinations_with_replacement(range(dim), 3)}
-        for key, scalar, tower, places, lowerings in groups:
-            # get(drops) holds the units a lowering takes off the monomial, 0 for each t
-            number, drops = sum(map(mul, key, units)), (*map(units.__getitem__, places[:-1]), 0)
-            for (get, _, _), entry in zip(lowerings, shared[id(tower), scalar, id(lowerings)]):
-                if entry:
-                    term_scalar, ref, klass = entry
-                    self._terms[get(places)].append((number - sum(get(drops)) + klass, term_scalar, ref))
         # by Cauchy-Schwarz a pair-product coefficient is at most the product of the two
         # bases' l2 norms, so a contraction's is at most sum_ef |w_ef| top(e) top(f), top(x)
         # the largest sum of |scalar| * norm over the terms of a triple holding x
-        norms = [math.isqrt(n - 1) + 1 if (n := sum(map(mul, array, array))) else 0 for array in arrays]
-        reach = {t: sum([abs(scalar) * norms[ref] for _, scalar, ref in line]) for t, line in self._terms.items()}
+        norms = [math.isqrt(n - 1) + 1 for n in (sum(map(mul, array, array)) for array in arrays)]
+        reach = dict.fromkeys(self._terms, 0)
+        for triple, key, slots, num, den, ref in terms:
+            scalar = num * (d_scalar // den)
+            self._terms[triple].append((numbers[key] - sum(map(units.__getitem__, slots)) + classes[ref], scalar, ref))
+            reach[triple] += abs(scalar) * norms[ref]
         top = [max(r for triple, r in reach.items() if x in triple) for x in range(dim)]
         # a residual coefficient is a difference of two contraction coefficients
         self.width = _slot_width(2 * sum(abs(w) * top[e] * top[f] for e, f, w in self.eta_pairs))
@@ -451,19 +418,6 @@ class _WdvvEngine:
                 failures.append((klass + g * slot[0], m, slot[1]))
         exponent, _, value = min(failures)
         return exponent, Fraction(value, self.denominator)
-
-
-def _intern(series: QSeries, ref_of: dict) -> tuple[int, int, int] | None:
-    """(content, den, ref) with series = content/den * (base series number
-    ref), the base its valuation and primitive numerators, first one
-    positive, numbered in `ref_of` as first met; None for a zero series."""
-    if series.valuation < 0:
-        raise ValueError("WDVV engine expects power-series coefficients")
-    if not series.coeffs:
-        return None
-    g = math.gcd(*series.coeffs) * (1 if series.coeffs[0] > 0 else -1)
-    base = (series.valuation, series.coeffs if g == 1 else tuple([x // g for x in series.coeffs]))
-    return g, series.den, ref_of.setdefault(base, len(ref_of))
 
 
 def _contraction_keys(a: int, b: int, c: int, d: int) -> list[tuple]:

@@ -12,7 +12,7 @@ import gwseries.e6 as e6_module
 import gwseries.frobenius as frobenius
 from gwseries.d4 import d4_analytic, d4_build_potential
 from gwseries.e6 import e6_build_fi, e6_build_potential
-from gwseries.exact_arith import _unpack_slots as unpack
+from gwseries.exact_arith import _pack_slots as pack, _unpack_slots as unpack
 from gwseries.frobenius import (
     FrobeniusPotential,
     MetricMatrix,
@@ -422,12 +422,6 @@ def test_wdvv_takes_a_quantum_coefficient_that_q_d_dq_kills(wdvv_reference):
         reference.assert_first_failure(quad, engine.residual_failure(*quad))
 
 
-def test_engine_interns_its_series_up_to_a_scalar():
-    # the fourteen f_i (resp. a, b, c) under q d/dq^0..3, plus the constant 1
-    assert len(_WdvvEngine(e6_build_potential(e6_build_fi(20)), 20)._packed) == 57
-    assert len(_WdvvEngine(d4_build_potential(d4_analytic(20)), 20)._packed) == 13
-
-
 def test_engine_takes_q_derivatives_once_per_series(monkeypatch):
     # the keys of an orbit share one series, so three q d/dq per distinct
     # series: the fourteen f_i, one more for the doubled f_11 key of the
@@ -453,22 +447,27 @@ def test_engine_takes_q_derivatives_once_per_series(monkeypatch):
     assert counts == [42, 45, 9]
 
 
-def test_engine_interns_each_series_once(monkeypatch):
-    # one gcd and primitive tuple per series object, not one per derivative
-    # term: the 446 nonzero terms of the e6 triples hold 57 series objects
-    potential = e6_build_potential(e6_build_fi(20))
-    terms = list(frobenius._derivative_terms(potential, 20))
-    assert sum(1 for *_, series in terms if not series.is_zero()) == 446
-    calls = []
-    intern = frobenius._intern
-
-    def counting(series, ref_of):
-        calls.append(series)
-        return intern(series, ref_of)
-
-    monkeypatch.setattr(frobenius, "_intern", counting)
-    _WdvvEngine(potential, 20)
-    assert len(calls) == len({id(s) for s in calls}) == 57
+def test_engine_packs_one_base_per_series_object():
+    """A base is keyed by the identity of its series, not by its value: one
+    per distinct nonzero series object of the derivative terms, packed from
+    that series' own numerators: the fourteen f_i (resp. a, b, c) under
+    q d/dq^0..3, plus the constant 1.  The transcribed e6 block's doubled
+    key holds series of its own, equal to others up to a scalar, so it
+    packs 61 bases where the symmetric table packs 57."""
+    cases = [
+        (e6_build_potential(e6_build_fi(60)), 60),
+        (e6_build_potential(e6_build_fi(60), raw_f11_block=True), 60),
+        (d4_build_potential(d4_analytic(125)), 125),
+    ]
+    counts = []
+    for potential, truncation in cases:
+        objects = {id(s): s for *_, s in frobenius._derivative_terms(potential, truncation) if not s.is_zero()}
+        engine = _WdvvEngine(potential, truncation)
+        g = engine.stride
+        packed = [pack([0] * (s.valuation // g) + list(s.coeffs[::g]), engine.width) for s in objects.values()]
+        assert sorted(engine._packed) == sorted(packed)
+        counts.append(len(engine._packed))
+    assert counts == [57, 61, 13]
 
 
 @pytest.mark.parametrize(
@@ -599,7 +598,7 @@ def test_engine_work_counters(scanned):
         ))
     assert counts == [
         (446, 446, 57, 50, 92, 100, 7218, 572, 9, 231),
-        (434, 434, 57, 12, 24, 24, 188, 70, 9, 12),
+        (434, 434, 61, 12, 24, 24, 188, 70, 9, 12),
         (84, 84, 13, 7, 14, 14, 182, 37, 8, 55),
     ]
 

@@ -178,6 +178,27 @@ MUTANTS = (
         equivalent="equal keys give one contraction twice, so the residual is None either way; "
         "only a count of contractions computed could see it",
     ),
+    Mutant(
+        "wdvv-term-denominator-without-series",
+        "src/gwseries/frobenius.py",
+        "num, den = scalar.numerator, scalar.denominator * series.den",
+        "num, den = scalar.numerator, scalar.denominator",
+        ("tests/test_frobenius.py",),
+    ),
+    Mutant(
+        "wdvv-term-lowers-one-slot",
+        "src/gwseries/frobenius.py",
+        "sum(map(units.__getitem__, slots))",
+        "sum(map(units.__getitem__, slots[:1]))",
+        ("tests/test_frobenius.py",),
+    ),
+    Mutant(
+        "wdvv-laurent-guard-moved",
+        "src/gwseries/frobenius.py",
+        "if series.valuation < 0:",
+        "if series.valuation < -1:",
+        ("tests/test_frobenius.py",),
+    ),
     # -- the d4 first-order system, against Halphen's through the bridge ------------------
     Mutant(
         "d4-rhs-ac-coefficient",
@@ -314,6 +335,13 @@ MUTANTS = (
         "src/gwseries/cli.py",
         "os._exit(status)",
         "os._exit(0)",
+        ("tests/test_fresh_process.py",),
+    ),
+    Mutant(
+        "broken-pipe-exits-one",
+        "src/gwseries/cli.py",
+        "os._exit(BROKEN_PIPE_STATUS)",
+        "os._exit(1)",
         ("tests/test_fresh_process.py",),
     ),
     Mutant(
