@@ -34,9 +34,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import NamedTuple
 
-from .qseries import QSeries, QSeriesError, format_series
+from .qseries import QSeries, format_series
 from .reporting import IdentityReport
 
 DEFAULT_ORDER = 60
@@ -45,31 +44,19 @@ ORDER_ENV_VAR = "GWSERIES_ORDER"
 BROKEN_PIPE_STATUS = 141  # 128 + SIGPIPE
 
 
-class RunConfig(NamedTuple):
-    """Everything a single CLI invocation needs, normalized and validated."""
-
-    command: str
-    order: int = DEFAULT_ORDER
-    format: str = "text"
-    model: str | None = None
-    strict_typo_mode: bool = False
-    expression: str | None = None
-    kmax: int = DEFAULT_KMAX
-
-
 # -- verification suites -------------------------------------------------------------
 
 
-def _verify_suites(config: RunConfig) -> list[tuple[str, list[IdentityReport]]]:
-    if config.model == "d4":
+def _verify_suites(config: argparse.Namespace) -> list[tuple[str, list[IdentityReport]]]:
+    if config.target == "d4":
         from .d4 import d4_suites
 
         return d4_suites(config.order)
-    if config.model == "e6":
+    if config.target == "e6":
         from .e6 import e6_suites
 
         return e6_suites(config.order, raw_f11_block=config.strict_typo_mode)
-    if config.model == "halphen":
+    if config.target == "halphen":
         from .d4 import halphen_suites
 
         return halphen_suites(config.order)
@@ -81,7 +68,7 @@ def _verify_suites(config: RunConfig) -> list[tuple[str, list[IdentityReport]]]:
 # -- output --------------------------------------------------------------------------
 
 
-def _emit(config: RunConfig, groups: list[tuple[str, list[IdentityReport]]],
+def _emit(config: argparse.Namespace, groups: list[tuple[str, list[IdentityReport]]],
           as_json, as_csv, as_text) -> int:
     """Print one command's result in config.format; returns the exit status.
 
@@ -113,11 +100,11 @@ def _series_table(named: list[tuple[str, QSeries]]) -> tuple[list[str], list[lis
 # -- command implementations ----------------------------------------------------------
 
 
-def _run_expand(config: RunConfig) -> int:
+def _run_expand(config: argparse.Namespace) -> int:
     from .modular import EtaQuotient
 
     try:
-        quotient = EtaQuotient.parse(config.expression or "")
+        quotient = EtaQuotient.parse(config.expression)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -141,7 +128,7 @@ def _run_expand(config: RunConfig) -> int:
     )
 
 
-def _run_solve(config: RunConfig) -> int:
+def _run_solve(config: argparse.Namespace) -> int:
     if config.model == "d4":
         from .d4 import d4_recursion_solve
 
@@ -160,11 +147,11 @@ def _run_solve(config: RunConfig) -> int:
     )
 
 
-def _run_verify(config: RunConfig) -> int:
+def _run_verify(config: argparse.Namespace) -> int:
     groups = _verify_suites(config)
     return _emit(
         config, groups,
-        lambda: {"command": "verify", "target": config.model, "order": config.order,
+        lambda: {"command": "verify", "target": config.target, "order": config.order,
                  "suites": [{"name": name, "reports": [r.to_json_dict() for r in reports]}
                             for name, reports in groups]},
         lambda: (IdentityReport.CSV_HEADER, [r.csv_row() for _, reports in groups for r in reports]),
@@ -173,7 +160,7 @@ def _run_verify(config: RunConfig) -> int:
     )
 
 
-def _run_gw_table(config: RunConfig) -> int:
+def _run_gw_table(config: argparse.Namespace) -> int:
     from .e6 import e6_gw_table
 
     table, report = e6_gw_table(config.kmax)
@@ -187,7 +174,7 @@ def _run_gw_table(config: RunConfig) -> int:
     )
 
 
-def _run_genus_one(config: RunConfig) -> int:
+def _run_genus_one(config: argparse.Namespace) -> int:
     if config.model == "d4":
         from .d4 import d4_analytic, d4_genus_one
 
@@ -208,11 +195,10 @@ def _run_genus_one(config: RunConfig) -> int:
     )
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured command; returns the process exit status."""
-    if config.command == "expand":
-        return _run_expand(config)
+def run(config: argparse.Namespace) -> int:
+    """Execute one parsed command (`parse_args`); returns the process exit status."""
     runner = {
+        "expand": _run_expand,
         "solve": _run_solve,
         "verify": _run_verify,
         "gw-table": _run_gw_table,
@@ -220,7 +206,7 @@ def run(config: RunConfig) -> int:
     }[config.command]
     try:
         return runner(config)
-    except (QSeriesError, ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
@@ -303,15 +289,13 @@ def _resolve_order(parser: argparse.ArgumentParser, flag_value: int | None) -> i
     return order
 
 
-def parse_args(argv: list[str] | None = None) -> RunConfig:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The parser's namespace, with the order resolved and kmax checked."""
     parser = _build_parser()
-    fields = vars(parser.parse_args(argv))
-    if "target" in fields:  # verify's positional keeps the name its usage errors print
-        fields["model"] = fields.pop("target")
-    if "order" in fields:
-        fields["order"] = _resolve_order(parser, fields["order"])
-    config = RunConfig(**fields)
-    if config.kmax < 0:
+    config = parser.parse_args(argv)
+    if "order" in config:
+        config.order = _resolve_order(parser, config.order)
+    if "kmax" in config and config.kmax < 0:
         parser.error(f"kmax must be nonnegative, got {config.kmax}")
     return config
 

@@ -21,7 +21,7 @@ formula, and a suite of modular identities tying a to the j-invariant, cusp
 forms, and twisted eta products, read off the 3-dissection of rational
 series with the roots of unity kept as exponents.  The builders only build;
 `e6_suites` builds each series once, a', a^3 and (1 - a^3)^-1 included
-(`pole_series`), and hands truncations to the report functions.
+(`pole_series`), and hands them to the report functions.
 """
 
 from __future__ import annotations
@@ -65,13 +65,6 @@ class PoleSeries(NamedTuple):
     cube: QSeries
     inverse: QSeries
     slope: QSeries
-
-    def truncate(self, order: int) -> "PoleSeries":
-        """What `pole_series(a.truncate(order))` would build.  Through the pole
-        at q^-1, a^3 knows two orders less than a, (1 - a^3)^-1 four more and
-        the slope three more."""
-        offsets = (0, 0, -2, 4, 3)
-        return PoleSeries(*(s.truncate(order + k) for s, k in zip(self, offsets)))
 
 
 def pole_series(a: QSeries) -> PoleSeries:
@@ -144,15 +137,6 @@ def e6_h_analytic(order: int) -> QSeries:
     return QSeries.constant(Fraction(1), order) + quotient.scale(_THIRD)
 
 
-def e6_schwarzian_residual_report(order: int, pole: PoleSeries) -> IdentityReport:
-    """The defining equation holds for the pole series through q^(order-1).
-
-    The residual loses eight orders to the pole, so `pole` must reach order + 8.
-    """
-    residual = _schwarzian_combination(pole)
-    return series_match("e6-schwarzian-equation", residual, QSeries.zero(order), order)
-
-
 # -- the fourteen coefficient series ------------------------------------------------
 
 
@@ -209,7 +193,7 @@ def e6_coefficient_reports(
     quotient, the derivative-based closed forms coming from the flatness
     calculation, the first-order system `_E6_SYSTEM` on the eta-side
     generators f_0, f_1, f_2, and the equation solver's `solved` pole series
-    against the closed form in `pole`.
+    against the closed form in `pole`, and the defining equation on `pole`.
 
     `pole` and `f` must reach order + 8, which the defining equation's
     residual needs; `solved` must reach order.
@@ -240,7 +224,8 @@ def e6_coefficient_reports(
         for i, (s, rhs) in enumerate(zip(f[:3], evaluate(_E6_SYSTEM, f[:3])))
     )
     reports.append(series_match("e6-solver-matches-eta", solved, a, order))
-    reports.append(e6_schwarzian_residual_report(order, pole))
+    residual = _schwarzian_combination(pole)  # loses eight orders to the pole
+    reports.append(series_match("e6-schwarzian-equation", residual, QSeries.zero(order), order))
     return reports
 
 
@@ -252,8 +237,9 @@ def e6_identity_suite(
 ) -> list[IdentityReport]:
     """The j-invariant relation, the cusp-form identities, and the twisted
     eta expressions for the pole series (the last with roots of unity), all
-    certified through the same order.  `pole` must reach order + 2, in the
-    sense of `PoleSeries.truncate`, and the eta quotients
+    certified through the same order.  `pole` must be built from an a that
+    reaches order + 2, since a^3 knows two orders less through the pole at
+    q^-1, and the eta quotients
     `f0` = eta(9)^3 / eta(3) and `quotient` = eta(1)^3 / eta(9)^3 must
     reach order."""
     a, d1, cube, inverse, slope = pole
@@ -408,7 +394,7 @@ def e6_suites(order: int, raw_f11_block: bool = False) -> list[tuple[str, list[I
 
     The coefficient series and the series derived from the pole series are
     built eight orders deep, which the defining equation's residual needs,
-    and truncated down where a check needs less.
+    and every check takes them at that depth.
     The equation is solved once, two orders deep, for both the solver check
     and the second route of the degree table, and the eta quotients are
     expanded once, in `e6_build_fi`: f_0 for the coefficients, the slope
@@ -427,7 +413,7 @@ def e6_suites(order: int, raw_f11_block: bool = False) -> list[tuple[str, list[I
     potential = e6_build_potential(at_order, raw_f11_block)
     return [
         ("e6-coefficients", e6_coefficient_reports(order, pole, coeffs.f, solved)),
-        ("e6-identities", e6_identity_suite(order, pole.truncate(order + 2), f0, quotient)),
+        ("e6-identities", e6_identity_suite(order, pole, f0, quotient)),
         ("e6-gw-table", [_gw_dual_route(order, solved, f0)]),
         ("e6-genus-one", [e6_genus_one(order, at_order).report]),
         ("e6-potential", [wdvv_residual(potential, order), euler_residual(potential)]),

@@ -2,8 +2,8 @@
 
 Rational numbers are plain ``fractions.Fraction`` values throughout the
 package; this module adds the exact root helpers the series layer needs,
-the value-class base `Frozen`, and `int_convolve`, the one integer
-convolution kernel, with its packed-slot format.
+the value-class base `Frozen`, the input gate `exact`, and `int_convolve`,
+the one integer convolution kernel, with its packed-slot format.
 """
 
 from __future__ import annotations
@@ -39,6 +39,14 @@ class Frozen:
 
     def __hash__(self):
         return hash(self._fields())
+
+
+def exact(value):
+    """`value` itself if it is an int or a Fraction.  Anything else, a float
+    say, would enter as its binary value, so it raises TypeError."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"exact values are int or Fraction, not {type(value).__name__}")
 
 
 def integer_nth_root(m: int, n: int) -> int | None:

@@ -16,9 +16,9 @@ import math
 import re
 from fractions import Fraction
 
-from .exact_arith import Frozen
+from .exact_arith import Frozen, exact
 from .qseries import QSeries, ValuationNotDivisible
-from .reporting import GenusOneResult, IdentityReport, combine, failure_report, series_match
+from .reporting import GenusOneResult, IdentityReport, failure_report, series_match
 
 # -- divisor sums -------------------------------------------------------------
 
@@ -94,7 +94,7 @@ class EtaQuotient(Frozen):
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[tuple[int, Fraction], ...]):
-        factors = tuple((int(m), Fraction(r)) for m, r in factors)
+        factors = tuple((int(m), Fraction(exact(r))) for m, r in factors)
         # this validates input: the command line reaches it through `parse`
         for m, _ in factors:
             if m < 1:
@@ -164,8 +164,6 @@ class EtaQuotient(Frozen):
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in the exponent of {piece!r}") from None
             factors.append((int(m.group(1)), exponent))
-        if not factors:
-            raise ValueError("empty eta quotient")
         return cls(tuple(factors))
 
     def __str__(self):
@@ -263,18 +261,17 @@ def lattice_theta(truncation: int) -> tuple[QSeries, QSeries]:
     """Sums of q^(x,x), for norms below the truncation, over the even-sum
     lattice M = {x in Z^4 : sum x_i even} and over its coset M + (1,0,0,0).
 
-    Membership is a parity condition on the coordinate sum, and
-    (-1)^(sum x_i) = prod (-1)^(x_i) splits over the coordinates, so theta_3^4
-    counts all of Z^4, theta_4^4 the even sums minus the odd ones, and the
-    two cosets are (theta_3^4 + theta_4^4)/2 and (theta_3^4 - theta_4^4)/2:
+    theta_3^4 counts all of Z^4 by norm, and membership is a parity
+    condition on the coordinate sum, which the norm reads off: x_i^2 = x_i
+    (mod 2), so (x,x) = sum x_i (mod 2).  The even-sum lattice is the part of
+    theta_3^4 at even exponents and the coset the part at odd ones:
 
     >>> lattice_theta(4)
     (QSeries(1 + 24q^2 + O(q^4)), QSeries(8q + 32q^3 + O(q^4)))
     """
     # a theta constant needs its constant term known, so build at least to O(q)
-    theta3, theta4 = (theta_jacobi(i, max(truncation, 1)) ** 4 for i in (3, 4))
-    even, shifted = ((theta3 + theta4.scale(sign)).scale(Fraction(1, 2)) for sign in (1, -1))
-    return even.truncate(truncation), shifted.truncate(truncation)
+    theta = theta_jacobi(3, max(truncation, 1)) ** 4
+    return theta.dissect(2, 0).truncate(truncation), theta.dissect(2, 1).truncate(truncation)
 
 
 # -- Eisenstein series, Delta, j, J ------------------------------------------------
@@ -316,13 +313,10 @@ def genus_one(name: str, order: int, scale: int, virasoro: QSeries) -> GenusOneR
     series = eta_unit(scale, order).log_unit().scale(Fraction(-1, scale))
     f_scaled = f_series(-(-order // scale)).substitute_power(scale).truncate(order)
     derivative = QSeries.constant(linear, order) + series.qdq()
-    report = combine(
-        name,
-        [
-            series_match(f"{name}-derivative", derivative, f_scaled, order),
-            series_match(f"{name}-virasoro", virasoro, f_scaled, order),
-        ],
-    )
+    checks = [series_match(f"{name}-{side}", lhs, f_scaled, order)
+              for side, lhs in (("derivative", derivative), ("virasoro", virasoro))]
+    failed = next((check for check in checks if not check.passed), None)
+    report = IdentityReport(name, order) if failed is None else failed._replace(name=f"{name}[{failed.name}]")
     return GenusOneResult(linear, series, report)
 
 

@@ -30,7 +30,7 @@ from itertools import compress
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exact_arith import Frozen, int_convolve, rational_nth_root
+from .exact_arith import Frozen, exact, int_convolve, rational_nth_root
 
 _SCALARS = (int, Fraction)
 _ONE = Fraction(1)
@@ -64,7 +64,8 @@ class QSeries(Frozen):
     """Exact Laurent series known through q^(truncation-1).
 
     Stored as (den, valuation, coeffs, truncation) in the canonical form of
-    the module docstring; the constructor takes exact values.
+    the module docstring; the constructor takes exact values, int or
+    Fraction, and raises TypeError on any other.
 
     >>> s = QSeries([1, -1, 0, 2], valuation=-1, truncation=5)
     >>> s
@@ -83,7 +84,7 @@ class QSeries(Frozen):
     __slots__ = ("den", "valuation", "coeffs", "truncation")
 
     def __new__(cls, coeffs: Iterable[Fraction | int], valuation: int = 0, truncation: int | None = None):
-        values = [c if isinstance(c, _SCALARS) else Fraction(c) for c in coeffs]
+        values = list(map(exact, coeffs))
         den = math.lcm(*(c.denominator for c in values))
         if truncation is None:
             truncation = valuation + len(values)
@@ -228,7 +229,7 @@ class QSeries(Frozen):
         return self._replace(coeffs=[-x for x in self.coeffs])
 
     def scale(self, scalar: Fraction | int) -> "QSeries":
-        c = scalar if isinstance(scalar, _SCALARS) else Fraction(scalar)
+        c = exact(scalar)
         if c == 1:
             return self
         p = c.numerator
@@ -314,8 +315,8 @@ class QSeries(Frozen):
         cs = [x * (lcm // (d.valuation + i)) for i, x in enumerate(d.coeffs)]
         return QSeries._make(d.den * lcm, d.valuation, cs, self.truncation)
 
-    def pow_rational(self, r: Fraction) -> "QSeries":
-        """Raise to an exact rational power.
+    def pow_rational(self, r: Fraction | int) -> "QSeries":
+        """Raise to an exact rational power r, an int or a Fraction.
 
         The valuation times r must be an integer and the leading coefficient
         must admit an exact rational root; otherwise the result would leave
@@ -323,7 +324,7 @@ class QSeries(Frozen):
         an eta quotient's, is kept by its owner beside the series
         (`modular.EtaQuotient.offset`).
         """
-        r = Fraction(r)
+        r = exact(r)
         return self ** int(r) if r.denominator == 1 and r >= 0 else self._power(r)
 
     def _power(self, r: Fraction) -> "QSeries":
@@ -385,11 +386,6 @@ class QSeries(Frozen):
         return (self - other).is_zero()
 
     __hash__ = None  # equality only holds up to min truncation
-
-    def first_difference(self, other):
-        """Smallest exponent where the two series disagree, with the residual."""
-        diff = self - other
-        return None if diff.is_zero() else diff.leading()
 
     # -- serialization ----------------------------------------------------------
 

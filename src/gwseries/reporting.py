@@ -81,21 +81,8 @@ def series_match(name: str, lhs: QSeries, rhs: QSeries, order: int, indices: tup
     a, b = lhs.truncate(order), rhs.truncate(order)
     if a._fields() == b._fields():  # the canonical form is unique
         return IdentityReport(name, order)
-    exponent, residual = a.first_difference(b)
+    exponent, residual = (a - b).leading()
     return failure_report(name, order, indices, exponent, residual)
-
-
-def combine(name: str, reports: list[IdentityReport]) -> IdentityReport:
-    """Single verdict for a batch: pass iff all pass, else the first failure.
-
-    The failing sub-identity's name is appended so a combined report stays
-    actionable.
-    """
-    order = min(r.order_certified for r in reports)
-    for r in reports:
-        if not r.passed:
-            return IdentityReport(f"{name}[{r.name}]", order, r.first_failure)
-    return IdentityReport(name, order)
 
 
 class GenusOneResult(NamedTuple):
@@ -104,7 +91,3 @@ class GenusOneResult(NamedTuple):
     linear_coefficient: Fraction
     series: QSeries
     report: IdentityReport
-
-    @property
-    def passed(self) -> bool:
-        return self.report.passed

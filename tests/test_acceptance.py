@@ -160,8 +160,8 @@ def test_criterion_08_genus_one_both_models():
     d4 = d4_genus_one(60, d4_analytic(60))
     e6 = e6_genus_one(60, e6_build_fi(60))
     ok = (
-        d4.passed
-        and e6.passed
+        d4.report.passed
+        and e6.report.passed
         and d4.report.order_certified >= 60
         and e6.report.order_certified >= 60
         and d4.linear_coefficient == Fraction(-1, 24)

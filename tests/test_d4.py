@@ -284,7 +284,7 @@ def test_single_wrong_coefficient_breaks_wdvv(wdvv_reference):
 
 def test_genus_one_certificates():
     result = d4_genus_one(60, d4_analytic(60))
-    assert result.passed
+    assert result.report.passed
     assert result.report.name == "d4-genus-one"
     assert result.linear_coefficient == Fraction(-1, 24)
     # -(1/2) log prod(1 - q^(2n)) starts at (1/2) q^2

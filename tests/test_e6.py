@@ -18,7 +18,6 @@ from gwseries.e6 import (
     e6_gw_table,
     e6_h_analytic,
     e6_identity_suite,
-    e6_schwarzian_residual_report,
     e6_schwarzian_solve,
     e6_suites,
     e6_twisted_pole_reports,
@@ -117,9 +116,10 @@ def test_closed_form_is_shifted_eta_cube():
 
 
 def test_defining_equation_residual_vanishes():
-    report = e6_schwarzian_residual_report(40, pole_series(e6_h_analytic(48)))
+    pole = pole_series(e6_h_analytic(48))
+    reports = e6_coefficient_reports(40, pole, e6_build_fi(48).f, e6_schwarzian_solve(40))
+    report = {r.name: r for r in reports}["e6-schwarzian-equation"]
     assert report.passed
-    assert report.name == "e6-schwarzian-equation"
     assert report.order_certified == 40
 
 
@@ -169,7 +169,7 @@ def test_first_order_system_reports_fail_where_f2_is_raised(monkeypatch):
 
 
 def test_derived_series_are_built_once(monkeypatch):
-    """1 - a^3 is inverted once per run, in `pole_series`, whose truncations
+    """1 - a^3 is inverted once per run, in `pole_series`, whose series
     both report functions take; the identity suite cubes the inverse for the
     j-relation and the sextic.  eta(9)^-3 is expanded once per run, for
     the closed form a = 1 + (1/3) eta(1)^3 / eta(9)^3: the twisted rows take
@@ -179,7 +179,7 @@ def test_derived_series_are_built_once(monkeypatch):
     coeffs = e6_build_fi(order + 8)
     solved = e6_schwarzian_solve(order + 2)
     pole = pole_series(coeffs.a)
-    a, f0, quotient = coeffs.a.truncate(order + 2), coeffs.f[0], (coeffs.a - 1).scale(3)
+    a, f0, quotient = coeffs.a, coeffs.f[0], (coeffs.a - 1).scale(3)
     modular._eta_logderiv_unit.cache_clear()
     count = 0
     inv = QSeries.inv
@@ -199,7 +199,7 @@ def test_derived_series_are_built_once(monkeypatch):
 
     assert inversions(lambda: e6_suites(order)) == 8
     assert inversions(lambda: pole_series(coeffs.a)) == 1
-    assert inversions(lambda: e6_identity_suite(order, pole.truncate(order + 2), f0, quotient)) == 2
+    assert inversions(lambda: e6_identity_suite(order, pole, f0, quotient)) == 2
     assert inversions(lambda: e6_twisted_pole_reports(order, a, quotient)) == 0
     assert inversions(lambda: e6_coefficient_reports(order, pole, coeffs.f, solved)) == 1
 
@@ -417,7 +417,7 @@ def test_f11_orbit_completion_is_the_only_difference():
 
 def test_genus_one_certificates():
     result = e6_genus_one(30, e6_build_fi(30))
-    assert result.passed
+    assert result.report.passed
     assert result.report.name == "e6-genus-one"
     assert result.linear_coefficient == Fraction(-1, 24)
     # -(1/3) log prod(1 - q^(3n)) starts at (1/3) q^3

@@ -179,6 +179,12 @@ def test_eta_quotient_rejects_garbage():
     assert str(EtaQuotient.parse("eta(1)^0")) == "1"  # the empty quotient prints as its value
 
 
+def test_eta_quotient_takes_exact_exponents_only():
+    assert EtaQuotient(((1, 3),)) == EtaQuotient(((1, Fraction(3)),))
+    with pytest.raises(TypeError):  # 0.1 would be stored as 3602879701896397/2^55
+        EtaQuotient(((1, 0.1),))
+
+
 @st.composite
 def eta_quotients(draw):
     """1-4 factors eta(q^m)^r, m in 1..12, r nonzero with denominator 1-4."""
@@ -415,6 +421,7 @@ def _census(parity: int, truncation: int) -> list[int]:
 def test_lattice_theta_even_sum_census():
     for truncation in (0, 1, 2, 40):  # below 1 the thetas are built at 1
         theta = lattice_theta(truncation)[0]
+        assert theta.truncation == truncation
         assert [theta.coefficient(e) for e in range(truncation)] == _census(0, truncation)
     assert theta.coefficient(0) == 1
     assert theta.coefficient(1) == 0
@@ -425,6 +432,7 @@ def test_lattice_theta_even_sum_census():
 def test_lattice_theta_shifted_census():
     for truncation in (0, 1, 2, 40):  # below 1 the thetas are built at 1
         theta = lattice_theta(truncation)[1]
+        assert theta.truncation == truncation
         assert [theta.coefficient(e) for e in range(truncation)] == _census(1, truncation)
     assert theta.leading() == (1, 8)
     assert theta.coefficient(2) == 0
@@ -489,7 +497,7 @@ def _genus_one_with(model: str, order: int, bump: QSeries):
 )
 def test_genus_one_certificates_have_teeth(monkeypatch, model, scale, virasoro_residual):
     order = 40
-    assert _genus_one_with(model, order, QSeries.zero(order)).passed
+    assert _genus_one_with(model, order, QSeries.zero(order)).report.passed
     # (1/7) q^9 in c enters b + c/3 as 1/21; in f_5 it enters (3/4) f_2 + (3/8) f_5 as 3/56
     report = _genus_one_with(model, order, QSeries.monomial(Fraction(1, 7), 9, order)).report
     assert report.name == f"{model}-genus-one[{model}-genus-one-virasoro]"

@@ -118,6 +118,30 @@ def test_geometric_series_product():
     assert one_minus_q * geometric == QSeries.one(40)
 
 
+# -- exact inputs only: a float would enter as its binary value ---------------------
+
+
+def test_constructor_takes_exact_coefficients_only():
+    assert QSeries([Fraction(1, 10), 1], 0, 3).coefficient(0) == Fraction(1, 10)
+    with pytest.raises(TypeError):  # 0.1 would be stored as 3602879701896397/2^55
+        QSeries([0.1, 1], 0, 3)
+
+
+def test_scale_takes_exact_scalars_only():
+    s = QSeries([1, 1], 0, 3)
+    assert s.scale(Fraction(1, 10)).coefficient(1) == Fraction(1, 10)
+    with pytest.raises(TypeError):
+        s.scale(0.1)
+
+
+def test_pow_rational_takes_exact_exponents_only():
+    s = QSeries([4, 4, 1], 0, 6)  # (2 + q)^2
+    assert s.pow_rational(Fraction(1, 2)) == QSeries([2, 1], 0, 6)
+    assert s.pow_rational(-1) == s.inv()
+    with pytest.raises(TypeError):
+        s.pow_rational(0.5)
+
+
 def test_evaluate_keeps_each_values_own_truncation():
     y, z = QSeries([1, 1], 0, 5), QSeries([2], 1, 3)
     values = evaluate([{(1, 0): 1}, {(2, 0): 1, (1, 0): -1}, {(1, 1): 1}, {(0, 0): 2}, {}], [y, z])

@@ -8,7 +8,16 @@ run sets PYTHONDONTWRITEBYTECODE=1, so none is written.  For each seed the
 unedited `perfbench/run.py --trace 0` of both trees runs once, base first on
 even pairs and change first on odd ones.  For each end-to-end metric of
 BENCHMARK.json the tool prints both sides' median and quartiles, the ratio
-of the medians, and the pairs the change wins.  It only reads the trees.
+of the medians, the pairs the change wins, and three verdicts:
+
+- `9/10`: the change won at least nine in ten of the pairs
+- `>iqr`: the medians differ by more than the base's quartile distance
+- `bound`: `WORSE` when the change's median is worse than the base's by
+  more than the metric's `bound`, read as a share of the base median
+
+A claimed gain needs both of the first two.  The tool exits 1 when a metric
+is WORSE on some workload, or when a larger share of the change's requests
+failed than of the base's.  It only reads the trees.
 """
 
 from __future__ import annotations
@@ -58,19 +67,32 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def quartiles(values: list[float]) -> tuple[float, ...]:
+    """(q1, median, q3); a single value is all three."""
+    return tuple(statistics.quantiles(values, n=4, method="inclusive")) if len(values) > 1 else (values[0],) * 3
+
+
 def summary(values: list[float]) -> str:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    q1, median, q3 = quartiles(values)
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def report(workload: str, seeds: list[int], results: dict[str, list[dict]], metrics: list[dict]) -> None:
+def report(workload: str, seeds: list[int], results: dict[str, list[dict]], metrics: list[dict]) -> bool:
+    """Print the workload's table; False when a metric is worse than its
+    bound or a larger share of the change's requests failed."""
     base, change = results["base"], results["change"]
     print(f"{workload}: {len(seeds)} pairs, seeds {seeds[0]}..{seeds[-1]}")
+    shares = []
     for side in ("base", "change"):
         failed = sum(r["failed"] for r in results[side])
         attempted = sum(r["attempted"] for r in results[side])
+        shares.append(failed / attempted if attempted else 0.0)
         print(f"  {side}: {failed} of {attempted} requests failed")
-    print(f"  {'metric':24s} {'base median [q1, q3]':>30s} {'change median [q1, q3]':>30s} {'ratio':>7s} {'wins':>6s}")
+    ok = shares[1] <= shares[0]
+    if not ok:
+        print("  FAILED: a larger share of the change's requests failed")
+    print(f"  {'metric':24s} {'base median [q1, q3]':>30s} {'change median [q1, q3]':>30s} {'ratio':>7s} {'wins':>6s}"
+          f" {'9/10':>5s} {'>iqr':>5s} {'bound':>12s}")
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         pairs = [(b["metrics"][name]["value"], c["metrics"][name]["value"]) for b, c in zip(base, change)
@@ -79,8 +101,15 @@ def report(workload: str, seeds: list[int], results: dict[str, list[dict]], metr
             continue
         xs, ys = [b for b, _ in pairs], [c for _, c in pairs]
         wins = sum((c < b) if lower else (c > b) for b, c in pairs)
-        ratio = statistics.median(ys) / statistics.median(xs) if statistics.median(xs) else float("nan")
-        print(f"  {name:24s} {summary(xs):>30s} {summary(ys):>30s} {ratio:7.3f} {wins:>3d}/{len(pairs)}")
+        (q1, mx, q3), my = quartiles(xs), statistics.median(ys)
+        ratio = my / mx if mx else float("nan")
+        worse = (my - mx if lower else mx - my) > metric["bound"] * abs(mx)
+        ok = ok and not worse
+        verdict = f"{'WORSE' if worse else 'ok'} {metric['bound']:.0%}"
+        print(f"  {name:24s} {summary(xs):>30s} {summary(ys):>30s} {ratio:7.3f} {wins:>3d}/{len(pairs)}"
+              f" {'yes' if 10 * wins >= 9 * len(pairs) else 'no':>5s} {'yes' if abs(my - mx) > q3 - q1 else 'no':>5s}"
+              f" {verdict:>12s}")
+    return ok
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -92,6 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 101-110 or 5,9,12")
     parser.add_argument("--seconds", type=float, default=20.0, help="length of each run")
     args = parser.parse_args(argv)
+    ok = True
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         trees = {side: export(rev, work / side) for side, rev in (("base", args.base), ("change", args.change))}
@@ -101,10 +131,10 @@ def main(argv: list[str] | None = None) -> int:
             for i, seed in enumerate(args.seeds):
                 for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
                     results[side].append(run_once(trees[side], workload, seed, args.seconds))
-            report(workload, args.seeds, results, metrics)
+            ok = report(workload, args.seeds, results, metrics) and ok
     finally:
         shutil.rmtree(work)
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

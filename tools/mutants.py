@@ -97,6 +97,13 @@ MUTANTS = (
         ("tests/test_d4.py",),
     ),
     Mutant(
+        "lattice-cosets-swapped",
+        "src/gwseries/modular.py",
+        "return theta.dissect(2, 0).truncate(truncation), theta.dissect(2, 1).truncate(truncation)",
+        "return theta.dissect(2, 1).truncate(truncation), theta.dissect(2, 0).truncate(truncation)",
+        ("tests/test_modular.py",),
+    ),
+    Mutant(
         "even-part-as-odd",
         "src/gwseries/modular.py",
         "lhs = f.dissect(2, 0)",
@@ -294,6 +301,49 @@ MUTANTS = (
         "if lhs._fields() == rhs._fields():",
         ("tests/test_qseries_kernels.py",),
     ),
+    Mutant(
+        "match-residual-sign-flipped",
+        "src/gwseries/reporting.py",
+        "exponent, residual = (a - b).leading()",
+        "exponent, residual = (b - a).leading()",
+        ("tests/test_qseries_kernels.py",),
+    ),
+    Mutant(
+        "genus-one-virasoro-checked-first",
+        "src/gwseries/modular.py",
+        'for side, lhs in (("derivative", derivative), ("virasoro", virasoro))',
+        'for side, lhs in (("virasoro", virasoro), ("derivative", derivative))',
+        ("tests/test_modular.py",),
+    ),
+    # -- exact inputs only: a float or a string is refused, never converted ---------------
+    Mutant(
+        "float-coefficients-coerced",
+        "src/gwseries/qseries.py",
+        "values = list(map(exact, coeffs))",
+        "values = [c if isinstance(c, _SCALARS) else Fraction(c) for c in coeffs]",
+        ("tests/test_qseries.py",),
+    ),
+    Mutant(
+        "float-scalar-coerced",
+        "src/gwseries/qseries.py",
+        "c = exact(scalar)",
+        "c = Fraction(scalar)",
+        ("tests/test_qseries.py",),
+    ),
+    Mutant(
+        "float-power-coerced",
+        "src/gwseries/qseries.py",
+        "r = exact(r)",
+        "r = Fraction(r)",
+        ("tests/test_qseries.py",),
+    ),
+    Mutant(
+        "float-eta-exponent-coerced",
+        "src/gwseries/modular.py",
+        "Fraction(exact(r))",
+        "Fraction(r)",
+        ("tests/test_modular.py",),
+    ),
     # -- the CLI: one output path, config straight from argparse --------------------------
     Mutant(
         "emit-status-from-last-failure",
@@ -312,15 +362,8 @@ MUTANTS = (
     Mutant(
         "kmax-bound-moved",
         "src/gwseries/cli.py",
-        "if config.kmax < 0:",
-        "if config.kmax < -1:",
-        ("tests/test_cli.py",),
-    ),
-    Mutant(
-        "verify-target-dropped",
-        "src/gwseries/cli.py",
-        'fields["model"] = fields.pop("target")',
-        'fields.pop("target")',
+        "config.kmax < 0:",
+        "config.kmax < -1:",
         ("tests/test_cli.py",),
     ),
     Mutant(
